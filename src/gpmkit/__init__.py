@@ -45,7 +45,6 @@ from .relaxation import (
     expression_value,
     extract_substitution_rules,
     format_block_sizes,
-    format_report,
     mmat_values,
     mvec,
     mvec_values,

@@ -29,7 +29,7 @@ from .conic import (
 )
 from .model import ModelError
 from .polynomials import Monomial
-from .relaxation import assemble, mmat_values
+from .relaxation import assemble, mmat_values, moment_block
 
 
 def numeric_rank(matrix, tol=1e-3):
@@ -62,17 +62,10 @@ def _inequality_halfdegree(msdp, measure):
     return v
 
 
-def _moment_block(msdp, measure):
-    for block in msdp.blocks:
-        if block.kind == "moment" and block.measure is measure:
-            return block
-    raise ModelError(f"no moment matrix for measure {measure.label}")
-
-
 def check_flatness(msdp, y, measure, tol=1e-3):
     """Evaluate the flat extension condition at the solution y."""
-    measure = _as_measure(msdp, measure)
-    block = _moment_block(msdp, measure)
+    block = moment_block(msdp, measure)
+    measure = block.measure
     M = mmat_values(msdp, y, measure)
     v = _inequality_halfdegree(msdp, measure)
     degrees = [mono.degree for mono in block.basis]
@@ -139,8 +132,8 @@ def extract_points(msdp, y, measure, tol=1e-3, seed=0):
     the moment matrix is not the moment matrix of a measure; the result
     then reports success=False rather than raising.
     """
-    measure = _as_measure(msdp, measure)
-    block = _moment_block(msdp, measure)
+    block = moment_block(msdp, measure)
+    measure = block.measure
     M = mmat_values(msdp, y, measure)
     flat = check_flatness(msdp, y, measure, tol)
     rho = flat.rank_shifted
@@ -269,7 +262,7 @@ def certify(msdp, y, tol=1e-3, feas_tol=1e-4, seed=0):
             recomputed += weight * poly.eval(dict(zip(measure.vars, point)))
     sdp_objective = msdp.objective.value(y)
     mismatch = abs(recomputed - sdp_objective) / (1.0 + abs(sdp_objective))
-    certified = infeas <= feas_tol and mismatch <= feas_tol
+    certified = bool(infeas <= feas_tol and mismatch <= feas_tol)
     return Certificate(certified, flatness, extractions, mismatch, infeas)
 
 
@@ -412,11 +405,3 @@ def _top_diagonal_positions(msdp, conic):
         off += size * size
     return out
 
-
-def _as_measure(msdp, measure):
-    if isinstance(measure, int):
-        for m in msdp.index.measures:
-            if m.label == measure:
-                return m
-        raise ModelError(f"no measure with label {measure}")
-    return measure

@@ -1,24 +1,22 @@
 """Command line driver: build, solve and export moment SDP problems.
 
     gpm build <file> [--order r]
-    gpm solve <file> [--order r] [--eps e] [--json path]
+    gpm solve <file> [--order r] [--eps e] [--json path] [--seed s]
     gpm export <file> [--order r] --format sdpa|json -o path
 
 Model files use the DSL of the dsl module.  An `order` statement in the
-file sets the default relaxation order; --order overrides it.  The
-environment variable GPM_EPS overrides the default solver tolerance;
---eps overrides both.
+file sets the default relaxation order; --order overrides it, and --eps
+overrides the default solver tolerance.
 
-Exit codes: 0 success, 2 parse or modeling error, 3 assembly error,
-4 solver failure (status -1).  Text output rounds to 4 decimals; the
-JSON report keeps full precision.
+Exit codes: 0 success, 1 I/O error, 2 parse or modeling error,
+3 assembly error, 4 solver failure (status -1).  Text output rounds to
+4 decimals; the JSON report keeps full precision.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 
@@ -35,8 +33,6 @@ EXIT_IO = 1
 EXIT_PARSE = 2
 EXIT_ASSEMBLY = 3
 EXIT_SOLVE = 4
-
-_DEFAULT_EPS = 1e-9
 
 
 @dataclass
@@ -195,9 +191,7 @@ def cmd_build(path, order=None):
 def cmd_solve(path, order=None, eps=None, json_path=None, seed=0):
     """Run the full pipeline on a model file and report the outcome."""
     built = _load(path)
-    if eps is None:
-        eps = float(os.environ.get("GPM_EPS", _DEFAULT_EPS))
-    params = SolverParams(eps=eps)
+    params = SolverParams() if eps is None else SolverParams(eps=eps)
     sol = solve_gpm(
         built.problem,
         order=order if order is not None else built.order,

@@ -18,6 +18,7 @@ and rewrites the problem over t.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,9 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 import scipy.sparse.linalg
+
+
+_log = logging.getLogger(__name__)
 
 
 class ConicError(ValueError):
@@ -86,7 +90,6 @@ class SolverParams:
     max_iter: int = 100
     step_fraction: float = 0.98
     reg_floor: float = 1e-12
-    verbose: bool = False
 
 
 @dataclass
@@ -799,9 +802,8 @@ def solve(problem, params=None):
             best = (metric, x_l.copy(), [X.copy() for X in X_s],
                     y.copy(), z_l.copy(), [Z.copy() for Z in Z_s],
                     pobj, dobj, pinf, dinf, gap, it)
-        if params.verbose:
-            print(f"it {it:3d}  pobj {pobj:+.8e}  dobj {dobj:+.8e}  "
-                  f"pinf {pinf:.2e}  dinf {dinf:.2e}  gap {gap:.2e}")
+        _log.debug("it %3d  pobj %+.8e  dobj %+.8e  pinf %.2e  dinf %.2e  gap %.2e",
+                   it, pobj, dobj, pinf, dinf, gap)
         if metric <= params.eps:
             status = "solved"
             break

@@ -149,7 +149,7 @@ def import_sdpa(path):
     psd_off = l
     for bno, s in enumerate(block_struct, start=1):
         if s < 0:
-            col_of_block[bno] = ("l", lp_seen)
+            col_of_block[bno] = ("l", lp_seen, -s)
             lp_seen += -s
         else:
             col_of_block[bno] = ("s", psd_off, s)
@@ -164,12 +164,14 @@ def import_sdpa(path):
         spec = col_of_block.get(blkno)
         if spec is None:
             raise ConicError(f"entry references unknown block {blkno}")
-        if spec[0] == "l":
+        kind, off, s = spec
+        if kind == "l":
             if i != j:
                 raise ConicError("off-diagonal entry in a diagonal block")
-            yield spec[1] + i - 1
+            if not 1 <= i <= s:
+                raise ConicError("entry indices outside the block")
+            yield off + i - 1
             return
-        _, off, s = spec
         if not (1 <= i <= s and 1 <= j <= s):
             raise ConicError("entry indices outside the block")
         yield off + (i - 1) * s + (j - 1)
@@ -177,6 +179,8 @@ def import_sdpa(path):
             yield off + (j - 1) * s + (i - 1)
 
     for matno, blkno, i, j, value in entries:
+        if not 0 <= matno <= m:
+            raise ConicError(f"entry references matrix {matno} outside 0..{m}")
         for pos in positions(blkno, i, j):
             if matno == 0:
                 c[pos] = -value  # C = -F_0
@@ -229,13 +233,14 @@ def import_json(path):
     )
     m = int(payload["m"])
     n = cone.total_length
-    A = scipy.sparse.csr_matrix(
-        (
-            payload["A"]["vals"],
-            (payload["A"]["rows"], payload["A"]["cols"]),
-        ),
-        shape=(m, n),
-    )
+    rows = np.asarray(payload["A"]["rows"], dtype=int)
+    cols = np.asarray(payload["A"]["cols"], dtype=int)
+    vals = np.asarray(payload["A"]["vals"], dtype=float)
+    if not rows.shape == cols.shape == vals.shape:
+        raise ConicError("A rows, cols and vals differ in length")
+    if np.any((rows < 0) | (rows >= m)) or np.any((cols < 0) | (cols >= n)):
+        raise ConicError(f"A entry indices outside the {m}x{n} matrix")
+    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, n))
     b = np.asarray(payload["b"], dtype=float)
     c = np.asarray(payload["c"], dtype=float)
     if b.shape[0] != m or c.shape[0] != n:

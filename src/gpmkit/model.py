@@ -18,6 +18,7 @@ from .polynomials import (
     PolyError,
     Polynomial,
     VarRef,
+    _broadcast,
     as_polynomial,
     varref_list,
 )
@@ -265,7 +266,7 @@ class MomentExpression:
 
     def __add__(self, other):
         if isinstance(other, np.ndarray):
-            return _broadcast_expr(other, lambda e: self + e)
+            return _broadcast(other, lambda e: self + e)
         other = as_moment_expression(other)
         return self._combine(other, 1.0)
 
@@ -273,7 +274,7 @@ class MomentExpression:
 
     def __sub__(self, other):
         if isinstance(other, np.ndarray):
-            return _broadcast_expr(other, lambda e: self - e)
+            return _broadcast(other, lambda e: self - e)
         other = as_moment_expression(other)
         return self._combine(other, -1.0)
 
@@ -327,14 +328,6 @@ class MomentExpression:
         return " + ".join(parts)
 
 
-def _broadcast_expr(array, fn):
-    out = np.empty(array.shape, dtype=object)
-    flat = out.reshape(-1)
-    for k, item in enumerate(np.asarray(array, dtype=object).reshape(-1)):
-        flat[k] = fn(item)
-    return out if array.shape else flat[0]
-
-
 def as_moment_expression(value):
     if isinstance(value, MomentExpression):
         return value
@@ -356,7 +349,7 @@ def mom(target):
     entrywise.
     """
     if isinstance(target, np.ndarray):
-        return _broadcast_expr(target, mom)
+        return _broadcast(target, mom)
     poly = as_polynomial(target)
     if poly.is_zero:
         return MomentExpression(0.0)

@@ -131,9 +131,9 @@ class Monomial:
     def __eq__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
-        return self._hash == other._hash and tuple(
-            (v.uid, p) for v, p in self.exps
-        ) == tuple((v.uid, p) for v, p in other.exps)
+        # exps is canonical (uid-sorted, merged) and VarRef equality is
+        # identity, so the tuples compare directly
+        return self.exps == other.exps
 
     def __hash__(self):
         return self._hash
@@ -424,11 +424,7 @@ def monomials(variables, degree):
     degree = int(degree)
     if degree < 0:
         raise PolyError("degree must be nonnegative")
-    monos = [
-        Monomial(tuple(zip(varlist, exps)))
-        for exps in _exponents_up_to(len(varlist), degree)
-    ]
-    monos.sort(key=lambda m: grlex_key(m, varlist))
+    monos = monomial_basis(varlist, degree)
     measure = next(iter(measures.values()), None)
     out = np.empty(len(monos), dtype=object)
     for k, mono in enumerate(monos):
@@ -439,6 +435,16 @@ def monomials(variables, degree):
             poly.measure_hint = measure
         out[k] = poly
     return out
+
+
+def monomial_basis(varlist, degree):
+    """Monomials in the VarRef list up to total degree, in grlex order."""
+    monos = [
+        Monomial(tuple(zip(varlist, exps)))
+        for exps in _exponents_up_to(len(varlist), degree)
+    ]
+    monos.sort(key=lambda m: grlex_key(m, varlist))
+    return monos
 
 
 def _exponents_up_to(nvars, degree):

@@ -30,7 +30,7 @@ from .polynomials import (
     Monomial,
     Polynomial,
     basis_size,
-    grlex_key,
+    monomial_basis,
 )
 
 
@@ -331,7 +331,7 @@ class MomentIndex:
             budget = [10 * basis_size(len(measure.vars), 2 * order)]
             rw = _Rewriter(mrules, 2 * order, budget)
             self.rewriters[measure] = rw
-            monos = _raw_monomials(measure.vars, 2 * order)
+            monos = monomial_basis(measure.vars, 2 * order)
             self.raw[measure] = monos
             reps = [m for m in monos if _is_fixpoint(rw.reduce(m), m)]
             self.representatives[measure] = reps
@@ -392,28 +392,6 @@ class MomentIndex:
 def _is_fixpoint(poly, mono):
     terms = poly.terms
     return len(terms) == 1 and terms.get(mono) == 1.0
-
-
-def _raw_monomials(varlist, degree):
-    monos = [
-        Monomial(tuple(zip(varlist, exps)))
-        for exps in _exponents_up_to(len(varlist), degree)
-    ]
-    monos.sort(key=lambda m: grlex_key(m, varlist))
-    return monos
-
-
-def _exponents_up_to(nvars, degree):
-    def rec(prefix, remaining, slots):
-        if slots == 0:
-            yield tuple(prefix)
-            return
-        for e in range(remaining + 1):
-            prefix.append(e)
-            yield from rec(prefix, remaining - e, slots - 1)
-            prefix.pop()
-
-    yield from rec([], degree, nvars)
 
 
 @dataclass
@@ -528,7 +506,7 @@ def assemble(problem, order=None):
 
     for measure, g in plan.residual_support_equalities:
         v = math.ceil(g.degree / 2)
-        for gamma in _raw_monomials(measure.vars, 2 * (order - v)):
+        for gamma in monomial_basis(measure.vars, 2 * (order - v)):
             prod = g * Polynomial({gamma: 1.0})
             lin_eq.append(index.form_of_poly(measure, prod))
 
@@ -580,39 +558,20 @@ def _resolve_bindings(index, plan):
     binds one of them to an affine form of the others, solving for the
     target when it appears on both sides.  Candidates that cannot bind
     (already-bound or non-representative targets, vanishing pivot) fall
-    back to explicit equality rows.
+    back to explicit equality rows.  Bound forms are renumbered once
+    the unbound variables get their final numbers.
     """
-    pvar = {}
-    for measure in index.measures:
-        for mono in index.representatives[measure]:
-            pvar[(measure, mono)] = len(pvar)
-    pforms = {}
-
-    def pform_of_expression(expr):
-        const = expr.constant
-        coeffs = {}
-        for measure, poly in expr.terms_by_label():
-            for mono, coeff in poly.terms.items():
-                for rep, c2 in index.reduce(measure, mono).terms.items():
-                    idx = pvar[(measure, rep)]
-                    coeffs[idx] = coeffs.get(idx, 0.0) + coeff * c2
-        # substitute already-bound provisional variables
-        for idx in [i for i in coeffs if i in pforms]:
-            const = _acc_form(const, coeffs, pforms[idx], coeffs.pop(idx))
-        return LinForm(const, coeffs)
-
+    index.finalize_variables()
+    provisional = index.var_meaning
     n_bound = 0
     for measure, mono, rhs, con in plan.binding_candidates:
         key = (measure, mono)
-        target_ok = (
-            _is_fixpoint(index.reduce(measure, mono), mono) and key not in index.bound
-        )
-        lhs_form = pform_of_expression(con.lhs)
-        rhs_form = pform_of_expression(rhs)
-        if not target_ok:
+        if key in index.bound or not _is_fixpoint(index.reduce(measure, mono), mono):
             plan.kept_moment_constraints.append(con)
             continue
-        tvar = pvar[key]
+        lhs_form = index.form_of_expression(con.lhs)
+        rhs_form = index.form_of_expression(rhs)
+        tvar = index.var_of[key]
         pivot = lhs_form.coeffs.get(tvar, 0.0) - rhs_form.coeffs.get(tvar, 0.0)
         if pivot == 0.0:
             plan.kept_moment_constraints.append(con)
@@ -626,36 +585,22 @@ def _resolve_bindings(index, plan):
             if i != tvar:
                 coeffs[i] = coeffs.get(i, 0.0) - c / pivot
         bound_form = LinForm(const, coeffs)
-        pforms[tvar] = bound_form
-        index.bound[key] = bound_form
-        n_bound += 1
         # keep earlier bindings resolved in terms of unbound variables
-        for other, form in list(pforms.items()):
-            if other == tvar:
-                continue
+        for other, form in list(index.bound.items()):
             c = form.coeffs.get(tvar)
             if c is not None:
                 coeffs2 = {i: v for i, v in form.coeffs.items() if i != tvar}
                 const2 = _acc_form(form.const, coeffs2, bound_form, c)
-                updated = LinForm(const2, coeffs2)
-                pforms[other] = updated
-                for bkey, bform in index.bound.items():
-                    if bform is form:
-                        index.bound[bkey] = updated
+                index.bound[other] = LinForm(const2, coeffs2)
+        index.bound[key] = bound_form
+        n_bound += 1
 
-    # re-express bound forms over final variable numbering
-    meaning = {idx: key for key, idx in pvar.items()}
-    for key, form in list(index.bound.items()):
-        coeffs = {}
-        for idx, c in form.coeffs.items():
-            coeffs[meaning[idx]] = c
-        index.bound[key] = ("pending", form.const, coeffs)
     index.finalize_variables()
-    for key, (_, const, keyed) in list(index.bound.items()):
-        coeffs = {}
-        for rkey, c in keyed.items():
-            coeffs[index.var_of[rkey]] = c
-        index.bound[key] = LinForm(const, coeffs)
+    for key, form in index.bound.items():
+        index.bound[key] = LinForm(
+            form.const,
+            {index.var_of[provisional[i]]: c for i, c in form.coeffs.items()},
+        )
     return n_bound
 
 
@@ -687,27 +632,6 @@ def format_block_sizes(sizes):
     return "+".join(parts)
 
 
-def format_report(report):
-    """Render assembly bookkeeping as a short text block."""
-    lines = [f"Moment SDP relaxation of order {report.order}"]
-    for label in report.measure_labels:
-        lines.append(f"Measure {label}: {report.measure_nvars[label]} variable(s)")
-    for label in report.default_mass_labels:
-        lines.append(f"Mass of measure {label} set to one")
-    lines.append(f"Total number of monomials = {report.total_monomials}")
-    lines.append(
-        f"Support constraints = {report.n_support_constraints} "
-        f"({report.n_support_substitutions} used as substitutions)"
-    )
-    lines.append(f"Moment constraints = {report.n_moment_constraints}")
-    lines.append(f"Moment substitutions = {report.n_moment_substitutions}")
-    lines.append(f"Monomials after substitution = {report.n_decision_vars}")
-    lines.append(f"Linear equalities = {report.n_lin_eq}")
-    lines.append(f"Linear inequalities = {report.n_lin_ineq}")
-    lines.append(f"Semidefinite blocks: {format_block_sizes(report.block_sizes)}")
-    return "\n".join(lines)
-
-
 def mvec(msdp, measure, degree=None):
     """Monic monomials indexing the moment vector of a measure."""
     measure = _resolve_measure(msdp, measure)
@@ -736,16 +660,22 @@ def mvec_values(msdp, y, measure, degree=None):
     return np.asarray(values, dtype=float)
 
 
-def mmat_values(msdp, y, measure):
-    """Numeric moment matrix of a measure at the solution y."""
+def moment_block(msdp, measure):
+    """The moment matrix block of a measure, given by object or label."""
     measure = _resolve_measure(msdp, measure)
     for block in msdp.blocks:
         if block.kind == "moment" and block.measure is measure:
-            out = np.zeros((block.size, block.size))
-            for i, j, form in block.entries:
-                out[i, j] = out[j, i] = form.value(y)
-            return out
+            return block
     raise AssemblyError(f"no moment matrix for measure {measure.label}")
+
+
+def mmat_values(msdp, y, measure):
+    """Numeric moment matrix of a measure at the solution y."""
+    block = moment_block(msdp, measure)
+    out = np.zeros((block.size, block.size))
+    for i, j, form in block.entries:
+        out[i, j] = out[j, i] = form.value(y)
+    return out
 
 
 def expression_value(msdp, y, expr):

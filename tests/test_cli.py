@@ -1,0 +1,119 @@
+"""The gpm command line: exit codes, JSON report and export round trips."""
+
+import json
+
+import numpy as np
+import pytest
+
+from gpmkit import (
+    assemble,
+    import_json,
+    import_sdpa,
+    presolve_eliminate_equalities,
+    to_conic,
+)
+from gpmkit.cli import main
+from gpmkit.dsl import parse_model
+
+from conftest import model_path
+
+
+def write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_build_and_solve_exit_zero(capsys):
+    assert main(["build", model_path("rational.gpm")]) == 0
+    assert "Number of monomials after substitution = 3" in capsys.readouterr().out
+    assert main(["solve", model_path("rational.gpm")]) == 0
+    out = capsys.readouterr().out
+    assert "status = 1" in out
+    assert "obj = -0.3333" in out
+
+
+@pytest.mark.parametrize(
+    "argv,code,message",
+    [
+        (["build", "{missing}"], 1, "No such file"),
+        (["build", "{bad}"], 2, "expected ';'"),
+        (["build", model_path("camel.gpm"), "--order", "2"], 3,
+         "constraint degree exceeds relaxation order"),
+        (["solve", "{infeasible}"], 4, None),
+    ],
+)
+def test_exit_codes(tmp_path, capsys, argv, code, message):
+    files = {
+        "{missing}": str(tmp_path / "missing.gpm"),
+        "{bad}": write(tmp_path, "bad.gpm", "var x\nmin x;\n"),
+        "{infeasible}": write(
+            tmp_path, "infeasible.gpm", "var x;\nmin x;\nx^2 <= -1;\n"
+        ),
+    }
+    argv = [files.get(arg, arg) for arg in argv]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    if message is None:
+        assert "status = -1" in captured.out
+    else:
+        assert message in captured.err
+
+
+def test_solve_json_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["solve", model_path("rational.gpm"), "--json", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    assert set(report) == {
+        "file", "order", "assembly", "solver", "status", "objective",
+        "certified", "measures",
+    }
+    assert set(report["assembly"]) == {
+        "order", "measures", "support_constraints", "support_substitutions",
+        "moment_constraints", "moment_substitutions", "default_mass",
+        "total_monomials", "decision_variables", "linear_equalities",
+        "linear_inequalities", "blocks", "block_description",
+    }
+    assert set(report["solver"]) == {
+        "status", "iterations", "pinf", "dinf", "gap", "primal_objective",
+        "dual_objective", "message",
+    }
+    assert report["status"] == 1 and report["certified"] is True
+    assert report["objective"] == pytest.approx(-1.0 / 3.0, abs=1e-4)
+    (measure,) = report["measures"]
+    assert set(measure) == {"label", "variables", "moments", "points", "weights"}
+    assert measure["points"][0][0] == pytest.approx(0.5, abs=1e-3)
+
+
+def conic_of(name, order=None):
+    with open(model_path(name)) as fh:
+        return to_conic(assemble(parse_model(fh.read()), order))
+
+
+def test_export_sdpa_round_trip_and_offset_note(tmp_path, capsys):
+    out = tmp_path / "rational.dat-s"
+    assert main(["export", model_path("rational.gpm"), "--format", "sdpa",
+                 "-o", str(out)]) == 0
+    assert "objective offset" in capsys.readouterr().err
+    expected = presolve_eliminate_equalities(conic_of("rational.gpm")).problem
+    assert expected.offset != 0.0
+    back = import_sdpa(out)
+    assert back.cone == expected.cone
+    assert np.array_equal(back.b, expected.b)
+    assert np.array_equal(back.c, expected.c)
+    assert np.array_equal(back.A.toarray(), expected.A.toarray())
+
+
+def test_export_json_round_trip(tmp_path, capsys):
+    out = tmp_path / "quadratic3.json"
+    assert main(["export", model_path("quadratic3.gpm"), "--order", "2",
+                 "--format", "json", "-o", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    expected = conic_of("quadratic3.gpm", 2)
+    back = import_json(out)
+    assert back.cone == expected.cone
+    assert (back.sense, back.offset) == (expected.sense, expected.offset)
+    assert np.array_equal(back.b, expected.b)
+    assert np.array_equal(back.c, expected.c)
+    assert np.array_equal(back.A.toarray(), expected.A.toarray())

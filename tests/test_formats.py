@@ -130,6 +130,11 @@ BAD_SDPA = [
     ("1\n1\n-2\n1.0\n0 1 1 2 1.0\n", "off-diagonal entry in a diagonal block"),
     ("1\n1\n2\n1.0\n0 1 3 3 1.0\n", "entry indices outside the block"),
     ("1\n1\n2\n1.0\n0 5 1 1 1.0\n", "entry references unknown block"),
+    # a diagonal-block index past the block would land in the next block
+    ("1\n2\n-2 2\n1.0\n1 1 4 4 -3.0\n", "entry indices outside the block"),
+    ("1\n1\n-2\n1.0\n1 1 0 0 1.0\n", "entry indices outside the block"),
+    ("1\n1\n2\n1.0\n2 1 1 1 1.0\n", "matrix 2 outside 0..1"),
+    ("1\n1\n2\n1.0\n-1 1 1 1 1.0\n", "matrix -1 outside 0..1"),
 ]
 
 
@@ -187,6 +192,29 @@ def test_json_invalid_sense(tmp_path):
     payload = _json_payload(tmp_path)
     payload["sense"] = "maximize"
     with pytest.raises(ConicError, match="invalid sense: maximize"):
+        import_json(_write_payload(tmp_path, payload))
+
+
+@pytest.mark.parametrize(
+    "axis,value,message",
+    [
+        ("rows", 3, "outside the 3x11 matrix"),
+        ("rows", -1, "outside the 3x11 matrix"),
+        ("cols", 11, "outside the 3x11 matrix"),
+        ("cols", -1, "outside the 3x11 matrix"),
+    ],
+)
+def test_json_entry_outside_matrix(tmp_path, axis, value, message):
+    payload = _json_payload(tmp_path)
+    payload["A"][axis][0] = value
+    with pytest.raises(ConicError, match=message):
+        import_json(_write_payload(tmp_path, payload))
+
+
+def test_json_entry_arrays_differ_in_length(tmp_path):
+    payload = _json_payload(tmp_path)
+    payload["A"]["vals"].pop()
+    with pytest.raises(ConicError, match="differ in length"):
         import_json(_write_payload(tmp_path, payload))
 
 

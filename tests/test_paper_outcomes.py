@@ -1,0 +1,44 @@
+"""End-to-end solve outcomes of the paper's examples (GloptiPoly 3, 2007).
+
+Each case solves a model file through solve_gpm and checks the status,
+the objective and, when certified, that every extracted atom is one of
+the paper's minimizers.  The number of atoms is not checked: on a face
+with several minimizers a valid certificate may expose only some of
+them (quadratic3 at order 4 returns only (2,0,0) for some seeds).
+"""
+
+import numpy as np
+import pytest
+
+from gpmkit import solve_gpm
+from gpmkit.dsl import parse_model
+
+from conftest import model_path
+
+CAMEL_ATOMS = [(0.0898, -0.7127), (-0.0898, 0.7127)]
+QUADRATIC3_ATOMS = [(2.0, 0.0, 0.0), (0.5, 0.0, 3.0)]
+
+CASES = [
+    ("camel.gpm", 3, 1, -1.0316, CAMEL_ATOMS),
+    ("rational.gpm", 1, 1, -1.0 / 3.0, [(0.5,)]),
+    ("quadratic3.gpm", 1, 0, -6.0, None),
+    ("quadratic3.gpm", 2, 0, -5.6923, None),
+    ("quadratic3.gpm", 3, 0, -4.0685, None),
+    ("quadratic3.gpm", 4, 1, -4.0, QUADRATIC3_ATOMS),
+]
+
+
+@pytest.mark.parametrize("name,order,status,objective,atoms", CASES)
+def test_paper_outcome(name, order, status, objective, atoms):
+    with open(model_path(name)) as fh:
+        problem = parse_model(fh.read(), name)
+    sol = solve_gpm(problem, order=order)
+    assert sol.status == status
+    assert sol.objective == pytest.approx(objective, abs=1e-4)
+    if atoms is None:
+        return
+    points, _ = sol.support(1)
+    assert len(points) >= 1
+    for point in points:
+        dist = min(np.max(np.abs(point - np.asarray(a))) for a in atoms)
+        assert dist < 1e-3, (point, atoms)
