@@ -86,6 +86,23 @@ def test_solve_json_report(tmp_path, capsys):
     assert measure["points"][0][0] == pytest.approx(0.5, abs=1e-3)
 
 
+def test_inconsistent_moments_report_one_status(tmp_path, capsys):
+    # no moment vector exists in either model: the IPM finds that on the
+    # first, presolve on the equalities facial reduction adds to the second
+    statuses = []
+    for name, text in [
+        ("moment.gpm", "var x;\nmin mom(x);\nmom(x^2) == -1;\n"),
+        ("support.gpm", "var x;\nmin x;\nx^2 <= -1;\n"),
+    ]:
+        out = tmp_path / f"{name}.json"
+        assert main(["solve", write(tmp_path, name, text), "--json", str(out)]) == 4
+        report = json.loads(out.read_text())
+        assert report["status"] == -1
+        statuses.append(report["solver"]["status"])
+    capsys.readouterr()
+    assert statuses == ["unbounded", "unbounded"]
+
+
 def conic_of(name, order=None):
     with open(model_path(name)) as fh:
         return to_conic(assemble(parse_model(fh.read()), order))

@@ -13,9 +13,18 @@ from gpmkit import (
     solve_conic,
     to_conic,
 )
-from gpmkit.conic import ConicError, _reduce_zero_diagonals, solve
+from gpmkit.conic import (
+    ConicError,
+    _Cones,
+    _DenseBlock,
+    _SparseBlock,
+    _reduce_zero_diagonals,
+    _symmetrized,
+    solve,
+)
+from gpmkit.dsl import parse_model
 
-from conftest import camel_problem
+from conftest import camel_problem, model_path
 
 
 def sym_entry(n, i, j):
@@ -335,3 +344,121 @@ def test_to_conic_camel_shape():
     sol = solve_conic(conic)
     assert sol.status == "solved"
     assert conic.objective_value(sol.y) == pytest.approx(-1.0316, abs=1e-3)
+
+
+def random_sparse_blocks_problem(rng, m=12, l=3, sizes=(5, 7)):
+    """Conic data with sparse PSD block rows of every kind.
+
+    Each block row is empty, or holds diagonal entries, off-diagonal
+    entries given on one side only, and symmetric pairs with unequal
+    values, so symmetrization has work to do.
+    """
+    cone = ConeSpec(l=l, s=sizes)
+    A = np.zeros((m, cone.total_length))
+    A[:, :l] = rng.normal(size=(m, l)) * (rng.random((m, l)) < 0.5)
+    off = l
+    for s in sizes:
+        for k in range(m):
+            if k % 4 == 1:
+                continue  # empty in this block
+            B = np.zeros((s, s))
+            for _ in range(int(rng.integers(1, 4))):
+                i, j = rng.integers(0, s, 2)
+                B[i, j] += rng.normal()
+                if rng.random() < 0.5:
+                    B[j, i] += rng.normal()
+            d = int(rng.integers(0, s))
+            B[d, d] += rng.normal()
+            A[k, off : off + s * s] = B.reshape(-1)
+        off += s * s
+    problem = ConicProblem(
+        A=scipy.sparse.csr_matrix(A), b=rng.normal(size=m),
+        c=rng.normal(size=cone.total_length), cone=cone,
+    )
+    return problem, A
+
+
+def random_spd(rng, s):
+    Q = rng.normal(size=(s, s))
+    return Q @ Q.T + s * np.eye(s)
+
+
+def test_sparse_and_dense_blocks_match_the_trace_formulas():
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        problem, A = random_sparse_blocks_problem(rng)
+        cone, m = problem.cone, problem.m
+        A_l = A[:, : cone.l]
+        B_s, off = [], cone.l
+        for s in cone.s:
+            B = A[:, off : off + s * s].reshape(m, s, s)
+            B_s.append(0.5 * (B + B.transpose(0, 2, 1)))
+            off += s * s
+        x_l, z_l = rng.random(cone.l) + 0.5, rng.random(cone.l) + 0.5
+        X_s = [random_spd(rng, s) for s in cone.s]
+        Zinv_s = [np.linalg.inv(random_spd(rng, s)) for s in cone.s]
+        W_s = [rng.normal(size=(s, s)) for s in cone.s]
+        w_l, y = rng.normal(size=cone.l), rng.normal(size=m)
+
+        # the formulas entry by entry, from the dense matrices
+        M_ref = (A_l * (x_l / z_l)) @ A_l.T
+        AX_ref = A_l @ x_l
+        rhs_ref = problem.b + A_l @ w_l
+        for B, X, Zinv, W in zip(B_s, X_s, Zinv_s, W_s):
+            for j in range(m):
+                AX_ref[j] += np.trace(B[j] @ X)
+                rhs_ref[j] += np.trace(B[j] @ (W + W.T)) / 2
+                for k in range(m):
+                    M_ref[j, k] += np.trace(B[j] @ Zinv @ B[k] @ X)
+        At_ref = [np.einsum("k,kpq->pq", y, B) for B in B_s]
+
+        cones = _Cones(problem)
+        A_csc = scipy.sparse.csc_matrix(problem.A)
+        offs = np.cumsum((cone.l,) + tuple(s * s for s in cone.s))
+        syms = [
+            _symmetrized(A_csc[:, lo : lo + s * s], s)
+            for lo, s in zip(offs, cone.s)
+        ]
+        for kind in (_DenseBlock, _SparseBlock):
+            cones.blocks = [kind(sym, s) for sym, s in zip(syms, cone.s)]
+
+            def close(got, want):
+                scale = np.abs(want).max()
+                assert np.abs(got - want).max() <= 1e-12 * scale, kind
+
+            close(cones.schur_complement(x_l, z_l, Zinv_s, X_s), M_ref)
+            close(cones.apply_A(x_l, X_s), AX_ref)
+            close(cones.newton_rhs(problem.b, w_l, W_s), rhs_ref)
+            At_l, At_s = cones.apply_At(y)
+            close(At_l, A_l.T @ y)
+            for got, want in zip(At_s, At_ref):
+                close(got, want)
+            for block, B in zip(cones.blocks, B_s):
+                close(block.sq_norms, (B ** 2).sum(axis=(1, 2)))
+
+
+def test_maxcut_order_two_solves_through_sparse_blocks():
+    with open(model_path("maxcut_sub.gpm")) as fh:
+        problem = to_conic(assemble(parse_model(fh.read()), 2))
+    assert [type(b) for b in _Cones(problem).blocks] == [_SparseBlock]
+    sol = solve_conic(problem)
+    # status and objective of the dense-block solver this path replaced
+    assert sol.status == "inaccurate"
+    assert problem.objective_value(sol.y) == pytest.approx(12.41413173295636, rel=1e-9)
+
+
+def test_size_guard_counts_what_sparse_blocks_allocate():
+    # m * s^2 = 3.2e8 dense entries: a dense (m, s, s) tensor is refused,
+    # the sparse block stores a few entries per row and M is m x m
+    rng = np.random.default_rng(3)
+    m, s = 2000, 400
+    rows = np.repeat(np.arange(m), 3)
+    i, j = rng.integers(0, s, (2, rows.size))
+    A = scipy.sparse.csr_matrix(
+        (rng.normal(size=rows.size), (rows, i * s + j)), shape=(m, s * s)
+    )
+    problem = ConicProblem(
+        A=A, b=np.ones(m), c=np.eye(s).reshape(-1), cone=ConeSpec(s=(s,))
+    )
+    cones = _Cones(problem)
+    assert [type(b) for b in cones.blocks] == [_SparseBlock]
