@@ -288,8 +288,7 @@ def _presolve_residual(problem, res):
     nf = problem.cone.f
     Af = scipy.sparse.csc_matrix(problem.A)[:, :nf]
     r0 = float(np.abs(Af.T @ res.y0 - problem.c[:nf]).max(initial=0.0))
-    AfN = Af.T @ res.N
-    r1 = float(np.abs(AfN.toarray() if scipy.sparse.issparse(AfN) else AfN).max(initial=0.0))
+    r1 = float(np.abs((Af.T @ res.N).data).max(initial=0.0))
     return max(r0, r1)
 
 
@@ -377,15 +376,19 @@ def _presolve_pass(problem, tol, substitute):
             continue
         leftovers.append((red, const))
 
-    roots = [i for i in range(m) if find(i)[0] == i and i not in pinned]
-    root_pos = {i: k for k, i in enumerate(roots)}
+    found = [find(i) for i in range(m)]
+    root_of = np.array([f[0] for f in found], dtype=np.intp)
+    a = np.array([f[1] for f in found], dtype=float)
+    bshift = np.array([f[2] for f in found], dtype=float)
+    is_pinned = np.zeros(m, dtype=bool)
+    is_pinned[list(pinned)] = True
+    roots = np.flatnonzero((root_of == np.arange(m)) & ~is_pinned)
 
     if leftovers:
         E = np.zeros((len(leftovers), len(roots)))
         e = np.zeros(len(leftovers))
         for k, (red, const) in enumerate(leftovers):
-            for i, c in red.items():
-                E[k, root_pos[i]] = c
+            E[k, np.searchsorted(roots, list(red))] = list(red.values())
             e[k] = -const
         yp, *_ = np.linalg.lstsq(E, e, rcond=None)
         # refine: one lstsq pass on an ill-conditioned consistent system
@@ -400,28 +403,24 @@ def _presolve_pass(problem, tol, substitute):
             )
         _, svals, Vt = np.linalg.svd(E)
         rank = int(np.sum(svals > max(E.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)))
-        N2 = Vt[rank:].T
+        N2 = scipy.sparse.csr_matrix(Vt[rank:].T)
     else:
         yp = np.zeros(len(roots))
-        N2 = np.eye(len(roots))
+        N2 = scipy.sparse.identity(len(roots), format="csr")
 
-    mt = N2.shape[1]
-    y0 = np.zeros(m)
-    Nrows, Ncols, Nvals = [], [], []
-    for i in range(m):
-        root, a, bshift = find(i)
-        if root in pinned:
-            y0[i] = bshift + a * pinned[root]
-            continue
-        k = root_pos[root]
-        y0[i] = bshift + a * yp[k]
-        for t in range(mt):
-            v = a * N2[k, t]
-            if v != 0.0:
-                Nrows.append(i)
-                Ncols.append(t)
-                Nvals.append(v)
-    N = scipy.sparse.csr_matrix((Nvals, (Nrows, Ncols)), shape=(m, mt))
+    # y_i = bshift_i + a_i * y_root(i), the root pinned or y_root = yp + N2 t:
+    # y0 = bshift + a * (pin or yp), N = diag(a) N2[root] on the free rows
+    base = np.zeros(m)
+    for root, value in pinned.items():
+        base[root] = value
+    free = np.flatnonzero(~is_pinned[root_of])
+    k = np.searchsorted(roots, root_of[free])
+    base[root_of[free]] = yp[k]
+    y0 = bshift + a * base[root_of]
+    select = scipy.sparse.csr_matrix((a[free], (free, k)), shape=(m, len(roots)))
+    N = (select @ N2).tocsr()
+    N.eliminate_zeros()
+    N.sort_indices()
 
     keep = np.arange(nf, problem.n)
     A_rest = scipy.sparse.csc_matrix(problem.A)[:, keep].tocsr()

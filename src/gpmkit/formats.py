@@ -55,46 +55,48 @@ def export_sdpa(problem, path):
     lines.append(" ".join(str(s) for s in blocks))
     lines.append(" ".join(_fmt(-v) for v in problem.b))
 
-    def emit(matno, blkno, i, j, value):
-        if value != 0.0:
-            lines.append(f"{matno} {blkno} {i + 1} {j + 1} {_fmt(value)}")
-
-    # F_0 = -C
-    offset_col = 0
-    blkno = 0
-    if cone.l:
-        blkno += 1
-        for i in range(cone.l):
-            emit(0, blkno, i, i, -problem.c[i])
-        offset_col = cone.l
-    for s in cone.s:
-        blkno += 1
-        Cblk = np.asarray(problem.c[offset_col : offset_col + s * s]).reshape(s, s)
-        for i in range(s):
-            for j in range(i, s):
-                emit(0, blkno, i, j, -Cblk[i, j])
-        offset_col += s * s
-
-    # F_k = -A_k
+    # F_0 = -C over the columns in order, then F_k = -A_k row by row
     Acsr = scipy.sparse.csr_matrix(problem.A)
-    for k in range(m):
-        start, end = Acsr.indptr[k], Acsr.indptr[k + 1]
-        for col, val in zip(Acsr.indices[start:end], Acsr.data[start:end]):
-            if cone.l and col < cone.l:
-                emit(k + 1, 1, col, col, -val)
-                continue
-            rel = col - cone.l
-            blk = 1 if cone.l else 0
-            for s in cone.s:
-                blk += 1
-                if rel < s * s:
-                    i, j = divmod(rel, s)
-                    if i <= j:
-                        emit(k + 1, blk, i, j, -val)
-                    break
-                rel -= s * s
+    matno = np.concatenate(
+        (
+            np.zeros(problem.n, dtype=np.int64),
+            np.repeat(np.arange(1, m + 1), np.diff(Acsr.indptr)),
+        )
+    )
+    cols = np.concatenate((np.arange(problem.n), Acsr.indices))
+    vals = -np.concatenate((np.asarray(problem.c, dtype=float), Acsr.data))
+    blkno, i, j = _block_coordinates(cone, cols)
+    keep = (i <= j) & (vals != 0.0)
+    lines.extend(
+        f"{k} {blk} {r} {c} {v:.17g}"
+        for k, blk, r, c, v in zip(
+            matno[keep].tolist(),
+            blkno[keep].tolist(),
+            (i[keep] + 1).tolist(),
+            (j[keep] + 1).tolist(),
+            vals[keep].tolist(),
+        )
+    )
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _block_coordinates(cone, cols):
+    """SDPA block number and 0-based (i, j) of each conic column.
+
+    The orthant is diagonal block 1 when present; each PSD block of size
+    s takes s*s consecutive columns with entry (i, j) at offset i*s + j.
+    """
+    sizes = np.asarray(cone.s, dtype=np.int64)
+    starts = cone.l + np.concatenate(([0], np.cumsum(sizes * sizes)))[:-1]
+    blkno = np.ones(len(cols), dtype=np.int64)
+    i = np.array(cols, dtype=np.int64)
+    j = i.copy()
+    psd = i >= cone.l
+    k = np.searchsorted(starts, i[psd], side="right") - 1
+    i[psd], j[psd] = np.divmod(i[psd] - starts[k], sizes[k])
+    blkno[psd] = k + (2 if cone.l else 1)
+    return blkno, i, j
 
 
 def _fmt(value):

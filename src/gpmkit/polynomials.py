@@ -5,6 +5,13 @@ product of variable powers, a polynomial a finite real combination of
 monomials stored sparsely by exponent.  All arithmetic is exact on the
 sparse structure; coefficients are floats.
 
+``Monomial`` and ``Polynomial`` are the modeling representation: they
+mix variables of any measure and key a monomial by its variables.  The
+relaxation works on the monomials of one measure at a time and writes
+them as exponent tuples over that measure's variable list;
+``ExponentMap`` converts between the two and ``exponent_tuples`` lists
+the tuples in grlex order.
+
 Monomials are ordered by graded lexicographic order: lower total degree
 first, ties broken lexicographically on the exponent vector over the
 variable list (earlier variables dominate).  For two variables this
@@ -53,7 +60,12 @@ class VarRef:
 
 
 class Monomial:
-    """A product of variable powers, canonically sorted by variable uid."""
+    """A product of variable powers, canonically sorted by variable uid.
+
+    ``exps`` holds (variable, power) pairs with positive powers in uid
+    order, so equal monomials have equal tuples whatever variables and
+    measures they mix.
+    """
 
     __slots__ = ("exps", "_hash")
 
@@ -75,6 +87,19 @@ class Monomial:
         self.exps = tuple(items)
         self._hash = hash(tuple((v.uid, p) for v, p in self.exps))
 
+    @classmethod
+    def from_canonical(cls, exps):
+        """Monomial from (variable, power) pairs already in canonical form.
+
+        ``exps`` must hold positive powers of distinct variables in uid
+        order; nothing is checked, so ``ExponentMap`` skips the sort and
+        merge of the constructor.
+        """
+        self = object.__new__(cls)
+        self.exps = exps
+        self._hash = hash(tuple((v.uid, p) for v, p in exps))
+        return self
+
     @property
     def degree(self):
         return sum(p for _, p in self.exps)
@@ -94,22 +119,6 @@ class Monomial:
 
     def mul(self, other):
         return Monomial(self.exps + other.exps)
-
-    def divides(self, other):
-        return all(other.exponent(v) >= p for v, p in self.exps)
-
-    def divide(self, other):
-        """Return self / other; other must divide self."""
-        quotient = []
-        for v, p in self.exps:
-            q = p - other.exponent(v)
-            if q < 0:
-                raise PolyError("monomial division is not exact")
-            quotient.append((v, q))
-        for v, p in other.exps:
-            if self.exponent(v) < p:
-                raise PolyError("monomial division is not exact")
-        return Monomial(quotient)
 
     def eval(self, point):
         value = 1.0
@@ -424,10 +433,12 @@ def monomials(variables, degree):
     degree = int(degree)
     if degree < 0:
         raise PolyError("degree must be nonnegative")
-    monos = monomial_basis(varlist, degree)
+    tuples = exponent_tuples(len(varlist), degree)
+    emap = ExponentMap(varlist)
     measure = next(iter(measures.values()), None)
-    out = np.empty(len(monos), dtype=object)
-    for k, mono in enumerate(monos):
+    out = np.empty(len(tuples), dtype=object)
+    for k, t in enumerate(tuples):
+        mono = emap.monomial(t)
         poly = Polynomial({mono: 1.0})
         if mono.is_constant and measure is not None:
             # keep the constant attached to the basis measure so that
@@ -437,27 +448,70 @@ def monomials(variables, degree):
     return out
 
 
-def monomial_basis(varlist, degree):
-    """Monomials in the VarRef list up to total degree, in grlex order."""
-    monos = [
-        Monomial(tuple(zip(varlist, exps)))
-        for exps in _exponents_up_to(len(varlist), degree)
-    ]
-    monos.sort(key=lambda m: grlex_key(m, varlist))
-    return monos
+class ExponentMap:
+    """Exponent tuples over a fixed VarRef list, and back to monomials.
+
+    Converts monomials and polynomials (term maps keyed by ``Monomial``)
+    to tuples and term maps keyed by tuples, and back.  Each tuple is
+    turned into a ``Monomial`` at most once.
+    """
+
+    def __init__(self, varlist):
+        self.vars = tuple(varlist)
+        self.pos = {v: k for k, v in enumerate(self.vars)}
+        self.by_uid = sorted(range(len(self.vars)), key=lambda k: self.vars[k].uid)
+        self._monos = {}
+
+    def of(self, mono):
+        exps = [0] * len(self.vars)
+        for v, p in mono.exps:
+            k = self.pos.get(v)
+            if k is None:
+                raise PolyError(f"variable {v.name} is not in the list {self.vars}")
+            exps[k] = p
+        return tuple(exps)
+
+    def terms(self, poly):
+        return {self.of(mono): coeff for mono, coeff in poly.terms.items()}
+
+    def monomial(self, t):
+        mono = self._monos.get(t)
+        if mono is None:
+            mono = Monomial.from_canonical(
+                tuple((self.vars[k], t[k]) for k in self.by_uid if t[k])
+            )
+            self._monos[t] = mono
+        return mono
+
+    def polynomial(self, terms):
+        return Polynomial({self.monomial(t): c for t, c in terms.items()})
+
+    def sort_key(self, t):
+        """Deterministic graded order: degree, then (uid, power) pairs."""
+        return (sum(t), tuple((self.vars[k].uid, t[k]) for k in self.by_uid if t[k]))
 
 
-def _exponents_up_to(nvars, degree):
+def exponent_tuples(nvars, degree):
+    """Exponent vectors of total degree <= degree, in grlex order.
+
+    Generated in order: by total degree, then lexicographically
+    descending, so (1, 0) (x1) comes before (0, 1) (x2).  This matches
+    ``grlex_key`` over the same variable list.
+    """
+    out = []
+
     def rec(prefix, remaining, slots):
-        if slots == 0:
-            yield tuple(prefix)
+        if slots == 1:
+            out.append(prefix + (remaining,))
             return
-        for e in range(remaining + 1):
-            prefix.append(e)
-            yield from rec(prefix, remaining - e, slots - 1)
-            prefix.pop()
+        for e in range(remaining, -1, -1):
+            rec(prefix + (e,), remaining - e, slots - 1)
 
-    yield from rec([], degree, nvars)
+    if nvars == 0:
+        return [()]
+    for d in range(degree + 1):
+        rec((), d, nvars)
+    return out
 
 
 def diff(target, variables):

@@ -11,6 +11,13 @@ as rewrite rules on monomials, eliminating moment variables before the
 SDP is formed.  Moment equalities whose left-hand side is the moment of
 a single monic monomial bind that moment variable to an affine form.
 Everything else becomes linear equality or inequality rows.
+
+Inside the relaxation a monomial of a measure is an exponent tuple over
+that measure's variable list: a product is an elementwise sum, and
+divisibility an elementwise comparison.  ``Monomial`` and
+``Polynomial`` objects appear only at the boundary: model data is
+converted once on the way in, and the basis, moment numbering and
+reductions handed out are converted back, one ``Monomial`` per tuple.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import add, le, sub
 
 import numpy as np
 
@@ -27,10 +35,11 @@ from .model import (
     mass,
 )
 from .polynomials import (
+    ExponentMap,
     Monomial,
     Polynomial,
     basis_size,
-    monomial_basis,
+    exponent_tuples,
 )
 
 
@@ -93,71 +102,69 @@ class _CapExceeded(Exception):
     pass
 
 
-def _mono_sort_key(mono):
-    """Deterministic graded order on monomials of any variable set."""
-    return (mono.degree, tuple((v.uid, p) for v, p in mono.exps))
+def _divides(lhs, t):
+    return all(map(le, lhs, t))
 
 
 class _Rewriter:
-    """Applies rewrite rules to monomials with memoized normal forms.
+    """Applies rewrite rules to exponent tuples with memoized normal forms.
 
-    A rewrite producing a monomial above the degree cap abandons the
-    chain for that monomial, which then stays a representative.  A
-    shared step budget guards against nonterminating rule sets.
+    Rules are (lhs tuple, rhs term map) pairs, tried in ``sort_key``
+    order of their left sides; a normal form is a term map from
+    representative tuples to coefficients.  A rewrite producing a
+    monomial above the degree cap abandons the chain for that monomial,
+    which then stays a representative.  A shared step budget guards
+    against nonterminating rule sets.
     """
 
-    def __init__(self, rules, cap, budget):
-        self.rules = sorted(rules, key=lambda r: _mono_sort_key(r[0]))
+    def __init__(self, exponents, rules, cap, budget):
+        self.rules = sorted(rules, key=lambda r: exponents.sort_key(r[0]))
         self.cap = cap
         self.budget = budget
         self.memo = {}
         self._active = set()
 
     def reduce(self, mono):
+        """Normal form of a tuple; the returned map must not be mutated."""
         hit = self.memo.get(mono)
         if hit is not None:
             return hit
         if mono in self._active:
             raise AssemblyError("substitution not terminating")
-        applicable = None
         for lhs, rhs in self.rules:
-            if lhs.divides(mono):
-                applicable = (lhs, rhs)
+            if _divides(lhs, mono):
                 break
-        if applicable is None:
-            result = Polynomial({mono: 1.0})
+        else:
+            result = {mono: 1.0}
             self.memo[mono] = result
             return result
         self.budget[0] -= 1
         if self.budget[0] < 0:
             raise AssemblyError("substitution not terminating")
-        lhs, rhs = applicable
-        quotient = mono.divide(lhs)
+        quotient = tuple(map(sub, mono, lhs))
         self._active.add(mono)
         try:
             acc = {}
-            for term, coeff in rhs.terms.items():
-                prod = term.mul(quotient)
-                if prod.degree > self.cap:
+            for term, coeff in rhs.items():
+                prod = tuple(map(add, term, quotient))
+                if sum(prod) > self.cap:
                     raise _CapExceeded
-                sub = self.reduce(prod)
-                for tm, tc in sub.terms.items():
+                for tm, tc in self.reduce(prod).items():
                     acc[tm] = acc.get(tm, 0.0) + coeff * tc
-            result = Polynomial(acc)
+            result = {tm: tc for tm, tc in acc.items() if tc != 0.0}
         except _CapExceeded:
-            result = Polynomial({mono: 1.0})
+            result = {mono: 1.0}
         finally:
             self._active.discard(mono)
         self.memo[mono] = result
         return result
 
-    def reduce_poly(self, poly):
+    def reduce_terms(self, terms):
         acc = {}
-        for mono, coeff in poly.terms.items():
-            sub = self.reduce(mono)
-            for tm, tc in sub.terms.items():
+        for mono, coeff in terms.items():
+            for tm, tc in self.reduce(mono).items():
                 acc[tm] = acc.get(tm, 0.0) + coeff * tc
-        return Polynomial(acc)
+        return {tm: tc for tm, tc in acc.items() if tc != 0.0}
 
 
 @dataclass
@@ -249,13 +256,19 @@ def extract_substitution_rules(problem, order):
 
     rules = []
     for measure, table in rules_by_measure.items():
+        exponents = ExponentMap(measure.vars)
+        table = {exponents.of(lhs): exponents.terms(rhs) for lhs, rhs in table.items()}
         budget = [10 * basis_size(len(measure.vars), cap)]
-        kept, demoted = _inter_reduce(table, cap, budget)
+        kept, demoted = _inter_reduce(exponents, table, cap, budget)
         n_subs -= len(demoted)
-        for lhs_mono, rhs in demoted:
-            residual.append((measure, Polynomial({lhs_mono: 1.0}) - rhs))
-        for lhs_mono, rhs in kept.items():
-            rules.append(SubstitutionRule(measure, lhs_mono, rhs))
+        for lhs, rhs in demoted:
+            residual.append(
+                (measure, exponents.polynomial({lhs: 1.0}) - exponents.polynomial(rhs))
+            )
+        for lhs, rhs in kept.items():
+            rules.append(
+                SubstitutionRule(measure, exponents.monomial(lhs), exponents.polynomial(rhs))
+            )
 
     bindings = []
     kept_moment = []
@@ -277,30 +290,31 @@ def extract_substitution_rules(problem, order):
     )
 
 
-def _inter_reduce(table, cap, budget):
+def _inter_reduce(exponents, table, cap, budget):
     """Reduce each rule's right side by the other rules until stable.
 
-    A rule whose reduced right side still contains a monomial divisible
-    by its own left side cannot terminate and is demoted; a rule whose
-    right side reduces to its left side is a tautology and is dropped.
+    ``table`` maps left-side tuples to right-side term maps.  A rule
+    whose reduced right side still contains a monomial divisible by its
+    own left side cannot terminate and is demoted; a rule whose right
+    side reduces to its left side is a tautology and is dropped.
     """
     table = dict(table)
     demoted = []
     for _ in range(50):
         changed = False
-        for lhs in sorted(table, key=_mono_sort_key):
+        for lhs in sorted(table, key=exponents.sort_key):
             rhs = table[lhs]
-            others = [(l, r) for l, r in table.items() if l is not lhs]
-            new_rhs = _Rewriter(others, cap, budget).reduce_poly(rhs)
-            if not new_rhs.equals(rhs):
+            others = [(l, r) for l, r in table.items() if l != lhs]
+            new_rhs = _Rewriter(exponents, others, cap, budget).reduce_terms(rhs)
+            if new_rhs != rhs:
                 table[lhs] = new_rhs
                 changed = True
                 rhs = new_rhs
-            if rhs.equals(Polynomial({lhs: 1.0})):
+            if rhs == {lhs: 1.0}:
                 del table[lhs]
                 changed = True
                 continue
-            if any(lhs.divides(m) for m in rhs.terms):
+            if any(_divides(lhs, m) for m in rhs):
                 del table[lhs]
                 demoted.append((lhs, rhs))
                 changed = True
@@ -315,50 +329,98 @@ class MomentIndex:
     Raw monomials of degree up to 2r are reduced to combinations of
     representative monomials; representatives either carry a moment
     variable or are bound to an affine form of other variables.
+
+    ``raw_exponents``, ``representatives`` and the keys of ``bound`` and
+    ``var_of`` are exponent tuples (``exponents[measure]`` converts).
+    ``raw``, ``var_meaning`` and ``reduce`` hand out ``Monomial``
+    objects, built on first use.  The affine form of each raw monomial
+    is memoized until the numbering or a binding changes.
     """
 
     def __init__(self, measures, order, rules):
         self.order = order
         self.measures = list(measures)
+        self.exponents = {}
         self.rewriters = {}
-        self.raw = {}
+        self.raw_exponents = {}
         self.representatives = {}
         self.bound = {}
         self.var_of = {}
-        self.var_meaning = []
+        self._forms = {}
+        self._raw = None
+        self._var_meaning = None
         for measure in self.measures:
-            mrules = [(r.lhs, r.rhs) for r in rules if r.measure is measure]
+            exponents = ExponentMap(measure.vars)
+            mrules = [
+                (exponents.of(r.lhs), exponents.terms(r.rhs))
+                for r in rules
+                if r.measure is measure
+            ]
             budget = [10 * basis_size(len(measure.vars), 2 * order)]
-            rw = _Rewriter(mrules, 2 * order, budget)
+            rw = _Rewriter(exponents, mrules, 2 * order, budget)
+            self.exponents[measure] = exponents
             self.rewriters[measure] = rw
-            monos = monomial_basis(measure.vars, 2 * order)
-            self.raw[measure] = monos
-            reps = [m for m in monos if _is_fixpoint(rw.reduce(m), m)]
-            self.representatives[measure] = reps
+            tuples = exponent_tuples(len(exponents.vars), 2 * order)
+            self.raw_exponents[measure] = tuples
+            self.representatives[measure] = [
+                t for t in tuples if _is_fixpoint(rw.reduce(t), t)
+            ]
 
     def finalize_variables(self):
         """Number every unbound representative; call after bindings."""
         self.var_of = {}
-        self.var_meaning = []
+        self._forms = {}
+        self._var_meaning = None
         for measure in self.measures:
-            for mono in self.representatives[measure]:
-                if (measure, mono) in self.bound:
-                    continue
-                self.var_of[(measure, mono)] = len(self.var_meaning)
-                self.var_meaning.append((measure, mono))
+            for t in self.representatives[measure]:
+                if (measure, t) not in self.bound:
+                    self.var_of[(measure, t)] = len(self.var_of)
+
+    def set_bound(self, key, form):
+        """Bind the representative key = (measure, tuple) to an affine form."""
+        self.bound[key] = form
+        self._forms = {}
 
     @property
     def n_vars(self):
-        return len(self.var_meaning)
+        return len(self.var_of)
+
+    @property
+    def raw(self):
+        """Monomials of degree up to 2r of each measure, in grlex order."""
+        if self._raw is None:
+            self._raw = {
+                m: [self.exponents[m].monomial(t) for t in tuples]
+                for m, tuples in self.raw_exponents.items()
+            }
+        return self._raw
+
+    @property
+    def var_meaning(self):
+        """(measure, monomial) of each moment variable, by number."""
+        if self._var_meaning is None:
+            self._var_meaning = [
+                (m, self.exponents[m].monomial(t)) for m, t in self.var_of
+            ]
+        return self._var_meaning
 
     def reduce(self, measure, mono):
-        return self.rewriters[measure].reduce(mono)
+        """Reduced form of a monomial, as a polynomial in representatives."""
+        exponents = self.exponents[measure]
+        return exponents.polynomial(self.rewriters[measure].reduce(exponents.of(mono)))
 
     def form_of_monomial(self, measure, mono):
         """Affine form of the moment of a raw monomial."""
+        return self.form_of_exponents(measure, self.exponents[measure].of(mono))
+
+    def form_of_exponents(self, measure, t):
+        """Affine form of the moment of a raw monomial given as a tuple."""
+        form = self._forms.get((measure, t))
+        if form is not None:
+            return form
         const = 0.0
         coeffs = {}
-        for rep, coeff in self.reduce(measure, mono).terms.items():
+        for rep, coeff in self.rewriters[measure].reduce(t).items():
             key = (measure, rep)
             bound = self.bound.get(key)
             if bound is not None:
@@ -366,14 +428,19 @@ class MomentIndex:
             else:
                 idx = self.var_of[key]
                 coeffs[idx] = coeffs.get(idx, 0.0) + coeff
-        return LinForm(const, coeffs)
+        form = self._forms[(measure, t)] = LinForm(const, coeffs)
+        return form
 
     def form_of_poly(self, measure, poly):
         """Affine form of the moment of a polynomial of one measure."""
+        return self.form_of_terms(measure, self.exponents[measure].terms(poly))
+
+    def form_of_terms(self, measure, terms):
+        """Affine form of the moment of a term map keyed by tuples."""
         const = 0.0
         coeffs = {}
-        for mono, coeff in poly.terms.items():
-            const = _acc_form(const, coeffs, self.form_of_monomial(measure, mono), coeff)
+        for t, coeff in terms.items():
+            const = _acc_form(const, coeffs, self.form_of_exponents(measure, t), coeff)
         return LinForm(const, coeffs)
 
     def form_of_expression(self, expr):
@@ -389,9 +456,8 @@ class MomentIndex:
         return LinForm(const, coeffs)
 
 
-def _is_fixpoint(poly, mono):
-    terms = poly.terms
-    return len(terms) == 1 and terms.get(mono) == 1.0
+def _is_fixpoint(terms, t):
+    return len(terms) == 1 and terms.get(t) == 1.0
 
 
 @dataclass
@@ -477,38 +543,33 @@ def assemble(problem, order=None):
 
     blocks = []
     for measure in problem.measures:
-        basis = [m for m in index.representatives[measure] if m.degree <= order]
-        entries = []
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                entries.append(
-                    (i, j, index.form_of_monomial(measure, basis[i].mul(basis[j])))
-                )
-        blocks.append(Block("moment", measure, basis, entries))
+        basis = [t for t in index.representatives[measure] if sum(t) <= order]
+        entries = _block_entries(basis, lambda p: index.form_of_exponents(measure, p))
+        blocks.append(_block("moment", index, measure, basis, entries))
 
     lin_eq = []
     lin_ineq = []
     for con in plan.support_inequalities:
+        measure = con.measure
         g = con.gform()
         v = math.ceil(g.degree / 2)
-        basis = [
-            m for m in index.representatives[con.measure] if m.degree <= order - v
-        ]
+        g = index.exponents[measure].terms(g)
+        basis = [t for t in index.representatives[measure] if sum(t) <= order - v]
         if len(basis) <= 1:
-            lin_ineq.append(index.form_of_poly(con.measure, g))
+            lin_ineq.append(index.form_of_terms(measure, g))
             continue
-        entries = []
-        for i in range(len(basis)):
-            for j in range(i, len(basis)):
-                prod = g * Polynomial({basis[i].mul(basis[j]): 1.0})
-                entries.append((i, j, index.form_of_poly(con.measure, prod)))
-        blocks.append(Block("localizing", con.measure, basis, entries, source=con))
+        entries = _block_entries(
+            basis, lambda p: index.form_of_terms(measure, _shifted(g, p))
+        )
+        blocks.append(_block("localizing", index, measure, basis, entries, source=con))
 
     for measure, g in plan.residual_support_equalities:
         v = math.ceil(g.degree / 2)
-        for gamma in monomial_basis(measure.vars, 2 * (order - v)):
-            prod = g * Polynomial({gamma: 1.0})
-            lin_eq.append(index.form_of_poly(measure, prod))
+        g = index.exponents[measure].terms(g)
+        # the grlex list of degree <= 2r starts with the degree <= d part
+        n_gamma = basis_size(len(measure.vars), 2 * (order - v))
+        for gamma in index.raw_exponents[measure][:n_gamma]:
+            lin_eq.append(index.form_of_terms(measure, _shifted(g, gamma)))
 
     for con in plan.kept_moment_constraints:
         form = index.form_of_expression(con.residual())
@@ -527,7 +588,7 @@ def assemble(problem, order=None):
         order=order,
         measure_labels=[m.label for m in problem.measures],
         measure_nvars={m.label: len(m.vars) for m in problem.measures},
-        total_monomials=sum(len(index.raw[m]) for m in problem.measures),
+        total_monomials=sum(len(index.raw_exponents[m]) for m in problem.measures),
         n_decision_vars=index.n_vars,
         n_support_constraints=len(problem.support_constraints),
         n_support_substitutions=plan.n_support_substitutions,
@@ -551,6 +612,38 @@ def assemble(problem, order=None):
     )
 
 
+def _shifted(terms, t):
+    """The term map times the monomial t (no two products coincide)."""
+    return {tuple(map(add, mono, t)): coeff for mono, coeff in terms.items()}
+
+
+def _block_entries(basis, form_of):
+    """Upper-triangle (i, j, form) entries of a block over basis tuples.
+
+    ``form_of`` maps the product tuple of two basis elements to the
+    entry's affine form; entries with the same product share one form.
+    Products are looked up by an integer code of the tuple in a radix
+    above twice the largest basis degree: no digit of a product carries,
+    so the code of a product is the sum of the codes.
+    """
+    radix = 2 * max(map(sum, basis), default=0) + 1
+    codes = [sum(e * radix**k for k, e in enumerate(t)) for t in basis]
+    forms = {}
+    entries = []
+    for i, ci in enumerate(codes):
+        for j in range(i, len(basis)):
+            form = forms.get(ci + codes[j])
+            if form is None:
+                form = forms[ci + codes[j]] = form_of(tuple(map(add, basis[i], basis[j])))
+            entries.append((i, j, form))
+    return entries
+
+
+def _block(kind, index, measure, basis, entries, source=None):
+    monomial = index.exponents[measure].monomial
+    return Block(kind, measure, [monomial(t) for t in basis], entries, source)
+
+
 def _resolve_bindings(index, plan):
     """Turn binding candidates into bound affine forms on the index.
 
@@ -562,11 +655,12 @@ def _resolve_bindings(index, plan):
     the unbound variables get their final numbers.
     """
     index.finalize_variables()
-    provisional = index.var_meaning
+    provisional = list(index.var_of)
     n_bound = 0
     for measure, mono, rhs, con in plan.binding_candidates:
-        key = (measure, mono)
-        if key in index.bound or not _is_fixpoint(index.reduce(measure, mono), mono):
+        t = index.exponents[measure].of(mono)
+        key = (measure, t)
+        if key in index.bound or not _is_fixpoint(index.rewriters[measure].reduce(t), t):
             plan.kept_moment_constraints.append(con)
             continue
         lhs_form = index.form_of_expression(con.lhs)
@@ -591,16 +685,14 @@ def _resolve_bindings(index, plan):
             if c is not None:
                 coeffs2 = {i: v for i, v in form.coeffs.items() if i != tvar}
                 const2 = _acc_form(form.const, coeffs2, bound_form, c)
-                index.bound[other] = LinForm(const2, coeffs2)
-        index.bound[key] = bound_form
+                index.set_bound(other, LinForm(const2, coeffs2))
+        index.set_bound(key, bound_form)
         n_bound += 1
 
     index.finalize_variables()
-    for key, form in index.bound.items():
-        index.bound[key] = LinForm(
-            form.const,
-            {index.var_of[provisional[i]]: c for i, c in form.coeffs.items()},
-        )
+    for key, form in list(index.bound.items()):
+        coeffs = {index.var_of[provisional[i]]: c for i, c in form.coeffs.items()}
+        index.set_bound(key, LinForm(form.const, coeffs))
     return n_bound
 
 

@@ -250,6 +250,99 @@ def test_presolve_leaves_coupled_rows_to_svd():
     )
 
 
+def _mixed_equality_system(rng, m=40, n_dense=6, n_free=2, n_rows=3):
+    """Random consistent equality rows of every kind presolve resolves.
+
+    Moments 0..n_dense-1 meet in n_rows dense rows (left to the SVD),
+    the next n_free appear in no row, and each later moment j is either
+    pinned by a singleton row or tied to an earlier moment i by a
+    doubleton row.  Returns the conic problem and, per moment, the
+    exact relation it obeys: ("root",), ("pin", value) or
+    ("alias", i, shift, scale) for y_j = shift + scale * y_i.
+    """
+    y = rng.normal(size=m)
+    cols, rhs, relation = [], [], [("root",)] * (n_dense + n_free)
+
+    def coef():
+        return rng.choice([-1.0, 1.0]) * rng.uniform(0.8, 1.25)
+
+    for j in range(n_dense + n_free, m):
+        col = np.zeros(m)
+        if rng.random() < 0.3:
+            col[j] = coef()
+            relation.append(("pin", y[j]))
+        else:
+            i = int(rng.integers(0, j))
+            col[i], col[j] = coef(), coef()
+            d = col[i] * y[i] + col[j] * y[j]
+            relation.append(("alias", i, d / col[j], -col[i] / col[j]))
+        cols.append(col)
+        rhs.append(col @ y)
+    for _ in range(n_rows):
+        col = np.zeros(m)
+        col[:n_dense] = [coef() for _ in range(n_dense)]
+        col[int(rng.integers(n_dense + n_free, m))] = coef()
+        cols.append(col)
+        rhs.append(col @ y)
+    order = rng.permutation(len(cols))
+    Af = np.array(cols)[order].T
+    nl = 2
+    A = np.hstack([Af, rng.normal(size=(m, nl))])
+    c = np.concatenate([np.array(rhs)[order], rng.uniform(1.0, 2.0, nl)])
+    problem = ConicProblem(A=A, b=rng.normal(size=m), c=c, cone=ConeSpec(f=Af.shape[1], l=nl))
+    return problem, relation
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_presolve_lift_matches_entrywise_reference(seed):
+    # the lift y = y0 + N t must follow each pin and alias entry by
+    # entry from the root rows, which the SVD leftover block fills
+    rng = np.random.default_rng(seed)
+    problem, relation = _mixed_equality_system(rng)
+    res = presolve_eliminate_equalities(problem)
+    assert res.status == "ok"
+    m, nf = problem.m, problem.cone.f
+    N = res.N.toarray()
+    assert N.shape == (m, 6 + 2 - 3)
+    assert np.all(res.N.data != 0.0)
+
+    # resolve every relation to (pinned value) or (root, shift, scale)
+    resolved = []
+    for j, rel in enumerate(relation):
+        if rel[0] == "root":
+            resolved.append(("root", j, 0.0, 1.0))
+        elif rel[0] == "pin":
+            resolved.append(("pin", rel[1]))
+        else:
+            _, i, shift, scale = rel
+            base = resolved[i]
+            if base[0] == "pin":
+                resolved.append(("pin", shift + scale * base[1]))
+            else:
+                _, root, b, a = base
+                resolved.append(("root", root, shift + scale * b, scale * a))
+    y0_ref = np.zeros(m)
+    N_ref = np.zeros_like(N)
+    for j, rel in enumerate(resolved):
+        if rel[0] == "pin":
+            y0_ref[j] = rel[1]
+            assert res.N[j].nnz == 0
+            continue
+        _, root, b, a = rel
+        y0_ref[j] = b + a * res.y0[root]
+        for t in range(N.shape[1]):
+            N_ref[j, t] = a * N[root, t]
+    assert np.abs(res.y0 - y0_ref).max() <= 1e-12
+    assert np.abs(N - N_ref).max() <= 1e-12
+
+    # the root rows are an orthonormal null-space basis of the dense rows
+    roots = [j for j, rel in enumerate(relation) if rel[0] == "root"]
+    assert np.abs(N[roots].T @ N[roots] - np.eye(N.shape[1])).max() <= 1e-12
+    Af = problem.A[:, :nf]
+    assert np.abs(Af.T @ res.y0 - problem.c[:nf]).max() <= 1e-12
+    assert np.abs(Af.T @ N).max() <= 1e-12
+
+
 def test_presolve_inconsistent_rows():
     # two pins on the same dual variable with different values
     A = np.array([[2.0, 1.0, 1.0]])

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gpmkit import (
     ConeSpec,
@@ -62,6 +63,43 @@ def test_sdpa_round_trip_is_exact(tmp_path):
     assert np.array_equal(np.asarray(back.A.todense()), problem.A)
     assert back.sense == "min"
     assert back.offset == 0.0
+
+
+def sdpa_entry_lines(problem):
+    """Reference SDPA entry lines, one conic column at a time."""
+    cone = problem.cone
+    places = [(1, k, k) for k in range(cone.l)]
+    first = 2 if cone.l else 1
+    for blk, s in enumerate(cone.s, start=first):
+        places.extend((blk, i, j) for i in range(s) for j in range(s))
+    A = scipy.sparse.csr_matrix(problem.A)
+    entries = [(0, col, -v) for col, v in enumerate(problem.c)]
+    for k in range(problem.m):
+        for ptr in range(A.indptr[k], A.indptr[k + 1]):
+            entries.append((k + 1, A.indices[ptr], -A.data[ptr]))
+    lines = []
+    for matno, col, value in entries:
+        blk, i, j = places[col]
+        if i <= j and value != 0.0:
+            lines.append(f"{matno} {blk} {i + 1} {j + 1} {float(value):.17g}")
+    return lines
+
+
+@pytest.mark.parametrize("l", [0, 2])
+def test_sdpa_entries_follow_column_layout(tmp_path, l):
+    # several blocks, zeros and both triangles in A and C; the file
+    # lists the nonzero upper-triangle entries of F_0 then of each F_k
+    rng = np.random.default_rng(l)
+    cone = ConeSpec(l=l, s=(1, 3, 2))
+    m, n = 4, cone.total_length
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.4)
+    c = rng.normal(size=n) * (rng.random(n) < 0.6) / 3.0
+    problem = ConicProblem(A=A, b=rng.normal(size=m), c=c, cone=cone)
+    path = tmp_path / "p.dat-s"
+    export_sdpa(problem, path)
+    lines = path.read_text().splitlines()
+    assert lines[5:] == sdpa_entry_lines(problem)
+    assert len(lines) > 5 + m
 
 
 def test_sdpa_cannot_carry_sense_or_offset(tmp_path):

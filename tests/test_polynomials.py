@@ -19,6 +19,8 @@ from gpmkit import (
     monomials,
 )
 
+from gpmkit.polynomials import ExponentMap, Monomial, as_varref, exponent_tuples
+
 from conftest import binom, camel_problem
 
 
@@ -133,6 +135,27 @@ def test_monomials_graded_lex_order():
     assert keys == sorted(keys)
     degrees = [p.degree for p in basis]
     assert degrees == sorted(degrees)
+
+
+def test_exponent_map_round_trip_in_any_variable_order():
+    # tuples follow the given list while monomials stay uid-canonical
+    ctx, xs = fresh_vars(3)
+    varrefs = [as_varref(x) for x in reversed(xs)]
+    emap = ExponentMap(varrefs)
+    tuples = exponent_tuples(3, 3)
+    assert len(tuples) == basis_size(3, 3)
+    for t in tuples:
+        mono = Monomial(tuple(zip(varrefs, t)))
+        built = emap.monomial(t)
+        assert built == mono and built.exps == mono.exps and hash(built) == hash(mono)
+        assert emap.of(mono) == t
+    basis = monomials(list(reversed(xs)), 3)
+    keys = [grlex_key(next(iter(p.terms)), varrefs) for p in basis]
+    assert keys == sorted(keys)
+    assert [emap.of(next(iter(p.terms))) for p in basis] == tuples
+    other = ModelContext().var("y")
+    with pytest.raises(PolyError):
+        emap.of(next(iter(other.terms)))
 
 
 def test_monomials_input_validation():

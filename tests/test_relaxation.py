@@ -1,5 +1,7 @@
 """Assembly bookkeeping, substitution rules and hierarchy equivalence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from gpmkit import (
     parse_model,
     solve_gpm,
 )
+from gpmkit.polynomials import Monomial, Polynomial, as_varref, grlex_key
 from gpmkit.relaxation import AssemblyError
 
 from conftest import (
@@ -77,6 +80,52 @@ def test_maxcut_substituted_counts():
     assert r.block_sizes == [130]
     assert r.n_lin_eq == 0
     assert r.n_support_substitutions == 9
+
+
+def _product_forms_match(msdp):
+    """Every block entry equals the form of its product polynomial."""
+    index = msdp.index
+    for block in msdp.blocks:
+        g = Polynomial.constant(1.0) if block.source is None else block.source.gform()
+        for i, j, form in block.entries:
+            prod = Polynomial({block.basis[i]: 1.0}) * Polynomial({block.basis[j]: 1.0})
+            ref = index.form_of_poly(block.measure, g * prod)
+            assert form.const == ref.const
+            assert form.coeffs == ref.coeffs
+
+
+def _raw_is_grlex(msdp):
+    for measure in msdp.problem.measures:
+        n = len(measure.vars)
+        monos = [
+            Monomial(tuple(zip(measure.vars, exps)))
+            for exps in itertools.product(range(2 * msdp.order + 1), repeat=n)
+            if sum(exps) <= 2 * msdp.order
+        ]
+        ref = sorted(monos, key=lambda m: grlex_key(m, measure.vars))
+        assert msdp.index.raw[measure] == ref
+
+
+def test_localizing_entries_match_polynomial_products():
+    ctx, problem = quadratic3_problem()
+    msdp = assemble(problem, 2)
+    assert [b.kind for b in msdp.blocks].count("localizing") == 8
+    _product_forms_match(msdp)
+    _raw_is_grlex(msdp)
+
+
+def test_substituted_entries_match_polynomial_products():
+    problem = load_fixture("maxcut_sub.gpm")
+    msdp = assemble(problem, 2)
+    assert msdp.report.n_support_substitutions == 9
+    _product_forms_match(msdp)
+    _raw_is_grlex(msdp)
+    # every representative is multilinear and numbered in grlex order
+    measure = problem.measures[0]
+    reps = [mono for _, mono in msdp.index.var_meaning]
+    assert all(p == 1 for mono in reps for _, p in mono.exps)
+    kept = set(reps)
+    assert reps == [m for m in msdp.index.raw[measure] if m in kept]
 
 
 def test_maxcut_plain_equality_counts():
@@ -144,6 +193,28 @@ def test_nonterminating_rule_set_rejected():
     )
     with pytest.raises(AssemblyError, match="substitution not terminating"):
         assemble(problem, 2)
+
+
+def test_rewrite_rule_with_polynomial_right_side():
+    # y^2 -> x*y + 1 rewrites every monomial to y-degree at most one;
+    # the normal forms below follow by hand from repeated substitution
+    ctx = ModelContext()
+    x, y = ctx.var("x"), ctx.var("y")
+    problem = GPMProblem(minimize(mom(x)), [y ** 2 == x * y + 1])
+    msdp = assemble(problem, 2)
+    measure = problem.measures[0]
+    expected = {
+        (0, 2): x * y + 1,
+        (1, 2): x ** 2 * y + x,
+        (0, 3): x ** 2 * y + x + y,
+        (2, 2): x ** 3 * y + x ** 2,
+        (0, 4): x ** 3 * y + x ** 2 + 2 * x * y + 1,
+    }
+    for (px, py), poly in expected.items():
+        mono = next(iter((x ** px * y ** py).terms))
+        assert msdp.index.reduce(measure, mono).equals(poly)
+    yvar = as_varref(y)
+    assert all(mono.exponent(yvar) <= 1 for _, mono in msdp.index.var_meaning)
 
 
 def test_swapped_rule_pair_keeps_one():
