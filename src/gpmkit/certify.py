@@ -19,20 +19,20 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
-from .conic import (
-    SolverParams,
-    _partial_trace_cleanup,
-    _trace_restriction,
-    solve_conic,
-    to_conic,
-)
+from .conic import ConeSpec, ConicProblem, SolverParams, solve_conic, to_conic
 from .model import ModelError
 from .polynomials import Monomial
 from .relaxation import assemble, mmat_values, moment_block
 
+# singular values below _RANK_TOL times the largest count as zero; atoms
+# may break support constraints and the objective by _FEAS_TOL (relative)
+_RANK_TOL = 1e-3
+_FEAS_TOL = 1e-4
 
-def numeric_rank(matrix, tol=1e-3):
+
+def numeric_rank(matrix, tol=_RANK_TOL):
     """Rank by singular values above tol times the largest."""
     matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
     if matrix.size == 0:
@@ -62,17 +62,20 @@ def _inequality_halfdegree(msdp, measure):
     return v
 
 
-def check_flatness(msdp, y, measure, tol=1e-3):
+def check_flatness(msdp, y, measure):
     """Evaluate the flat extension condition at the solution y."""
     block = moment_block(msdp, measure)
-    measure = block.measure
-    M = mmat_values(msdp, y, measure)
-    v = _inequality_halfdegree(msdp, measure)
+    return _flatness(msdp, block, mmat_values(msdp, y, block.measure))
+
+
+def _flatness(msdp, block, M):
+    """Rank pattern of the moment matrix M of a measure's moment block."""
+    v = _inequality_halfdegree(msdp, block.measure)
     degrees = [mono.degree for mono in block.basis]
     ranks = {}
     for d in range(msdp.order + 1):
         keep = [i for i, deg in enumerate(degrees) if deg <= d]
-        ranks[d] = numeric_rank(M[np.ix_(keep, keep)], tol)
+        ranks[d] = numeric_rank(M[np.ix_(keep, keep)])
     rank = ranks[msdp.order]
     rank_shifted = ranks[max(msdp.order - v, 0)]
     return FlatnessResult(
@@ -123,7 +126,7 @@ def _column_echelon(V):
     return U, pivots
 
 
-def extract_points(msdp, y, measure, tol=1e-3, seed=0):
+def extract_points(msdp, y, measure, seed=0):
     """Recover the atoms of a measure from its moment matrix at y.
 
     Requires the flatness rank as the factorization order.  Returns
@@ -133,10 +136,13 @@ def extract_points(msdp, y, measure, tol=1e-3, seed=0):
     then reports success=False rather than raising.
     """
     block = moment_block(msdp, measure)
+    M = mmat_values(msdp, y, block.measure)
+    return _extract(msdp, block, M, _flatness(msdp, block, M).rank_shifted, seed)
+
+
+def _extract(msdp, block, M, rho, seed):
+    """Atoms of a measure from its moment matrix M, factored at rank rho."""
     measure = block.measure
-    M = mmat_values(msdp, y, measure)
-    flat = check_flatness(msdp, y, measure, tol)
-    rho = flat.rank_shifted
     if rho == 0:
         return ExtractionResult(success=False, message="moment matrix is zero")
 
@@ -183,7 +189,7 @@ def extract_points(msdp, y, measure, tol=1e-3, seed=0):
         combined = sum(l * N for l, N in zip(lam, operators))
         T, Q = scipy.linalg.schur(np.asarray(combined), output="real")
         sub = np.abs(np.diag(T, -1)).max() if rho > 1 else 0.0
-        if sub > tol * max(1.0, np.abs(T).max()):
+        if sub > _RANK_TOL * max(1.0, np.abs(T).max()):
             continue  # complex eigenvalues: try another combination
         points = np.zeros((rho, len(operators)))
         for k, N in enumerate(operators):
@@ -196,7 +202,7 @@ def extract_points(msdp, y, measure, tol=1e-3, seed=0):
         target = M[:, 0]
         weights, residual = scipy.optimize.nnls(Phi, target)
         scale = 1.0 + float(np.linalg.norm(target))
-        if residual <= max(math.sqrt(tol), 1e-3) * scale:
+        if residual <= math.sqrt(_RANK_TOL) * scale:
             return ExtractionResult(
                 success=True,
                 points=points,
@@ -222,23 +228,26 @@ class Certificate:
     infeasibility: float = 0.0
 
 
-def certify(msdp, y, tol=1e-3, feas_tol=1e-4, seed=0):
+def certify(msdp, y, seed=0):
     """Check flatness, extract atoms and verify them on all measures.
 
     Certification requires every measure flat, extraction successful,
     all extracted points feasible for their support constraints and the
     objective recomputed from the atoms to match the SDP objective.
+    Each moment matrix is built, and its ranks found, once.
     """
     flatness = {}
     extractions = {}
     certified = True
     for measure in msdp.problem.measures:
-        flat = check_flatness(msdp, y, measure, tol)
+        block = moment_block(msdp, measure)
+        M = mmat_values(msdp, y, block.measure)
+        flat = _flatness(msdp, block, M)
         flatness[measure.label] = flat
         if not flat.flat:
             certified = False
             continue
-        ext = extract_points(msdp, y, measure, tol, seed)
+        ext = _extract(msdp, block, M, flat.rank_shifted, seed)
         extractions[measure.label] = ext
         if not ext.success:
             certified = False
@@ -262,7 +271,7 @@ def certify(msdp, y, tol=1e-3, feas_tol=1e-4, seed=0):
             recomputed += weight * poly.eval(dict(zip(measure.vars, point)))
     sdp_objective = msdp.objective.value(y)
     mismatch = abs(recomputed - sdp_objective) / (1.0 + abs(sdp_objective))
-    certified = bool(infeas <= feas_tol and mismatch <= feas_tol)
+    certified = bool(infeas <= _FEAS_TOL and mismatch <= _FEAS_TOL)
     return Certificate(certified, flatness, extractions, mismatch, infeas)
 
 
@@ -294,7 +303,7 @@ class GPMSolution:
         raise ModelError(f"no measure with label {label}")
 
 
-def solve_gpm(problem, order=None, params=None, tol=1e-3, seed=0):
+def solve_gpm(problem, order=None, params=None, seed=0):
     """Assemble, solve and certify the moment relaxation of a problem.
 
     Returns a GPMSolution; on certification the extracted supports are
@@ -312,9 +321,9 @@ def solve_gpm(problem, order=None, params=None, tol=1e-3, seed=0):
         )
     y = sol.y
     objective = conic.objective_value(y)
-    cert = certify(msdp, y, tol=tol, seed=seed)
+    cert = certify(msdp, y, seed=seed)
     if not cert.certified and conic.cone.s:
-        y, cert = _recenter(msdp, conic, sol, y, objective, cert, params, tol, seed)
+        y, cert = _recenter(msdp, conic, sol, y, objective, cert, params, seed)
     moments = {}
     for measure in msdp.problem.measures:
         values = {}
@@ -338,7 +347,7 @@ def solve_gpm(problem, order=None, params=None, tol=1e-3, seed=0):
     )
 
 
-def _recenter(msdp, conic, sol, y, objective, cert, params, tol, seed):
+def _recenter(msdp, conic, sol, y, objective, cert, params, seed):
     """Re-center a solved point on the optimal face to expose flatness.
 
     Top-degree moments only appear on the moment matrix diagonal, so on
@@ -348,60 +357,88 @@ def _recenter(msdp, conic, sol, y, objective, cert, params, tol, seed):
     trace minimization, which may merge atoms but stays optimal.
     """
     bound = float(conic.b @ y)
-    reparams = SolverParams(
-        eps=max(params.eps, 1e-7),
-        max_iter=params.max_iter,
-        step_fraction=params.step_fraction,
-        reg_floor=params.reg_floor,
-    )
+    reparams = SolverParams(eps=max(params.eps, 1e-7))
     drift_tol = max(1e-5 * (1.0 + abs(objective)), 1e3 * abs(sol.gap))
 
-    def attempt(restricted):
-        centered = solve_conic(restricted, reparams)
+    def attempt(diagonals, pins, rel):
+        slack = max(10.0 * abs(sol.gap), rel * (1.0 + abs(bound)))
+        face = _face_problem(conic, diagonals, pins, bound, slack)
+        centered = solve_conic(face, reparams)
         if not np.all(np.isfinite(centered.y)):
             return None
         if abs(conic.objective_value(centered.y) - objective) > drift_tol:
             return None
         # solver status on the sliver-thin face does not matter:
         # certification itself validates the centered point
-        recert = certify(msdp, centered.y, tol=tol, seed=seed)
+        recert = certify(msdp, centered.y, seed=seed)
         return (centered.y, recert) if recert.certified else None
 
     low = 2 * msdp.order - 2
-    pins = [
+    lower = [
         (k, float(y[k]))
         for k, (_, mono) in enumerate(msdp.index.var_meaning)
         if mono.degree <= low
     ]
-    positions = _top_diagonal_positions(msdp, conic)
-    if pins and positions:
+    top = _top_diagonal_positions(msdp, conic.cone)
+    if lower and top:
         for rel in (1e-7, 1e-5):
-            taus = np.array([max(10.0 * abs(sol.gap), rel * (1.0 + abs(v)))
-                             for _, v in pins])
-            slack = max(10.0 * abs(sol.gap), rel * (1.0 + abs(bound)))
-            got = attempt(_partial_trace_cleanup(
-                conic, pins, taus, bound, slack, positions
-            ))
+            pins = [
+                (k, v, max(10.0 * abs(sol.gap), rel * (1.0 + abs(v)))) for k, v in lower
+            ]
+            got = attempt([top], pins, rel)
             if got:
                 return got
+    trace = [conic.cone.diagonal(j) for j in range(len(conic.cone.s))]
     for rel in (1e-8, 1e-6):
-        slack = max(10.0 * abs(sol.gap), rel * (1.0 + abs(bound)))
-        got = attempt(_trace_restriction(conic, bound, slack))
+        got = attempt(trace, [], rel)
         if got:
             return got
     return y, cert
 
 
-def _top_diagonal_positions(msdp, conic):
+def _top_diagonal_positions(msdp, cone):
     """x positions of top-degree moment-block diagonal entries."""
-    off = conic.cone.f + conic.cone.l
     out = []
-    for block in msdp.blocks:
-        size = block.size
+    for j, block in enumerate(msdp.blocks):
         if block.kind == "moment":
-            for i, mono in enumerate(block.basis):
-                if mono.degree == msdp.order:
-                    out.append(off + i * (size + 1))
-        off += size * size
+            diagonal = cone.diagonal(j)
+            out.extend(
+                int(diagonal[i])
+                for i, mono in enumerate(block.basis)
+                if mono.degree == msdp.order
+            )
     return out
 
+
+def _face_problem(conic, diagonals, pins, bound, slack):
+    """Minimize slack diagonals near the optimal face of a conic problem.
+
+    The objective is the sum of the x entries at the columns of
+    ``diagonals``, a list of column groups summed group by group.  New
+    orthant columns, placed after the existing ones, impose
+    b'y >= bound - slack and hold y_k within value +- tau for every pin
+    (k, value, tau).
+    """
+    m = conic.m
+    b2 = np.zeros(m)
+    for columns in diagonals:
+        b2 += np.asarray(conic.A[:, columns].sum(axis=1)).ravel()
+    rows = list(np.nonzero(conic.b)[0])
+    cols = [0] * len(rows)
+    vals = [-conic.b[k] for k in rows]
+    cvals = [slack - bound]
+    for col, (k, value, tau) in enumerate(pins, start=1):
+        rows.extend((k, k))
+        cols.extend((2 * col - 1, 2 * col))
+        vals.extend((1.0, -1.0))
+        cvals.extend((value + tau, tau - value))
+    extra = scipy.sparse.csr_matrix(
+        (vals, (rows, cols)), shape=(m, len(cvals)), dtype=float
+    )
+    split = conic.cone.f + conic.cone.l
+    A = scipy.sparse.hstack(
+        [conic.A[:, :split], extra, conic.A[:, split:]], format="csr"
+    )
+    c = np.concatenate([conic.c[:split], cvals, conic.c[split:]])
+    cone = ConeSpec(f=conic.cone.f, l=conic.cone.l + len(cvals), s=conic.cone.s)
+    return ConicProblem(A=A, b=b2, c=c, cone=cone, sense="min", offset=0.0)

@@ -8,9 +8,9 @@ Model files use the DSL of the dsl module.  An `order` statement in the
 file sets the default relaxation order; --order overrides it, and --eps
 overrides the default solver tolerance.
 
-Exit codes: 0 success, 1 I/O error, 2 parse or modeling error,
-3 assembly error, 4 solver failure (status -1).  Text output rounds to
-4 decimals; the JSON report keeps full precision.
+Exit codes: 0 success, 1 I/O error, 2 parse or modeling error or an
+invalid --eps, 3 assembly error, 4 solver failure (status -1).  Text
+output rounds to 4 decimals; the JSON report keeps full precision.
 """
 
 from __future__ import annotations
@@ -188,10 +188,9 @@ def cmd_build(path, order=None):
     )
 
 
-def cmd_solve(path, order=None, eps=None, json_path=None, seed=0):
+def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
     """Run the full pipeline on a model file and report the outcome."""
     built = _load(path)
-    params = SolverParams() if eps is None else SolverParams(eps=eps)
     sol = solve_gpm(
         built.problem,
         order=order if order is not None else built.order,
@@ -292,6 +291,12 @@ def main(argv=None):
     p_export.add_argument("-o", "--output", dest="out", required=True)
 
     args = parser.parse_args(argv)
+    if args.command == "solve":
+        try:
+            params = SolverParams() if args.eps is None else SolverParams(eps=args.eps)
+        except ConicError as exc:
+            print(f"error: --eps: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     try:
         if args.command == "build":
             report = cmd_build(args.file, order=args.order)
@@ -301,7 +306,7 @@ def main(argv=None):
             report = cmd_solve(
                 args.file,
                 order=args.order,
-                eps=args.eps,
+                params=params,
                 json_path=args.json_path,
                 seed=args.seed,
             )

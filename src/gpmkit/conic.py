@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
@@ -45,7 +46,11 @@ class ConicError(ValueError):
 
 @dataclass(frozen=True)
 class ConeSpec:
-    """Dimensions of the cone product: free, orthant, PSD block orders."""
+    """Dimensions of the cone product: free, orthant, PSD block orders.
+
+    Columns run free, then orthant, then each PSD block of order s as
+    its s*s entries, entry (i, j) at the block's start + i*s + j.
+    """
 
     f: int = 0
     l: int = 0
@@ -54,6 +59,15 @@ class ConeSpec:
     @property
     def total_length(self):
         return self.f + self.l + sum(k * k for k in self.s)
+
+    @property
+    def psd_starts(self):
+        """Start column of each PSD block."""
+        return tuple(accumulate((k * k for k in self.s), initial=self.f + self.l))[:-1]
+
+    def diagonal(self, j):
+        """Columns of the diagonal entries of PSD block j."""
+        return self.psd_starts[j] + (self.s[j] + 1) * np.arange(self.s[j])
 
     @property
     def barrier_degree(self):
@@ -91,12 +105,13 @@ class ConicProblem:
 
 @dataclass
 class SolverParams:
-    """Interior-point settings; eps is the termination tolerance."""
+    """Interior-point settings: eps, the termination tolerance (> 0)."""
 
     eps: float = 1e-9
-    max_iter: int = 100
-    step_fraction: float = 0.98
-    reg_floor: float = 1e-12
+
+    def __post_init__(self):
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ConicError(f"eps must be finite and positive, got {self.eps!r}")
 
 
 @dataclass
@@ -132,29 +147,23 @@ def to_conic(msdp):
     B and A_k minus its coefficient matrices.
     """
     m = msdp.n_vars
+    cone = ConeSpec(
+        f=len(msdp.lin_eq),
+        l=len(msdp.lin_ineq),
+        s=tuple(block.size for block in msdp.blocks),
+    )
     rows, cols, vals = [], [], []
     cvals = []
-    col = 0
-
-    def add_column(form, negate):
-        nonlocal col
-        sign = -1.0 if negate else 1.0
+    signed = [(form, 1.0) for form in msdp.lin_eq]
+    signed += [(form, -1.0) for form in msdp.lin_ineq]
+    for col, (form, sign) in enumerate(signed):
         for idx, coef in form.coeffs.items():
             rows.append(idx)
             cols.append(col)
             vals.append(sign * coef)
         cvals.append(-sign * form.const)
-        col += 1
-
-    for form in msdp.lin_eq:
-        add_column(form, negate=False)
-    for form in msdp.lin_ineq:
-        add_column(form, negate=True)
-    block_sizes = []
-    for block in msdp.blocks:
+    for block, base in zip(msdp.blocks, cone.psd_starts):
         size = block.size
-        block_sizes.append(size)
-        base = col
         centries = np.zeros((size, size))
         for i, j, form in block.entries:
             centries[i, j] = centries[j, i] = form.const
@@ -167,78 +176,18 @@ def to_conic(msdp):
                     cols.append(base + j * size + i)
                     vals.append(-coef)
         cvals.extend(centries.reshape(-1).tolist())
-        col += size * size
 
-    n = col
     A = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(m, n), dtype=float
+        (vals, (rows, cols)), shape=(m, cone.total_length), dtype=float
     )
     obj = np.zeros(m)
     for idx, coef in msdp.objective.coeffs.items():
         obj[idx] = coef
     sense = msdp.sense
     b = obj if sense == "max" else -obj
-    cone = ConeSpec(f=len(msdp.lin_eq), l=len(msdp.lin_ineq), s=tuple(block_sizes))
     return ConicProblem(
         A=A, b=b, c=np.asarray(cvals), cone=cone, sense=sense, offset=msdp.objective.const
     )
-
-
-def _trace_restriction(problem, bound, slack):
-    """Minimize total PSD slack trace subject to b'y >= bound - slack.
-
-    Re-centers a solved problem on its optimal face: when the face is
-    degenerate the solver may land on a high-rank point, and trace
-    minimization is the standard heuristic to recover a low-rank one.
-    """
-    cone = problem.cone
-    m = problem.m
-    b2 = np.zeros(m)
-    off = cone.f + cone.l
-    for size in cone.s:
-        diag = [off + d * (size + 1) for d in range(size)]
-        b2 += np.asarray(problem.A[:, diag].sum(axis=1)).ravel()
-        off += size * size
-    return _restricted(problem, b2, [], 0.0, bound, slack)
-
-
-def _partial_trace_cleanup(problem, pins, taus, bound, slack, positions):
-    """Box-pin selected duals and minimize part of the slack trace.
-
-    pins are (dual index, value) pairs held within +-tau; positions are
-    x indices whose slack entries form the trace objective.  Used to
-    recompute drifting high-degree moments as a minimal flat extension
-    of the converged low-degree ones.
-    """
-    b2 = np.asarray(problem.A[:, positions].sum(axis=1)).ravel()
-    return _restricted(problem, b2, pins, taus, bound, slack)
-
-
-def _restricted(problem, b2, pins, taus, bound, slack):
-    cone = problem.cone
-    m = problem.m
-    split = cone.f + cone.l
-    rows = list(np.nonzero(problem.b)[0])
-    cols = [0] * len(rows)
-    vals = [-problem.b[k] for k in rows]
-    cvals = [slack - bound]
-    col = 1
-    for idx, (k, val) in enumerate(pins):
-        tau = taus[idx] if np.ndim(taus) else taus
-        rows.extend((k, k))
-        cols.extend((col, col + 1))
-        vals.extend((1.0, -1.0))
-        cvals.extend((val + tau, tau - val))
-        col += 2
-    extra = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(m, col), dtype=float
-    )
-    A = scipy.sparse.hstack(
-        [problem.A[:, :split], extra, problem.A[:, split:]], format="csr"
-    )
-    c = np.concatenate([problem.c[:split], cvals, problem.c[split:]])
-    new_cone = ConeSpec(f=cone.f, l=cone.l + col, s=cone.s)
-    return ConicProblem(A=A, b=b2, c=c, cone=new_cone, sense="min", offset=0.0)
 
 
 @dataclass
@@ -259,7 +208,11 @@ class PresolveResult:
     n_eliminated: int = 0
 
 
-def presolve_eliminate_equalities(problem, tol=1e-9):
+# equality rows that y = y0 + N t misses by more than this are inconsistent
+_PRESOLVE_TOL = 1e-9
+
+
+def presolve_eliminate_equalities(problem):
     """Eliminate free-cone columns (equality rows on the moments).
 
     Stage 1 resolves singleton rows (pins) and homogeneous-or-not
@@ -271,13 +224,13 @@ def presolve_eliminate_equalities(problem, tol=1e-9):
     result is verified against every equality row; on failure the rows
     are resolved in one SVD pass instead.
     """
-    res = _presolve_pass(problem, tol, substitute=True)
+    res = _presolve_pass(problem, substitute=True)
     if res.status != "ok" or problem.cone.f == 0:
         return res
     scale = 1.0 + float(np.abs(problem.c[: problem.cone.f]).max(initial=0.0))
     if _presolve_residual(problem, res) <= 1e-12 * scale:
         return res
-    res2 = _presolve_pass(problem, tol, substitute=False)
+    res2 = _presolve_pass(problem, substitute=False)
     if res2.status == "ok" and _presolve_residual(problem, res2) < _presolve_residual(problem, res):
         return res2
     return res
@@ -292,7 +245,7 @@ def _presolve_residual(problem, res):
     return max(r0, r1)
 
 
-def _presolve_pass(problem, tol, substitute):
+def _presolve_pass(problem, substitute):
     m = problem.m
     nf = problem.cone.f
     A = scipy.sparse.csc_matrix(problem.A)
@@ -340,7 +293,7 @@ def _presolve_pass(problem, tol, substitute):
             red, const = resolve_row(coeffs, rhs)
             # row now reads: sum red[i] * y_i + const = 0
             if not red:
-                if abs(const) > tol:
+                if abs(const) > _PRESOLVE_TOL:
                     infeasible_residual = max(infeasible_residual, abs(const))
                 continue
             if len(red) == 1:
@@ -360,7 +313,7 @@ def _presolve_pass(problem, tol, substitute):
         pending = next_pending
         if not changed:
             break
-    if infeasible_residual > tol:
+    if infeasible_residual > _PRESOLVE_TOL:
         return PresolveResult(
             problem=None, y0=None, N=None, status="infeasible",
             residual=infeasible_residual, n_eliminated=nf,
@@ -368,7 +321,7 @@ def _presolve_pass(problem, tol, substitute):
     for coeffs, rhs in pending:
         red, const = resolve_row(coeffs, rhs)
         if not red:
-            if abs(const) > tol:
+            if abs(const) > _PRESOLVE_TOL:
                 return PresolveResult(
                     problem=None, y0=None, N=None, status="infeasible",
                     residual=abs(const), n_eliminated=nf,
@@ -396,7 +349,7 @@ def _presolve_pass(problem, tol, substitute):
         for _ in range(2):
             yp = yp + np.linalg.lstsq(E, e - E @ yp, rcond=None)[0]
         residual = float(np.linalg.norm(E @ yp - e))
-        if residual > tol * (1.0 + np.linalg.norm(e)):
+        if residual > _PRESOLVE_TOL * (1.0 + np.linalg.norm(e)):
             return PresolveResult(
                 problem=None, y0=None, N=None, status="infeasible",
                 residual=residual, n_eliminated=nf,
@@ -468,17 +421,11 @@ def _reduce_zero_diagonals(problem):
     if not cone.s:
         return None
     A = scipy.sparse.csc_matrix(problem.A)
-    cols = []
-    kinds = []
-    for p in range(cone.l):
-        cols.append(cone.f + p)
-        kinds.append(("l", p))
-    off = cone.f + cone.l
+    cols = [cone.f + p for p in range(cone.l)]
+    kinds = [("l", p) for p in range(cone.l)]
     for j, size in enumerate(cone.s):
-        for d in range(size):
-            cols.append(off + d * (size + 1))
-            kinds.append(("s", j, d))
-        off += size * size
+        cols.extend(cone.diagonal(j).tolist())
+        kinds.extend(("s", j, d) for d in range(size))
     if not cols:
         return None
     # equality functionals (free columns) hold identically on the dual
@@ -523,11 +470,10 @@ def _reduce_zero_diagonals(problem):
         added_cols.append(A[:, [cone.f + p]])
         added_c.append(float(problem.c[cone.f + p]))
         added.append(("l", p))
-    off = cone.f + cone.l
     kept_s = []
     keep_cols = [cone.f + p for p in kept_l]
     new_sizes = []
-    for j, size in enumerate(cone.s):
+    for j, (off, size) in enumerate(zip(cone.psd_starts, cone.s)):
         D = forced_s[j]
         K = [i for i in range(size) if i not in D]
         kept_s.append(K)
@@ -546,7 +492,6 @@ def _reduce_zero_diagonals(problem):
         if K:
             new_sizes.append(len(K))
             keep_cols.extend(off + a * size + b for a in K for b in K)
-        off += size * size
 
     pieces = []
     if cone.f:
@@ -574,47 +519,33 @@ def _reduce_zero_diagonals(problem):
 def _lift_reduction(problem, red, inner):
     """Map a solution of the reduced problem back to original coordinates."""
     cone = problem.cone
+    starts = cone.psd_starts
     x = np.zeros(problem.n)
     xr = inner.x
     x[:cone.f] = xr[:cone.f]
     nadd = len(red.added)
     added_vals = xr[cone.f:cone.f + nadd]
     pos = cone.f + nadd
-    for p, v in zip(red.kept_l, xr[pos:pos + len(red.kept_l)]):
-        x[cone.f + p] = v
-    pos += len(red.kept_l)
-    off = cone.f + cone.l
-    block_off = []
-    for j, size in enumerate(cone.s):
-        block_off.append(off)
-        K = red.kept_s[j]
-        if K:
-            sub = xr[pos:pos + len(K) * len(K)].reshape(len(K), len(K))
-            pos += len(K) * len(K)
-            for a, ia in enumerate(K):
-                for b, ib in enumerate(K):
-                    x[off + ia * size + ib] = sub[a, b]
-        off += size * size
+    kept_l = np.asarray(red.kept_l, dtype=np.intp)
+    x[cone.f + kept_l] = xr[pos:pos + kept_l.size]
+    pos += kept_l.size
+    for start, size, K in zip(starts, cone.s, red.kept_s):
+        K = np.asarray(K, dtype=np.intp)
+        k = K.size
+        x[start + np.add.outer(K * size, K)] = xr[pos:pos + k * k].reshape(k, k)
+        pos += k * k
+    # an added off-diagonal column is A_di + A_id, so both entries get its value
     for val, spec in zip(added_vals, red.added):
         if spec[0] == "l":
             x[cone.f + spec[1]] = val
         else:
             _, j, d, i = spec
             size = cone.s[j]
-            if i == d:
-                x[block_off[j] + d * size + d] = val
-            else:
-                x[block_off[j] + d * size + i] = 0.5 * val
-                x[block_off[j] + i * size + d] = 0.5 * val
+            x[starts[j] + d * size + i] = val
+            x[starts[j] + i * size + d] = val
     z = np.asarray(problem.c - problem.A.T @ inner.y).reshape(-1)
-    if cone.f:
-        z[:cone.f] = 0.0
-    return ConicSolution(
-        status=inner.status, x=x, y=inner.y, z=z,
-        pobj=inner.pobj, dobj=inner.dobj, pinf=inner.pinf,
-        dinf=inner.dinf, gap=inner.gap, iterations=inner.iterations,
-        history=inner.history, message=inner.message,
-    )
+    z[:cone.f] = 0.0
+    return replace(inner, x=x, z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -749,14 +680,12 @@ class _Cones:
         self.l = cone.l
         parts = []
         entries = m * m + m * cone.l  # M and the orthant columns
-        off = cone.l
-        for s in cone.s:
+        for off, s in zip(cone.psd_starts, cone.s):
             sym = _symmetrized(A[:, off : off + s * s], s)
             sparse, floats = _storage(sym, s)
             entries += floats
             cblk = np.asarray(problem.c[off : off + s * s], dtype=float).reshape(s, s)
             parts.append((sym, s, sparse, 0.5 * (cblk + cblk.T)))
-            off += s * s
         if entries > _MAX_ENTRIES:
             raise ConicError("problem too large for the interior-point solver")
         self.A_l = A[:, : cone.l].toarray()
@@ -873,14 +802,49 @@ def _initial_point(cones, b):
     return x_l, X_s, z_l, Z_s
 
 
+# iteration limit, the fraction of the distance to the cone boundary a
+# step may take, and the relative floor of the Schur regularization
+_MAX_ITER = 100
+_STEP_FRACTION = 0.98
+_REG_FLOOR = 1e-12
+
+
+def _residuals(cones, b, x_l, X_s, y, z_l, Z_s):
+    """Dual residuals per cone, scaled primal and dual infeasibility, mu.
+
+    Returns (rd_l, Rd_s, pinf, dinf, mu) at the point: rd = c - A'y - z,
+    pinf = |b - A(x)| / (1 + |b|), dinf = |rd| / (1 + |c|) and mu the
+    complementarity x'z over the barrier degree.
+    """
+    rp = b - cones.apply_A(x_l, X_s)
+    At_l, At_s = cones.apply_At(y)
+    rd_l = cones.c_l - At_l - z_l
+    Rd_s = [C - AtS - Z for C, AtS, Z in zip(cones.c_s, At_s, Z_s)]
+    pinf = float(np.linalg.norm(rp)) / (1.0 + float(np.linalg.norm(b)))
+    dinf = math.sqrt(
+        float(rd_l @ rd_l) + sum(float((R * R).sum()) for R in Rd_s)
+    ) / (1.0 + cones.c_norm)
+    mu = cones.inner(x_l, X_s, z_l, Z_s) / cones.nu
+    return rd_l, Rd_s, pinf, dinf, mu
+
+
+def _without_iterations(problem, status, message="", dinf=0.0, z=None):
+    """An outcome decided before any interior-point iteration."""
+    return ConicSolution(
+        status=status, x=np.zeros(problem.n), y=np.zeros(problem.m),
+        z=np.zeros(problem.n) if z is None else z, pobj=0.0, dobj=0.0,
+        pinf=0.0, dinf=dinf, gap=0.0, iterations=0, message=message,
+    )
+
+
 def solve(problem, params=None):
     """Solve a conic problem (orthant and PSD cones) to tolerance eps.
 
     HKM-scaled predictor-corrector path following: each iteration forms
     the Schur complement M_jk = tr(A_j Z^-1 A_k X) (plus the orthant
     diagonal term), factors it with escalating diagonal regularization
-    if needed, and takes Mehrotra-corrected steps damped to the
-    step_fraction of the distance to the cone boundary.
+    if needed, and takes Mehrotra-corrected steps damped to
+    _STEP_FRACTION of the distance to the cone boundary.
 
     M is summed block by block.  A dense block adds A_flat T_flat' with
     T_k = Z^-1 A_k X from one batched product; a sparse block gathers
@@ -890,8 +854,6 @@ def solve(problem, params=None):
     data, so a block is never densified when it is stored sparse.
     """
     params = params or SolverParams()
-    if params.max_iter < 1:
-        raise ConicError("max_iter must be at least 1")
     cones = _Cones(problem)
     b = np.asarray(problem.b, dtype=float)
     m = cones.m
@@ -899,52 +861,37 @@ def solve(problem, params=None):
     if cones.nu == 0:
         # no cone constraints at all: dual feasibility is unconstrained
         if np.linalg.norm(b) > params.eps:
-            return ConicSolution(
-                status="unbounded", x=np.zeros(problem.n), y=np.zeros(m),
-                z=np.zeros(problem.n), pobj=0.0, dobj=0.0, pinf=0.0,
-                dinf=0.0, gap=0.0, iterations=0,
-                message="dual objective nonzero with empty cone",
+            return _without_iterations(
+                problem, "unbounded", "dual objective nonzero with empty cone"
             )
-        return ConicSolution(
-            status="solved", x=np.zeros(problem.n), y=np.zeros(m),
-            z=np.zeros(problem.n), pobj=0.0, dobj=0.0, pinf=0.0,
-            dinf=0.0, gap=0.0, iterations=0,
-        )
+        return _without_iterations(problem, "solved")
     if m == 0:
         # fully pinned duals: just check the slacks are in the cone
         zmin = float(np.min(cones.c_l)) if cones.l else 0.0
         for Cblk in cones.c_s:
             zmin = min(zmin, _min_eig(Cblk))
-        status = "solved" if zmin >= -params.eps else "infeasible"
-        return ConicSolution(
-            status=status, x=np.zeros(problem.n), y=np.zeros(0),
-            z=problem.c.copy(), pobj=0.0, dobj=0.0, pinf=0.0, dinf=0.0,
-            gap=0.0, iterations=0,
+        if zmin >= -params.eps:
+            return _without_iterations(problem, "solved", z=problem.c.copy())
+        # no moment vector exists, which the other paths report as a
+        # primal improving ray
+        return _without_iterations(
+            problem, "unbounded", "pinned moments put the dual slack outside the cone",
+            dinf=-zmin, z=problem.c.copy(),
         )
 
     x_l, X_s, z_l, Z_s = _initial_point(cones, b)
     y = np.zeros(m)
-    b_norm = 1.0 + float(np.linalg.norm(b))
-    c_norm = 1.0 + cones.c_norm
-    gamma = params.step_fraction
+    point_residuals = _residuals(cones, b, x_l, X_s, y, z_l, Z_s)
     history = []
     best = None
     status = "failed"
     message = ""
     it = 0
 
-    for it in range(1, params.max_iter + 1):
-        rp = b - cones.apply_A(x_l, X_s)
-        At_l, At_s = cones.apply_At(y)
-        rd_l = cones.c_l - At_l - z_l
-        Rd_s = [C - AtS - Z for C, AtS, Z in zip(cones.c_s, At_s, Z_s)]
+    for it in range(1, _MAX_ITER + 1):
+        rd_l, Rd_s, pinf, dinf, mu = point_residuals
         pobj = cones.inner(cones.c_l, cones.c_s, x_l, X_s)
         dobj = float(b @ y)
-        mu = cones.inner(x_l, X_s, z_l, Z_s) / cones.nu
-        pinf = float(np.linalg.norm(rp)) / b_norm
-        dinf = math.sqrt(
-            float(rd_l @ rd_l) + sum(float((R * R).sum()) for R in Rd_s)
-        ) / c_norm
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         history.append((pobj, dobj, pinf, dinf, gap))
         metric = max(pinf, dinf, gap)
@@ -958,7 +905,7 @@ def solve(problem, params=None):
             status = "solved"
             break
 
-        diverged = _divergence_status(problem, cones, x_l, X_s, y, pobj, dobj, params)
+        diverged = _divergence_status(cones, x_l, X_s, y, pobj, dobj)
         if diverged:
             status, message = diverged
             break
@@ -970,7 +917,7 @@ def solve(problem, params=None):
             status, message = "failed", "singular dual slack"
             break
         M = cones.schur_complement(x_l, z_l, Zinv_s, X_s)
-        chol = _factor_with_regularization(M, params)
+        chol = _factor_with_regularization(M)
         if chol is None:
             status, message = "failed", "Schur complement factorization failed"
             break
@@ -1017,8 +964,8 @@ def solve(problem, params=None):
             break
         ap = _max_step(cones, x_l, X_s, aff[0], aff[1])
         ad = _max_step(cones, z_l, Z_s, aff[3], aff[4])
-        ap_d = min(1.0, gamma * ap)
-        ad_d = min(1.0, gamma * ad)
+        ap_d = min(1.0, _STEP_FRACTION * ap)
+        ad_d = min(1.0, _STEP_FRACTION * ad)
         mu_aff = cones.inner(
             x_l + ap_d * aff[0],
             [X + ap_d * dX for X, dX in zip(X_s, aff[1])],
@@ -1034,8 +981,8 @@ def solve(problem, params=None):
         step = solve_newton(sigma * mu, corr_l, corr_s)
         if not _steps_finite(step):
             step = aff  # fall back to the plain predictor
-        ap = min(1.0, gamma * _max_step(cones, x_l, X_s, step[0], step[1]))
-        ad = min(1.0, gamma * _max_step(cones, z_l, Z_s, step[3], step[4]))
+        ap = min(1.0, _STEP_FRACTION * _max_step(cones, x_l, X_s, step[0], step[1]))
+        ad = min(1.0, _STEP_FRACTION * _max_step(cones, z_l, Z_s, step[3], step[4]))
         if ap < 1e-8 and ad < 1e-8:
             status, message = "stalled", ""
             break
@@ -1048,18 +995,8 @@ def solve(problem, params=None):
             y_n = y + ad * step[2]
             z_n = z_l + ad * step[3]
             Z_n = [Z + ad * dZ for Z, dZ in zip(Z_s, step[4])]
-            rp_n = b - cones.apply_A(x_n, X_n)
-            At_ln, At_sn = cones.apply_At(y_n)
-            rd_ln = cones.c_l - At_ln - z_n
-            pinf_n = float(np.linalg.norm(rp_n)) / b_norm
-            dinf_n = math.sqrt(
-                float(rd_ln @ rd_ln)
-                + sum(
-                    float(((C - AtS - Z) ** 2).sum())
-                    for C, AtS, Z in zip(cones.c_s, At_sn, Z_n)
-                )
-            ) / c_norm
-            mu_n = cones.inner(x_n, X_n, z_n, Z_n) / cones.nu
+            point_residuals = _residuals(cones, b, x_n, X_n, y_n, z_n, Z_n)
+            *_, pinf_n, dinf_n, mu_n = point_residuals
             if (
                 pinf_n <= 100.0 * pinf + 1e-12
                 and dinf_n <= 100.0 * dinf + 1e-12
@@ -1079,15 +1016,11 @@ def solve(problem, params=None):
     if status in ("maxiter", "stalled", "failed") and best is not None:
         # the last iterate carries any diverging ray; the best iterate is
         # the most accurate point.  A validated certificate wins.
-        diverged = _divergence_status(
-            problem, cones, x_l, X_s, y, pobj, dobj, params, final=True
-        )
+        diverged = _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=True)
         metric = best[0]
         if diverged is None:
             _, x_l, X_s, y, z_l, Z_s, pobj, dobj, pinf, dinf, gap, it_best = best
-            diverged = _divergence_status(
-                problem, cones, x_l, X_s, y, pobj, dobj, params, final=True
-            )
+            diverged = _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=True)
         if diverged:
             status, message = diverged
         elif metric <= 1e3 * params.eps:
@@ -1095,8 +1028,8 @@ def solve(problem, params=None):
         elif status != "failed":
             status, message = "failed", f"no convergence ({status})"
 
-    x = np.concatenate([x_l] + [X.reshape(-1) for X in X_s]) if cones.nu else np.zeros(0)
-    z = np.concatenate([z_l] + [Z.reshape(-1) for Z in Z_s]) if cones.nu else np.zeros(0)
+    x = np.concatenate([x_l] + [X.reshape(-1) for X in X_s])
+    z = np.concatenate([z_l] + [Z.reshape(-1) for Z in Z_s])
     return ConicSolution(
         status=status, x=x, y=y, z=z, pobj=pobj, dobj=dobj,
         pinf=pinf, dinf=dinf, gap=gap, iterations=it,
@@ -1117,7 +1050,7 @@ def _max_step(cones, x_l, X_s, dx_l, dX_s):
     return alpha
 
 
-def _factor_with_regularization(M, params):
+def _factor_with_regularization(M):
     reg = 0.0
     scale = max(float(np.trace(M)) / max(M.shape[0], 1), 1.0)
     for attempt in range(4):
@@ -1126,11 +1059,11 @@ def _factor_with_regularization(M, params):
                 M + reg * np.eye(M.shape[0]), lower=True
             )
         except scipy.linalg.LinAlgError:
-            reg = max(params.reg_floor * scale, reg * 100.0, 1e-14 * scale)
+            reg = max(_REG_FLOOR * scale, reg * 100.0, 1e-14 * scale)
     return None
 
 
-def _divergence_status(problem, cones, x_l, X_s, y, pobj, dobj, params, final=False):
+def _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=False):
     """Farkas-style checks: normalized rays certify infeasibility sides.
 
     During the iteration only clear blowups are inspected; once the
@@ -1167,7 +1100,7 @@ def _divergence_status(problem, cones, x_l, X_s, y, pobj, dobj, params, final=Fa
     return None
 
 
-def solve_conic(problem, params=None, presolve_tol=1e-9):
+def solve_conic(problem, params=None):
     """Presolve free columns away, solve, and lift back to original y.
 
     Returns a ConicSolution in the coordinates of ``problem``: y holds
@@ -1177,20 +1110,17 @@ def solve_conic(problem, params=None, presolve_tol=1e-9):
     params = params or SolverParams()
     red = _reduce_zero_diagonals(problem)
     if red is not None:
-        inner = solve_conic(red.problem, params, presolve_tol)
+        inner = solve_conic(red.problem, params)
         return _lift_reduction(problem, red, inner)
     if problem.cone.f == 0:
         return solve(problem, params)
-    pre = presolve_eliminate_equalities(problem, tol=presolve_tol)
+    pre = presolve_eliminate_equalities(problem)
     if pre.status == "infeasible":
         # no y solves A_f'y = c_f, so some free x_f has A_f x_f = 0 and
         # c_f'x_f < 0: a primal improving ray, which the IPM reports as
         # unbounded too.  The violated rows are dual constraints.
-        return ConicSolution(
-            status="unbounded", x=np.zeros(problem.n), y=np.zeros(problem.m),
-            z=np.zeros(problem.n), pobj=0.0, dobj=0.0,
-            pinf=0.0, dinf=pre.residual, gap=0.0, iterations=0,
-            message="inconsistent equality rows",
+        return _without_iterations(
+            problem, "unbounded", "inconsistent equality rows", dinf=pre.residual
         )
     inner = solve(pre.problem, params)
     y = pre.y0 + pre.N @ inner.y
@@ -1202,9 +1132,4 @@ def solve_conic(problem, params=None, presolve_tol=1e-9):
         rhs = problem.b - A[:, nf:] @ inner.x
         x[:nf] = scipy.sparse.linalg.lsqr(A[:, :nf], rhs)[0]
     z = problem.c - problem.A.T @ y
-    return ConicSolution(
-        status=inner.status, x=x, y=y, z=np.asarray(z).reshape(-1),
-        pobj=inner.pobj, dobj=inner.dobj, pinf=inner.pinf,
-        dinf=inner.dinf, gap=inner.gap, iterations=inner.iterations,
-        history=inner.history, message=inner.message,
-    )
+    return replace(inner, x=x, y=y, z=np.asarray(z).reshape(-1))

@@ -84,11 +84,11 @@ def export_sdpa(problem, path):
 def _block_coordinates(cone, cols):
     """SDPA block number and 0-based (i, j) of each conic column.
 
-    The orthant is diagonal block 1 when present; each PSD block of size
-    s takes s*s consecutive columns with entry (i, j) at offset i*s + j.
+    The orthant is diagonal block 1 when present, then the PSD blocks in
+    the column layout of ConeSpec.
     """
     sizes = np.asarray(cone.s, dtype=np.int64)
-    starts = cone.l + np.concatenate(([0], np.cumsum(sizes * sizes)))[:-1]
+    starts = np.asarray(cone.psd_starts, dtype=np.int64)
     blkno = np.ones(len(cols), dtype=np.int64)
     i = np.array(cols, dtype=np.int64)
     j = i.copy()
@@ -143,21 +143,22 @@ def import_sdpa(path):
             (int(toks[0]), int(toks[1]), int(toks[2]), int(toks[3]), float(toks[4]))
         )
 
-    l = sum(-s for s in block_struct if s < 0)
-    s_sizes = tuple(s for s in block_struct if s > 0)
+    cone = ConeSpec(
+        l=sum(-s for s in block_struct if s < 0),
+        s=tuple(s for s in block_struct if s > 0),
+    )
     # column offset of each block in the x layout: orthant first
     col_of_block = {}
     lp_seen = 0
-    psd_off = l
+    psd_starts = iter(cone.psd_starts)
     for bno, s in enumerate(block_struct, start=1):
         if s < 0:
             col_of_block[bno] = ("l", lp_seen, -s)
             lp_seen += -s
-        else:
-            col_of_block[bno] = ("s", psd_off, s)
-            psd_off += s * s
+        elif s > 0:
+            col_of_block[bno] = ("s", next(psd_starts), s)
 
-    n = l + sum(s * s for s in s_sizes)
+    n = cone.total_length
     b = -np.asarray(c_sdpa)
     c = np.zeros(n)
     rows, cols, vals = [], [], []
@@ -191,9 +192,7 @@ def import_sdpa(path):
                 cols.append(pos)
                 vals.append(-value)  # A_k = -F_k
     A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, n))
-    return ConicProblem(
-        A=A, b=b, c=c, cone=ConeSpec(f=0, l=l, s=s_sizes), sense="min", offset=0.0
-    )
+    return ConicProblem(A=A, b=b, c=c, cone=cone, sense="min", offset=0.0)
 
 
 def export_json(problem, path):

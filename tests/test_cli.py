@@ -41,6 +41,7 @@ def test_build_and_solve_exit_zero(capsys):
         (["build", model_path("camel.gpm"), "--order", "2"], 3,
          "constraint degree exceeds relaxation order"),
         (["solve", "{infeasible}"], 4, None),
+        (["solve", model_path("rational.gpm"), "--eps", "0"], 2, "eps"),
     ],
 )
 def test_exit_codes(tmp_path, capsys, argv, code, message):
@@ -87,12 +88,15 @@ def test_solve_json_report(tmp_path, capsys):
 
 
 def test_inconsistent_moments_report_one_status(tmp_path, capsys):
-    # no moment vector exists in either model: the IPM finds that on the
-    # first, presolve on the equalities facial reduction adds to the second
+    # no moment vector exists in any model: the IPM finds that on the
+    # first, presolve on the equalities facial reduction adds to the
+    # second, and the cone check of the fully pinned moments on the third
     statuses = []
     for name, text in [
         ("moment.gpm", "var x;\nmin mom(x);\nmom(x^2) == -1;\n"),
         ("support.gpm", "var x;\nmin x;\nx^2 <= -1;\n"),
+        ("pinned.gpm",
+         "var x;\nmin mom(x);\nmass(x) == 1;\nmom(x) == 1;\nmom(x^2) == 0.5;\n"),
     ]:
         out = tmp_path / f"{name}.json"
         assert main(["solve", write(tmp_path, name, text), "--json", str(out)]) == 4
@@ -100,7 +104,7 @@ def test_inconsistent_moments_report_one_status(tmp_path, capsys):
         assert report["status"] == -1
         statuses.append(report["solver"]["status"])
     capsys.readouterr()
-    assert statuses == ["unbounded", "unbounded"]
+    assert statuses == ["unbounded", "unbounded", "unbounded"]
 
 
 def conic_of(name, order=None):

@@ -173,13 +173,10 @@ def test_solve_rejects_free_cone():
     assert sol.status == "solved"
 
 
-def test_max_iter_validation():
-    problem = ConicProblem(
-        A=np.array([[1.0]]), b=np.array([1.0]), c=np.array([1.0]),
-        cone=ConeSpec(l=1),
-    )
+@pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
+def test_eps_validation(eps):
     with pytest.raises(ConicError):
-        solve(problem, SolverParams(max_iter=0))
+        SolverParams(eps=eps)
 
 
 def test_objective_value_sense_and_offset():
@@ -398,6 +395,37 @@ def test_facial_reduction_zero_diagonal():
     assert abs(sol.pobj) < 1e-8
     # the dual set is the single point y = 0
     assert np.abs(sol.y).max() < 1e-8
+
+
+def test_facial_reduction_lifts_into_the_second_of_two_blocks():
+    # y = (y1, y2, y3); slacks z_l = 1 - y1, Z1 = [[1 + y1, y2], [y2, 1 - y1]]
+    # and Z2 = [[y3, 0.5 - y2], [0.5 - y2, -y3]].  Z2's diagonal sums to
+    # zero, so facial reduction forces Z2 = 0 (y2 = 0.5, y3 = 0) and max y1
+    # subject to Z1 psd gives y1 = sqrt(3)/2
+    A = np.zeros((3, 9))
+    c = np.zeros(9)
+    c[0] = 1.0
+    A[0, 0] = 1.0
+    c[1] = c[4] = 1.0
+    A[0, 1], A[0, 4] = -1.0, 1.0
+    A[1, 2] = A[1, 3] = -1.0
+    A[2, 5], A[2, 8] = -1.0, 1.0
+    c[6] = c[7] = 0.5
+    A[1, 6] = A[1, 7] = 1.0
+    b = np.array([1.0, 0.0, -0.2])
+    problem = ConicProblem(A=A, b=b, c=c, cone=ConeSpec(l=1, s=(2, 2)))
+    red = _reduce_zero_diagonals(problem)
+    assert red.kept_s == [[0, 1], []]
+    assert red.added == [("s", 1, 0, 0), ("s", 1, 1, 0), ("s", 1, 1, 1)]
+    sol = solve_conic(problem)
+    assert sol.status == "solved"
+    assert sol.y == pytest.approx([np.sqrt(0.75), 0.5, 0.0], abs=1e-7)
+    assert np.abs(A @ sol.x - b).max() < 1e-9
+    assert c @ sol.x == pytest.approx(sol.pobj, abs=1e-9)
+    # reduced columns: 3 added pins, the orthant, then block 1's entries
+    xr = solve_conic(red.problem).x
+    expected = np.concatenate([xr[3:8], [xr[0], xr[1], xr[1], xr[2]]])
+    assert np.array_equal(sol.x, expected)
 
 
 def test_no_facial_reduction_with_interior():

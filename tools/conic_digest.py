@@ -10,9 +10,19 @@ it on two checkouts and diff the output to show that a refactor leaves
 the relaxation and its presolve byte-identical:
 
     PYTHONPATH=src python tools/conic_digest.py > after.txt
+
+With --solve it instead runs solve_gpm at seeds 0 and 1 on SOLVE_CASES
+and prints one line per run: the SHA-256 of every interior-point call
+(status, iterations, message, history, x, y, z, in call order, recorded
+by wrapping gpmkit.conic.solve) and of the outcome (status, objective
+and the atoms of every measure).  Diffing that output shows a solver or
+certificate refactor leaves every iterate and result bit-identical:
+
+    PYTHONPATH=src python tools/conic_digest.py --solve > after.txt
 """
 
 import hashlib
+import importlib
 import os
 import sys
 
@@ -21,6 +31,10 @@ import numpy as np
 from gpmkit.dsl import build, parse_source
 from gpmkit.relaxation import assemble
 from gpmkit.conic import presolve_eliminate_equalities, to_conic
+
+# gpmkit/__init__.py rebinds the name `certify` to the function
+certify_module = importlib.import_module("gpmkit.certify")
+conic_module = importlib.import_module("gpmkit.conic")
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 
@@ -38,6 +52,18 @@ CASES = [
     ("maxcut_nosub", 4),
 ]
 
+SOLVE_CASES = [
+    ("camel", 3),
+    ("rational", 1),
+    ("quadratic3", 1),
+    ("quadratic3", 2),
+    ("quadratic3", 3),
+    ("quadratic3", 4),
+    ("maxcut_sub", 3),
+    ("maxcut_nosub", 2),
+]
+SOLVE_SEEDS = (0, 1)
+
 
 def _conic_hash(conic):
     A = conic.A.tocsr()
@@ -48,12 +74,15 @@ def _conic_hash(conic):
     return h
 
 
-def digest(model, order):
-    """Digest lines of one case: conic form, then presolve if it applies."""
+def _load(model):
     path = os.path.join(ROOT, "models", f"{model}.gpm")
     with open(path, encoding="utf-8") as handle:
-        built = build(parse_source(handle.read(), filename=path))
-    msdp = assemble(built.problem, order)
+        return build(parse_source(handle.read(), filename=path))
+
+
+def digest(model, order):
+    """Digest lines of one case: conic form, then presolve if it applies."""
+    msdp = assemble(_load(model).problem, order)
     conic = to_conic(msdp)
     h = _conic_hash(conic)
     h.update(repr(msdp.report).encode())
@@ -69,12 +98,53 @@ def digest(model, order):
     return lines
 
 
-def main():
-    for model, order in CASES:
-        for line in digest(model, order):
+def solve_digest(model, order, seed):
+    """Digest line of one solve_gpm run: its IPM calls, then its outcome."""
+    calls = hashlib.sha256()
+    count = 0
+    solve = conic_module.solve
+
+    def recording_solve(*args, **kwargs):
+        nonlocal count
+        sol = solve(*args, **kwargs)
+        count += 1
+        calls.update(repr((sol.status, sol.iterations, sol.message)).encode())
+        for arr in (np.asarray(sol.history, dtype=float), sol.x, sol.y, sol.z):
+            calls.update(np.ascontiguousarray(arr).tobytes())
+        return sol
+
+    conic_module.solve = recording_solve
+    try:
+        sol = certify_module.solve_gpm(_load(model).problem, order=order, seed=seed)
+    finally:
+        conic_module.solve = solve
+    outcome = hashlib.sha256(repr((sol.status, sol.objective)).encode())
+    for measure in sol.msdp.problem.measures:
+        if sol.status == 1:
+            outcome.update(np.ascontiguousarray(measure.support_points).tobytes())
+            outcome.update(np.ascontiguousarray(measure.weights).tobytes())
+    return (
+        f"{model}-{order} seed {seed} status {sol.status} ipm x{count} "
+        f"{calls.hexdigest()} outcome {outcome.hexdigest()}"
+    )
+
+
+def main(argv):
+    if argv == ["--solve"]:
+        lines = (
+            [solve_digest(model, order, seed)]
+            for seed in SOLVE_SEEDS
+            for model, order in SOLVE_CASES
+        )
+    elif not argv:
+        lines = (digest(model, order) for model, order in CASES)
+    else:
+        sys.exit("usage: conic_digest.py [--solve]")
+    for group in lines:
+        for line in group:
             print(line)
         sys.stdout.flush()
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])
