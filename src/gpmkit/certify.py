@@ -30,6 +30,8 @@ from .relaxation import assemble, mmat_values, moment_block
 # may break support constraints and the objective by _FEAS_TOL (relative)
 _RANK_TOL = 1e-3
 _FEAS_TOL = 1e-4
+# relative half-width of the pin boxes and objective slack of re-centering
+_RECENTER_REL = 1e-5
 
 
 def numeric_rank(matrix, tol=_RANK_TOL):
@@ -351,28 +353,12 @@ def _recenter(msdp, conic, sol, y, objective, cert, params, seed):
     """Re-center a solved point on the optimal face to expose flatness.
 
     Top-degree moments only appear on the moment matrix diagonal, so on
-    a degenerate face the solver can inflate them without cost.  First
-    recompute them as a minimal flat extension of the converged lower
-    moments (pinned in a small box); if that fails, fall back to plain
-    trace minimization, which may merge atoms but stays optimal.
+    a degenerate face the solver can inflate them without cost.  One
+    solve recomputes them as a minimal flat extension of the converged
+    lower moments, each pinned within relative _RECENTER_REL.  The
+    centered point replaces (y, cert) only if it is finite, keeps the
+    objective within drift_tol and is certified itself.
     """
-    bound = float(conic.b @ y)
-    reparams = SolverParams(eps=max(params.eps, 1e-7))
-    drift_tol = max(1e-5 * (1.0 + abs(objective)), 1e3 * abs(sol.gap))
-
-    def attempt(diagonals, pins, rel):
-        slack = max(10.0 * abs(sol.gap), rel * (1.0 + abs(bound)))
-        face = _face_problem(conic, diagonals, pins, bound, slack)
-        centered = solve_conic(face, reparams)
-        if not np.all(np.isfinite(centered.y)):
-            return None
-        if abs(conic.objective_value(centered.y) - objective) > drift_tol:
-            return None
-        # solver status on the sliver-thin face does not matter:
-        # certification itself validates the centered point
-        recert = certify(msdp, centered.y, seed=seed)
-        return (centered.y, recert) if recert.certified else None
-
     low = 2 * msdp.order - 2
     lower = [
         (k, float(y[k]))
@@ -380,20 +366,23 @@ def _recenter(msdp, conic, sol, y, objective, cert, params, seed):
         if mono.degree <= low
     ]
     top = _top_diagonal_positions(msdp, conic.cone)
-    if lower and top:
-        for rel in (1e-7, 1e-5):
-            pins = [
-                (k, v, max(10.0 * abs(sol.gap), rel * (1.0 + abs(v)))) for k, v in lower
-            ]
-            got = attempt([top], pins, rel)
-            if got:
-                return got
-    trace = [conic.cone.diagonal(j) for j in range(len(conic.cone.s))]
-    for rel in (1e-8, 1e-6):
-        got = attempt(trace, [], rel)
-        if got:
-            return got
-    return y, cert
+    if not (lower and top):
+        return y, cert
+    bound = float(conic.b @ y)
+    floor = 10.0 * abs(sol.gap)
+    pins = [(k, v, max(floor, _RECENTER_REL * (1.0 + abs(v)))) for k, v in lower]
+    slack = max(floor, _RECENTER_REL * (1.0 + abs(bound)))
+    face = _face_problem(conic, top, pins, bound, slack)
+    centered = solve_conic(face, SolverParams(eps=max(params.eps, 1e-7)))
+    if not np.all(np.isfinite(centered.y)):
+        return y, cert
+    drift_tol = max(1e-5 * (1.0 + abs(objective)), 1e3 * abs(sol.gap))
+    if abs(conic.objective_value(centered.y) - objective) > drift_tol:
+        return y, cert
+    # solver status on the sliver-thin face does not matter:
+    # certification itself validates the centered point
+    recert = certify(msdp, centered.y, seed=seed)
+    return (centered.y, recert) if recert.certified else (y, cert)
 
 
 def _top_diagonal_positions(msdp, cone):
@@ -410,19 +399,15 @@ def _top_diagonal_positions(msdp, cone):
     return out
 
 
-def _face_problem(conic, diagonals, pins, bound, slack):
-    """Minimize slack diagonals near the optimal face of a conic problem.
+def _face_problem(conic, columns, pins, bound, slack):
+    """Minimize the x entries at ``columns`` near the optimal face.
 
-    The objective is the sum of the x entries at the columns of
-    ``diagonals``, a list of column groups summed group by group.  New
-    orthant columns, placed after the existing ones, impose
-    b'y >= bound - slack and hold y_k within value +- tau for every pin
-    (k, value, tau).
+    The objective is the sum of those entries.  New orthant columns,
+    placed after the existing ones, impose b'y >= bound - slack and hold
+    y_k within value +- tau for every pin (k, value, tau).
     """
     m = conic.m
-    b2 = np.zeros(m)
-    for columns in diagonals:
-        b2 += np.asarray(conic.A[:, columns].sum(axis=1)).ravel()
+    b2 = np.asarray(conic.A[:, columns].sum(axis=1)).ravel()
     rows = list(np.nonzero(conic.b)[0])
     cols = [0] * len(rows)
     vals = [-conic.b[k] for k in rows]

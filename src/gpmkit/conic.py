@@ -1105,7 +1105,9 @@ def solve_conic(problem, params=None):
 
     Returns a ConicSolution in the coordinates of ``problem``: y holds
     all original dual (moment) variables, x all original primal entries
-    with the free components recovered by least squares.
+    with the free components recovered by least squares, and pobj/dobj
+    are the objectives c'x and b'y of ``problem`` (history rows stay
+    those of the solved problem).
     """
     params = params or SolverParams()
     red = _reduce_zero_diagonals(problem)
@@ -1132,4 +1134,9 @@ def solve_conic(problem, params=None):
         rhs = problem.b - A[:, nf:] @ inner.x
         x[:nf] = scipy.sparse.linalg.lsqr(A[:, :nf], rhs)[0]
     z = problem.c - problem.A.T @ y
-    return replace(inner, x=x, y=y, z=np.asarray(z).reshape(-1))
+    # presolve moved b'y0 out of both objectives; put it back
+    shift = float(problem.b @ pre.y0)
+    return replace(
+        inner, x=x, y=y, z=np.asarray(z).reshape(-1),
+        pobj=inner.pobj + shift, dobj=inner.dobj + shift,
+    )

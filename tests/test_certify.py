@@ -5,6 +5,8 @@ vector by direct power sums, and requires the extraction machinery to
 return the atoms it started from.
 """
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +26,11 @@ from gpmkit import (
     numeric_rank,
     solve_gpm,
 )
+from gpmkit.dsl import parse_model
 
 from conftest import (
     match_atoms,
+    model_path,
     planted_instance,
     planted_moment_vector,
     quadratic3_problem,
@@ -213,3 +217,27 @@ def test_moments_stored_on_measures():
     assert abs(values[0] - 1.0) < 1e-6
     assert abs(values[1] - 0.25) < 1e-4
     assert measure.moments is sol.moments[1]
+
+
+@pytest.mark.parametrize(
+    "name,order,calls,status",
+    [("camel.gpm", 3, 2, 1), ("quadratic3.gpm", 1, 1, 0), ("quadratic3.gpm", 2, 2, 0)],
+)
+def test_recentering_is_one_face_solve(monkeypatch, name, order, calls, status):
+    # the top-level solve, then at most one re-centering solve; the
+    # package rebinds the name `certify` to the function, so the module
+    # whose `solve_conic` solve_gpm calls is fetched with importlib
+    certify_module = importlib.import_module("gpmkit.certify")
+    solve_conic = certify_module.solve_conic
+    seen = []
+
+    def counting_solve_conic(problem, params=None):
+        seen.append(problem)
+        return solve_conic(problem, params)
+
+    monkeypatch.setattr(certify_module, "solve_conic", counting_solve_conic)
+    with open(model_path(name)) as fh:
+        problem = parse_model(fh.read(), name)
+    sol = certify_module.solve_gpm(problem, order=order)
+    assert len(seen) == calls
+    assert sol.status == status

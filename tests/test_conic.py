@@ -377,6 +377,18 @@ def test_presolve_then_solve_matches_direct():
     assert np.abs(problem.A @ sol.x - b).max() < 1e-7
 
 
+def test_presolved_solve_reports_the_objectives_of_its_input():
+    # rational-1 has equality rows: presolve moves b'y0 = 0.5 out of the
+    # problem it solves, and both objectives must include it again
+    with open(model_path("rational.gpm")) as fh:
+        problem = to_conic(assemble(parse_model(fh.read()), 1))
+    assert problem.cone.f
+    sol = solve_conic(problem)
+    assert sol.status == "solved"
+    assert sol.pobj == pytest.approx(problem.c @ sol.x, abs=1e-8)
+    assert sol.dobj == pytest.approx(problem.b @ sol.y, abs=1e-8)
+
+
 def test_facial_reduction_zero_diagonal():
     # dual slacks: z_l = -y1 - y2, Z00 = y1, Z11 = y2.  Their sum is
     # identically zero, so all three are certified zero on the dual set

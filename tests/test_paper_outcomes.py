@@ -4,7 +4,9 @@ Each case solves a model file through solve_gpm and checks the status,
 the objective and, when certified, that every extracted atom is one of
 the paper's minimizers.  The number of atoms is not checked: on a face
 with several minimizers a valid certificate may expose only some of
-them (quadratic3 at order 4 returns only (2,0,0) for some seeds).
+them.  quadratic3 at order 4 certifies both paper atoms on most
+extraction seeds and ends with status 0, uncertified, on the few others
+(never with the single merged atom (2,0,0)).
 """
 
 import numpy as np

@@ -12,11 +12,14 @@ the relaxation and its presolve byte-identical:
     PYTHONPATH=src python tools/conic_digest.py > after.txt
 
 With --solve it instead runs solve_gpm at seeds 0 and 1 on SOLVE_CASES
-and prints one line per run: the SHA-256 of every interior-point call
-(status, iterations, message, history, x, y, z, in call order, recorded
-by wrapping gpmkit.conic.solve) and of the outcome (status, objective
-and the atoms of every measure).  Diffing that output shows a solver or
-certificate refactor leaves every iterate and result bit-identical:
+and prints one line per run: the SHA-256 of the first (top-level)
+interior-point call on its own, the number of calls and the SHA-256 of
+all of them (status, iterations, message, history, x, y, z, in call
+order, recorded by wrapping gpmkit.conic.solve), and that of the
+outcome (status, objective and the atoms of every measure).  Diffing
+that output shows a solver or certificate refactor leaves every iterate
+and result bit-identical; a change to the re-centering solves alone
+leaves the top-level hash unchanged:
 
     PYTHONPATH=src python tools/conic_digest.py --solve > after.txt
 """
@@ -101,16 +104,17 @@ def digest(model, order):
 def solve_digest(model, order, seed):
     """Digest line of one solve_gpm run: its IPM calls, then its outcome."""
     calls = hashlib.sha256()
-    count = 0
+    call_hashes = []
     solve = conic_module.solve
 
     def recording_solve(*args, **kwargs):
-        nonlocal count
         sol = solve(*args, **kwargs)
-        count += 1
-        calls.update(repr((sol.status, sol.iterations, sol.message)).encode())
+        one = hashlib.sha256()
+        one.update(repr((sol.status, sol.iterations, sol.message)).encode())
         for arr in (np.asarray(sol.history, dtype=float), sol.x, sol.y, sol.z):
-            calls.update(np.ascontiguousarray(arr).tobytes())
+            one.update(np.ascontiguousarray(arr).tobytes())
+        call_hashes.append(one.hexdigest())
+        calls.update(one.digest())
         return sol
 
     conic_module.solve = recording_solve
@@ -123,9 +127,10 @@ def solve_digest(model, order, seed):
         if sol.status == 1:
             outcome.update(np.ascontiguousarray(measure.support_points).tobytes())
             outcome.update(np.ascontiguousarray(measure.weights).tobytes())
+    top = call_hashes[0] if call_hashes else "-"
     return (
-        f"{model}-{order} seed {seed} status {sol.status} ipm x{count} "
-        f"{calls.hexdigest()} outcome {outcome.hexdigest()}"
+        f"{model}-{order} seed {seed} status {sol.status} top {top} "
+        f"ipm x{len(call_hashes)} {calls.hexdigest()} outcome {outcome.hexdigest()}"
     )
 
 
