@@ -1,7 +1,10 @@
 """Conic solver against closed-form oracles and feasibility invariants."""
 
+import logging
+
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from gpmkit import (
@@ -13,11 +16,14 @@ from gpmkit import (
     solve_conic,
     to_conic,
 )
+import gpmkit.conic as conic_module
 from gpmkit.conic import (
     ConicError,
     _Cones,
     _DenseBlock,
     _SparseBlock,
+    _psd_factor,
+    _psd_step,
     _reduce_zero_diagonals,
     _symmetrized,
     solve,
@@ -595,3 +601,97 @@ def test_size_guard_counts_what_sparse_blocks_allocate():
     )
     cones = _Cones(problem)
     assert [type(b) for b in cones.blocks] == [_SparseBlock]
+
+
+def reference_psd_step(X, dX):
+    """Step to the PSD boundary through the scipy.linalg wrappers.
+
+    Factors X (with the solver's jitter ladder), whitens dX with two
+    triangular solves and takes -1 / min eig: the formula the solver
+    evaluates from its stored factors.
+    """
+    if X.shape[0] == 0:
+        return np.inf
+    jitter = 0.0
+    for _ in range(3):
+        try:
+            L = scipy.linalg.cholesky(X + jitter * np.eye(X.shape[0]), lower=True)
+            break
+        except scipy.linalg.LinAlgError:
+            jitter = max(jitter * 100, 1e-14 * max(np.trace(X), 1.0))
+    else:
+        return 0.0
+    W = scipy.linalg.solve_triangular(L, dX, lower=True)
+    W = scipy.linalg.solve_triangular(L, W.T, lower=True)
+    lam = scipy.linalg.eigvalsh(0.5 * (W + W.T), subset_by_index=[0, 0])[0]
+    return np.inf if lam >= 0 else -1.0 / lam
+
+
+def random_symmetric(rng, s):
+    D = rng.normal(size=(s, s))
+    return 0.5 * (D + D.T)
+
+
+@pytest.mark.parametrize("s", [1, 10, 35, 130])
+def test_factored_step_equals_the_scipy_formula(s):
+    rng = np.random.default_rng(s)
+    for _ in range(3):
+        B = rng.normal(size=(s, s))
+        X = B @ B.T + 1e-3 * np.eye(s)
+        dX = random_symmetric(rng, s)
+        assert _psd_step(_psd_factor(X), dX) == reference_psd_step(X, dX)
+
+
+def test_factored_step_on_singular_indefinite_and_empty_blocks():
+    rng = np.random.default_rng(5)
+    # singular PSD: a zero row makes the bare factorization fail, the jitter
+    # ladder's second try succeeds
+    B = rng.normal(size=(6, 3))
+    B[2] = 0.0
+    X = B @ B.T
+    with pytest.raises(scipy.linalg.LinAlgError):
+        scipy.linalg.cholesky(X, lower=True)
+    dX = random_symmetric(rng, 6)
+    step = _psd_step(_psd_factor(X), dX)
+    assert np.isfinite(step) and step == reference_psd_step(X, dX)
+    # indefinite: all three tries fail and the block allows no step
+    X = np.diag([1.0, -1.0, 2.0])
+    assert _psd_factor(X) is None
+    assert _psd_step(_psd_factor(X), np.eye(3)) == reference_psd_step(X, np.eye(3)) == 0.0
+    # empty block: never binding
+    E = np.zeros((0, 0))
+    assert _psd_step(_psd_factor(E), E) == reference_psd_step(E, E) == np.inf
+    with pytest.raises(ValueError):
+        _psd_factor(np.full((2, 2), np.nan))
+
+
+def test_step_search_factors_each_block_once_per_iteration(monkeypatch):
+    ctx, problem = camel_problem()
+    conic = to_conic(assemble(problem, 3))
+    shapes = []
+    factor = conic_module._psd_factor
+
+    def counting_factor(X):
+        shapes.append(X.shape)
+        return factor(X)
+
+    monkeypatch.setattr(conic_module, "_psd_factor", counting_factor)
+    sol = solve(conic)
+    assert sol.status == "solved"
+    # X and Z of every block, on every iteration that takes a step
+    assert len(shapes) == 2 * len(conic.cone.s) * (sol.iterations - 1)
+    assert set(shapes) == {(s, s) for s in conic.cone.s}
+
+
+def test_accepted_steps_are_logged_at_debug(caplog):
+    rng = np.random.default_rng(2)
+    problem = random_feasible_sdp(rng)[0]
+    with caplog.at_level(logging.DEBUG, logger="gpmkit.conic"):
+        sol = solve(problem)
+    assert sol.status == "solved"
+    steps = [r.args for r in caplog.records if "step primal" in r.msg]
+    assert [args[0] for args in steps] == list(range(1, sol.iterations))
+    for _, ap, ad, sigma, cuts in steps:
+        assert 0.0 <= ap <= 1.0 and 0.0 <= ad <= 1.0
+        assert 0.0 <= sigma <= 1.0
+        assert cuts in range(4)

@@ -1,0 +1,37 @@
+"""tools/conic_digest.py, whose digests back every bit-identity claim."""
+
+import importlib.util
+import os
+import re
+
+import pytest
+
+import gpmkit.conic as conic_module
+
+TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "conic_digest.py")
+HEX = "[0-9a-f]{64}"
+
+
+@pytest.fixture(scope="module")
+def conic_digest():
+    spec = importlib.util.spec_from_file_location("conic_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_solve_digest_is_the_same_on_a_second_run(conic_digest):
+    solve = conic_module.solve
+    first = conic_digest.solve_digest("camel", 3, 0)
+    assert conic_module.solve is solve  # the recording wrapper is removed
+    assert re.fullmatch(
+        f"camel-3 seed 0 status 1 top {HEX} ipm x[0-9]+ {HEX} outcome {HEX}", first
+    )
+    assert conic_digest.solve_digest("camel", 3, 0) == first
+
+
+def test_digest_covers_the_conic_form_and_its_presolve(conic_digest):
+    lines = conic_digest.digest("rational", 1)
+    assert len(lines) == 2
+    assert re.fullmatch(f"rational-1 {HEX}", lines[0])
+    assert re.fullmatch(f"rational-1 presolve {HEX}", lines[1])
