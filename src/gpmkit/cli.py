@@ -198,14 +198,17 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
         seed=seed,
     )
     conic = sol.conic
+    # c'x and b'y of the conic problem, in the model's sense and offset
+    sign = 1.0 if sol.msdp.sense == "max" else -1.0
+    offset = sol.msdp.objective.const
     solver = {
         "status": conic.status,
         "iterations": conic.iterations,
         "pinf": conic.pinf,
         "dinf": conic.dinf,
         "gap": conic.gap,
-        "primal_objective": conic.pobj,
-        "dual_objective": conic.dobj,
+        "primal_objective": offset + sign * conic.pobj,
+        "dual_objective": offset + sign * conic.dobj,
         "message": conic.message,
     }
     measures = []

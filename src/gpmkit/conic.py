@@ -38,6 +38,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dpotrf, dsyevr, dsyevr_lwork, dtrtrs
 
+from .relaxation import form_rows
+
 
 _log = logging.getLogger(__name__)
 
@@ -147,48 +149,35 @@ def to_conic(msdp):
     rows orthant columns with z = row value, and each symmetric block
     B(y) a PSD slack Z = C - sum_k y_k A_k with C the constant part of
     B and A_k minus its coefficient matrices.
+
+    A is built transposed, one row per column of x: the equality rows,
+    the negated inequality rows, then for each block the negated rows of
+    its distinct forms, each entry (i, j) taking the row of its slot.
     """
     m = msdp.n_vars
+    eq, ineq = msdp.lin_eq, msdp.lin_ineq
     cone = ConeSpec(
-        f=len(msdp.lin_eq),
-        l=len(msdp.lin_ineq),
+        f=len(eq),
+        l=len(ineq),
         s=tuple(block.size for block in msdp.blocks),
     )
-    rows, cols, vals = [], [], []
-    cvals = []
-    signed = [(form, 1.0) for form in msdp.lin_eq]
-    signed += [(form, -1.0) for form in msdp.lin_ineq]
-    for col, (form, sign) in enumerate(signed):
-        for idx, coef in form.coeffs.items():
-            rows.append(idx)
-            cols.append(col)
-            vals.append(sign * coef)
-        cvals.append(-sign * form.const)
-    for block, base in zip(msdp.blocks, cone.psd_starts):
-        size = block.size
-        centries = np.zeros((size, size))
-        for i, j, form in block.entries:
-            centries[i, j] = centries[j, i] = form.const
-            for idx, coef in form.coeffs.items():
-                rows.append(idx)
-                cols.append(base + i * size + j)
-                vals.append(-coef)
-                if i != j:
-                    rows.append(idx)
-                    cols.append(base + j * size + i)
-                    vals.append(-coef)
-        cvals.extend(centries.reshape(-1).tolist())
+    columns = [eq.coeffs, -ineq.coeffs]
+    cvals = [-eq.const, ineq.const]
+    for block in msdp.blocks:
+        forms = form_rows(block.forms, m)
+        slots = block.slot_matrix().reshape(-1)
+        columns.append(-forms.coeffs[slots])
+        cvals.append(forms.const[slots])
+    A = scipy.sparse.vstack(columns, format="csr").T.tocsr()
 
-    A = scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(m, cone.total_length), dtype=float
-    )
     obj = np.zeros(m)
     for idx, coef in msdp.objective.coeffs.items():
         obj[idx] = coef
     sense = msdp.sense
     b = obj if sense == "max" else -obj
     return ConicProblem(
-        A=A, b=b, c=np.asarray(cvals), cone=cone, sense=sense, offset=msdp.objective.const
+        A=A, b=b, c=np.concatenate(cvals), cone=cone, sense=sense,
+        offset=msdp.objective.const,
     )
 
 
@@ -573,20 +562,26 @@ _MAX_ENTRIES = 2.5e8
 
 
 class _DenseBlock:
-    """A PSD block's rows as a dense (m, s, s) tensor."""
+    """A PSD block's rows as a dense (m, s, s) tensor.
+
+    ``A2`` is the same data viewed as an (m, s*s) matrix, for the
+    products with X and y.
+    """
 
     def __init__(self, sym, s):
         m = sym.shape[0]
+        self.s = s
         # column-major: the layout fixes the summation order of the BLAS
         # calls below, and so every iterate of a dense-block solve
         self.A = sym.toarray(order="F").reshape(m, s, s)
+        self.A2 = self.A.reshape(m, s * s)
         self.sq_norms = (self.A ** 2).sum(axis=(1, 2))
 
     def apply(self, X):
-        return np.tensordot(self.A, X, axes=([1, 2], [0, 1]))
+        return self.A2 @ X.reshape(-1)
 
     def adjoint(self, y):
-        return np.tensordot(y, self.A, axes=(0, 0))
+        return (y @ self.A2).reshape(self.s, self.s)
 
     def add_schur(self, M, Zinv, X):
         m = self.A.shape[0]

@@ -25,6 +25,10 @@ import scipy.sparse
 from .conic import ConeSpec, ConicError, ConicProblem
 
 
+# entry lines of an SDPA file formatted and written at a time
+_SDPA_CHUNK = 1 << 16
+
+
 def _require_no_free(problem):
     if problem.cone.f != 0:
         raise ConicError("free variables must be eliminated by presolve first")
@@ -48,37 +52,41 @@ def export_sdpa(problem, path):
     if not blocks:
         blocks = [-1]  # degenerate: keep the file well formed
 
-    lines = []
-    lines.append('"generated by gpmkit')
-    lines.append(f"{m}")
-    lines.append(f"{len(blocks)}")
-    lines.append(" ".join(str(s) for s in blocks))
-    lines.append(" ".join(_fmt(-v) for v in problem.b))
+    header = [
+        '"generated by gpmkit',
+        f"{m}",
+        f"{len(blocks)}",
+        " ".join(str(s) for s in blocks),
+        " ".join(_fmt(-v) for v in problem.b),
+    ]
 
-    # F_0 = -C over the columns in order, then F_k = -A_k row by row
-    Acsr = scipy.sparse.csr_matrix(problem.A)
-    matno = np.concatenate(
-        (
-            np.zeros(problem.n, dtype=np.int64),
-            np.repeat(np.arange(1, m + 1), np.diff(Acsr.indptr)),
-        )
-    )
-    cols = np.concatenate((np.arange(problem.n), Acsr.indices))
-    vals = -np.concatenate((np.asarray(problem.c, dtype=float), Acsr.data))
+    A = scipy.sparse.csr_matrix(problem.A)
+    c = np.asarray(problem.c, dtype=float)
+    with open(path, "w") as fh:
+        fh.write("\n".join(header) + "\n")
+        # F_0 = -C over the columns in order, then F_k = -A_k row by row,
+        # a bounded chunk of entries at a time
+        for lo in range(0, problem.n, _SDPA_CHUNK):
+            cols = np.arange(lo, min(lo + _SDPA_CHUNK, problem.n))
+            fh.write(_sdpa_lines(cone, np.zeros(cols.size, dtype=np.int64), cols, -c[cols]))
+        for lo in range(0, A.nnz, _SDPA_CHUNK):
+            at = np.arange(lo, min(lo + _SDPA_CHUNK, A.nnz))
+            matno = np.searchsorted(A.indptr, at, side="right")
+            fh.write(_sdpa_lines(cone, matno, A.indices[at], -A.data[at]))
+
+
+def _sdpa_lines(cone, matno, cols, vals):
+    """Entry lines of the upper-triangle nonzeros among the given ones."""
     blkno, i, j = _block_coordinates(cone, cols)
     keep = (i <= j) & (vals != 0.0)
-    lines.extend(
-        f"{k} {blk} {r} {c} {v:.17g}"
-        for k, blk, r, c, v in zip(
-            matno[keep].tolist(),
-            blkno[keep].tolist(),
-            (i[keep] + 1).tolist(),
-            (j[keep] + 1).tolist(),
-            vals[keep].tolist(),
-        )
+    rows = zip(
+        matno[keep].tolist(),
+        blkno[keep].tolist(),
+        (i[keep] + 1).tolist(),
+        (j[keep] + 1).tolist(),
+        vals[keep].tolist(),
     )
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "".join(f"{k} {blk} {r} {c} {v:.17g}\n" for k, blk, r, c, v in rows)
 
 
 def _block_coordinates(cone, cols):

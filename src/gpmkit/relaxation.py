@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from operator import add, le, sub
 
 import numpy as np
+import scipy.sparse
 
 from .model import (
     GPMProblem,
@@ -56,26 +57,43 @@ class LinForm:
         self.const = float(const)
         self.coeffs = {i: float(c) for i, c in (coeffs or {}).items() if c != 0.0}
 
-    @property
-    def is_constant(self):
-        return not self.coeffs
-
-    @property
-    def is_zero(self):
-        return not self.coeffs and self.const == 0.0
-
     def value(self, y):
         return self.const + sum(c * y[i] for i, c in self.coeffs.items())
 
     def scaled(self, factor):
         return LinForm(self.const * factor, {i: c * factor for i, c in self.coeffs.items()})
 
-    def key(self):
-        return (self.const, tuple(sorted(self.coeffs.items())))
-
     def __repr__(self):
         terms = [f"{c:+g}*y{i}" for i, c in sorted(self.coeffs.items())]
         return f"LinForm({self.const:+g} {' '.join(terms)})"
+
+
+@dataclass
+class LinearRows:
+    """Affine forms const[k] + coeffs[k] @ y, one per row.
+
+    ``coeffs`` is a CSR matrix with one column per moment variable and no
+    stored zeros; ``const`` holds the constant parts.
+    """
+
+    coeffs: object
+    const: np.ndarray
+
+    def __len__(self):
+        return self.const.shape[0]
+
+
+def form_rows(forms, n_vars):
+    """The LinForms of a list as LinearRows, coefficients in dict order."""
+    counts = np.fromiter((len(f.coeffs) for f in forms), dtype=np.int64, count=len(forms))
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    nnz = int(indptr[-1])
+    chain = itertools.chain.from_iterable
+    indices = np.fromiter(chain(f.coeffs for f in forms), dtype=np.int64, count=nnz)
+    data = np.fromiter(chain(f.coeffs.values() for f in forms), dtype=float, count=nnz)
+    coeffs = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(forms), n_vars))
+    const = np.fromiter((f.const for f in forms), dtype=float, count=len(forms))
+    return LinearRows(coeffs, const)
 
 
 def _acc_form(const, coeffs, other, factor=1.0):
@@ -464,19 +482,32 @@ def _is_fixpoint(terms, t):
 class Block:
     """One semidefinite block: a moment or localizing matrix.
 
-    ``entries`` lists (i, j, form) for the upper triangle (i <= j); the
-    matrix is symmetric with entry (i, j) equal to form(y).
+    ``forms`` holds one LinForm per distinct product of two basis
+    elements.  ``rows`` and ``cols`` list the upper triangle (i <= j)
+    row by row, and ``slot`` the index into ``forms`` of each of those
+    entries: the matrix is symmetric with entries (rows[k], cols[k]) and
+    (cols[k], rows[k]) equal to forms[slot[k]](y).
     """
 
     kind: str
     measure: object
     basis: list
-    entries: list
+    rows: np.ndarray
+    cols: np.ndarray
+    slot: np.ndarray
+    forms: list
     source: object = None
 
     @property
     def size(self):
         return len(self.basis)
+
+    def slot_matrix(self):
+        """The s x s array of each entry's index into ``forms``."""
+        out = np.empty((self.size, self.size), dtype=self.slot.dtype)
+        out[self.rows, self.cols] = self.slot
+        out[self.cols, self.rows] = self.slot
+        return out
 
 
 @dataclass
@@ -504,16 +535,18 @@ class MomentSDP:
 
     Decision variables are the reduced moments, numbered by the index.
     The SDP constrains every block to be positive semidefinite, every
-    equality form to vanish and every inequality form to be nonnegative,
-    and optimizes the objective form.
+    row of ``lin_eq`` to vanish and every row of ``lin_ineq`` to be
+    nonnegative, and optimizes the objective form.  Both are LinearRows:
+    one CSR matrix of coefficients and one vector of constants, without
+    repeated rows or constant rows that hold trivially.
     """
 
     problem: GPMProblem
     order: int
     index: MomentIndex
     blocks: list
-    lin_eq: list
-    lin_ineq: list
+    lin_eq: LinearRows
+    lin_ineq: LinearRows
     objective: LinForm
     sense: str
     report: AssemblyReport
@@ -544,11 +577,12 @@ def assemble(problem, order=None):
     blocks = []
     for measure in problem.measures:
         basis = [t for t in index.representatives[measure] if sum(t) <= order]
-        entries = _block_entries(basis, lambda p: index.form_of_exponents(measure, p))
-        blocks.append(_block("moment", index, measure, basis, entries))
+        blocks.append(
+            _block("moment", index, measure, basis,
+                   lambda p: index.form_of_exponents(measure, p))
+        )
 
-    lin_eq = []
-    lin_ineq = []
+    ineq_forms = []
     for con in plan.support_inequalities:
         measure = con.measure
         g = con.gform()
@@ -556,32 +590,33 @@ def assemble(problem, order=None):
         g = index.exponents[measure].terms(g)
         basis = [t for t in index.representatives[measure] if sum(t) <= order - v]
         if len(basis) <= 1:
-            lin_ineq.append(index.form_of_terms(measure, g))
+            ineq_forms.append(index.form_of_terms(measure, g))
             continue
-        entries = _block_entries(
-            basis, lambda p: index.form_of_terms(measure, _shifted(g, p))
+        blocks.append(
+            _block("localizing", index, measure, basis,
+                   lambda p: index.form_of_terms(measure, _shifted(g, p)), source=con)
         )
-        blocks.append(_block("localizing", index, measure, basis, entries, source=con))
 
+    eq_parts = []
+    raw = {}
     for measure, g in plan.residual_support_equalities:
-        v = math.ceil(g.degree / 2)
-        g = index.exponents[measure].terms(g)
-        # the grlex list of degree <= 2r starts with the degree <= d part
-        n_gamma = basis_size(len(measure.vars), 2 * (order - v))
-        for gamma in index.raw_exponents[measure][:n_gamma]:
-            lin_eq.append(index.form_of_terms(measure, _shifted(g, gamma)))
+        if measure not in raw:
+            raw[measure] = _RawMoments(index, measure)
+        eq_parts.append(raw[measure].shifted_rows(index.exponents[measure].terms(g), g.degree))
 
+    eq_forms = []
     for con in plan.kept_moment_constraints:
         form = index.form_of_expression(con.residual())
         if con.rel == "==":
-            lin_eq.append(form)
+            eq_forms.append(form)
         elif con.rel == ">=":
-            lin_ineq.append(form)
+            ineq_forms.append(form)
         else:
-            lin_ineq.append(form.scaled(-1.0))
+            ineq_forms.append(form.scaled(-1.0))
+    eq_parts.append(form_rows(eq_forms, index.n_vars))
 
-    lin_eq = _dedup_rows(lin_eq, keep_infeasible=True)
-    lin_ineq = _dedup_rows(lin_ineq, keep_infeasible=False)
+    lin_eq = _dedup_rows(_stacked(eq_parts), keep_infeasible=True)
+    lin_ineq = _dedup_rows(form_rows(ineq_forms, index.n_vars), keep_infeasible=False)
 
     objective = index.form_of_expression(problem.objective.expr)
     report = AssemblyReport(
@@ -617,31 +652,98 @@ def _shifted(terms, t):
     return {tuple(map(add, mono, t)): coeff for mono, coeff in terms.items()}
 
 
-def _block_entries(basis, form_of):
-    """Upper-triangle (i, j, form) entries of a block over basis tuples.
+def _exponent_array(tuples, nvars):
+    return np.array(tuples, dtype=np.int64).reshape(len(tuples), nvars)
 
-    ``form_of`` maps the product tuple of two basis elements to the
-    entry's affine form; entries with the same product share one form.
-    Products are looked up by an integer code of the tuple in a radix
-    above twice the largest basis degree: no digit of a product carries,
-    so the code of a product is the sum of the codes.
+
+def _codes(exps, radix):
+    """Integer code sum_k e_k radix^k of each row of an exponent array.
+
+    A radix above every exponent makes the code one-to-one.  Codes are
+    int64 while radix**nvars fits, and Python ints otherwise.
     """
-    radix = 2 * max(map(sum, basis), default=0) + 1
-    codes = [sum(e * radix**k for k, e in enumerate(t)) for t in basis]
-    forms = {}
-    entries = []
-    for i, ci in enumerate(codes):
-        for j in range(i, len(basis)):
-            form = forms.get(ci + codes[j])
-            if form is None:
-                form = forms[ci + codes[j]] = form_of(tuple(map(add, basis[i], basis[j])))
-            entries.append((i, j, form))
-    return entries
+    nvars = exps.shape[1]
+    dtype = np.int64 if radix**nvars <= np.iinfo(np.int64).max else object
+    powers = np.array([radix**k for k in range(nvars)], dtype=dtype)
+    return exps.astype(dtype) @ powers
 
 
-def _block(kind, index, measure, basis, entries, source=None):
+def _block_entries(basis, form_of):
+    """Upper triangle of a block over basis tuples, as arrays.
+
+    Returns rows and cols (i <= j, row by row), each entry's slot and
+    the forms.  ``form_of`` maps the product tuple of two basis elements
+    to the entry's affine form; it is called once per distinct product,
+    and entries with the same product share one slot.  Products are
+    compared by an integer code in a radix above twice the largest basis
+    degree: no digit of a product carries, so the code of a product is
+    the sum of the codes.
+    """
+    exps = _exponent_array(basis, len(basis[0]))
+    codes = _codes(exps, 2 * int(exps.sum(axis=1).max()) + 1)
+    rows, cols = np.triu_indices(len(basis))
+    _, first, slot = np.unique(
+        codes[rows] + codes[cols], return_index=True, return_inverse=True
+    )
+    products = exps[rows[first]] + exps[cols[first]]
+    forms = [form_of(p) for p in map(tuple, products.tolist())]
+    return rows, cols, slot, forms
+
+
+def _block(kind, index, measure, basis, form_of, source=None):
     monomial = index.exponents[measure].monomial
-    return Block(kind, measure, [monomial(t) for t in basis], entries, source)
+    rows, cols, slot, forms = _block_entries(basis, form_of)
+    return Block(kind, measure, [monomial(t) for t in basis], rows, cols, slot, forms, source)
+
+
+class _RawMoments:
+    """The moments of a measure's raw monomials as LinearRows.
+
+    Rows follow the grlex list ``index.raw_exponents[measure]`` of the
+    monomials of degree up to 2r.  A monomial's row is found from its
+    integer code in radix 2r + 1.
+    """
+
+    def __init__(self, index, measure):
+        self.order = index.order
+        self.nvars = len(measure.vars)
+        tuples = index.raw_exponents[measure]
+        self.rows = form_rows(
+            [index.form_of_exponents(measure, t) for t in tuples], index.n_vars
+        )
+        self.radix = 2 * index.order + 1
+        self.codes = _codes(_exponent_array(tuples, self.nvars), self.radix)
+        self._perm = np.argsort(self.codes, kind="stable")
+        self._sorted = self.codes[self._perm]
+
+    def shifted_rows(self, terms, degree):
+        """Rows of the moments of g x^gamma for gamma up to degree 2(r - v).
+
+        ``terms`` is g as a term map, ``degree`` its degree and
+        v = ceil(degree / 2).  One sparse product S @ rows gives every
+        row: row gamma of S holds g's coefficients at the rows of
+        gamma + t, in g's term order, so each coefficient is summed in
+        the order ``form_of_terms`` sums it.  Zeros left by cancellation
+        are dropped, as LinForm drops them.
+        """
+        # the grlex list of degree <= 2r starts with the degree <= d part
+        n_gamma = basis_size(self.nvars, 2 * (self.order - math.ceil(degree / 2)))
+        n_terms = len(terms)
+        shifted = (
+            self.codes[:n_gamma, None]
+            + _codes(_exponent_array(list(terms), self.nvars), self.radix)[None, :]
+        )
+        S = scipy.sparse.csr_matrix(
+            (
+                np.tile(np.fromiter(terms.values(), dtype=float, count=n_terms), n_gamma),
+                self._perm[np.searchsorted(self._sorted, shifted.reshape(-1))],
+                np.arange(0, n_gamma * n_terms + 1, n_terms),
+            ),
+            shape=(n_gamma, len(self.rows)),
+        )
+        coeffs = S @ self.rows.coeffs
+        coeffs.eliminate_zeros()
+        return LinearRows(coeffs, S @ self.rows.const)
 
 
 def _resolve_bindings(index, plan):
@@ -696,20 +798,44 @@ def _resolve_bindings(index, plan):
     return n_bound
 
 
+def _stacked(parts):
+    """One LinearRows of the rows of several, in order."""
+    return LinearRows(
+        scipy.sparse.vstack([p.coeffs for p in parts], format="csr"),
+        np.concatenate([p.const for p in parts]),
+    )
+
+
+def _float_bits(values):
+    # adding 0.0 turns -0.0 into 0.0, so equal floats get equal bits
+    return (values + 0.0).view(np.int64)
+
+
 def _dedup_rows(rows, keep_infeasible):
-    seen = set()
-    out = []
-    for row in rows:
-        if row.is_constant:
-            feasible = row.const == 0.0 if keep_infeasible else row.const >= 0.0
-            if feasible:
-                continue
-        key = row.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(row)
-    return out
+    """Drop repeated rows and constant rows that hold, in first-occurrence order.
+
+    A constant row holds when its constant is zero (equalities) or
+    nonnegative (inequalities); a constant row that fails is kept, so
+    that the conic problem carries the contradiction.  A row repeats an
+    earlier one when constants and coefficients compare equal.  Rows
+    with the same number of coefficients are compared at once, as
+    integer keys of their constant, column indices and coefficient bits.
+    """
+    coeffs = rows.coeffs.sorted_indices()
+    const = rows.const
+    length = np.diff(coeffs.indptr)
+    holds = const == 0.0 if keep_infeasible else const >= 0.0
+    live = (length > 0) | ~holds
+    keep = np.zeros(len(const), dtype=bool)
+    for k in np.unique(length[live]):
+        sel = np.flatnonzero(live & (length == k))
+        at = coeffs.indptr[sel, None] + np.arange(k)
+        key = np.column_stack(
+            (_float_bits(const[sel]), coeffs.indices[at], _float_bits(coeffs.data[at]))
+        )
+        _, first = np.unique(key, axis=0, return_index=True)
+        keep[sel[first]] = True
+    return LinearRows(coeffs[keep], const[keep])
 
 
 def format_block_sizes(sizes):
@@ -764,10 +890,8 @@ def moment_block(msdp, measure):
 def mmat_values(msdp, y, measure):
     """Numeric moment matrix of a measure at the solution y."""
     block = moment_block(msdp, measure)
-    out = np.zeros((block.size, block.size))
-    for i, j, form in block.entries:
-        out[i, j] = out[j, i] = form.value(y)
-    return out
+    values = np.array([form.value(y) for form in block.forms], dtype=float)
+    return values[block.slot_matrix()]
 
 
 def expression_value(msdp, y, expr):

@@ -87,6 +87,28 @@ def test_solve_json_report(tmp_path, capsys):
     assert measure["points"][0][0] == pytest.approx(0.5, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        None,  # models/rational.gpm
+        "var x;\nmin mom(x);\nmom(x) == 0.5;\nmom(x^2) <= 1;\n",
+        "var x;\nmax mom(x);\nmass(x) == 1;\nmom(x^2) <= 1;\n",
+    ],
+)
+def test_solver_objectives_are_in_model_terms(tmp_path, capsys, text):
+    # primal and dual objectives carry the model's sign and offset
+    path = model_path("rational.gpm") if text is None else write(tmp_path, "m.gpm", text)
+    out = tmp_path / "report.json"
+    assert main(["solve", path, "--json", str(out)]) == 0
+    capsys.readouterr()
+    report = json.loads(out.read_text())
+    objective = report["objective"]
+    tol = report["solver"]["gap"] * (1.0 + 2.0 * abs(objective)) + 1e-12
+    assert abs(objective) > 0.3
+    for key in ("primal_objective", "dual_objective"):
+        assert abs(report["solver"][key] - objective) <= tol, key
+
+
 def test_inconsistent_moments_report_one_status(tmp_path, capsys):
     # no moment vector exists in any model: the IPM finds that on the
     # first, presolve on the equalities facial reduction adds to the

@@ -1,6 +1,7 @@
 """Conic solver against closed-form oracles and feasibility invariants."""
 
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +11,16 @@ import scipy.sparse
 from gpmkit import (
     ConeSpec,
     ConicProblem,
+    GPMProblem,
+    ModelContext,
     SolverParams,
     assemble,
+    extract_substitution_rules,
+    mass,
+    maximize,
+    minimize,
+    mmat_values,
+    mom,
     presolve_eliminate_equalities,
     solve_conic,
     to_conic,
@@ -29,6 +38,7 @@ from gpmkit.conic import (
     solve,
 )
 from gpmkit.dsl import parse_model
+from gpmkit.relaxation import MomentIndex, _resolve_bindings
 
 from conftest import camel_problem, model_path
 
@@ -483,6 +493,248 @@ def test_to_conic_camel_shape():
     sol = solve_conic(conic)
     assert sol.status == "solved"
     assert conic.objective_value(sol.y) == pytest.approx(-1.0316, abs=1e-3)
+
+
+# -- reference conic form, built one LinForm and one entry at a time
+
+
+def _shifted(terms, t):
+    return {tuple(a + b for a, b in zip(mono, t)): c for mono, c in terms.items()}
+
+
+def _reference_dedup(forms, keep_infeasible):
+    seen, out = set(), []
+    for form in forms:
+        if not form.coeffs and (form.const == 0.0 if keep_infeasible else form.const >= 0.0):
+            continue
+        key = (form.const, tuple(sorted(form.coeffs.items())))
+        if key not in seen:
+            seen.add(key)
+            out.append(form)
+    return out
+
+
+def _reference_relaxation(msdp):
+    """A fresh moment index with its bindings, and the rows as LinForms."""
+    problem, order = msdp.problem, msdp.order
+    plan = extract_substitution_rules(problem, order)
+    index = MomentIndex(problem.measures, order, plan.rules)
+    _resolve_bindings(index, plan)
+    eq, ineq = [], []
+    for con in plan.support_inequalities:
+        g = con.gform()
+        v = math.ceil(g.degree / 2)
+        reps = index.representatives[con.measure]
+        if len([t for t in reps if sum(t) <= order - v]) <= 1:
+            ineq.append(index.form_of_terms(con.measure, index.exponents[con.measure].terms(g)))
+    for measure, g in plan.residual_support_equalities:
+        v = math.ceil(g.degree / 2)
+        terms = index.exponents[measure].terms(g)
+        for gamma in index.raw_exponents[measure]:
+            if sum(gamma) <= 2 * (order - v):
+                eq.append(index.form_of_terms(measure, _shifted(terms, gamma)))
+    for con in plan.kept_moment_constraints:
+        form = index.form_of_expression(con.residual())
+        if con.rel == "==":
+            eq.append(form)
+        elif con.rel == ">=":
+            ineq.append(form)
+        else:
+            ineq.append(form.scaled(-1.0))
+    return index, _reference_dedup(eq, True), _reference_dedup(ineq, False)
+
+
+def _reference_entries(index, block):
+    """(i, j, form) of a block's upper triangle, from its basis monomials."""
+    exponents = index.exponents[block.measure]
+    basis = [exponents.of(mono) for mono in block.basis]
+    g = None if block.source is None else exponents.terms(block.source.gform())
+    for i, bi in enumerate(basis):
+        for j in range(i, len(basis)):
+            prod = tuple(a + b for a, b in zip(bi, basis[j]))
+            if g is None:
+                yield i, j, index.form_of_exponents(block.measure, prod)
+            else:
+                yield i, j, index.form_of_terms(block.measure, _shifted(g, prod))
+
+
+def reference_conic(msdp):
+    """The conic form of msdp by the per-entry COO construction."""
+    index, eq, ineq = _reference_relaxation(msdp)
+    m = index.n_vars
+    cone = ConeSpec(f=len(eq), l=len(ineq), s=tuple(b.size for b in msdp.blocks))
+    rows, cols, vals, cvals = [], [], [], []
+    signed = [(form, 1.0) for form in eq] + [(form, -1.0) for form in ineq]
+    for col, (form, sign) in enumerate(signed):
+        for idx, coef in form.coeffs.items():
+            rows.append(idx)
+            cols.append(col)
+            vals.append(sign * coef)
+        cvals.append(-sign * form.const)
+    for block, base in zip(msdp.blocks, cone.psd_starts):
+        size = block.size
+        centries = np.zeros((size, size))
+        for i, j, form in _reference_entries(index, block):
+            centries[i, j] = centries[j, i] = form.const
+            for idx, coef in form.coeffs.items():
+                rows.append(idx)
+                cols.append(base + i * size + j)
+                vals.append(-coef)
+                if i != j:
+                    rows.append(idx)
+                    cols.append(base + j * size + i)
+                    vals.append(-coef)
+        cvals.extend(centries.reshape(-1).tolist())
+    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, cone.total_length), dtype=float)
+    objective = index.form_of_expression(msdp.problem.objective.expr)
+    obj = np.zeros(m)
+    for idx, coef in objective.coeffs.items():
+        obj[idx] = coef
+    b = obj if msdp.sense == "max" else -obj
+    return ConicProblem(
+        A=A, b=b, c=np.asarray(cvals), cone=cone, sense=msdp.sense, offset=objective.const
+    )
+
+
+def reference_mmat(msdp, y, measure):
+    index, _, _ = _reference_relaxation(msdp)
+    (block,) = [b for b in msdp.blocks if b.kind == "moment" and b.measure is measure]
+    M = np.zeros((block.size, block.size))
+    for i, j, form in _reference_entries(index, block):
+        M[i, j] = M[j, i] = form.value(y)
+    return M
+
+
+def assert_same_bytes(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_same_conic(got, want):
+    assert (got.cone, got.sense, got.offset) == (want.cone, want.sense, want.offset)
+    A, B = got.A.tocsr(), want.A.tocsr()
+    assert A.shape == B.shape and A.has_canonical_format
+    for a, b in ((A.indptr, B.indptr), (A.indices, B.indices), (A.data, B.data)):
+        assert_same_bytes(a, b)
+    assert_same_bytes(got.b, want.b)
+    assert_same_bytes(got.c, want.c)
+
+
+def random_gpm_problem(seed):
+    """A problem with every kind of conic row, block and affine form.
+
+    It has a multi-term substitution rule, residual support equalities
+    (one repeated, one that the rule cancels), localizing blocks, an
+    orthant row from a support inequality of degree 2r, moment bindings
+    whose forms have several terms, moment rows of each relation and
+    constant rows that hold; seeds 2 and 6 add a constant row that
+    fails, odd seeds a second measure.
+    """
+    rng = np.random.default_rng(seed)
+    order = 2 + seed % 2
+    # not dyadic, so that sums of products depend on their order
+    coeffs = [-1.3, -1.0, -0.7, 0.1, 0.3, 1.0, 2.9]
+
+    def poly(xs, degree, nterms):
+        p = 0.0 * xs[0]
+        for _ in range(nterms):
+            term = float(rng.choice(coeffs))
+            for _ in range(int(rng.integers(0, degree + 1))):
+                term = term * xs[int(rng.integers(len(xs)))]
+            p = p + term
+        return p
+
+    ctx = ModelContext()
+    x = list(ctx.vars("x", 3))
+    a = x[:2] if seed % 2 else x
+    cons = [
+        a[0] ** 2 == 0.3 * a[0] + 0.7 * a[1] - 0.1,
+        a[0] ** 2 - 0.3 * a[0] - 0.7 * a[1] + 0.1 == 0,
+        2.0 * a[1] ** 2 - a[0] * a[1] + poly(a, 1, 2) == 0.75,
+        2.0 * a[1] ** 2 - a[0] * a[1] + 1.0 == 0.75,
+        2.0 * a[1] ** 2 - a[0] * a[1] + 1.0 == 0.75,
+        a[0] * a[1] + poly(a, 1, 3) >= 0,
+        1.0 - a[0] ** 2 - a[1] ** 2 >= 0,
+        1.0 - a[1] ** (2 * order) >= 0,
+        mass(ctx.measure(1)) == 1,
+        mom(a[1]) == 0.3 + 0.7 * mom(a[0] * a[1]),
+        mom(a[1] ** 2) == mom(a[0]) - 0.1 * mom(a[1]) + 1.3 * mom(a[1] ** 3),
+        mom(a[0] ** 3 + poly(a, 2, 4)) >= -1.0,
+        mom(a[1] ** 4 + poly(a, 3, 4)) <= 2.0,
+        mom(a[0]) >= -1.0,
+        mom(a[0]) >= -1.0,
+        mom(a[0] ** 2 - 0.3 * a[0] - 0.7 * a[1]) >= -1.0,
+    ]
+    if seed % 4 == 2:
+        cons.append(mom(a[0] ** 2 - 0.3 * a[0] - 0.7 * a[1]) == 0.0)  # constant, fails
+    objective = mom(a[0] * a[1] ** 2 + poly(a, 2, 5))
+    if seed % 2:
+        ctx.new_measure([x[2]])
+        cons += [
+            1.0 - x[2] ** 2 >= 0,
+            mass(ctx.measure(2)) == 0.5,
+            mom(a[0] * a[1]) + mom(x[2] ** 2) == 0.4,
+        ]
+        objective = objective + mom(x[2] ** 2 + poly([x[2]], 1, 2))
+    sense = maximize if seed % 3 == 0 else minimize
+    return GPMProblem(sense(objective), cons), order
+
+
+PAPER_CASES = [
+    ("camel", 3), ("rational", 1), ("quadratic3", 1), ("quadratic3", 2),
+    ("maxcut_sub", 2), ("maxcut_nosub", 2),
+]
+
+
+@pytest.mark.parametrize("name,order", PAPER_CASES)
+def test_to_conic_matches_the_per_entry_reference_on_paper_models(name, order):
+    with open(model_path(f"{name}.gpm")) as fh:
+        msdp = assemble(parse_model(fh.read()), order)
+    assert_same_conic(to_conic(msdp), reference_conic(msdp))
+    y = np.random.default_rng(order).normal(size=msdp.n_vars)
+    for measure in msdp.problem.measures:
+        assert_same_bytes(mmat_values(msdp, y, measure), reference_mmat(msdp, y, measure))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_to_conic_matches_the_per_entry_reference_on_random_problems(seed):
+    problem, order = random_gpm_problem(seed)
+    msdp = assemble(problem, order)
+    kinds = [b.kind for b in msdp.blocks]
+    assert kinds.count("moment") == len(problem.measures) and "localizing" in kinds
+    assert len(msdp.lin_eq) and len(msdp.lin_ineq)
+    assert msdp.report.n_moment_substitutions >= 2
+    assert max(len(f.coeffs) for b in msdp.blocks for f in b.forms) >= 2
+    assert_same_conic(to_conic(msdp), reference_conic(msdp))
+    y = np.random.default_rng(seed).normal(size=msdp.n_vars)
+    for measure in problem.measures:
+        assert_same_bytes(mmat_values(msdp, y, measure), reference_mmat(msdp, y, measure))
+
+
+def test_to_conic_matches_the_reference_when_codes_exceed_int64():
+    # 3**44 > 2**63: monomial codes of order 1 over 45 variables are
+    # Python ints, for the moment block and for the equality rows alike
+    assert 3**44 > np.iinfo(np.int64).max
+    ctx = ModelContext()
+    x = ctx.vars("x", 45)
+    problem = GPMProblem(
+        minimize(mom(sum(x[i] * x[i + 1] for i in range(44)))),
+        [
+            x[0] + 0.3 * x[1] == 1.0,
+            x[2] ** 2 == 0.7 * x[3] - 0.1,
+            1.0 - x[6] ** 2 >= 0,
+            mass(ctx.measure(1)) == 1,
+            mom(x[4]) == 0.1 + 1.3 * mom(x[5] * x[7]),
+        ],
+    )
+    msdp = assemble(problem, 1)
+    assert msdp.report.block_sizes == [46]
+    assert len(msdp.lin_eq) == 1 and len(msdp.lin_ineq) == 1
+    assert_same_conic(to_conic(msdp), reference_conic(msdp))
+    y = np.random.default_rng(0).normal(size=msdp.n_vars)
+    measure = problem.measures[0]
+    assert_same_bytes(mmat_values(msdp, y, measure), reference_mmat(msdp, y, measure))
 
 
 def random_sparse_blocks_problem(rng, m=12, l=3, sizes=(5, 7)):

@@ -17,6 +17,7 @@ from gpmkit import (
     solve_conic,
     to_conic,
 )
+import gpmkit.formats as formats_module
 from gpmkit.conic import ConicError
 
 from conftest import camel_problem
@@ -100,6 +101,21 @@ def test_sdpa_entries_follow_column_layout(tmp_path, l):
     lines = path.read_text().splitlines()
     assert lines[5:] == sdpa_entry_lines(problem)
     assert len(lines) > 5 + m
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 7])
+def test_sdpa_entries_do_not_depend_on_the_write_chunk(tmp_path, monkeypatch, chunk):
+    # chunks end inside C, at the C/A boundary and inside rows of A
+    rng = np.random.default_rng(chunk)
+    cone = ConeSpec(l=2, s=(1, 3, 2))
+    m, n = 4, cone.total_length
+    A = rng.normal(size=(m, n)) * (rng.random((m, n)) < 0.4)
+    c = rng.normal(size=n) * (rng.random(n) < 0.6) / 3.0
+    problem = ConicProblem(A=A, b=rng.normal(size=m), c=c, cone=cone)
+    monkeypatch.setattr(formats_module, "_SDPA_CHUNK", chunk)
+    path = tmp_path / "p.dat-s"
+    export_sdpa(problem, path)
+    assert path.read_text().splitlines()[5:] == sdpa_entry_lines(problem)
 
 
 def test_sdpa_cannot_carry_sense_or_offset(tmp_path):

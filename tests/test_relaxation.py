@@ -87,7 +87,13 @@ def _product_forms_match(msdp):
     index = msdp.index
     for block in msdp.blocks:
         g = Polynomial.constant(1.0) if block.source is None else block.source.gform()
-        for i, j, form in block.entries:
+        s = block.size
+        assert len(block.rows) == s * (s + 1) // 2
+        assert set(zip(block.rows.tolist(), block.cols.tolist())) == {
+            (i, j) for i in range(s) for j in range(i, s)
+        }
+        for i, j, k in zip(block.rows, block.cols, block.slot):
+            form = block.forms[k]
             prod = Polynomial({block.basis[i]: 1.0}) * Polynomial({block.basis[j]: 1.0})
             ref = index.form_of_poly(block.measure, g * prod)
             assert form.const == ref.const

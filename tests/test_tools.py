@@ -1,5 +1,6 @@
 """tools/conic_digest.py, whose digests back every bit-identity claim."""
 
+import hashlib
 import importlib.util
 import os
 import re
@@ -7,6 +8,9 @@ import re
 import pytest
 
 import gpmkit.conic as conic_module
+from gpmkit.cli import cmd_export
+
+from conftest import model_path
 
 TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "conic_digest.py")
 HEX = "[0-9a-f]{64}"
@@ -35,3 +39,14 @@ def test_digest_covers_the_conic_form_and_its_presolve(conic_digest):
     assert len(lines) == 2
     assert re.fullmatch(f"rational-1 {HEX}", lines[0])
     assert re.fullmatch(f"rational-1 presolve {HEX}", lines[1])
+
+
+@pytest.mark.parametrize("model,order,fmt", [("camel", 3, "json"), ("rational", 1, "sdpa")])
+def test_export_digest_hashes_the_exported_file(
+    conic_digest, tmp_path, capsys, model, order, fmt
+):
+    line = conic_digest.export_digest(model, order, fmt)
+    out = tmp_path / f"{model}.{fmt}"
+    cmd_export(model_path(f"{model}.gpm"), fmt, str(out), order=order)
+    capsys.readouterr()
+    assert line == f"{model}-{order} {fmt} {hashlib.sha256(out.read_bytes()).hexdigest()}"

@@ -22,17 +22,26 @@ and result bit-identical; a change to the re-centering solves alone
 leaves the top-level hash unchanged:
 
     PYTHONPATH=src python tools/conic_digest.py --solve > after.txt
+
+With --export it writes the files of EXPORT_CASES with cmd_export, as
+`gpm export` does, into a temporary directory and prints the SHA-256 of
+each, so a change to assembly, presolve or the writers can show that
+the exported bytes are unchanged:
+
+    PYTHONPATH=src python tools/conic_digest.py --export > after.txt
 """
 
 import hashlib
 import importlib
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 from gpmkit.dsl import build, parse_source
 from gpmkit.relaxation import assemble
+from gpmkit.cli import cmd_export
 from gpmkit.conic import presolve_eliminate_equalities, to_conic
 
 # gpmkit/__init__.py rebinds the name `certify` to the function
@@ -66,6 +75,11 @@ SOLVE_CASES = [
     ("maxcut_nosub", 2),
 ]
 SOLVE_SEEDS = (0, 1)
+
+EXPORT_CASES = [
+    ("maxcut_nosub", 4, "sdpa"),
+    ("maxcut_sub", 4, "json"),
+]
 
 
 def _conic_hash(conic):
@@ -134,8 +148,21 @@ def solve_digest(model, order, seed):
     )
 
 
+def export_digest(model, order, fmt):
+    """Digest line of the file `gpm export` writes for one case."""
+    path = os.path.join(ROOT, "models", f"{model}.gpm")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, f"{model}-{order}.{fmt}")
+        cmd_export(path, fmt, out, order=order)
+        with open(out, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+    return f"{model}-{order} {fmt} {digest}"
+
+
 def main(argv):
-    if argv == ["--solve"]:
+    if argv == ["--export"]:
+        lines = ([export_digest(*case)] for case in EXPORT_CASES)
+    elif argv == ["--solve"]:
         lines = (
             [solve_digest(model, order, seed)]
             for seed in SOLVE_SEEDS
@@ -144,7 +171,7 @@ def main(argv):
     elif not argv:
         lines = (digest(model, order) for model, order in CASES)
     else:
-        sys.exit("usage: conic_digest.py [--solve]")
+        sys.exit("usage: conic_digest.py [--solve | --export]")
     for group in lines:
         for line in group:
             print(line)
