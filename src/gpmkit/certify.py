@@ -9,6 +9,17 @@ matrix: the pivot monomials index a basis on which multiplication by
 each variable acts as a matrix, and the atoms are read off the shared
 Schur vectors of a random combination of those operators.  Weights are
 recovered by nonnegative least squares against the moment vector.
+
+An interior-point solver returns a point in the relative interior of
+the optimal face, where the top-degree moments of M_r are inflated and
+the rank test can fail although a lower truncation is already flat
+(rank M_t = rank M_{t-v} for some t <= r; Nie, Math. Program. 142,
+2013).  solve_gpm then
+re-centers once: a face solve that pins the moments of degree <= 2r-2
+and minimizes the top-degree diagonal.  It leaves every truncation of
+degree < r as it was, so it only pays when one of them already shows
+flatness.  It is skipped when some measure has no flat truncation; on
+the paper models it never certified such a point.
 """
 
 from __future__ import annotations
@@ -47,13 +58,18 @@ def numeric_rank(matrix, tol=_RANK_TOL):
 
 @dataclass
 class FlatnessResult:
-    """Rank pattern of one measure's moment matrix."""
+    """Rank pattern of one measure's moment matrix.
+
+    truncation is the smallest t in [v, r] with rank M_t = rank M_{t-v}
+    (a flat truncation), or None when the ranks rise at every such t.
+    """
 
     flat: bool
     rank: int
     rank_shifted: int
     v: int
     ranks_by_degree: dict
+    truncation: int | None = None
 
 
 def _inequality_halfdegree(msdp, measure):
@@ -80,12 +96,16 @@ def _flatness(msdp, block, M):
         ranks[d] = numeric_rank(M[np.ix_(keep, keep)])
     rank = ranks[msdp.order]
     rank_shifted = ranks[max(msdp.order - v, 0)]
+    truncation = next(
+        (t for t in range(v, msdp.order + 1) if ranks[t] == ranks[t - v]), None
+    )
     return FlatnessResult(
         flat=rank == rank_shifted,
         rank=rank,
         rank_shifted=rank_shifted,
         v=v,
         ranks_by_degree=ranks,
+        truncation=truncation,
     )
 
 
@@ -311,7 +331,10 @@ def solve_gpm(problem, order=None, params=None, seed=0):
     Returns a GPMSolution; on certification the extracted supports are
     stored into the measures, so eval_on_support reads the minimizers
     directly.  Moment vectors are stored on the measures whenever the
-    SDP was solved.
+    SDP was solved.  An uncertified point is re-centered (_recenter)
+    only when every measure has a flat truncation: the face solve moves
+    only the top-degree part of each M_r, so a point whose ranks rise
+    at every degree is reported as it is.
     """
     params = params or SolverParams()
     msdp = assemble(problem, order)
@@ -324,7 +347,11 @@ def solve_gpm(problem, order=None, params=None, seed=0):
     y = sol.y
     objective = conic.objective_value(y)
     cert = certify(msdp, y, seed=seed)
-    if not cert.certified and conic.cone.s:
+    if (
+        not cert.certified
+        and conic.cone.s
+        and all(f.truncation is not None for f in cert.flatness.values())
+    ):
         y, cert = _recenter(msdp, conic, sol, y, objective, cert, params, seed)
     moments = {}
     for measure in msdp.problem.measures:
@@ -357,7 +384,9 @@ def _recenter(msdp, conic, sol, y, objective, cert, params, seed):
     solve recomputes them as a minimal flat extension of the converged
     lower moments, each pinned within relative _RECENTER_REL.  The
     centered point replaces (y, cert) only if it is finite, keeps the
-    objective within drift_tol and is certified itself.
+    objective within drift_tol and is certified itself.  solve_gpm calls
+    it only when cert shows a flat truncation on every measure, since
+    the pinned lower truncations keep their ranks.
     """
     low = 2 * msdp.order - 2
     lower = [

@@ -89,6 +89,13 @@ class RunReport:
         else:
             lines.append(f"obj = {self.objective:.4f}")
         for entry in self.measures:
+            if entry["ranks"] is not None:
+                ranks = " ".join(map(str, entry["ranks"]))
+                t = entry["flat_truncation"]
+                lines.append(
+                    f"Measure {entry['label']}: ranks by degree = {ranks}, "
+                    f"flat truncation = {'none' if t is None else t}"
+                )
             if entry.get("points") is not None:
                 points = entry["points"]
                 weights = entry["weights"]
@@ -214,6 +221,12 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
     measures = []
     for measure in sol.msdp.problem.measures:
         entry = {"label": measure.label, "variables": measure.nvars}
+        if sol.certificate is None:
+            entry["ranks"] = entry["flat_truncation"] = None
+        else:
+            flat = sol.certificate.flatness[measure.label]
+            entry["ranks"] = [flat.ranks_by_degree[d] for d in range(sol.order + 1)]
+            entry["flat_truncation"] = flat.truncation
         moments = sol.moments.get(measure.label)
         if moments is not None:
             entry["moments"] = [

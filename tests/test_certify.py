@@ -27,6 +27,7 @@ from gpmkit import (
     solve_gpm,
 )
 from gpmkit.dsl import parse_model
+from gpmkit.relaxation import moment_block
 
 from conftest import (
     match_atoms,
@@ -221,12 +222,21 @@ def test_moments_stored_on_measures():
 
 @pytest.mark.parametrize(
     "name,order,calls,status",
-    [("camel.gpm", 3, 2, 1), ("quadratic3.gpm", 1, 1, 0), ("quadratic3.gpm", 2, 2, 0)],
+    [
+        ("camel.gpm", 3, 2, 1),
+        ("quadratic3.gpm", 1, 1, 0),
+        ("quadratic3.gpm", 2, 1, 0),
+        ("quadratic3.gpm", 3, 1, 0),
+        ("maxcut_sub.gpm", 2, 1, 0),
+    ],
 )
-def test_recentering_is_one_face_solve(monkeypatch, name, order, calls, status):
-    # the top-level solve, then at most one re-centering solve; the
-    # package rebinds the name `certify` to the function, so the module
-    # whose `solve_conic` solve_gpm calls is fetched with importlib
+def test_recentering_runs_only_on_a_flat_truncation(
+    monkeypatch, name, order, calls, status
+):
+    # the top-level solve, then one re-centering solve only when every
+    # measure of the uncertified point has a flat truncation; the package
+    # rebinds the name `certify` to the function, so the module whose
+    # `solve_conic` solve_gpm calls is fetched with importlib
     certify_module = importlib.import_module("gpmkit.certify")
     solve_conic = certify_module.solve_conic
     seen = []
@@ -241,3 +251,69 @@ def test_recentering_is_one_face_solve(monkeypatch, name, order, calls, status):
     sol = certify_module.solve_gpm(problem, order=order)
     assert len(seen) == calls
     assert sol.status == status
+    truncations = [f.truncation for f in sol.certificate.flatness.values()]
+    if calls == 1:
+        assert truncations == [None] * len(truncations)
+    else:
+        assert None not in truncations
+
+
+def planted_flatness(points, weights, order, constraints=()):
+    """FlatnessResult of the moment matrix of planted atoms on x[0..n)."""
+    points = np.asarray(points, dtype=float)
+    ctx = ModelContext()
+    x = ctx.vars("x", points.shape[1])
+    cons = [make(x) for make in constraints]
+    problem = GPMProblem(minimize(mom(x[0])), cons)
+    msdp = assemble(problem, order)
+    measure = problem.measures[0]
+    y = planted_moment_vector(msdp, measure, points, np.asarray(weights, float))
+    certify_module = importlib.import_module("gpmkit.certify")
+    block = moment_block(msdp, measure)
+    return certify_module._flatness(msdp, block, mmat_values(msdp, y, measure))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_dirac_measure_is_flat_at_v(order):
+    flat = planted_flatness([[0.3, -0.6]], [1.0], order)
+    assert flat.v == 1
+    assert flat.truncation == 1
+    assert set(flat.ranks_by_degree.values()) == {1}
+
+
+@pytest.mark.parametrize("nvars", [1, 2])
+def test_two_atoms_at_order_three_are_flat_at_two(nvars):
+    points = [[-0.5, 0.2][:nvars], [0.7, -0.4][:nvars]]
+    flat = planted_flatness(points, [0.4, 0.6], 3)
+    assert flat.ranks_by_degree == {0: 1, 1: 2, 2: 2, 3: 2}
+    assert flat.truncation == 2
+    assert flat.flat
+
+
+def test_rising_ranks_have_no_flat_truncation():
+    # standard normal moments 1, 0, 1, 0, 3, 0, 15: rank rises to 4
+    ctx = ModelContext()
+    x = ctx.var("x")
+    problem = GPMProblem(minimize(mom(x)))
+    msdp = assemble(problem, 3)
+    gauss = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0}
+    y = np.array([gauss[mono.degree] for _, mono in msdp.index.var_meaning])
+    flat = check_flatness(msdp, y, problem.measures[0])
+    assert flat.ranks_by_degree == {0: 1, 1: 2, 2: 3, 3: 4}
+    assert flat.truncation is None
+    assert not flat.flat
+
+
+@pytest.mark.parametrize(
+    "constraint",
+    [lambda x: 1 - x[0] ** 3 >= 0, lambda x: 1 - x[0] ** 4 >= 0],
+    ids=["degree3", "degree4"],
+)
+def test_flat_truncation_search_starts_at_v(constraint):
+    # v = 2: a Dirac measure is flat at t = 2, not 1, and two atoms need
+    # rank M_3 = rank M_1, so t = 3 where v = 1 would give t = 2
+    dirac = planted_flatness([[0.3]], [1.0], 2, [constraint])
+    assert dirac.v == 2 and dirac.truncation == 2
+    pair = planted_flatness([[-0.5], [0.7]], [0.4, 0.6], 3, [constraint])
+    assert pair.ranks_by_degree == {0: 1, 1: 2, 2: 2, 3: 2}
+    assert pair.v == 2 and pair.truncation == 3

@@ -83,8 +83,34 @@ def test_solve_json_report(tmp_path, capsys):
     assert report["status"] == 1 and report["certified"] is True
     assert report["objective"] == pytest.approx(-1.0 / 3.0, abs=1e-4)
     (measure,) = report["measures"]
-    assert set(measure) == {"label", "variables", "moments", "points", "weights"}
+    assert set(measure) == {
+        "label", "variables", "moments", "points", "weights", "ranks",
+        "flat_truncation",
+    }
     assert measure["points"][0][0] == pytest.approx(0.5, abs=1e-3)
+    assert measure["ranks"] == [1, 1] and measure["flat_truncation"] == 1
+
+
+@pytest.mark.parametrize(
+    "name,ranks,truncation",
+    [("camel.gpm", [1, 2, 2, 2], 2), ("quadratic3.gpm", [1, 4], None)],
+)
+def test_solve_reports_ranks_and_flat_truncation(
+    tmp_path, capsys, name, ranks, truncation
+):
+    # ranks of the moment matrix truncations by degree 0..r, and the
+    # smallest flat t, in the JSON report and on one line of the text
+    out = tmp_path / "report.json"
+    assert main(["solve", model_path(name), "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    (measure,) = json.loads(out.read_text())["measures"]
+    assert measure["ranks"] == ranks
+    assert measure["flat_truncation"] == truncation
+    shown = "none" if truncation is None else truncation
+    assert (
+        f"Measure 1: ranks by degree = {' '.join(map(str, ranks))}, "
+        f"flat truncation = {shown}"
+    ) in text
 
 
 @pytest.mark.parametrize(
@@ -124,6 +150,8 @@ def test_inconsistent_moments_report_one_status(tmp_path, capsys):
         assert main(["solve", write(tmp_path, name, text), "--json", str(out)]) == 4
         report = json.loads(out.read_text())
         assert report["status"] == -1
+        assert report["measures"][0]["ranks"] is None
+        assert report["measures"][0]["flat_truncation"] is None
         statuses.append(report["solver"]["status"])
     capsys.readouterr()
     assert statuses == ["unbounded", "unbounded", "unbounded"]
