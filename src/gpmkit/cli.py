@@ -67,6 +67,8 @@ class RunReport:
         lines.append("")
         lines.append("Solve moment SDP problem")
         lines.append(f"  Solver status    = {self.solver['status']}")
+        if self.solver["message"]:
+            lines.append(f"  Solver message   = {self.solver['message']}")
         lines.append(f"  Iterations       = {self.solver['iterations']}")
         lines.append(f"  Primal residual  = {self.solver['pinf']:.1e}")
         lines.append(f"  Dual residual    = {self.solver['dinf']:.1e}")

@@ -123,9 +123,16 @@ class ConicSolution:
     """Solver outcome: iterates, residuals and a status string.
 
     status is one of 'solved', 'inaccurate', 'infeasible', 'unbounded',
-    'failed'.  'infeasible' means no x satisfies the constraints (the
-    dual objective diverges); 'unbounded' means c'x is unbounded below.
-    history rows are (pobj, dobj, pinf, dinf, gap) per iteration.
+    'failed'.  'solved' means max(pinf, dinf, gap) <= eps at the returned
+    point.  'inaccurate' means the solve stopped short of eps and returns
+    its best iterate, whose max(pinf, dinf, gap) is within 1e3 * eps;
+    'failed' means not even that was reached.  'infeasible' means no x
+    satisfies the constraints (the dual objective diverges); 'unbounded'
+    means c'x is unbounded below.  message is empty on 'solved' and
+    otherwise says why the solve stopped: the iteration limit, vanishing
+    step lengths, lost progress, a failed factorization or a rejected
+    step, or the ray found.  history rows are (pobj, dobj, pinf, dinf,
+    gap) per iteration, the last one for the point the solve stopped at.
     """
 
     status: str
@@ -855,6 +862,10 @@ def _initial_point(cones, b):
 _MAX_ITER = 100
 _STEP_FRACTION = 0.98
 _REG_FLOOR = 1e-12
+# a best iterate within _ACCEPT_FACTOR * eps is returned as 'inaccurate';
+# once there is one, a point _LOST_FACTOR times worse ends the solve
+_ACCEPT_FACTOR = 1e3
+_LOST_FACTOR = 100.0
 
 
 def _residuals(cones, b, x_l, X_s, y, z_l, Z_s):
@@ -907,6 +918,17 @@ def solve(problem, params=None):
     alpha = -1 / min eig(L^-1 dX L^-T).  Each accepted step is logged at
     DEBUG level with its primal and dual lengths, sigma and the number
     of 0.2 back-off cuts it took.
+
+    The solve stops with 'solved' once max(pinf, dinf, gap) <= eps.  It
+    also stops as soon as the best iterate so far is within
+    _ACCEPT_FACTOR * eps and the current point's max(pinf, dinf, gap)
+    is over _LOST_FACTOR times the best one ("lost progress"): past that
+    point the iterations only drift away from a result that is already
+    acceptable.  That exit, like the iteration limit, vanishing step
+    lengths and the failure exits, returns the best iterate, as
+    'inaccurate' if it is within _ACCEPT_FACTOR * eps and as 'failed'
+    otherwise, unless a validated ray certifies infeasibility or
+    unboundedness.
     """
     params = params or SolverParams()
     cones = _Cones(problem)
@@ -963,6 +985,13 @@ def solve(problem, params=None):
         diverged = _divergence_status(cones, x_l, X_s, y, pobj, dobj)
         if diverged:
             status, message = diverged
+            break
+        if best[0] <= _ACCEPT_FACTOR * params.eps and metric > _LOST_FACTOR * best[0]:
+            # the best iterate is already acceptable and this one is far
+            # worse: the iterations left would only be thrown away
+            status = "stalled"
+            message = (f"lost progress: residual {metric:.1e} at iteration {it}, "
+                       f"best {best[0]:.1e} at iteration {best[-1]}")
             break
 
         # HKM scaling data
@@ -1042,7 +1071,7 @@ def solve(problem, params=None):
         ap = min(1.0, _STEP_FRACTION * _step_length(x_l, LX_s, step[0], step[1]))
         ad = min(1.0, _STEP_FRACTION * _step_length(z_l, LZ_s, step[3], step[4]))
         if ap < 1e-8 and ad < 1e-8:
-            status, message = "stalled", ""
+            status, message = "stalled", "step lengths below 1e-8"
             break
         # reject steps whose residuals blow up: near a boundary optimum the
         # regularized Schur system can produce garbage directions
@@ -1071,7 +1100,7 @@ def solve(problem, params=None):
                    it, ap, ad, sigma, cuts)
         x_l, X_s, y, z_l, Z_s = x_n, X_n, y_n, z_n, Z_n
     else:
-        status = "maxiter"
+        status, message = "maxiter", f"iteration limit ({_MAX_ITER}) reached"
 
     if status in ("maxiter", "stalled", "failed") and best is not None:
         # the last iterate carries any diverging ray; the best iterate is
@@ -1083,10 +1112,10 @@ def solve(problem, params=None):
             diverged = _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=True)
         if diverged:
             status, message = diverged
-        elif metric <= 1e3 * params.eps:
+        elif metric <= _ACCEPT_FACTOR * params.eps:
             status = "inaccurate"
         elif status != "failed":
-            status, message = "failed", f"no convergence ({status})"
+            status, message = "failed", f"no convergence: {message}"
 
     x = np.concatenate([x_l] + [X.reshape(-1) for X in X_s])
     z = np.concatenate([z_l] + [Z.reshape(-1) for Z in Z_s])

@@ -258,6 +258,34 @@ def test_recentering_runs_only_on_a_flat_truncation(
         assert None not in truncations
 
 
+def test_quadratic3_order_four_solves_stop_once_progress_is_lost(monkeypatch):
+    # both solves reach a best iterate within 1e3*eps and then lose it;
+    # each stops a few iterations later instead of running on until the
+    # Schur complement fails to factor (24 and 52 iterations before)
+    certify_module = importlib.import_module("gpmkit.certify")
+    solve_conic = certify_module.solve_conic
+    seen = []
+
+    def recording_solve_conic(problem, params=None):
+        sol = solve_conic(problem, params)
+        seen.append((sol.status, sol.iterations, sol.message.split(":")[0]))
+        return sol
+
+    monkeypatch.setattr(certify_module, "solve_conic", recording_solve_conic)
+    with open(model_path("quadratic3.gpm")) as fh:
+        problem = parse_model(fh.read(), "quadratic3.gpm")
+    sol = certify_module.solve_gpm(problem, order=4, seed=0)
+    # the top-level solve, then the re-centering face solve
+    assert seen == [
+        ("inaccurate", 21, "lost progress"),
+        ("inaccurate", 25, "lost progress"),
+    ]
+    assert sol.status == 1
+    points, _ = sol.support(1)
+    for atom in [(2.0, 0.0, 0.0), (0.5, 0.0, 3.0)]:
+        assert min(np.max(np.abs(p - np.asarray(atom))) for p in points) < 1e-3
+
+
 def planted_flatness(points, weights, order, constraints=()):
     """FlatnessResult of the moment matrix of planted atoms on x[0..n)."""
     points = np.asarray(points, dtype=float)

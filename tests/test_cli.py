@@ -31,6 +31,7 @@ def test_build_and_solve_exit_zero(capsys):
     out = capsys.readouterr().out
     assert "status = 1" in out
     assert "obj = -0.3333" in out
+    assert "Solver message" not in out  # solved: nothing to explain
 
 
 @pytest.mark.parametrize(
@@ -57,6 +58,7 @@ def test_exit_codes(tmp_path, capsys, argv, code, message):
     captured = capsys.readouterr()
     if message is None:
         assert "status = -1" in captured.out
+        assert "Solver message   = inconsistent equality rows" in captured.out
     else:
         assert message in captured.err
 

@@ -836,6 +836,35 @@ def test_maxcut_order_two_solves_through_sparse_blocks():
     # status and objective of the dense-block solver this path replaced
     assert sol.status == "inaccurate"
     assert problem.objective_value(sol.y) == pytest.approx(12.41413173295636, rel=1e-9)
+    # the best point, at iteration 14, is within 1e3*eps but not eps; the
+    # residuals then grow, and the solve stops once they are 100x the
+    # best instead of running on until M fails to factor (28 iterations)
+    metrics = [max(row[2:]) for row in sol.history]
+    best = int(np.argmin(metrics))
+    assert len(sol.history) == sol.iterations <= best + 1 + 3
+    assert metrics[-1] > 100.0 * metrics[best]
+    assert sol.message.startswith("lost progress")
+    # the returned point is the best iterate, not the last one
+    assert (sol.pobj, sol.dobj, sol.pinf, sol.dinf, sol.gap) == sol.history[best]
+
+
+def test_every_exit_short_of_solved_gives_a_reason(monkeypatch):
+    # quadratic3-3 runs into the iteration limit with a best iterate
+    # within 1e3*eps; with a lower limit the same run ends in failure
+    with open(model_path("quadratic3.gpm")) as fh:
+        problem = to_conic(assemble(parse_model(fh.read()), 3))
+    sol = solve_conic(problem)
+    assert (sol.status, sol.iterations) == ("inaccurate", 100)
+    assert sol.message == "iteration limit (100) reached"
+    monkeypatch.setattr(conic_module, "_MAX_ITER", 5)
+    sol = solve_conic(problem)
+    assert (sol.status, sol.iterations) == ("failed", 5)
+    assert sol.message == "no convergence: iteration limit (5) reached"
+    # both step lengths vanish on the first iteration
+    monkeypatch.setattr(conic_module, "_step_length", lambda *args: 0.0)
+    sol = solve_conic(problem)
+    assert (sol.status, sol.iterations) == ("failed", 1)
+    assert sol.message == "no convergence: step lengths below 1e-8"
 
 
 def test_size_guard_counts_what_sparse_blocks_allocate():
@@ -929,7 +958,8 @@ def test_step_search_factors_each_block_once_per_iteration(monkeypatch):
 
     monkeypatch.setattr(conic_module, "_psd_factor", counting_factor)
     sol = solve(conic)
-    assert sol.status == "solved"
+    # reaches eps, so the lost-progress exit never fires
+    assert (sol.status, sol.iterations, sol.message) == ("solved", 23, "")
     # X and Z of every block, on every iteration that takes a step
     assert len(shapes) == 2 * len(conic.cone.s) * (sol.iterations - 1)
     assert set(shapes) == {(s, s) for s in conic.cone.s}

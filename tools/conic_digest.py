@@ -15,11 +15,13 @@ With --solve it instead runs solve_gpm at seeds 0 and 1 on SOLVE_CASES
 and prints one line per run: the SHA-256 of the first (top-level)
 interior-point call on its own, the number of calls and the SHA-256 of
 all of them (status, iterations, message, history, x, y, z, in call
-order, recorded by wrapping gpmkit.conic.solve), and that of the
-outcome (status, objective and the atoms of every measure).  Diffing
-that output shows a solver or certificate refactor leaves every iterate
-and result bit-identical; a change to the re-centering solves alone
-leaves the top-level hash unchanged:
+order, recorded by wrapping gpmkit.conic.solve), the status and
+iteration count of each call (`calls solved/23,solved/14`, in call
+order), and the SHA-256 of the outcome (status, objective and the atoms
+of every measure).  Diffing that output shows a solver or certificate
+refactor leaves every iterate and result bit-identical, and where a
+solver change saves or spends iterations; a change to the re-centering
+solves alone leaves the top-level hash unchanged:
 
     PYTHONPATH=src python tools/conic_digest.py --solve > after.txt
 
@@ -119,6 +121,7 @@ def solve_digest(model, order, seed):
     """Digest line of one solve_gpm run: its IPM calls, then its outcome."""
     calls = hashlib.sha256()
     call_hashes = []
+    call_counts = []
     solve = conic_module.solve
 
     def recording_solve(*args, **kwargs):
@@ -128,6 +131,7 @@ def solve_digest(model, order, seed):
         for arr in (np.asarray(sol.history, dtype=float), sol.x, sol.y, sol.z):
             one.update(np.ascontiguousarray(arr).tobytes())
         call_hashes.append(one.hexdigest())
+        call_counts.append(f"{sol.status}/{sol.iterations}")
         calls.update(one.digest())
         return sol
 
@@ -144,7 +148,8 @@ def solve_digest(model, order, seed):
     top = call_hashes[0] if call_hashes else "-"
     return (
         f"{model}-{order} seed {seed} status {sol.status} top {top} "
-        f"ipm x{len(call_hashes)} {calls.hexdigest()} outcome {outcome.hexdigest()}"
+        f"ipm x{len(call_hashes)} {calls.hexdigest()} "
+        f"calls {','.join(call_counts) or '-'} outcome {outcome.hexdigest()}"
     )
 
 
