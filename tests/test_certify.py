@@ -261,14 +261,19 @@ def test_recentering_runs_only_on_a_flat_truncation(
 def test_quadratic3_order_four_solves_stop_once_progress_is_lost(monkeypatch):
     # both solves reach a best iterate within 1e3*eps and then lose it;
     # each stops a few iterations later instead of running on until the
-    # Schur complement fails to factor (24 and 52 iterations before)
+    # Schur complement fails to factor (24 and 52 iterations before).
+    # The iterations past the best one follow BLAS rounding: the face
+    # solve stops at 25 with one OpenBLAS thread and at 28 with two, so
+    # only the gap to the best iterate is pinned, not the count.
     certify_module = importlib.import_module("gpmkit.certify")
     solve_conic = certify_module.solve_conic
     seen = []
 
     def recording_solve_conic(problem, params=None):
         sol = solve_conic(problem, params)
-        seen.append((sol.status, sol.iterations, sol.message.split(":")[0]))
+        # the message ends "best <residual> at iteration <n>"
+        best_it = int(sol.message.rsplit(" ", 1)[-1])
+        seen.append((sol.status, sol.message.split(":")[0], sol.iterations, best_it))
         return sol
 
     monkeypatch.setattr(certify_module, "solve_conic", recording_solve_conic)
@@ -276,10 +281,13 @@ def test_quadratic3_order_four_solves_stop_once_progress_is_lost(monkeypatch):
         problem = parse_model(fh.read(), "quadratic3.gpm")
     sol = certify_module.solve_gpm(problem, order=4, seed=0)
     # the top-level solve, then the re-centering face solve
-    assert seen == [
-        ("inaccurate", 21, "lost progress"),
-        ("inaccurate", 25, "lost progress"),
+    assert [entry[:2] for entry in seen] == [
+        ("inaccurate", "lost progress"),
+        ("inaccurate", "lost progress"),
     ]
+    for (_, _, iterations, best_it), before in zip(seen, [24, 52]):
+        assert iterations < before
+        assert 0 < iterations - best_it <= 5
     assert sol.status == 1
     points, _ = sol.support(1)
     for atom in [(2.0, 0.0, 0.0), (0.5, 0.0, 3.0)]:
