@@ -32,10 +32,18 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from .conic import ConeSpec, ConicProblem, SolverParams, solve_conic, to_conic
+from .conic import (
+    ConeSpec,
+    ConicProblem,
+    SolverParams,
+    lift_sign_split,
+    solve_conic,
+    split_by_sign,
+    to_conic,
+)
 from .model import ModelError
 from .polynomials import Monomial
-from .relaxation import assemble, mmat_values, moment_block
+from .relaxation import assemble, mmat_values, moment_block, sign_classes
 
 # singular values below _RANK_TOL times the largest count as zero; atoms
 # may break support constraints and the objective by _FEAS_TOL (relative)
@@ -306,6 +314,11 @@ class GPMSolution:
     solved but exactness was not certified, so objective is only a
     bound.  status -1: the SDP could not be solved (infeasible,
     unbounded or numerical failure) and objective is None.
+
+    ``symmetry`` maps each measure label to None when no sign flip
+    leaves its data unchanged, and otherwise to its flips (lists of
+    variable names), the number of moments pinned to 0 and the orders
+    of the blocks handed to the solver for it (None when not split).
     """
 
     status: int
@@ -315,6 +328,7 @@ class GPMSolution:
     conic: object
     certificate: object = None
     moments: dict = field(default_factory=dict)
+    symmetry: dict = field(default_factory=dict)
 
     def support(self, label):
         for measure in self.msdp.problem.measures:
@@ -328,21 +342,34 @@ class GPMSolution:
 def solve_gpm(problem, order=None, params=None, seed=0):
     """Assemble, solve and certify the moment relaxation of a problem.
 
+    The conic problem goes through the reductions in order: the sign
+    split (``sign_classes`` finds the flips, ``split_by_sign`` checks
+    and applies them, ``lift_sign_split`` maps the solution back), then,
+    inside ``solve_conic``, zero-diagonal facial reduction and presolve.
+    ``symmetry`` reports the split per measure.
+
     Returns a GPMSolution; on certification the extracted supports are
     stored into the measures, so eval_on_support reads the minimizers
     directly.  Moment vectors are stored on the measures whenever the
     SDP was solved.  An uncertified point is re-centered (_recenter)
     only when every measure has a flat truncation: the face solve moves
     only the top-degree part of each M_r, so a point whose ranks rise
-    at every degree is reported as it is.
+    at every degree is reported as it is.  The face solve is not split.
     """
     params = params or SolverParams()
     msdp = assemble(problem, order)
     conic = to_conic(msdp)
-    sol = solve_conic(conic, params)
+    classes = sign_classes(msdp)
+    split = None if classes is None else split_by_sign(conic, classes.moments, classes.blocks)
+    if split is None:
+        sol = solve_conic(conic, params)
+    else:
+        sol = lift_sign_split(conic, split, solve_conic(split.problem, params))
+    symmetry = _symmetry_report(msdp, classes, split)
     if sol.status in ("infeasible", "unbounded", "failed"):
         return GPMSolution(
-            status=-1, objective=None, order=msdp.order, msdp=msdp, conic=sol
+            status=-1, objective=None, order=msdp.order, msdp=msdp, conic=sol,
+            symmetry=symmetry,
         )
     y = sol.y
     objective = conic.objective_value(y)
@@ -373,7 +400,40 @@ def solve_gpm(problem, order=None, params=None, seed=0):
         conic=sol,
         certificate=cert,
         moments=moments,
+        symmetry=symmetry,
     )
+
+
+def _symmetry_report(msdp, classes, split):
+    """Per measure label: its sign flips, pinned moments and split blocks.
+
+    None for a measure whose flip group is trivial; otherwise a dict of
+    the generators (flipped variable names), the number of moments
+    pinned to 0 and the orders of the blocks its blocks split into, the
+    last None (and no moment pinned) when the split was not applied.
+    """
+    report = {}
+    for measure in msdp.problem.measures:
+        gens = [] if classes is None else classes.generators[measure.label]
+        if not gens:
+            report[measure.label] = None
+            continue
+        pinned, blocks = 0, None
+        if split is not None:
+            pinned = sum(
+                1 for (meas, _), k in msdp.index.var_of.items()
+                if meas is measure and classes.moments[k]
+            )
+            blocks = [
+                size for block, sizes in zip(msdp.blocks, split.sizes)
+                if block.measure is measure for size in sizes
+            ]
+        report[measure.label] = {
+            "generators": [list(g) for g in gens],
+            "pinned": pinned,
+            "blocks": blocks,
+        }
+    return report
 
 
 def _recenter(msdp, conic, sol, y, objective, cert, params, seed):

@@ -98,6 +98,17 @@ class RunReport:
                     f"Measure {entry['label']}: ranks by degree = {ranks}, "
                     f"flat truncation = {'none' if t is None else t}"
                 )
+            symmetry = entry["symmetry"]
+            if symmetry is None:
+                lines.append(f"Measure {entry['label']}: sign symmetry = none")
+            else:
+                flips = "; ".join(",".join(g) for g in symmetry["generators"])
+                blocks = symmetry["blocks"]
+                lines.append(
+                    f"Measure {entry['label']}: sign flips = {flips}, "
+                    f"pinned moments = {symmetry['pinned']}, blocks = "
+                    f"{'unsplit' if blocks is None else format_block_sizes(blocks)}"
+                )
             if entry.get("points") is not None:
                 points = entry["points"]
                 weights = entry["weights"]
@@ -229,6 +240,7 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
             flat = sol.certificate.flatness[measure.label]
             entry["ranks"] = [flat.ranks_by_degree[d] for d in range(sol.order + 1)]
             entry["flat_truncation"] = flat.truncation
+        entry["symmetry"] = sol.symmetry.get(measure.label)
         moments = sol.moments.get(measure.label)
         if moments is not None:
             entry["moments"] = [

@@ -16,6 +16,16 @@ eliminated by presolve before solving: the solver handles l and s cones
 only.  Presolve parameterizes the affine solution set as y = y0 + N t
 and rewrites the problem over t.
 
+A moment SDP reaches the solver through three reductions, in this
+order, each lifted back to the coordinates it started from:
+
+1. the sign split (``split_by_sign``, applied by ``solve_gpm``): moments
+   that a sign flip of the data negates are pinned to 0 and every PSD
+   block splits into one block per parity class of its rows;
+2. zero-diagonal facial reduction (``_reduce_zero_diagonals``): slacks
+   certified zero on the whole dual set leave the cones;
+3. presolve (``presolve_eliminate_equalities``): free columns go.
+
 The solver keeps each PSD block of A, symmetrized, either as CSR rows
 over its s*s entries or as a dense (m, s, s) tensor.  It picks one per
 block from an nnz-based estimate of what forming that block's share of
@@ -391,6 +401,91 @@ def _presolve_pass(problem, substitute):
     return PresolveResult(
         problem=reduced, y0=y0, N=N, status="ok", n_eliminated=nf
     )
+
+
+@dataclass
+class SignSplit:
+    """A conic problem cut down by a sign symmetry, and the map back.
+
+    Row k of ``problem`` is row ``rows[k]`` of the original and column j
+    is column ``cols[j]``; ``sizes`` lists, per original PSD block, the
+    orders of the blocks it split into.
+    """
+
+    problem: ConicProblem
+    rows: np.ndarray
+    cols: np.ndarray
+    sizes: list
+
+
+def split_by_sign(problem, moment_class, block_classes):
+    """Pin the non-invariant moments to 0 and split PSD blocks by class.
+
+    ``moment_class`` gives a class (a bitmask, 0 for invariant) per row
+    of A and ``block_classes`` one per row of each PSD block, as
+    ``relaxation.sign_classes`` computes them.  Entry (i, j) of a block
+    then has class c_i ^ c_j.  The split applies only when b is 0 on
+    every pinned row (class != 0), every nonzero of A has the class of
+    its column (a free column taking the one class of the rows it
+    touches, an orthant column class 0), and c is 0 on every column of
+    class != 0.  The data is then invariant under the flips, so
+    averaging a dual point over them keeps it feasible and keeps b'y:
+    restricting y to 0 at the pinned rows loses nothing.  The pinned
+    rows and all columns of class != 0 go; what is left of each block
+    is block-diagonal over its row classes, and each class becomes its
+    own block, classes in increasing order.
+
+    Returns None when the gate fails.
+    """
+    cone = problem.cone
+    A = scipy.sparse.coo_matrix(problem.A)
+    moment_class = np.asarray(moment_class, dtype=np.int64)
+    col_class = np.zeros(problem.n, dtype=np.int64)
+    free = A.col < cone.f
+    np.maximum.at(col_class, A.col[free], moment_class[A.row[free]])
+    for start, rc in zip(cone.psd_starts, block_classes):
+        col_class[start:start + rc.size**2] = np.bitwise_xor.outer(rc, rc).reshape(-1)
+    pinned = moment_class != 0
+    if (
+        np.any(problem.b[pinned])
+        or np.any(moment_class[A.row] != col_class[A.col])
+        or np.any(col_class[problem.c != 0])
+    ):
+        return None
+    nfl = cone.f + cone.l
+    cols = [np.flatnonzero(col_class[:nfl] == 0)]
+    sizes = []
+    for start, s, rc in zip(cone.psd_starts, cone.s, block_classes):
+        parts = [np.flatnonzero(rc == v) for v in np.unique(rc)]
+        cols.extend((start + np.add.outer(R * s, R)).reshape(-1) for R in parts)
+        sizes.append(tuple(R.size for R in parts))
+    cols = np.concatenate(cols)
+    rows = np.flatnonzero(~pinned)
+    nfree = int(np.count_nonzero(cols < cone.f))
+    reduced = ConicProblem(
+        A=scipy.sparse.csc_matrix(problem.A)[:, cols][rows].tocsr(),
+        b=problem.b[rows],
+        c=problem.c[cols],
+        cone=ConeSpec(f=nfree, l=cone.l, s=tuple(n for p in sizes for n in p)),
+        sense=problem.sense,
+        offset=problem.offset,
+    )
+    return SignSplit(problem=reduced, rows=rows, cols=cols, sizes=sizes)
+
+
+def lift_sign_split(problem, split, inner):
+    """A solution of ``split.problem`` in the coordinates of ``problem``.
+
+    y is 0 at the pinned rows, x is 0 at every dropped column (so each
+    PSD block of X is block-diagonal over its classes) and z = c - A'y;
+    the objectives are unchanged.
+    """
+    x = np.zeros(problem.n)
+    x[split.cols] = inner.x
+    y = np.zeros(problem.m)
+    y[split.rows] = inner.y
+    z = np.asarray(problem.c - problem.A.T @ y).reshape(-1)
+    return replace(inner, x=x, y=y, z=z)
 
 
 @dataclass
@@ -1183,7 +1278,12 @@ def _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=False):
 
 
 def solve_conic(problem, params=None):
-    """Presolve free columns away, solve, and lift back to original y.
+    """Reduce, solve, and lift back to the coordinates of ``problem``.
+
+    Of the three reductions of the module docstring, the sign split is
+    applied by the caller, ``solve_gpm``, before this; here the
+    zero-diagonal facial reduction runs first (solving the reduced
+    problem recursively), then presolve of the free columns.
 
     Returns a ConicSolution in the coordinates of ``problem``: y holds
     all original dual (moment) variables, x all original primal entries

@@ -838,6 +838,129 @@ def _dedup_rows(rows, keep_infeasible):
     return LinearRows(coeffs[keep], const[keep])
 
 
+@dataclass
+class SignClasses:
+    """Parity classes of a relaxation's moments under its sign flips.
+
+    A sign flip negates some variables of one measure.  The flips that
+    leave every monomial of the data unchanged form a group; a monomial
+    of degree vector a has class bit t set when the t-th generator g_t
+    flips it (g_t . a odd), and class 0 means it is invariant.  Each
+    measure's bits sit above the previous measure's, so classes of
+    different measures never collide.
+
+    ``generators`` maps each measure label to its flips, each a tuple of
+    the flipped variable names (empty when the group is trivial).
+    ``moments`` holds the class of every moment variable, ``blocks``
+    that of every row of every block, in ``msdp.blocks`` order.
+    """
+
+    generators: dict
+    moments: np.ndarray
+    blocks: list
+
+
+# classes are int64 bitmasks; generators past this many bits are dropped,
+# which leaves a subgroup, and every classification under it stays valid
+_CLASS_BITS = 62
+
+
+def sign_classes(msdp):
+    """Sign-flip classes of the moments and block rows of a relaxation.
+
+    A measure's group is the GF(2) null space of the exponent parities
+    of every monomial on it in the objective, the support constraints
+    and the moment constraints.  Both sides of each substitution rule
+    are among them, since rules come from support equalities, and a
+    rewrite by rules that no flip changes keeps the class of a monomial.
+    Returns None when every measure's group is trivial.
+    """
+    problem = msdp.problem
+    index = msdp.index
+    parities = {measure: set() for measure in index.measures}
+
+    def note(measure, terms):
+        parities[measure].update(_parity(t) for t in terms)
+
+    exprs = [problem.objective.expr]
+    for con in problem.moment_constraints:
+        exprs.extend((con.lhs, con.rhs))
+    for expr in exprs:
+        for measure, poly in expr.terms_by_label():
+            note(measure, index.exponents[measure].terms(poly))
+    for con in problem.support_constraints:
+        for poly in (con.lhs, con.rhs):
+            note(con.measure, index.exponents[con.measure].terms(poly))
+
+    generators = {}
+    flips = {}
+    shift = 0
+    for measure in index.measures:
+        gens = _flip_generators(parities[measure], len(measure.vars))
+        gens = gens[: max(_CLASS_BITS - shift, 0)]
+        generators[measure.label] = [
+            tuple(v.name for k, v in enumerate(measure.vars) if g >> k & 1) for g in gens
+        ]
+        flips[measure] = (gens, shift)
+        shift += len(gens)
+    if shift == 0:
+        return None
+
+    def class_of(measure, t):
+        gens, offset = flips[measure]
+        p = _parity(t)
+        return sum((bin(g & p).count("1") & 1) << (offset + k) for k, g in enumerate(gens))
+
+    moments = np.zeros(index.n_vars, dtype=np.int64)
+    for (measure, t), k in index.var_of.items():
+        moments[k] = class_of(measure, t)
+    blocks = [
+        np.array(
+            [class_of(block.measure, index.exponents[block.measure].of(mono))
+             for mono in block.basis],
+            dtype=np.int64,
+        )
+        for block in msdp.blocks
+    ]
+    return SignClasses(generators, moments, blocks)
+
+
+def _parity(t):
+    """Bitmask of the odd exponents of an exponent tuple."""
+    return sum((e & 1) << k for k, e in enumerate(t))
+
+
+def _flip_generators(parities, nvars):
+    """Basis of the flips g (bitmasks) with g . p even for every parity p.
+
+    Row-reduces the parities over GF(2), keeping the rows reduced at
+    every pivot, then sets one non-pivot variable per generator; the
+    basis depends only on the set of parities.
+    """
+    rows = {}  # pivot bit -> row, no row holding another row's pivot
+    for p in sorted(parities):
+        for bit, row in rows.items():
+            if p >> bit & 1:
+                p ^= row
+        if not p:
+            continue
+        pivot = p.bit_length() - 1
+        for bit, row in rows.items():
+            if row >> pivot & 1:
+                rows[bit] = row ^ p
+        rows[pivot] = p
+    gens = []
+    for k in range(nvars):
+        if k in rows:
+            continue
+        g = 1 << k
+        for bit, row in rows.items():
+            if row >> k & 1:
+                g |= 1 << bit
+        gens.append(g)
+    return gens
+
+
 def format_block_sizes(sizes):
     """Human-readable block size list, e.g. '35x35+8x(20x20)'."""
     if not sizes:

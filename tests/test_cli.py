@@ -87,7 +87,7 @@ def test_solve_json_report(tmp_path, capsys):
     (measure,) = report["measures"]
     assert set(measure) == {
         "label", "variables", "moments", "points", "weights", "ranks",
-        "flat_truncation",
+        "flat_truncation", "symmetry",
     }
     assert measure["points"][0][0] == pytest.approx(0.5, abs=1e-3)
     assert measure["ranks"] == [1, 1] and measure["flat_truncation"] == 1
@@ -113,6 +113,29 @@ def test_solve_reports_ranks_and_flat_truncation(
         f"Measure 1: ranks by degree = {' '.join(map(str, ranks))}, "
         f"flat truncation = {shown}"
     ) in text
+
+
+@pytest.mark.parametrize(
+    "name,order,symmetry,line",
+    [
+        (
+            "camel.gpm", 3,
+            {"generators": [["x1", "x2"]], "pinned": 12, "blocks": [4, 6]},
+            "Measure 1: sign flips = x1,x2, pinned moments = 12, blocks = 4x4+6x6",
+        ),
+        ("quadratic3.gpm", 2, None, "Measure 1: sign symmetry = none"),
+    ],
+)
+def test_solve_reports_the_sign_split(tmp_path, capsys, name, order, symmetry, line):
+    # camel is invariant under (x1, x2) -> -(x1, x2): its 10x10 moment
+    # matrix reaches the solver as the even (4) and odd (6) blocks;
+    # quadratic3 has linear terms and no flip
+    out = tmp_path / "report.json"
+    assert main(["solve", model_path(name), "--order", str(order), "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    (measure,) = json.loads(out.read_text())["measures"]
+    assert measure["symmetry"] == symmetry
+    assert line in text.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,9 @@
 """End-to-end solve outcomes of the paper's examples (GloptiPoly 3, 2007).
 
 Each case solves a model file through solve_gpm and checks the status,
-the objective and, when certified, that every extracted atom is one of
-the paper's minimizers.  The number of atoms is not checked: on a face
+the objective, where given the status of the top-level interior-point
+solve, and, when certified, that every extracted atom is one of the
+paper's minimizers.  The number of atoms is not checked: on a face
 with several minimizers a valid certificate may expose only some of
 them.  quadratic3 at order 4 certifies both paper atoms on most
 extraction seeds and ends with status 0, uncertified, on the few others
@@ -21,22 +22,28 @@ CAMEL_ATOMS = [(0.0898, -0.7127), (-0.0898, 0.7127)]
 QUADRATIC3_ATOMS = [(2.0, 0.0, 0.0), (0.5, 0.0, 3.0)]
 
 CASES = [
-    ("camel.gpm", 3, 1, -1.0316, CAMEL_ATOMS),
-    ("rational.gpm", 1, 1, -1.0 / 3.0, [(0.5,)]),
-    ("quadratic3.gpm", 1, 0, -6.0, None),
-    ("quadratic3.gpm", 2, 0, -5.6923, None),
-    ("quadratic3.gpm", 3, 0, -4.0685, None),
-    ("quadratic3.gpm", 4, 1, -4.0, QUADRATIC3_ATOMS),
+    ("camel.gpm", 3, 1, -1.0316, CAMEL_ATOMS, "solved"),
+    ("rational.gpm", 1, 1, -1.0 / 3.0, [(0.5,)], "solved"),
+    ("quadratic3.gpm", 1, 0, -6.0, None, "solved"),
+    ("quadratic3.gpm", 2, 0, -5.6923, None, None),
+    ("quadratic3.gpm", 3, 0, -4.0685, None, None),
+    ("quadratic3.gpm", 4, 1, -4.0, QUADRATIC3_ATOMS, None),
+    # max-cut of the 9-node antiweb: 12 under the substituted encoding,
+    # and the order-2 bound 12.4141 under the plain one
+    ("maxcut_sub.gpm", 3, 0, 12.0, None, "solved"),
+    ("maxcut_nosub.gpm", 2, 0, 12.4141, None, None),
 ]
 
 
-@pytest.mark.parametrize("name,order,status,objective,atoms", CASES)
-def test_paper_outcome(name, order, status, objective, atoms):
+@pytest.mark.parametrize("name,order,status,objective,atoms,ipm", CASES)
+def test_paper_outcome(name, order, status, objective, atoms, ipm):
     with open(model_path(name)) as fh:
         problem = parse_model(fh.read(), name)
     sol = solve_gpm(problem, order=order)
     assert sol.status == status
     assert sol.objective == pytest.approx(objective, abs=1e-4)
+    if ipm is not None:
+        assert sol.conic.status == ipm, sol.conic.message
     if atoms is None:
         return
     points, _ = sol.support(1)

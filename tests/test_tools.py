@@ -30,7 +30,7 @@ def test_solve_digest_is_the_same_on_a_second_run(conic_digest):
     assert conic_module.solve is solve  # the recording wrapper is removed
     assert re.fullmatch(
         f"camel-3 seed 0 status 1 top {HEX} ipm x2 {HEX} "
-        f"calls solved/23,solved/14 outcome {HEX}",
+        f"calls solved/18,solved/12 outcome {HEX}",
         first,
     )
     assert conic_digest.solve_digest("camel", 3, 0) == first

@@ -16,7 +16,7 @@ and prints one line per run: the SHA-256 of the first (top-level)
 interior-point call on its own, the number of calls and the SHA-256 of
 all of them (status, iterations, message, history, x, y, z, in call
 order, recorded by wrapping gpmkit.conic.solve), the status and
-iteration count of each call (`calls solved/23,solved/14`, in call
+iteration count of each call (`calls solved/18,solved/12`, in call
 order), and the SHA-256 of the outcome (status, objective and the atoms
 of every measure).  Diffing that output shows a solver or certificate
 refactor leaves every iterate and result bit-identical, and where a
