@@ -45,6 +45,7 @@ import numpy as np
 import scipy.linalg
 import scipy.optimize
 import scipy.sparse
+import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dpotrf, dsyevr, dsyevr_lwork, dtrtrs
 
@@ -225,13 +226,20 @@ def presolve_eliminate_equalities(problem):
 
     Stage 1 resolves singleton rows (pins) and homogeneous-or-not
     doubleton rows (affine aliases) by substitution, which covers the
-    bulk of substitution-style equalities cheaply.  Stage 2 applies a
+    bulk of substitution-style equalities cheaply.  It works in rounds
+    over the sparse rows: each round resolves every pending row through
+    the current map y = shift + diag(scale) y_root at once, pins every
+    singleton row and merges every doubleton row by connected
+    components, each rooted at its smallest moment index.  Rows that
+    close a cycle return to the next round, where they vanish, are
+    checked for consistency or become pins.  Stage 2 applies a
     rank-revealing SVD to whatever dense coupling remains.
 
     Substitution chains can lose precision through cancellation, so the
     result is verified against every equality row; on failure the rows
     are resolved in one SVD pass instead.
     """
+    problem = replace(problem, A=scipy.sparse.csc_matrix(problem.A))
     res = _presolve_pass(problem, substitute=True)
     if res.status != "ok" or problem.cone.f == 0:
         return res
@@ -253,104 +261,145 @@ def _presolve_residual(problem, res):
     return max(r0, r1)
 
 
+def _infeasible(residual, nf):
+    return PresolveResult(
+        problem=None, y0=None, N=None, status="infeasible",
+        residual=residual, n_eliminated=nf,
+    )
+
+
+def _substitute(rows, rhs, substitute):
+    """Stage 1 of presolve: resolve pins and aliases in rounds.
+
+    ``rows`` holds one equality row rows[k] . y = rhs[k] per CSR row.
+    Returns the map y_i = shift_i + scale_i * y_root_of[i], the pinned
+    roots and their values, the worst violation among rows that resolve
+    to constants, and the rows left over, resolved onto the unpinned
+    roots as a CSR matrix R and constants: R y_roots + const = 0.  With
+    ``substitute`` false the rows are resolved once, all left over.
+    """
+    m = rows.shape[1]
+    root_of = np.arange(m)
+    scale = np.ones(m)
+    shift = np.zeros(m)
+    pinned = np.zeros(m, dtype=bool)
+    pin = np.zeros(m)
+    pending = np.arange(rows.shape[0])
+    worst = 0.0
+    while True:
+        held = pinned[root_of]
+        free = np.flatnonzero(~held)
+        sub = rows[pending]
+        R = sub @ scipy.sparse.csr_matrix(
+            (scale[free], (free, root_of[free])), shape=(m, m)
+        )
+        R.eliminate_zeros()
+        R.sort_indices()
+        const = sub @ (shift + scale * np.where(held, pin[root_of], 0.0)) - rhs[pending]
+        count = np.diff(R.indptr)
+        gone = np.abs(const[count == 0])
+        worst = max(worst, float(gone[gone > _PRESOLVE_TOL].max(initial=0.0)))
+        if not substitute:
+            break
+        done = count == 0
+
+        # singleton rows c y_r + const = 0 pin y_r; the first row per
+        # root wins and the others come back as constants
+        single = np.flatnonzero(count == 1)
+        at = R.indptr[single]
+        new_pins, first = np.unique(R.indices[at], return_index=True)
+        single, at = single[first], at[first]
+        pinned[new_pins] = True
+        pin[new_pins] = -const[single] / R.data[at]
+        done[single] = True
+
+        # doubleton rows on roots i < j not pinned this round are edges
+        pair = np.flatnonzero(count == 2)
+        at = R.indptr[pair]
+        i, j = R.indices[at].astype(np.int64), R.indices[at + 1].astype(np.int64)
+        ok = ~(pinned[i] | pinned[j])
+        pair, at, i, j = pair[ok], at[ok], i[ok], j[ok]
+        _, first = np.unique(i * m + j, return_index=True)
+        pair, at, i, j = pair[first], at[first], i[first], j[first]
+        merged = _alias_roots(m, i, j, R.data[at], R.data[at + 1], const[pair])
+        if merged is not None:
+            tree, top, a, b = merged
+            done[pair[tree]] = True
+            moved = np.flatnonzero(top[root_of] != root_of)
+            r = root_of[moved]
+            shift[moved] += scale[moved] * b[r]
+            scale[moved] *= a[r]
+            root_of[moved] = top[r]
+
+        if not (new_pins.size or merged is not None):
+            break
+        pending = pending[~done]
+    left = count > 0
+    return root_of, scale, shift, pinned, pin, worst, R[left], const[left]
+
+
+def _alias_roots(m, i, j, ci, cj, const):
+    """Merge roots along the doubleton rows ci y_i + cj y_j + const = 0.
+
+    The rows, one per pair i < j, are the edges of a graph on the roots.
+    Each connected component is rooted at its smallest index and spanned
+    by a breadth-first tree.  Returns None without edges, else the mask
+    of rows used as tree edges, the component root ``top`` of every node
+    (itself outside the graph), and a, b with y_v = b_v + a_v * y_top[v].
+    """
+    if i.size == 0:
+        return None
+    _, label = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix((np.ones(i.size), (i, j)), shape=(m, m)), directed=False
+    )
+    _, tops = np.unique(label, return_index=True)
+    tops = tops[np.bincount(label)[label[tops]] > 1]
+    # a virtual node m links the component roots, so one traversal
+    # spans every component
+    graph = scipy.sparse.csr_matrix((
+        np.ones(i.size + tops.size),
+        (np.concatenate([i, np.full(tops.size, m)]), np.concatenate([j, tops])),
+    ), shape=(m + 1, m + 1))
+    order, pred = scipy.sparse.csgraph.breadth_first_order(graph, m, directed=False)
+    nodes = order[1:].astype(np.int64)
+    child = nodes[pred[nodes] != m]
+    parent = np.arange(m)
+    parent[child] = pred[child]
+    # the edge row of each tree node: y_v = -const/c_v - (c_p/c_v) y_p
+    lo, hi = np.minimum(child, parent[child]), np.maximum(child, parent[child])
+    edge = np.searchsorted(i * m + j, lo * m + hi)
+    tree = np.zeros(i.size, dtype=bool)
+    tree[edge] = True
+    is_hi = child == hi
+    c_v = np.where(is_hi, cj[edge], ci[edge])
+    c_p = np.where(is_hi, ci[edge], cj[edge])
+    a = np.ones(m)
+    b = np.zeros(m)
+    a[child] = -c_p / c_v
+    b[child] = -const[edge] / c_v
+    # compose the steps up to the component root by pointer jumping
+    top = parent.copy()
+    while np.any(top[top] != top):
+        b = b + a * b[top]
+        a = a * a[top]
+        top = top[top]
+    return tree, top, a, b
+
+
 def _presolve_pass(problem, substitute):
     m = problem.m
     nf = problem.cone.f
     A = scipy.sparse.csc_matrix(problem.A)
-    rows = []
-    for col in range(nf):
-        start, end = A.indptr[col], A.indptr[col + 1]
-        coeffs = dict(zip(A.indices[start:end], A.data[start:end]))
-        rows.append((coeffs, float(problem.c[col])))
-
-    # affine resolution state: y_i = shift_i + scale_i * y_root(i)
-    parent = list(range(m))
-    scale = np.ones(m)
-    shift = np.zeros(m)
-    pinned = {}
-
-    def find(i):
-        if parent[i] == i:
-            return i, 1.0, 0.0
-        root, a, b = find(parent[i])
-        a2 = scale[i] * a
-        b2 = shift[i] + scale[i] * b
-        parent[i], scale[i], shift[i] = root, a2, b2
-        return root, a2, b2
-
-    def resolve_row(coeffs, rhs):
-        out = {}
-        const = -rhs
-        for i, c in coeffs.items():
-            root, a, b = find(i)
-            const += c * b
-            if root in pinned:
-                const += c * a * pinned[root]
-            else:
-                out[root] = out.get(root, 0.0) + c * a
-        return {i: c for i, c in out.items() if c != 0.0}, const
-
-    pending = rows
-    leftovers = []
-    infeasible_residual = 0.0
-    rounds = m + len(rows) + 1 if substitute else 0
-    for _ in range(rounds):
-        next_pending = []
-        changed = False
-        for coeffs, rhs in pending:
-            red, const = resolve_row(coeffs, rhs)
-            # row now reads: sum red[i] * y_i + const = 0
-            if not red:
-                if abs(const) > _PRESOLVE_TOL:
-                    infeasible_residual = max(infeasible_residual, abs(const))
-                continue
-            if len(red) == 1:
-                (i, c), = red.items()
-                pinned[i] = -const / c
-                changed = True
-                continue
-            if len(red) == 2:
-                (i, ci), (j, cj) = sorted(red.items())
-                # alias the higher index: y_j = -const/cj - (ci/cj) y_i
-                parent[j] = i
-                scale[j] = -ci / cj
-                shift[j] = -const / cj
-                changed = True
-                continue
-            next_pending.append((coeffs, rhs))
-        pending = next_pending
-        if not changed:
-            break
-    if infeasible_residual > _PRESOLVE_TOL:
-        return PresolveResult(
-            problem=None, y0=None, N=None, status="infeasible",
-            residual=infeasible_residual, n_eliminated=nf,
-        )
-    for coeffs, rhs in pending:
-        red, const = resolve_row(coeffs, rhs)
-        if not red:
-            if abs(const) > _PRESOLVE_TOL:
-                return PresolveResult(
-                    problem=None, y0=None, N=None, status="infeasible",
-                    residual=abs(const), n_eliminated=nf,
-                )
-            continue
-        leftovers.append((red, const))
-
-    found = [find(i) for i in range(m)]
-    root_of = np.array([f[0] for f in found], dtype=np.intp)
-    a = np.array([f[1] for f in found], dtype=float)
-    bshift = np.array([f[2] for f in found], dtype=float)
-    is_pinned = np.zeros(m, dtype=bool)
-    is_pinned[list(pinned)] = True
+    root_of, a, bshift, is_pinned, pin, worst, R, const = _substitute(
+        A[:, :nf].T.tocsr(), np.asarray(problem.c[:nf], dtype=float), substitute
+    )
+    if worst > _PRESOLVE_TOL:
+        return _infeasible(worst, nf)
     roots = np.flatnonzero((root_of == np.arange(m)) & ~is_pinned)
 
-    if leftovers:
-        E = np.zeros((len(leftovers), len(roots)))
-        e = np.zeros(len(leftovers))
-        for k, (red, const) in enumerate(leftovers):
-            E[k, np.searchsorted(roots, list(red))] = list(red.values())
-            e[k] = -const
+    if R.shape[0]:
+        E = R[:, roots].toarray()
+        e = -const
         yp, *_ = np.linalg.lstsq(E, e, rcond=None)
         # refine: one lstsq pass on an ill-conditioned consistent system
         # leaves a residual near eps*cond(E), which pollutes recovered moments
@@ -358,10 +407,7 @@ def _presolve_pass(problem, substitute):
             yp = yp + np.linalg.lstsq(E, e - E @ yp, rcond=None)[0]
         residual = float(np.linalg.norm(E @ yp - e))
         if residual > _PRESOLVE_TOL * (1.0 + np.linalg.norm(e)):
-            return PresolveResult(
-                problem=None, y0=None, N=None, status="infeasible",
-                residual=residual, n_eliminated=nf,
-            )
+            return _infeasible(residual, nf)
         _, svals, Vt = np.linalg.svd(E)
         rank = int(np.sum(svals > max(E.shape) * np.finfo(float).eps * (svals[0] if svals.size else 0.0)))
         N2 = scipy.sparse.csr_matrix(Vt[rank:].T)
@@ -371,9 +417,7 @@ def _presolve_pass(problem, substitute):
 
     # y_i = bshift_i + a_i * y_root(i), the root pinned or y_root = yp + N2 t:
     # y0 = bshift + a * (pin or yp), N = diag(a) N2[root] on the free rows
-    base = np.zeros(m)
-    for root, value in pinned.items():
-        base[root] = value
+    base = np.where(is_pinned, pin, 0.0)
     free = np.flatnonzero(~is_pinned[root_of])
     k = np.searchsorted(roots, root_of[free])
     base[root_of[free]] = yp[k]
@@ -383,10 +427,9 @@ def _presolve_pass(problem, substitute):
     N.eliminate_zeros()
     N.sort_indices()
 
-    keep = np.arange(nf, problem.n)
-    A_rest = scipy.sparse.csc_matrix(problem.A)[:, keep].tocsr()
+    A_rest = A[:, nf:].tocsr()
     A_red = (N.T @ A_rest).tocsr()
-    c_red = np.asarray(problem.c[keep] - A_rest.T @ y0)
+    c_red = np.asarray(problem.c[nf:] - A_rest.T @ y0)
     b_red = np.asarray(N.T @ problem.b)
     by0 = float(problem.b @ y0)
     offset = problem.offset + (by0 if problem.sense == "max" else -by0)

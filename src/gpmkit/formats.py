@@ -79,14 +79,14 @@ def _sdpa_lines(cone, matno, cols, vals):
     """Entry lines of the upper-triangle nonzeros among the given ones."""
     blkno, i, j = _block_coordinates(cone, cols)
     keep = (i <= j) & (vals != 0.0)
-    rows = zip(
-        matno[keep].tolist(),
-        blkno[keep].tolist(),
-        (i[keep] + 1).tolist(),
-        (j[keep] + 1).tolist(),
-        vals[keep].tolist(),
-    )
-    return "".join(f"{k} {blk} {r} {c} {v:.17g}\n" for k, blk, r, c, v in rows)
+    n = int(keep.sum())
+    fields = [None] * (5 * n)
+    fields[0::5] = matno[keep].tolist()
+    fields[1::5] = blkno[keep].tolist()
+    fields[2::5] = (i[keep] + 1).tolist()
+    fields[3::5] = (j[keep] + 1).tolist()
+    fields[4::5] = vals[keep].tolist()
+    return ("%d %d %d %d %.17g\n" * n) % tuple(fields)
 
 
 def _block_coordinates(cone, cols):
@@ -223,9 +223,10 @@ def export_json(problem, path):
         "offset": float(problem.offset),
         "sense": problem.sense,
     }
+    # json.dumps runs the C encoder; json.dump streams through the
+    # pure-Python one
     with open(path, "w") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(json.dumps(payload) + "\n")
 
 
 def import_json(path):

@@ -346,7 +346,11 @@ class MomentIndex:
 
     Raw monomials of degree up to 2r are reduced to combinations of
     representative monomials; representatives either carry a moment
-    variable or are bound to an affine form of other variables.
+    variable or are bound to an affine form of other variables.  The
+    representatives are the tuples no rule's left side divides, found
+    by one array test, plus those a degree-raising rule leaves fixed at
+    the degree cap; other tuples are reduced only when a form needs
+    them.
 
     ``raw_exponents``, ``representatives`` and the keys of ``bound`` and
     ``var_of`` are exponent tuples (``exponents[measure]`` converts).
@@ -380,9 +384,7 @@ class MomentIndex:
             self.rewriters[measure] = rw
             tuples = exponent_tuples(len(exponents.vars), 2 * order)
             self.raw_exponents[measure] = tuples
-            self.representatives[measure] = [
-                t for t in tuples if _is_fixpoint(rw.reduce(t), t)
-            ]
+            self.representatives[measure] = _representatives(rw, tuples)
 
     def finalize_variables(self):
         """Number every unbound representative; call after bindings."""
@@ -476,6 +478,27 @@ class MomentIndex:
 
 def _is_fixpoint(terms, t):
     return len(terms) == 1 and terms.get(t) == 1.0
+
+
+def _representatives(rw, tuples):
+    """The tuples that ``rw`` reduces to themselves, in order.
+
+    A tuple no left side divides is its own normal form.  One that a
+    rule divides rewrites to other tuples unless a rewrite leaves the
+    degree cap, which takes a right side of higher degree than its left
+    side; only for such rule sets is ``reduce`` called on it.
+    """
+    if not rw.rules:
+        return list(tuples)
+    exps = np.array(tuples, dtype=np.int64).reshape(len(tuples), -1)
+    divisible = np.zeros(len(tuples), dtype=bool)
+    for lhs, _ in rw.rules:
+        divisible |= (exps >= np.array(lhs, dtype=np.int64)).all(axis=1)
+    growing = any(sum(t) > sum(lhs) for lhs, rhs in rw.rules for t in rhs)
+    return [
+        t for t, d in zip(tuples, divisible.tolist())
+        if not d or (growing and _is_fixpoint(rw.reduce(t), t))
+    ]
 
 
 @dataclass

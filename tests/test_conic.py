@@ -377,6 +377,140 @@ def test_presolve_consistent_duplicates():
     assert res.y0[0] == pytest.approx(2.0)
 
 
+def equality_problem(m, rows):
+    """Equality rows {i: coefficient}, rhs on m moments, plus two orthant columns."""
+    rng = np.random.default_rng(len(rows))
+    Af = np.zeros((m, len(rows)))
+    for k, (coeffs, _) in enumerate(rows):
+        for i, c in coeffs.items():
+            Af[i, k] = c
+    A = np.hstack([Af, rng.normal(size=(m, 2))])
+    c = np.concatenate([[rhs for _, rhs in rows], rng.uniform(1.0, 2.0, 2)])
+    return ConicProblem(A=A, b=rng.normal(size=m), c=c,
+                        cone=ConeSpec(f=len(rows), l=2))
+
+
+def substitution_pass(problem):
+    """Stage-1 pass, checked against the SVD pass on the same rows.
+
+    Both must parameterize the same set {y0 + N t} and give the same
+    reduced objective and slacks on it.
+    """
+    res = conic_module._presolve_pass(problem, substitute=True)
+    ref = conic_module._presolve_pass(problem, substitute=False)
+    assert res.status == ref.status == "ok"
+    N, Nr = res.N.toarray(), ref.N.toarray()
+    assert N.shape == Nr.shape
+    proj = Nr @ np.linalg.lstsq(Nr, N, rcond=None)[0] if Nr.shape[1] else 0.0 * N
+    assert np.abs(proj - N).max(initial=0.0) <= 1e-9
+    if N.shape[1]:
+        assert np.linalg.matrix_rank(N) == N.shape[1]
+    d = res.y0 - ref.y0
+    if Nr.shape[1]:
+        d = d - Nr @ np.linalg.lstsq(Nr, d, rcond=None)[0]
+    assert np.abs(d).max() <= 1e-9
+    nf = problem.cone.f
+    A_rest = problem.A[:, nf:]
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        t = rng.normal(size=N.shape[1])
+        y = res.y0 + N @ t
+        tr = np.linalg.lstsq(Nr, y - ref.y0, rcond=None)[0] if Nr.shape[1] else t[:0]
+        for out, tt in ((res, t), (ref, tr)):
+            assert out.problem.objective_value(tt) == pytest.approx(
+                problem.objective_value(y), abs=1e-9
+            )
+            slack = out.problem.c - out.problem.A.T @ tt
+            assert np.abs(slack - (problem.c[nf:] - A_rest.T @ y)).max() <= 1e-9
+    return res
+
+
+def test_presolve_drops_a_consistent_cycle():
+    # y0 - y1 = 1, y1 - y2 = 2 and y2 - y0 = -3 close a cycle whose
+    # third row adds nothing
+    problem = equality_problem(4, [
+        ({0: 1.0, 1: -1.0}, 1.0),
+        ({1: 1.0, 2: -1.0}, 2.0),
+        ({2: 1.0, 0: -1.0}, -3.0),
+    ])
+    res = substitution_pass(problem)
+    assert res.N.shape == (4, 2)
+
+
+def test_presolve_reports_an_inconsistent_cycle():
+    # the three rows sum to 0 = 3
+    problem = equality_problem(3, [
+        ({0: 1.0, 1: -1.0}, 1.0),
+        ({1: 1.0, 2: -1.0}, 1.0),
+        ({2: 1.0, 0: -1.0}, 1.0),
+    ])
+    res = conic_module._presolve_pass(problem, substitute=True)
+    assert res.status == "infeasible"
+    assert res.residual == pytest.approx(3.0)
+    assert conic_module._presolve_pass(problem, substitute=False).status == "infeasible"
+
+
+def test_presolve_pins_a_cycle_whose_scales_do_not_multiply_to_one():
+    # y0 = 2 y1, y1 = y2 and y2 = y0 + 1 leave y0 = -2, y1 = y2 = -1
+    problem = equality_problem(4, [
+        ({0: 1.0, 1: -2.0}, 0.0),
+        ({1: 1.0, 2: -1.0}, 0.0),
+        ({2: 1.0, 0: -1.0}, 1.0),
+    ])
+    res = substitution_pass(problem)
+    assert res.y0[:3] == pytest.approx([-2.0, -1.0, -1.0])
+    assert res.N.shape == (4, 1)
+    assert res.N[:3].nnz == 0
+
+
+@pytest.mark.parametrize("second", [3.375, 4.375])
+def test_presolve_checks_two_pins_in_one_alias_component(second):
+    # the doubletons alias y1 and y2 onto y0; only then do both 3-entry
+    # rows resolve to singletons on y0, the second a check of the first
+    problem = equality_problem(4, [
+        ({0: 1.0, 1: -1.0}, 0.0),
+        ({1: 2.0, 2: -1.0}, 0.0),
+        ({0: 1.0, 1: 1.0, 2: 1.0}, 3.0),
+        ({0: 2.0, 1: 0.5, 2: 1.0}, second),
+    ])
+    if second == 3.375:
+        res = substitution_pass(problem)
+        assert res.y0[:3] == pytest.approx([0.75, 0.75, 1.5])
+        assert res.N.shape == (4, 1)
+    else:
+        res = conic_module._presolve_pass(problem, substitute=True)
+        assert res.status == "infeasible"
+        assert res.residual == pytest.approx(1.0)
+        assert conic_module._presolve_pass(problem, substitute=False).status == "infeasible"
+
+
+def test_presolve_pins_and_aliases_in_one_round():
+    # y3 = 2 pins while y0 - y1 and y1 - 3 y2 alias in the same round;
+    # y2 - y3 then pins the whole chain
+    problem = equality_problem(5, [
+        ({3: 1.0}, 2.0),
+        ({0: 1.0, 1: -1.0}, 0.0),
+        ({1: 1.0, 2: -3.0}, 1.0),
+        ({2: 1.0, 3: -1.0}, 0.0),
+    ])
+    res = substitution_pass(problem)
+    assert res.y0[:4] == pytest.approx([7.0, 7.0, 2.0, 2.0])
+    assert res.N.shape == (5, 1)
+
+
+def test_presolve_aliases_a_row_that_a_pin_makes_a_doubleton():
+    # y0 = 2 turns y0 + y1 + 2 y2 = 5 into the alias y1 = 3 - 2 y2
+    problem = equality_problem(4, [
+        ({0: 1.0, 1: 1.0, 2: 2.0}, 5.0),
+        ({0: 1.0}, 2.0),
+    ])
+    res = substitution_pass(problem)
+    assert res.y0[0] == pytest.approx(2.0)
+    assert res.N.shape == (4, 2)
+    # y1 is the root of the merged pair and y2 its alias
+    assert res.N[2].nnz == res.N[1].nnz == 1
+
+
 def test_presolve_then_solve_matches_direct():
     # eliminate one equality and check the lifted solve agrees with
     # the closed form: min x2 + x3 on x2 + x3 = 1 shifted by the pin

@@ -118,6 +118,51 @@ def test_sdpa_entries_do_not_depend_on_the_write_chunk(tmp_path, monkeypatch, ch
     assert path.read_text().splitlines()[5:] == sdpa_entry_lines(problem)
 
 
+def tiny_problem():
+    """Orthant of one and a 2x2 block; A stores an explicit zero at X11."""
+    A = scipy.sparse.csr_matrix((
+        [0.1, -1.5, 2.0, 2.0, 0.0],
+        [0, 1, 2, 3, 4],
+        [0, 2, 5],
+    ), shape=(2, 5))
+    return ConicProblem(
+        A=A, b=np.array([1.0, -0.1]), c=np.array([0.0, 1.0, 0.5, 0.5, 3.0]),
+        cone=ConeSpec(l=1, s=(2,)),
+    )
+
+
+def test_sdpa_writes_the_exact_bytes(tmp_path):
+    # zeros of C and the explicit zero of A are skipped, as is the lower
+    # triangle; 0.1 prints with 17 significant digits
+    path = tmp_path / "p.dat-s"
+    export_sdpa(tiny_problem(), path)
+    assert path.read_text() == (
+        '"generated by gpmkit\n'
+        "2\n"
+        "2\n"
+        "-1 2\n"
+        "-1 0.10000000000000001\n"
+        "0 2 1 1 -1\n"
+        "0 2 1 2 -0.5\n"
+        "0 2 2 2 -3\n"
+        "1 1 1 1 -0.10000000000000001\n"
+        "1 2 1 1 1.5\n"
+        "2 2 1 2 -2\n"
+    )
+
+
+def test_json_writes_the_exact_bytes(tmp_path):
+    path = tmp_path / "p.json"
+    export_json(tiny_problem(), path)
+    assert path.read_text() == (
+        '{"m": 2, "cone": {"f": 0, "l": 1, "s": [2]}, '
+        '"A": {"rows": [0, 0, 1, 1, 1], "cols": [0, 1, 2, 3, 4], '
+        '"vals": [0.1, -1.5, 2.0, 2.0, 0.0]}, '
+        '"b": [1.0, -0.1], "c": [0.0, 1.0, 0.5, 0.5, 3.0], '
+        '"offset": 0.0, "sense": "min"}\n'
+    )
+
+
 def test_sdpa_cannot_carry_sense_or_offset(tmp_path):
     problem = sample_problem(sense="max", offset=3.5)
     path = tmp_path / "p.dat-s"

@@ -11,6 +11,7 @@ from gpmkit import (
     SolverParams,
     assemble,
     default_order,
+    extract_substitution_rules,
     format_block_sizes,
     minimize,
     mmat_values,
@@ -20,8 +21,9 @@ from gpmkit import (
     parse_model,
     solve_gpm,
 )
+from gpmkit.dsl import build, parse_source
 from gpmkit.polynomials import Monomial, Polynomial, as_varref, grlex_key
-from gpmkit.relaxation import AssemblyError
+from gpmkit.relaxation import AssemblyError, MomentIndex, _is_fixpoint
 
 from conftest import (
     camel_problem,
@@ -232,6 +234,60 @@ def test_swapped_rule_pair_keeps_one():
     r = assemble(problem, 2).report
     assert r.n_support_substitutions == 2
     assert r.n_lin_eq == 0
+
+
+def _rule_set_problems():
+    ctx = ModelContext()
+    x, y = ctx.var("x"), ctx.var("y")
+    yield "polynomial right side", GPMProblem(minimize(mom(x)), [y ** 2 == x * y + 1])
+    ctx = ModelContext()
+    x = ctx.vars("x", 2)
+    yield "swapped pair", GPMProblem(
+        minimize(mom(x[0])), [x[0] ** 2 == x[1] ** 2, x[1] ** 2 == x[0] ** 2]
+    )
+    ctx = ModelContext()
+    x = ctx.var("x")
+    yield "growing rule", GPMProblem(minimize(mom(x)), [x ** 2 == x ** 3])
+    # x^2 -> y^3 is kept and raises the degree: at order 2, x^2 y^2 and
+    # x^4 stay representatives because their rewrites leave the cap
+    ctx = ModelContext()
+    x, y = ctx.var("x"), ctx.var("y")
+    yield "rule past the degree cap", GPMProblem(minimize(mom(x)), [x ** 2 == y ** 3])
+
+
+def _representative_cases():
+    for name in ("camel", "rational", "quadratic3", "maxcut_sub", "maxcut_nosub"):
+        with open(model_path(f"{name}.gpm")) as fh:
+            built = build(parse_source(fh.read(), filename=name))
+        orders = {built.order or default_order(built.problem), 4}
+        if name.startswith("maxcut"):
+            orders |= {2, 3}
+        for order in sorted(orders):
+            yield pytest.param(built.problem, order, id=f"{name}-{order}")
+    for label, problem in _rule_set_problems():
+        for order in (2, 3):
+            yield pytest.param(problem, order, id=f"{label}-{order}")
+
+
+@pytest.mark.parametrize("problem,order", _representative_cases())
+def test_representatives_match_reducing_every_tuple(problem, order):
+    # the divisibility screen must keep exactly the tuples whose normal
+    # form is the tuple itself
+    rules = extract_substitution_rules(problem, order).rules
+    index = MomentIndex(problem.measures, order, rules)
+    for measure in index.measures:
+        rw = index.rewriters[measure]
+        tuples = index.raw_exponents[measure]
+        reference = [t for t in tuples if _is_fixpoint(rw.reduce(t), t)]
+        assert index.representatives[measure] == reference
+
+
+def test_a_rule_past_the_degree_cap_keeps_its_left_side_multiple():
+    _, problem = list(_rule_set_problems())[-1]
+    index = MomentIndex(problem.measures, 2, extract_substitution_rules(problem, 2).rules)
+    reps = index.representatives[problem.measures[0]]
+    assert (2, 2) in reps and (4, 0) in reps
+    assert (2, 0) not in reps and (2, 1) not in reps
 
 
 def test_moment_substitution_binds_monomial():
