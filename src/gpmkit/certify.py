@@ -382,9 +382,8 @@ def solve_gpm(problem, order=None, params=None, seed=0):
         y, cert = _recenter(msdp, conic, sol, y, objective, cert, params, seed)
     moments = {}
     for measure in msdp.problem.measures:
-        values = {}
-        for mono in msdp.index.raw[measure]:
-            values[mono] = msdp.index.form_of_monomial(measure, mono).value(y)
+        rows = msdp.index.rows(measure, msdp.index.raw_exponents[measure])
+        values = dict(zip(msdp.index.raw[measure], (rows.coeffs @ y + rows.const).tolist()))
         measure.moments = values
         moments[measure.label] = values
     status = 1 if cert.certified else 0

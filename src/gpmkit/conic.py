@@ -49,8 +49,6 @@ import scipy.sparse.csgraph
 import scipy.sparse.linalg
 from scipy.linalg.lapack import dpotrf, dsyevr, dsyevr_lwork, dtrtrs
 
-from .relaxation import form_rows
-
 
 _log = logging.getLogger(__name__)
 
@@ -182,10 +180,9 @@ def to_conic(msdp):
     columns = [eq.coeffs, -ineq.coeffs]
     cvals = [-eq.const, ineq.const]
     for block in msdp.blocks:
-        forms = form_rows(block.forms, m)
         slots = block.slot_matrix().reshape(-1)
-        columns.append(-forms.coeffs[slots])
-        cvals.append(forms.const[slots])
+        columns.append(-block.forms.coeffs[slots])
+        cvals.append(block.forms.const[slots])
     A = scipy.sparse.vstack(columns, format="csr").T.tocsr()
 
     obj = np.zeros(m)

@@ -9,8 +9,8 @@ sparse structure; coefficients are floats.
 mix variables of any measure and key a monomial by its variables.  The
 relaxation works on the monomials of one measure at a time and writes
 them as exponent tuples over that measure's variable list;
-``ExponentMap`` converts between the two and ``exponent_tuples`` lists
-the tuples in grlex order.
+``ExponentMap`` converts between the two, and ``exponent_array`` and
+``exponent_tuples`` list the tuples in grlex order.
 
 Monomials are ordered by graded lexicographic order: lower total degree
 first, ties broken lexicographically on the exponent vector over the
@@ -491,27 +491,33 @@ class ExponentMap:
         return (sum(t), tuple((self.vars[k].uid, t[k]) for k in self.by_uid if t[k]))
 
 
-def exponent_tuples(nvars, degree):
-    """Exponent vectors of total degree <= degree, in grlex order.
+def exponent_array(nvars, degree):
+    """Exponent vectors of total degree <= degree as int64 rows, in grlex order.
 
-    Generated in order: by total degree, then lexicographically
-    descending, so (1, 0) (x1) comes before (0, 1) (x2).  This matches
-    ``grlex_key`` over the same variable list.
+    Rows come by total degree, then lexicographically descending, so
+    (1, 0) (x1) comes before (0, 1) (x2).  This matches ``grlex_key``
+    over the same variable list.  ``exact[d]`` holds the rows of degree
+    exactly d over the last k variables, in order; one more variable
+    puts each leading exponent e = d, ..., 0 before ``exact[d - e]``.
     """
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
     if nvars == 0:
-        return [()]
-    for d in range(degree + 1):
-        rec((), d, nvars)
-    return out
+        return np.zeros((1, 0), dtype=np.int64)
+    exact = [np.full((1, 1), d, dtype=np.int64) for d in range(degree + 1)]
+    for k in range(2, nvars + 1):
+        longer = []
+        for d in range(degree + 1):
+            tails = exact[: d + 1]
+            rows = np.empty((sum(map(len, tails)), k), dtype=np.int64)
+            rows[:, 0] = np.repeat(np.arange(d, -1, -1), list(map(len, tails)))
+            rows[:, 1:] = np.concatenate(tails)
+            longer.append(rows)
+        exact = longer
+    return np.concatenate(exact)
+
+
+def exponent_tuples(nvars, degree):
+    """The rows of ``exponent_array`` as tuples of ints, in grlex order."""
+    return list(map(tuple, exponent_array(nvars, degree).tolist()))
 
 
 def diff(target, variables):

@@ -12,12 +12,17 @@ SDP is formed.  Moment equalities whose left-hand side is the moment of
 a single monic monomial bind that moment variable to an affine form.
 Everything else becomes linear equality or inequality rows.
 
-Inside the relaxation a monomial of a measure is an exponent tuple over
+Inside the relaxation a monomial of a measure is an exponent row over
 that measure's variable list: a product is an elementwise sum, and
-divisibility an elementwise comparison.  ``Monomial`` and
-``Polynomial`` objects appear only at the boundary: model data is
-converted once on the way in, and the basis, moment numbering and
-reductions handed out are converted back, one ``Monomial`` per tuple.
+divisibility an elementwise comparison.  Whole arrays of rows are
+handled at once.  ``MomentIndex.rows`` turns an array of exponent rows
+into the affine forms of their moments, as LinearRows (CSR coefficients
+and a constant vector), with the normal forms under the rewrite rules
+computed wave by wave for the whole array; every block, row and moment
+vector takes its forms from it.  ``Monomial`` and ``Polynomial``
+objects appear only at the boundary: model data is converted once on
+the way in, and the basis, moment numbering and reductions handed out
+are converted back, one ``Monomial`` per tuple.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import add, le, sub
+from operator import le
 
 import numpy as np
 import scipy.sparse
@@ -40,7 +45,7 @@ from .polynomials import (
     Monomial,
     Polynomial,
     basis_size,
-    exponent_tuples,
+    exponent_array,
 )
 
 
@@ -116,73 +121,216 @@ class SubstitutionRule:
         return f"{self.lhs!r} -> {self.rhs!r} (measure {self.measure.label})"
 
 
-class _CapExceeded(Exception):
-    pass
+def _ranges(starts, lengths):
+    """Concatenated aranges starts[k] .. starts[k] + lengths[k] - 1."""
+    total = int(lengths.sum())
+    offsets = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return np.repeat(starts, lengths) + (np.arange(total) - offsets)
 
 
-def _divides(lhs, t):
-    return all(map(le, lhs, t))
+def _ordered_product(A, B):
+    """A @ B for CSR matrices, summed the way term maps are accumulated.
+
+    Entry (i, k) is summed from 0.0 in sequence over row i of A in
+    stored order and, for each of its entries j, row j of B in stored
+    order; row i lists its columns in order of first appearance and
+    drops exact zeros.  This is how a term map or an affine form is
+    accumulated one term at a time, so a product of rows kept in that
+    order gives the same floats in the same order.
+    """
+    a_len = np.diff(A.indptr)
+    b_len = np.diff(B.indptr)[A.indices]
+    src = np.repeat(np.arange(A.nnz), b_len)
+    pos = _ranges(B.indptr[A.indices], b_len)
+    row = np.repeat(np.repeat(np.arange(A.shape[0]), a_len), b_len)
+    col = B.indices[pos]
+    # np.bincount adds its weights in input order, starting from 0.0
+    _, first, group = np.unique(
+        row * B.shape[1] + col, return_index=True, return_inverse=True
+    )
+    sums = np.bincount(group, weights=A.data[src] * B.data[pos], minlength=len(first))
+    order = np.argsort(first)
+    order = order[sums[order] != 0.0]
+    counts = np.bincount(row[first[order]], minlength=A.shape[0])
+    return scipy.sparse.csr_matrix(
+        (sums[order], col[first[order]], np.concatenate(([0], np.cumsum(counts)))),
+        shape=(A.shape[0], B.shape[1]),
+    )
 
 
-class _Rewriter:
-    """Applies rewrite rules to exponent tuples with memoized normal forms.
+def _term_row(coeffs):
+    """A 1 x n CSR row of the given coefficients, in order."""
+    n = len(coeffs)
+    return scipy.sparse.csr_matrix(
+        (np.asarray(coeffs, dtype=float), np.arange(n), [0, n]), shape=(1, n)
+    )
+
+
+class _Rules:
+    """The rewrite rules of one measure, as arrays.
 
     Rules are (lhs tuple, rhs term map) pairs, tried in ``sort_key``
-    order of their left sides; a normal form is a term map from
-    representative tuples to coefficients.  A rewrite producing a
-    monomial above the degree cap abandons the chain for that monomial,
-    which then stays a representative.  A shared step budget guards
-    against nonterminating rule sets.
+    order of their left sides.  ``normal_forms`` rewrites a whole array
+    of exponent rows wave by wave: each wave applies, to every tuple met
+    for the first time, the first rule whose left side divides it.  A
+    rewrite producing a monomial above the degree cap abandons the chain
+    for that tuple, which then stays a representative.  The normal forms
+    are then composed from the last wave back, one sparse product per
+    wave, in the order a term-by-term recursion sums them.
     """
 
-    def __init__(self, exponents, rules, cap, budget):
-        self.rules = sorted(rules, key=lambda r: exponents.sort_key(r[0]))
+    def __init__(self, exponents, rules, cap):
+        rules = sorted(rules, key=lambda r: exponents.sort_key(r[0]))
+        nvars = len(exponents.vars)
+        self.nvars = nvars
         self.cap = cap
-        self.budget = budget
-        self.memo = {}
-        self._active = set()
+        self.radix = cap + 1
+        self.steps = 10 * basis_size(nvars, cap)
+        self.lhs = _exponent_array([lhs for lhs, _ in rules], nvars)
+        self.ptr = np.cumsum([0] + [len(rhs) for _, rhs in rules])
+        self.terms = _exponent_array([t for _, rhs in rules for t in rhs], nvars)
+        self.coeffs = np.array([c for _, rhs in rules for c in rhs.values()], dtype=float)
+        lhs_degree = np.repeat(self.lhs.sum(axis=1), np.diff(self.ptr))
+        self.growing = bool((self.terms.sum(axis=1) > lhs_degree).any())
 
-    def reduce(self, mono):
-        """Normal form of a tuple; the returned map must not be mutated."""
-        hit = self.memo.get(mono)
-        if hit is not None:
-            return hit
-        if mono in self._active:
-            raise AssemblyError("substitution not terminating")
-        for lhs, rhs in self.rules:
-            if _divides(lhs, mono):
-                break
-        else:
-            result = {mono: 1.0}
-            self.memo[mono] = result
-            return result
-        self.budget[0] -= 1
-        if self.budget[0] < 0:
-            raise AssemblyError("substitution not terminating")
-        quotient = tuple(map(sub, mono, lhs))
-        self._active.add(mono)
-        try:
-            acc = {}
-            for term, coeff in rhs.items():
-                prod = tuple(map(add, term, quotient))
-                if sum(prod) > self.cap:
-                    raise _CapExceeded
-                for tm, tc in self.reduce(prod).items():
-                    acc[tm] = acc.get(tm, 0.0) + coeff * tc
-            result = {tm: tc for tm, tc in acc.items() if tc != 0.0}
-        except _CapExceeded:
-            result = {mono: 1.0}
-        finally:
-            self._active.discard(mono)
-        self.memo[mono] = result
-        return result
+    def check_degree(self, exps):
+        """Reject exponent rows above the cap, which codes cannot tell apart."""
+        if len(exps) and exps.sum(axis=1).max() > self.cap:
+            raise AssemblyError(f"moment of degree above {self.cap}, twice the relaxation order")
 
-    def reduce_terms(self, terms):
-        acc = {}
-        for mono, coeff in terms.items():
-            for tm, tc in self.reduce(mono).items():
-                acc[tm] = acc.get(tm, 0.0) + coeff * tc
-        return {tm: tc for tm, tc in acc.items() if tc != 0.0}
+    def first_divisor(self, exps):
+        """Index of the first rule whose left side divides each row, or -1."""
+        if not len(self.lhs):
+            return np.full(len(exps), -1)
+        divides = (exps[:, None, :] >= self.lhs[None, :, :]).all(axis=2)
+        return np.where(divides.any(axis=1), divides.argmax(axis=1), -1)
+
+    def normal_forms(self, exps, budget=None):
+        """Normal forms of the rows of exps, of degree at most the cap.
+
+        Returns (nf, terminals): row i of the CSR matrix nf holds the
+        normal form of row i of exps over the rows of ``terminals``, in
+        the order in which a term-by-term recursion first meets them.
+        ``budget`` is a one-element list of rewrite steps left, shared
+        between calls (by default a fresh one); a step is one tuple that
+        a rule divides.  A rule set that runs out of steps or rewrites a
+        tuple back into itself raises AssemblyError.
+        """
+        if budget is None:
+            budget = [self.steps]
+        if not len(exps):
+            return scipy.sparse.csr_matrix((0, 0)), exps
+        self.check_degree(exps)
+        codes = _codes(exps, self.radix)
+        known, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        ids = np.arange(len(known))
+        waves = [exps[first]]
+        terminal, parents, children, coeffs = [], [], [], []
+        start = 0
+        while len(waves[-1]):
+            wave = waves[-1]
+            rule = self.first_divisor(wave)
+            rewritten = rule >= 0
+            budget[0] -= int(rewritten.sum())
+            if budget[0] < 0:
+                raise AssemblyError("substitution not terminating")
+            rule = rule[rewritten]
+            nterms = self.ptr[rule + 1] - self.ptr[rule]
+            term = _ranges(self.ptr[rule], nterms)
+            seg = np.repeat(np.arange(len(rule)), nterms)
+            prods = self.terms[term] + (wave[rewritten] - self.lhs[rule])[seg]
+            # a tuple whose rewrite leaves the cap stays a representative;
+            # the products before the first one above the cap are visited
+            above = prods.sum(axis=1) > self.cap
+            at = np.arange(len(seg)) - np.repeat(np.cumsum(nterms) - nterms, nterms)
+            first_above = np.full(len(rule), len(self.coeffs))  # past every term
+            np.minimum.at(first_above, seg[above], at[above])
+            visit = at < first_above[seg]
+            stays = ~rewritten
+            stays[rewritten] = np.bincount(seg[above], minlength=len(rule)) > 0
+            terminal.append(stays)
+            wave_ids = start + np.arange(len(wave))
+            start += len(wave)
+            prods = prods[visit]
+            prod_codes = _codes(prods, self.radix)
+            at_known = np.searchsorted(known, prod_codes).clip(max=len(known) - 1)
+            found = known[at_known] == prod_codes
+            new, new_first, new_inverse = np.unique(
+                prod_codes[~found], return_index=True, return_inverse=True
+            )
+            child = np.empty(len(prod_codes), dtype=np.int64)
+            child[found] = ids[at_known[found]]
+            child[~found] = start + new_inverse
+            waves.append(prods[~found][new_first])
+            parents.append(wave_ids[rewritten][seg[visit]])
+            children.append(child)
+            coeffs.append(self.coeffs[term[visit]])
+            merged = np.concatenate((known, new))
+            order = np.argsort(merged, kind="stable")
+            known = merged[order]
+            ids = np.concatenate((ids, start + np.arange(len(new))))[order]
+        nodes = np.concatenate(waves)
+        nf, pos, tids = _compose(
+            np.concatenate(terminal), np.concatenate(parents),
+            np.concatenate(children), np.concatenate(coeffs),
+        )
+        return nf[pos[inverse]], nodes[tids]
+
+    def reduce_terms(self, terms, budget=None):
+        """Normal form of a term map keyed by tuples, as a term map."""
+        if not terms:
+            return {}
+        exps = _exponent_array(list(terms), self.nvars)
+        nf, terminals = self.normal_forms(exps, budget)
+        row = _ordered_product(_term_row(list(terms.values())), nf)
+        return dict(zip(map(tuple, terminals[row.indices].tolist()), row.data.tolist()))
+
+
+def _compose(terminal, parents, children, coeffs):
+    """Normal forms of the nodes of a rewrite graph, over its terminals.
+
+    Edge k takes node parents[k] to coeffs[k] times node children[k];
+    edges are grouped by parent, in the order of the rule's right side.
+    A terminal node is its own normal form; any other is the combination
+    of its children's.  Nodes are ordered by height above the terminals
+    (a node waits until all its children are done, so a cycle leaves
+    nodes behind and raises AssemblyError), and each height is one
+    ordered sparse product with the normal forms below it.  Returns the
+    stacked CSR rows, the row of each node in them and the terminal ids.
+    """
+    n = len(terminal)
+    edge_ptr = np.concatenate(([0], np.cumsum(np.bincount(parents, minlength=n))))
+    by_child = np.argsort(children, kind="stable")
+    child_ptr = np.concatenate(([0], np.cumsum(np.bincount(children, minlength=n))))
+    pending = np.diff(edge_ptr)
+    height = np.full(n, -1)
+    ready = np.flatnonzero(pending == 0)
+    h = 0
+    while len(ready):
+        height[ready] = h
+        into = by_child[_ranges(child_ptr[ready], child_ptr[ready + 1] - child_ptr[ready])]
+        done = np.bincount(parents[into], minlength=n)
+        pending = pending - done
+        ready = np.flatnonzero((pending == 0) & (done > 0))
+        h += 1
+    if (height < 0).any():
+        raise AssemblyError("substitution not terminating")
+    tids = np.flatnonzero(terminal)
+    pos = np.full(n, -1)
+    pos[tids] = np.arange(len(tids))
+    nf = scipy.sparse.identity(len(tids), format="csr")
+    inner = np.flatnonzero(~terminal)
+    for level in np.unique(height[inner]):
+        group = inner[height[inner] == level]
+        lengths = edge_ptr[group + 1] - edge_ptr[group]
+        edges = _ranges(edge_ptr[group], lengths)
+        step = scipy.sparse.csr_matrix(
+            (coeffs[edges], pos[children[edges]], np.concatenate(([0], np.cumsum(lengths)))),
+            shape=(len(group), nf.shape[0]),
+        )
+        pos[group] = nf.shape[0] + np.arange(len(group))
+        nf = scipy.sparse.vstack([nf, _ordered_product(step, nf)], format="csr")
+    return nf, pos, tids
 
 
 @dataclass
@@ -323,7 +471,7 @@ def _inter_reduce(exponents, table, cap, budget):
         for lhs in sorted(table, key=exponents.sort_key):
             rhs = table[lhs]
             others = [(l, r) for l, r in table.items() if l != lhs]
-            new_rhs = _Rewriter(exponents, others, cap, budget).reduce_terms(rhs)
+            new_rhs = _Rules(exponents, others, cap).reduce_terms(rhs, budget)
             if new_rhs != rhs:
                 table[lhs] = new_rhs
                 changed = True
@@ -332,7 +480,7 @@ def _inter_reduce(exponents, table, cap, budget):
                 del table[lhs]
                 changed = True
                 continue
-            if any(_divides(lhs, m) for m in rhs):
+            if any(all(map(le, lhs, m)) for m in rhs):
                 del table[lhs]
                 demoted.append((lhs, rhs))
                 changed = True
@@ -349,71 +497,107 @@ class MomentIndex:
     variable or are bound to an affine form of other variables.  The
     representatives are the tuples no rule's left side divides, found
     by one array test, plus those a degree-raising rule leaves fixed at
-    the degree cap; other tuples are reduced only when a form needs
-    them.
+    the degree cap.
 
-    ``raw_exponents``, ``representatives`` and the keys of ``bound`` and
-    ``var_of`` are exponent tuples (``exponents[measure]`` converts).
-    ``raw``, ``var_meaning`` and ``reduce`` hand out ``Monomial``
-    objects, built on first use.  The affine form of each raw monomial
-    is memoized until the numbering or a binding changes.
+    ``rows`` is the one way to the affine forms of moments: it takes an
+    array of exponent rows and returns all their forms at once as
+    LinearRows.  A row no rule divides is found by a sorted-code lookup
+    into the representatives' rows, a unit row or the bound form; any
+    other row goes through the batched normal forms of ``_Rules`` first.
+    Nothing is kept per tuple: only the representatives' rows, until
+    the numbering or a binding changes.
+
+    ``raw_exponents`` holds each measure's exponent rows of degree up to
+    2r in grlex order, as an int64 array.  ``representatives`` and the
+    keys of ``bound`` and ``var_of`` are exponent tuples
+    (``exponents[measure]`` converts).  ``raw``, ``var_meaning`` and
+    ``reduce`` hand out ``Monomial`` objects, built on first use.
     """
 
     def __init__(self, measures, order, rules):
         self.order = order
         self.measures = list(measures)
         self.exponents = {}
-        self.rewriters = {}
+        self.rules = {}
         self.raw_exponents = {}
-        self.representatives = {}
         self.bound = {}
-        self.var_of = {}
-        self._forms = {}
+        self._reps = {}
+        self._numbers = {}
+        self._n_vars = 0
+        self._var_of = None
+        self._rep_rows = {}
         self._raw = None
+        self._representatives = None
         self._var_meaning = None
         for measure in self.measures:
             exponents = ExponentMap(measure.vars)
-            mrules = [
-                (exponents.of(r.lhs), exponents.terms(r.rhs))
-                for r in rules
-                if r.measure is measure
-            ]
-            budget = [10 * basis_size(len(measure.vars), 2 * order)]
-            rw = _Rewriter(exponents, mrules, 2 * order, budget)
+            mrules = _Rules(
+                exponents,
+                [(exponents.of(r.lhs), exponents.terms(r.rhs)) for r in rules if r.measure is measure],
+                2 * order,
+            )
+            raw = exponent_array(len(measure.vars), 2 * order)
+            reps = raw[_representatives(mrules, raw)]
+            codes = _codes(reps, mrules.radix)
+            by_code = np.argsort(codes)
             self.exponents[measure] = exponents
-            self.rewriters[measure] = rw
-            tuples = exponent_tuples(len(exponents.vars), 2 * order)
-            self.raw_exponents[measure] = tuples
-            self.representatives[measure] = _representatives(rw, tuples)
+            self.rules[measure] = mrules
+            self.raw_exponents[measure] = raw
+            self._reps[measure] = (reps, codes[by_code], by_code)
 
     def finalize_variables(self):
         """Number every unbound representative; call after bindings."""
-        self.var_of = {}
-        self._forms = {}
+        self._var_of = None
+        self._rep_rows = {}
         self._var_meaning = None
+        self._n_vars = 0
         for measure in self.measures:
-            for t in self.representatives[measure]:
-                if (measure, t) not in self.bound:
-                    self.var_of[(measure, t)] = len(self.var_of)
+            free = np.ones(len(self._reps[measure][0]), dtype=bool)
+            free[self._bound_positions(measure)] = False
+            numbers = self._n_vars + np.cumsum(free) - 1
+            self._numbers[measure] = np.where(free, numbers, -1)
+            self._n_vars += int(free.sum())
 
     def set_bound(self, key, form):
         """Bind the representative key = (measure, tuple) to an affine form."""
         self.bound[key] = form
-        self._forms = {}
+        self._rep_rows = {}
 
     @property
     def n_vars(self):
-        return len(self.var_of)
+        return self._n_vars
+
+    @property
+    def var_of(self):
+        """Number of the moment variable of each unbound (measure, tuple)."""
+        if self._var_of is None:
+            self._var_of = {}
+            for measure, numbers in self._numbers.items():
+                free = numbers >= 0
+                keys = zip(itertools.repeat(measure), self.representatives[measure])
+                self._var_of.update(
+                    zip(itertools.compress(keys, free.tolist()), numbers[free].tolist())
+                )
+        return self._var_of
 
     @property
     def raw(self):
         """Monomials of degree up to 2r of each measure, in grlex order."""
         if self._raw is None:
             self._raw = {
-                m: [self.exponents[m].monomial(t) for t in tuples]
-                for m, tuples in self.raw_exponents.items()
+                m: [self.exponents[m].monomial(t) for t in map(tuple, exps.tolist())]
+                for m, exps in self.raw_exponents.items()
             }
         return self._raw
+
+    @property
+    def representatives(self):
+        """Representative tuples of each measure, in grlex order."""
+        if self._representatives is None:
+            self._representatives = {
+                m: list(map(tuple, reps.tolist())) for m, (reps, _, _) in self._reps.items()
+            }
+        return self._representatives
 
     @property
     def var_meaning(self):
@@ -424,92 +608,162 @@ class MomentIndex:
             ]
         return self._var_meaning
 
+    def basis(self, measure, degree):
+        """Exponent rows of the representatives of degree at most ``degree``."""
+        reps = self._reps[measure][0]
+        return reps[reps.sum(axis=1) <= degree]
+
+    def rep_lookup(self, measure, exps):
+        """Position of each exponent row among the representatives, and
+        whether it is one (the position is meaningless where it is not)."""
+        _, codes, by_code = self._reps[measure]
+        want = _codes(exps, self.rules[measure].radix)
+        at = np.searchsorted(codes, want).clip(max=max(len(codes) - 1, 0))
+        return by_code[at], codes[at] == want
+
+    def _bound_positions(self, measure):
+        keys = [t for m, t in self.bound if m is measure]
+        at, _ = self.rep_lookup(measure, _exponent_array(keys, len(measure.vars)))
+        return at
+
+    def _representative_rows(self, measure):
+        """LinearRows of the representatives: unit rows, bound forms where bound."""
+        rows = self._rep_rows.get(measure)
+        if rows is not None:
+            return rows
+        reps = self._reps[measure][0]
+        at = self._bound_positions(measure).tolist()
+        forms = [form for (m, _), form in self.bound.items() if m is measure]
+        lengths = np.ones(len(reps), dtype=np.int64)
+        lengths[at] = [len(f.coeffs) for f in forms]
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        indices = np.empty(indptr[-1], dtype=np.int64)
+        data = np.ones(indptr[-1])
+        const = np.zeros(len(reps))
+        free = lengths == 1
+        free[at] = False
+        indices[indptr[:-1][free]] = self._numbers[measure][free]
+        for k, form in zip(at, forms):
+            indices[indptr[k]:indptr[k + 1]] = list(form.coeffs)
+            data[indptr[k]:indptr[k + 1]] = list(form.coeffs.values())
+            const[k] = form.const
+        rows = LinearRows(
+            scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(reps), self.n_vars)),
+            const,
+        )
+        self._rep_rows[measure] = rows
+        return rows
+
+    def rows(self, measure, exps):
+        """Affine forms of the moments of exponent rows, as LinearRows.
+
+        Row i is the form of row i of exps (degree at most 2r): its
+        normal form over the representatives times their rows.  Both
+        products run in the order of a term-by-term accumulation, so a
+        row lists its coefficients as such a sum first meets them.
+        """
+        reps = self._representative_rows(measure)
+        rules = self.rules[measure]
+        rules.check_degree(exps)
+        if (rules.first_divisor(exps) < 0).all():
+            at, _ = self.rep_lookup(measure, exps)
+            # 0.0 + const, as a sum over the normal form {t: 1.0} gives it
+            return LinearRows(reps.coeffs[at], reps.const[at] + 0.0)
+        nf, terminals = rules.normal_forms(exps)
+        at, _ = self.rep_lookup(measure, terminals)
+        nf = scipy.sparse.csr_matrix(
+            (nf.data, at[nf.indices], nf.indptr), shape=(len(exps), len(reps.const))
+        )
+        return LinearRows(_ordered_product(nf, reps.coeffs), nf @ reps.const)
+
+    def shifted_rows(self, measure, terms, shifts):
+        """Rows of the moments of g x^s for each exponent row s of shifts.
+
+        ``terms`` is g as a term map.  One sparse product S @ rows gives
+        every row: row s of S holds g's coefficients at the rows of
+        s + t, in g's term order, so each coefficient is summed in the
+        order ``form_of_terms`` sums it.  Zeros left by cancellation are
+        dropped, as LinForm drops them.
+        """
+        nvars = len(measure.vars)
+        n_terms = len(terms)
+        prods = shifts[:, None, :] + _exponent_array(list(terms), nvars)[None, :, :]
+        prods = prods.reshape(-1, nvars)
+        _, first, inverse = np.unique(
+            _codes(prods, self.rules[measure].radix), return_index=True, return_inverse=True
+        )
+        rows = self.rows(measure, prods[first])
+        S = scipy.sparse.csr_matrix(
+            (
+                np.tile(np.fromiter(terms.values(), dtype=float, count=n_terms), len(shifts)),
+                inverse,
+                np.arange(len(shifts) + 1) * n_terms,
+            ),
+            shape=(len(shifts), len(first)),
+        )
+        coeffs = S @ rows.coeffs
+        coeffs.eliminate_zeros()
+        return LinearRows(coeffs, S @ rows.const)
+
     def reduce(self, measure, mono):
         """Reduced form of a monomial, as a polynomial in representatives."""
         exponents = self.exponents[measure]
-        return exponents.polynomial(self.rewriters[measure].reduce(exponents.of(mono)))
-
-    def form_of_monomial(self, measure, mono):
-        """Affine form of the moment of a raw monomial."""
-        return self.form_of_exponents(measure, self.exponents[measure].of(mono))
-
-    def form_of_exponents(self, measure, t):
-        """Affine form of the moment of a raw monomial given as a tuple."""
-        form = self._forms.get((measure, t))
-        if form is not None:
-            return form
-        const = 0.0
-        coeffs = {}
-        for rep, coeff in self.rewriters[measure].reduce(t).items():
-            key = (measure, rep)
-            bound = self.bound.get(key)
-            if bound is not None:
-                const = _acc_form(const, coeffs, bound, coeff)
-            else:
-                idx = self.var_of[key]
-                coeffs[idx] = coeffs.get(idx, 0.0) + coeff
-        form = self._forms[(measure, t)] = LinForm(const, coeffs)
-        return form
-
-    def form_of_poly(self, measure, poly):
-        """Affine form of the moment of a polynomial of one measure."""
-        return self.form_of_terms(measure, self.exponents[measure].terms(poly))
+        return exponents.polynomial(self.rules[measure].reduce_terms({exponents.of(mono): 1.0}))
 
     def form_of_terms(self, measure, terms):
         """Affine form of the moment of a term map keyed by tuples."""
-        const = 0.0
-        coeffs = {}
-        for t, coeff in terms.items():
-            const = _acc_form(const, coeffs, self.form_of_exponents(measure, t), coeff)
-        return LinForm(const, coeffs)
+        if not terms:
+            return LinForm()
+        rows = self.rows(measure, _exponent_array(list(terms), len(measure.vars)))
+        head = _term_row(list(terms.values()))
+        coeffs = _ordered_product(head, rows.coeffs)
+        const = (head @ rows.const)[0]
+        return LinForm(const, dict(zip(coeffs.indices.tolist(), coeffs.data.tolist())))
 
     def form_of_expression(self, expr):
         const = expr.constant
         coeffs = {}
         for measure, poly in expr.terms_by_label():
-            if measure not in self.rewriters:
+            if measure not in self.rules:
                 raise AssemblyError(
                     f"expression references measure {measure.label}, "
                     "which is not part of the relaxation"
                 )
-            const = _acc_form(const, coeffs, self.form_of_poly(measure, poly), 1.0)
+            form = self.form_of_terms(measure, self.exponents[measure].terms(poly))
+            const = _acc_form(const, coeffs, form, 1.0)
         return LinForm(const, coeffs)
 
 
-def _is_fixpoint(terms, t):
-    return len(terms) == 1 and terms.get(t) == 1.0
+def _representatives(rules, exps):
+    """Mask of the exponent rows that ``rules`` reduce to themselves.
 
-
-def _representatives(rw, tuples):
-    """The tuples that ``rw`` reduces to themselves, in order.
-
-    A tuple no left side divides is its own normal form.  One that a
-    rule divides rewrites to other tuples unless a rewrite leaves the
-    degree cap, which takes a right side of higher degree than its left
-    side; only for such rule sets is ``reduce`` called on it.
+    A row no left side divides is its own normal form.  One that a rule
+    divides rewrites to other tuples unless a rewrite leaves the degree
+    cap, which takes a right side of higher degree than its left side;
+    only for such rule sets are normal forms computed.
     """
-    if not rw.rules:
-        return list(tuples)
-    exps = np.array(tuples, dtype=np.int64).reshape(len(tuples), -1)
-    divisible = np.zeros(len(tuples), dtype=bool)
-    for lhs, _ in rw.rules:
-        divisible |= (exps >= np.array(lhs, dtype=np.int64)).all(axis=1)
-    growing = any(sum(t) > sum(lhs) for lhs, rhs in rw.rules for t in rhs)
-    return [
-        t for t, d in zip(tuples, divisible.tolist())
-        if not d or (growing and _is_fixpoint(rw.reduce(t), t))
-    ]
+    keep = rules.first_divisor(exps) < 0
+    if rules.growing and not keep.all():
+        rest = np.flatnonzero(~keep)
+        nf, terminals = rules.normal_forms(exps[rest])
+        unit = np.diff(nf.indptr) == 1
+        head = nf.indptr[:-1][unit]
+        same = (nf.data[head] == 1.0) & (
+            terminals[nf.indices[head]] == exps[rest[unit]]
+        ).all(axis=1)
+        keep[rest[unit][same]] = True
+    return keep
 
 
 @dataclass
 class Block:
     """One semidefinite block: a moment or localizing matrix.
 
-    ``forms`` holds one LinForm per distinct product of two basis
-    elements.  ``rows`` and ``cols`` list the upper triangle (i <= j)
-    row by row, and ``slot`` the index into ``forms`` of each of those
-    entries: the matrix is symmetric with entries (rows[k], cols[k]) and
-    (cols[k], rows[k]) equal to forms[slot[k]](y).
+    ``forms`` is LinearRows with one row per distinct product of two
+    basis elements.  ``rows`` and ``cols`` list the upper triangle
+    (i <= j) row by row, and ``slot`` the row of ``forms`` of each of
+    those entries: the matrix is symmetric with entries (rows[k],
+    cols[k]) and (cols[k], rows[k]) equal to row slot[k] of forms at y.
     """
 
     kind: str
@@ -518,7 +772,7 @@ class Block:
     rows: np.ndarray
     cols: np.ndarray
     slot: np.ndarray
-    forms: list
+    forms: LinearRows
     source: object = None
 
     @property
@@ -599,33 +853,32 @@ def assemble(problem, order=None):
 
     blocks = []
     for measure in problem.measures:
-        basis = [t for t in index.representatives[measure] if sum(t) <= order]
-        blocks.append(
-            _block("moment", index, measure, basis,
-                   lambda p: index.form_of_exponents(measure, p))
-        )
+        basis = index.basis(measure, order)
+        rows, cols, slot, products = _block_entries(basis)
+        forms = index.rows(measure, products)
+        blocks.append(_block("moment", index, measure, basis, rows, cols, slot, forms))
 
     ineq_forms = []
     for con in plan.support_inequalities:
         measure = con.measure
         g = con.gform()
-        v = math.ceil(g.degree / 2)
-        g = index.exponents[measure].terms(g)
-        basis = [t for t in index.representatives[measure] if sum(t) <= order - v]
+        terms = index.exponents[measure].terms(g)
+        basis = index.basis(measure, order - math.ceil(g.degree / 2))
         if len(basis) <= 1:
-            ineq_forms.append(index.form_of_terms(measure, g))
+            ineq_forms.append(index.form_of_terms(measure, terms))
             continue
+        rows, cols, slot, products = _block_entries(basis)
+        forms = index.shifted_rows(measure, terms, products)
         blocks.append(
-            _block("localizing", index, measure, basis,
-                   lambda p: index.form_of_terms(measure, _shifted(g, p)), source=con)
+            _block("localizing", index, measure, basis, rows, cols, slot, forms, source=con)
         )
 
     eq_parts = []
-    raw = {}
     for measure, g in plan.residual_support_equalities:
-        if measure not in raw:
-            raw[measure] = _RawMoments(index, measure)
-        eq_parts.append(raw[measure].shifted_rows(index.exponents[measure].terms(g), g.degree))
+        # the grlex list of degree <= 2r starts with the degree <= d part
+        d = 2 * (order - math.ceil(g.degree / 2))
+        shifts = index.raw_exponents[measure][: basis_size(len(measure.vars), d)]
+        eq_parts.append(index.shifted_rows(measure, index.exponents[measure].terms(g), shifts))
 
     eq_forms = []
     for con in plan.kept_moment_constraints:
@@ -670,11 +923,6 @@ def assemble(problem, order=None):
     )
 
 
-def _shifted(terms, t):
-    """The term map times the monomial t (no two products coincide)."""
-    return {tuple(map(add, mono, t)): coeff for mono, coeff in terms.items()}
-
-
 def _exponent_array(tuples, nvars):
     return np.array(tuples, dtype=np.int64).reshape(len(tuples), nvars)
 
@@ -691,82 +939,28 @@ def _codes(exps, radix):
     return exps.astype(dtype) @ powers
 
 
-def _block_entries(basis, form_of):
-    """Upper triangle of a block over basis tuples, as arrays.
+def _block_entries(basis):
+    """Upper triangle of a block over a basis of exponent rows, as arrays.
 
     Returns rows and cols (i <= j, row by row), each entry's slot and
-    the forms.  ``form_of`` maps the product tuple of two basis elements
-    to the entry's affine form; it is called once per distinct product,
-    and entries with the same product share one slot.  Products are
-    compared by an integer code in a radix above twice the largest basis
-    degree: no digit of a product carries, so the code of a product is
-    the sum of the codes.
+    the exponent rows of the distinct products, one per slot; entries
+    with the same product share one slot.  Products are compared by an
+    integer code in a radix above twice the largest basis degree: no
+    digit of a product carries, so the code of a product is the sum of
+    the codes.
     """
-    exps = _exponent_array(basis, len(basis[0]))
-    codes = _codes(exps, 2 * int(exps.sum(axis=1).max()) + 1)
+    codes = _codes(basis, 2 * int(basis.sum(axis=1).max()) + 1)
     rows, cols = np.triu_indices(len(basis))
     _, first, slot = np.unique(
         codes[rows] + codes[cols], return_index=True, return_inverse=True
     )
-    products = exps[rows[first]] + exps[cols[first]]
-    forms = [form_of(p) for p in map(tuple, products.tolist())]
-    return rows, cols, slot, forms
+    return rows, cols, slot, basis[rows[first]] + basis[cols[first]]
 
 
-def _block(kind, index, measure, basis, form_of, source=None):
+def _block(kind, index, measure, basis, rows, cols, slot, forms, source=None):
     monomial = index.exponents[measure].monomial
-    rows, cols, slot, forms = _block_entries(basis, form_of)
-    return Block(kind, measure, [monomial(t) for t in basis], rows, cols, slot, forms, source)
-
-
-class _RawMoments:
-    """The moments of a measure's raw monomials as LinearRows.
-
-    Rows follow the grlex list ``index.raw_exponents[measure]`` of the
-    monomials of degree up to 2r.  A monomial's row is found from its
-    integer code in radix 2r + 1.
-    """
-
-    def __init__(self, index, measure):
-        self.order = index.order
-        self.nvars = len(measure.vars)
-        tuples = index.raw_exponents[measure]
-        self.rows = form_rows(
-            [index.form_of_exponents(measure, t) for t in tuples], index.n_vars
-        )
-        self.radix = 2 * index.order + 1
-        self.codes = _codes(_exponent_array(tuples, self.nvars), self.radix)
-        self._perm = np.argsort(self.codes, kind="stable")
-        self._sorted = self.codes[self._perm]
-
-    def shifted_rows(self, terms, degree):
-        """Rows of the moments of g x^gamma for gamma up to degree 2(r - v).
-
-        ``terms`` is g as a term map, ``degree`` its degree and
-        v = ceil(degree / 2).  One sparse product S @ rows gives every
-        row: row gamma of S holds g's coefficients at the rows of
-        gamma + t, in g's term order, so each coefficient is summed in
-        the order ``form_of_terms`` sums it.  Zeros left by cancellation
-        are dropped, as LinForm drops them.
-        """
-        # the grlex list of degree <= 2r starts with the degree <= d part
-        n_gamma = basis_size(self.nvars, 2 * (self.order - math.ceil(degree / 2)))
-        n_terms = len(terms)
-        shifted = (
-            self.codes[:n_gamma, None]
-            + _codes(_exponent_array(list(terms), self.nvars), self.radix)[None, :]
-        )
-        S = scipy.sparse.csr_matrix(
-            (
-                np.tile(np.fromiter(terms.values(), dtype=float, count=n_terms), n_gamma),
-                self._perm[np.searchsorted(self._sorted, shifted.reshape(-1))],
-                np.arange(0, n_gamma * n_terms + 1, n_terms),
-            ),
-            shape=(n_gamma, len(self.rows)),
-        )
-        coeffs = S @ self.rows.coeffs
-        coeffs.eliminate_zeros()
-        return LinearRows(coeffs, S @ self.rows.const)
+    monos = [monomial(t) for t in map(tuple, basis.tolist())]
+    return Block(kind, measure, monos, rows, cols, slot, forms, source)
 
 
 def _resolve_bindings(index, plan):
@@ -780,17 +974,17 @@ def _resolve_bindings(index, plan):
     the unbound variables get their final numbers.
     """
     index.finalize_variables()
-    provisional = list(index.var_of)
     n_bound = 0
     for measure, mono, rhs, con in plan.binding_candidates:
         t = index.exponents[measure].of(mono)
         key = (measure, t)
-        if key in index.bound or not _is_fixpoint(index.rewriters[measure].reduce(t), t):
+        at, is_rep = index.rep_lookup(measure, _exponent_array([t], len(t)))
+        if key in index.bound or not is_rep[0]:
             plan.kept_moment_constraints.append(con)
             continue
         lhs_form = index.form_of_expression(con.lhs)
         rhs_form = index.form_of_expression(rhs)
-        tvar = index.var_of[key]
+        tvar = int(index._numbers[measure][at[0]])
         pivot = lhs_form.coeffs.get(tvar, 0.0) - rhs_form.coeffs.get(tvar, 0.0)
         if pivot == 0.0:
             plan.kept_moment_constraints.append(con)
@@ -814,9 +1008,11 @@ def _resolve_bindings(index, plan):
         index.set_bound(key, bound_form)
         n_bound += 1
 
+    # provisional variable i is the i-th representative of all measures
     index.finalize_variables()
+    final = np.concatenate([index._numbers[m] for m in index.measures]).tolist()
     for key, form in list(index.bound.items()):
-        coeffs = {index.var_of[provisional[i]]: c for i, c in form.coeffs.items()}
+        coeffs = {final[i]: c for i, c in form.coeffs.items()}
         index.set_bound(key, LinForm(form.const, coeffs))
     return n_bound
 
@@ -1016,12 +1212,9 @@ def mvec_values(msdp, y, measure, degree=None):
     measure = _resolve_measure(msdp, measure)
     if degree is None:
         degree = 2 * msdp.order
-    values = [
-        msdp.index.form_of_monomial(measure, mono).value(y)
-        for mono in msdp.index.raw[measure]
-        if mono.degree <= degree
-    ]
-    return np.asarray(values, dtype=float)
+    exps = msdp.index.raw_exponents[measure]
+    rows = msdp.index.rows(measure, exps[exps.sum(axis=1) <= degree])
+    return rows.coeffs @ y + rows.const
 
 
 def moment_block(msdp, measure):
@@ -1036,7 +1229,7 @@ def moment_block(msdp, measure):
 def mmat_values(msdp, y, measure):
     """Numeric moment matrix of a measure at the solution y."""
     block = moment_block(msdp, measure)
-    values = np.array([form.value(y) for form in block.forms], dtype=float)
+    values = block.forms.coeffs @ y + block.forms.const
     return values[block.slot_matrix()]
 
 

@@ -7,11 +7,19 @@ they are meant to check.
 
 import math
 import os
+from operator import add, le, sub
 
 import numpy as np
 import pytest
 
 from gpmkit import GPMProblem, ModelContext, assemble, minimize, mom
+from gpmkit.polynomials import basis_size
+from gpmkit.relaxation import (
+    AssemblyError,
+    LinForm,
+    MomentIndex,
+    extract_substitution_rules,
+)
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
 
@@ -136,3 +144,214 @@ def match_atoms(planted_points, planted_weights, points, weights):
         worst_point = max(worst_point, float(dists[k]))
         worst_weight = max(worst_weight, abs(float(weights[k]) - float(w)))
     return worst_point, worst_weight
+
+
+# -- the reference for normal forms and affine forms: rewrite rules applied
+# -- one tuple at a time, and forms accumulated one term at a time
+
+
+class _CapExceeded(Exception):
+    pass
+
+
+def _divides(lhs, t):
+    return all(map(le, lhs, t))
+
+
+class ReferenceRewriter:
+    """Applies rewrite rules to exponent tuples with memoized normal forms.
+
+    Rules are (lhs tuple, rhs term map) pairs, tried in ``sort_key``
+    order of their left sides; a normal form is a term map from
+    representative tuples to coefficients.  A rewrite producing a
+    monomial above the degree cap abandons the chain for that monomial,
+    which then stays a representative.  A shared step budget guards
+    against nonterminating rule sets.
+    """
+
+    def __init__(self, exponents, rules, cap, budget):
+        self.rules = sorted(rules, key=lambda r: exponents.sort_key(r[0]))
+        self.cap = cap
+        self.budget = budget
+        self.memo = {}
+        self._active = set()
+
+    def reduce(self, mono):
+        """Normal form of a tuple; the returned map must not be mutated."""
+        hit = self.memo.get(mono)
+        if hit is not None:
+            return hit
+        if mono in self._active:
+            raise AssemblyError("substitution not terminating")
+        for lhs, rhs in self.rules:
+            if _divides(lhs, mono):
+                break
+        else:
+            result = {mono: 1.0}
+            self.memo[mono] = result
+            return result
+        self.budget[0] -= 1
+        if self.budget[0] < 0:
+            raise AssemblyError("substitution not terminating")
+        quotient = tuple(map(sub, mono, lhs))
+        self._active.add(mono)
+        try:
+            acc = {}
+            for term, coeff in rhs.items():
+                prod = tuple(map(add, term, quotient))
+                if sum(prod) > self.cap:
+                    raise _CapExceeded
+                for tm, tc in self.reduce(prod).items():
+                    acc[tm] = acc.get(tm, 0.0) + coeff * tc
+            result = {tm: tc for tm, tc in acc.items() if tc != 0.0}
+        except _CapExceeded:
+            result = {mono: 1.0}
+        finally:
+            self._active.discard(mono)
+        self.memo[mono] = result
+        return result
+
+    def reduce_terms(self, terms):
+        acc = {}
+        for mono, coeff in terms.items():
+            for tm, tc in self.reduce(mono).items():
+                acc[tm] = acc.get(tm, 0.0) + coeff * tc
+        return {tm: tc for tm, tc in acc.items() if tc != 0.0}
+
+
+def reference_inter_reduce(exponents, table, cap, budget):
+    """Each rule's right side reduced by the others until stable."""
+    table = dict(table)
+    demoted = []
+    for _ in range(50):
+        changed = False
+        for lhs in sorted(table, key=exponents.sort_key):
+            rhs = table[lhs]
+            others = [(l, r) for l, r in table.items() if l != lhs]
+            new_rhs = ReferenceRewriter(exponents, others, cap, budget).reduce_terms(rhs)
+            if new_rhs != rhs:
+                table[lhs] = new_rhs
+                changed = True
+                rhs = new_rhs
+            if rhs == {lhs: 1.0}:
+                del table[lhs]
+                changed = True
+                continue
+            if any(_divides(lhs, m) for m in rhs):
+                del table[lhs]
+                demoted.append((lhs, rhs))
+                changed = True
+        if not changed:
+            return table, demoted
+    raise AssemblyError("substitution not terminating")
+
+
+def _accumulate(const, coeffs, form, factor):
+    const += factor * form.const
+    for i, c in form.coeffs.items():
+        coeffs[i] = coeffs.get(i, 0.0) + factor * c
+    return const
+
+
+class ReferenceForms:
+    """Affine forms of a relaxation's moments, one tuple at a time.
+
+    Takes the substitution plan from extract_substitution_rules and the
+    representatives from a fresh MomentIndex (the rules' inter-reduction
+    and the representatives are checked against the references above on
+    their own).  Numbers the moments and resolves the moment bindings
+    again, and builds every form as a LinForm from the normal forms of
+    ReferenceRewriter, accumulating one term at a time.  ``plan`` ends
+    up with the bindings that fell back to rows.
+    """
+
+    def __init__(self, problem, order):
+        self.order = order
+        self.plan = extract_substitution_rules(problem, order)
+        self.index = MomentIndex(problem.measures, order, self.plan.rules)
+        self.exponents = self.index.exponents
+        self.rewriters = {}
+        for measure in self.index.measures:
+            exponents = self.exponents[measure]
+            rules = [
+                (exponents.of(r.lhs), exponents.terms(r.rhs))
+                for r in self.plan.rules
+                if r.measure is measure
+            ]
+            budget = [10 * basis_size(len(measure.vars), 2 * order)]
+            self.rewriters[measure] = ReferenceRewriter(exponents, rules, 2 * order, budget)
+        self.bound = {}
+        self.n_bindings = self._resolve_bindings()
+
+    def _number(self):
+        self.var_of = {}
+        for measure in self.index.measures:
+            for t in self.index.representatives[measure]:
+                if (measure, t) not in self.bound:
+                    self.var_of[(measure, t)] = len(self.var_of)
+
+    def form_of_exponents(self, measure, t):
+        const, coeffs = 0.0, {}
+        for rep, coeff in self.rewriters[measure].reduce(t).items():
+            bound = self.bound.get((measure, rep))
+            if bound is not None:
+                const = _accumulate(const, coeffs, bound, coeff)
+            else:
+                idx = self.var_of[(measure, rep)]
+                coeffs[idx] = coeffs.get(idx, 0.0) + coeff
+        return LinForm(const, coeffs)
+
+    def form_of_terms(self, measure, terms):
+        const, coeffs = 0.0, {}
+        for t, coeff in terms.items():
+            const = _accumulate(const, coeffs, self.form_of_exponents(measure, t), coeff)
+        return LinForm(const, coeffs)
+
+    def form_of_poly(self, measure, poly):
+        return self.form_of_terms(measure, self.exponents[measure].terms(poly))
+
+    def form_of_expression(self, expr):
+        const, coeffs = expr.constant, {}
+        for measure, poly in expr.terms_by_label():
+            const = _accumulate(const, coeffs, self.form_of_poly(measure, poly), 1.0)
+        return LinForm(const, coeffs)
+
+    def _resolve_bindings(self):
+        self._number()
+        provisional = list(self.var_of)
+        n_bound = 0
+        for measure, mono, rhs, con in self.plan.binding_candidates:
+            t = self.exponents[measure].of(mono)
+            key = (measure, t)
+            if key in self.bound or self.rewriters[measure].reduce(t) != {t: 1.0}:
+                self.plan.kept_moment_constraints.append(con)
+                continue
+            lhs_form = self.form_of_expression(con.lhs)
+            rhs_form = self.form_of_expression(rhs)
+            tvar = self.var_of[key]
+            pivot = lhs_form.coeffs.get(tvar, 0.0) - rhs_form.coeffs.get(tvar, 0.0)
+            if pivot == 0.0:
+                self.plan.kept_moment_constraints.append(con)
+                continue
+            coeffs = {}
+            for i, c in rhs_form.coeffs.items():
+                if i != tvar:
+                    coeffs[i] = coeffs.get(i, 0.0) + c / pivot
+            for i, c in lhs_form.coeffs.items():
+                if i != tvar:
+                    coeffs[i] = coeffs.get(i, 0.0) - c / pivot
+            bound_form = LinForm((rhs_form.const - lhs_form.const) / pivot, coeffs)
+            for other, form in list(self.bound.items()):
+                c = form.coeffs.get(tvar)
+                if c is not None:
+                    rest = {i: v for i, v in form.coeffs.items() if i != tvar}
+                    self.bound[other] = LinForm(
+                        _accumulate(form.const, rest, bound_form, c), rest
+                    )
+            self.bound[key] = bound_form
+            n_bound += 1
+        self._number()
+        for key, form in list(self.bound.items()):
+            coeffs = {self.var_of[provisional[i]]: c for i, c in form.coeffs.items()}
+            self.bound[key] = LinForm(form.const, coeffs)
+        return n_bound

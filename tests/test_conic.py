@@ -15,7 +15,6 @@ from gpmkit import (
     ModelContext,
     SolverParams,
     assemble,
-    extract_substitution_rules,
     mass,
     maximize,
     minimize,
@@ -38,9 +37,8 @@ from gpmkit.conic import (
     solve,
 )
 from gpmkit.dsl import parse_model
-from gpmkit.relaxation import MomentIndex, _resolve_bindings
 
-from conftest import camel_problem, model_path
+from conftest import ReferenceForms, camel_problem, model_path
 
 
 def sym_entry(n, i, j):
@@ -649,53 +647,52 @@ def _reference_dedup(forms, keep_infeasible):
 
 
 def _reference_relaxation(msdp):
-    """A fresh moment index with its bindings, and the rows as LinForms."""
+    """Reference forms of the relaxation, and its rows as LinForms."""
     problem, order = msdp.problem, msdp.order
-    plan = extract_substitution_rules(problem, order)
-    index = MomentIndex(problem.measures, order, plan.rules)
-    _resolve_bindings(index, plan)
+    ref = ReferenceForms(problem, order)
+    plan, index = ref.plan, ref.index
     eq, ineq = [], []
     for con in plan.support_inequalities:
         g = con.gform()
         v = math.ceil(g.degree / 2)
         reps = index.representatives[con.measure]
         if len([t for t in reps if sum(t) <= order - v]) <= 1:
-            ineq.append(index.form_of_terms(con.measure, index.exponents[con.measure].terms(g)))
+            ineq.append(ref.form_of_poly(con.measure, g))
     for measure, g in plan.residual_support_equalities:
         v = math.ceil(g.degree / 2)
-        terms = index.exponents[measure].terms(g)
-        for gamma in index.raw_exponents[measure]:
+        terms = ref.exponents[measure].terms(g)
+        for gamma in map(tuple, index.raw_exponents[measure].tolist()):
             if sum(gamma) <= 2 * (order - v):
-                eq.append(index.form_of_terms(measure, _shifted(terms, gamma)))
+                eq.append(ref.form_of_terms(measure, _shifted(terms, gamma)))
     for con in plan.kept_moment_constraints:
-        form = index.form_of_expression(con.residual())
+        form = ref.form_of_expression(con.residual())
         if con.rel == "==":
             eq.append(form)
         elif con.rel == ">=":
             ineq.append(form)
         else:
             ineq.append(form.scaled(-1.0))
-    return index, _reference_dedup(eq, True), _reference_dedup(ineq, False)
+    return ref, _reference_dedup(eq, True), _reference_dedup(ineq, False)
 
 
-def _reference_entries(index, block):
+def _reference_entries(ref, block):
     """(i, j, form) of a block's upper triangle, from its basis monomials."""
-    exponents = index.exponents[block.measure]
+    exponents = ref.exponents[block.measure]
     basis = [exponents.of(mono) for mono in block.basis]
     g = None if block.source is None else exponents.terms(block.source.gform())
     for i, bi in enumerate(basis):
         for j in range(i, len(basis)):
             prod = tuple(a + b for a, b in zip(bi, basis[j]))
             if g is None:
-                yield i, j, index.form_of_exponents(block.measure, prod)
+                yield i, j, ref.form_of_exponents(block.measure, prod)
             else:
-                yield i, j, index.form_of_terms(block.measure, _shifted(g, prod))
+                yield i, j, ref.form_of_terms(block.measure, _shifted(g, prod))
 
 
 def reference_conic(msdp):
     """The conic form of msdp by the per-entry COO construction."""
-    index, eq, ineq = _reference_relaxation(msdp)
-    m = index.n_vars
+    ref, eq, ineq = _reference_relaxation(msdp)
+    m = len(ref.var_of)
     cone = ConeSpec(f=len(eq), l=len(ineq), s=tuple(b.size for b in msdp.blocks))
     rows, cols, vals, cvals = [], [], [], []
     signed = [(form, 1.0) for form in eq] + [(form, -1.0) for form in ineq]
@@ -708,7 +705,7 @@ def reference_conic(msdp):
     for block, base in zip(msdp.blocks, cone.psd_starts):
         size = block.size
         centries = np.zeros((size, size))
-        for i, j, form in _reference_entries(index, block):
+        for i, j, form in _reference_entries(ref, block):
             centries[i, j] = centries[j, i] = form.const
             for idx, coef in form.coeffs.items():
                 rows.append(idx)
@@ -720,7 +717,7 @@ def reference_conic(msdp):
                     vals.append(-coef)
         cvals.extend(centries.reshape(-1).tolist())
     A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, cone.total_length), dtype=float)
-    objective = index.form_of_expression(msdp.problem.objective.expr)
+    objective = ref.form_of_expression(msdp.problem.objective.expr)
     obj = np.zeros(m)
     for idx, coef in objective.coeffs.items():
         obj[idx] = coef
@@ -731,10 +728,10 @@ def reference_conic(msdp):
 
 
 def reference_mmat(msdp, y, measure):
-    index, _, _ = _reference_relaxation(msdp)
+    ref, _, _ = _reference_relaxation(msdp)
     (block,) = [b for b in msdp.blocks if b.kind == "moment" and b.measure is measure]
     M = np.zeros((block.size, block.size))
-    for i, j, form in _reference_entries(index, block):
+    for i, j, form in _reference_entries(ref, block):
         M[i, j] = M[j, i] = form.value(y)
     return M
 
@@ -839,7 +836,7 @@ def test_to_conic_matches_the_per_entry_reference_on_random_problems(seed):
     assert kinds.count("moment") == len(problem.measures) and "localizing" in kinds
     assert len(msdp.lin_eq) and len(msdp.lin_ineq)
     assert msdp.report.n_moment_substitutions >= 2
-    assert max(len(f.coeffs) for b in msdp.blocks for f in b.forms) >= 2
+    assert max(np.diff(b.forms.coeffs.indptr).max() for b in msdp.blocks) >= 2
     assert_same_conic(to_conic(msdp), reference_conic(msdp))
     y = np.random.default_rng(seed).normal(size=msdp.n_vars)
     for measure in problem.measures:

@@ -11,8 +11,10 @@ from gpmkit import (
     SolverParams,
     assemble,
     default_order,
+    expression_value,
     extract_substitution_rules,
     format_block_sizes,
+    mass,
     minimize,
     mmat_values,
     mom,
@@ -22,14 +24,25 @@ from gpmkit import (
     solve_gpm,
 )
 from gpmkit.dsl import build, parse_source
-from gpmkit.polynomials import Monomial, Polynomial, as_varref, grlex_key
-from gpmkit.relaxation import AssemblyError, MomentIndex, _is_fixpoint
+from gpmkit.polynomials import (
+    ExponentMap,
+    Monomial,
+    Polynomial,
+    as_varref,
+    basis_size,
+    exponent_array,
+    grlex_key,
+)
+from gpmkit.relaxation import AssemblyError, MomentIndex, _inter_reduce, _Rules
 
 from conftest import (
+    ReferenceForms,
+    ReferenceRewriter,
     camel_problem,
     model_path,
     planted_instance,
     quadratic3_problem,
+    reference_inter_reduce,
 )
 
 
@@ -84,9 +97,16 @@ def test_maxcut_substituted_counts():
     assert r.n_support_substitutions == 9
 
 
+def _row_form(rows, k):
+    """Row k of LinearRows as (const, coefficient dict)."""
+    coeffs = rows.coeffs
+    span = slice(coeffs.indptr[k], coeffs.indptr[k + 1])
+    return rows.const[k], dict(zip(coeffs.indices[span].tolist(), coeffs.data[span].tolist()))
+
+
 def _product_forms_match(msdp):
-    """Every block entry equals the form of its product polynomial."""
-    index = msdp.index
+    """Every block entry equals the reference form of its product polynomial."""
+    ref = ReferenceForms(msdp.problem, msdp.order)
     for block in msdp.blocks:
         g = Polynomial.constant(1.0) if block.source is None else block.source.gform()
         s = block.size
@@ -95,11 +115,11 @@ def _product_forms_match(msdp):
             (i, j) for i in range(s) for j in range(i, s)
         }
         for i, j, k in zip(block.rows, block.cols, block.slot):
-            form = block.forms[k]
+            const, coeffs = _row_form(block.forms, k)
             prod = Polynomial({block.basis[i]: 1.0}) * Polynomial({block.basis[j]: 1.0})
-            ref = index.form_of_poly(block.measure, g * prod)
-            assert form.const == ref.const
-            assert form.coeffs == ref.coeffs
+            want = ref.form_of_poly(block.measure, g * prod)
+            assert const == want.const
+            assert coeffs == want.coeffs
 
 
 def _raw_is_grlex(msdp):
@@ -276,9 +296,15 @@ def test_representatives_match_reducing_every_tuple(problem, order):
     rules = extract_substitution_rules(problem, order).rules
     index = MomentIndex(problem.measures, order, rules)
     for measure in index.measures:
-        rw = index.rewriters[measure]
-        tuples = index.raw_exponents[measure]
-        reference = [t for t in tuples if _is_fixpoint(rw.reduce(t), t)]
+        exponents = index.exponents[measure]
+        rw = ReferenceRewriter(
+            exponents,
+            [(exponents.of(r.lhs), exponents.terms(r.rhs)) for r in rules if r.measure is measure],
+            2 * order,
+            [10 * basis_size(len(measure.vars), 2 * order)],
+        )
+        tuples = map(tuple, index.raw_exponents[measure].tolist())
+        reference = [t for t in tuples if rw.reduce(t) == {t: 1.0}]
         assert index.representatives[measure] == reference
 
 
@@ -288,6 +314,150 @@ def test_a_rule_past_the_degree_cap_keeps_its_left_side_multiple():
     reps = index.representatives[problem.measures[0]]
     assert (2, 2) in reps and (4, 0) in reps
     assert (2, 0) not in reps and (2, 1) not in reps
+
+
+# -- batched normal forms and forms against the one-tuple-at-a-time reference
+
+# not dyadic, so that sums of products depend on their order
+NON_DYADIC = [-1.3, -1.0, -0.7, 0.1, 0.3, 0.7, 2.9]
+
+
+def _random_rule_table(rng, nvars, cap, growing):
+    """Rules of degree 2 or 3 with polynomial right sides of lower degree,
+    plus, when ``growing``, one rule whose right side raises the degree."""
+    table = {}
+    tuples = exponent_array(nvars, cap).tolist()
+    lhs_pool = [t for t in tuples if 2 <= sum(t) <= 3]
+    for _ in range(int(rng.integers(1, 4))):
+        lhs = tuple(lhs_pool[int(rng.integers(len(lhs_pool)))])
+        lower = [tuple(t) for t in tuples if sum(t) < sum(lhs)]
+        picks = rng.choice(len(lower), size=min(len(lower), int(rng.integers(1, 5))), replace=False)
+        table[lhs] = {lower[k]: float(rng.choice(NON_DYADIC)) for k in picks}
+    if growing:
+        lhs = tuple(lhs_pool[int(rng.integers(len(lhs_pool)))])
+        higher = [tuple(t) for t in tuples if sum(t) == sum(lhs) + 1]
+        lower = [tuple(t) for t in tuples if sum(t) < sum(lhs)]
+        table[lhs] = {
+            higher[int(rng.integers(len(higher)))]: float(rng.choice(NON_DYADIC)),
+            lower[int(rng.integers(len(lower)))]: float(rng.choice(NON_DYADIC)),
+        }
+    return table
+
+
+def _exponent_map(nvars):
+    return ExponentMap([as_varref(v) for v in ModelContext().vars("x", nvars)])
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_batched_normal_forms_match_the_reference_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    nvars = 2 + seed % 2
+    cap = 2 * (2 + seed % 3)
+    exponents = _exponent_map(nvars)
+    table = _random_rule_table(rng, nvars, cap, growing=seed % 4 == 3)
+    budget = 10 * basis_size(nvars, cap)
+    try:
+        want = reference_inter_reduce(exponents, table, cap, [budget])
+    except AssemblyError:
+        with pytest.raises(AssemblyError, match="not terminating"):
+            _inter_reduce(exponents, table, cap, [budget])
+        return
+    got = _inter_reduce(exponents, table, cap, [budget])
+    assert [list(t.items()) for t in got[0].values()] == [
+        list(t.items()) for t in want[0].values()
+    ]
+    assert list(got[0]) == list(want[0]) and got[1] == want[1]
+
+    rules = list(want[0].items())
+    rw = ReferenceRewriter(exponents, rules, cap, [budget])
+    exps = exponent_array(nvars, cap)
+    try:
+        reference = [list(rw.reduce(t).items()) for t in map(tuple, exps.tolist())]
+    except AssemblyError:
+        with pytest.raises(AssemblyError, match="not terminating"):
+            _Rules(exponents, rules, cap).normal_forms(exps)
+        return
+    nf, terminals = _Rules(exponents, rules, cap).normal_forms(exps[::-1])
+    nf = nf[::-1]
+    for k, expected in enumerate(reference):
+        span = slice(nf.indptr[k], nf.indptr[k + 1])
+        row = zip(map(tuple, terminals[nf.indices[span]].tolist()), nf.data[span].tolist())
+        assert list(row) == expected
+
+
+def test_random_rule_sets_cover_caps_and_long_sums():
+    # the seeds above reach rules that leave the cap and normal forms
+    # summing three or more products into one coefficient
+    capped = long_sums = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        nvars, cap = 2 + seed % 2, 2 * (2 + seed % 3)
+        exponents = _exponent_map(nvars)
+        table = _random_rule_table(rng, nvars, cap, growing=seed % 4 == 3)
+        try:
+            kept, _ = reference_inter_reduce(exponents, table, cap, [10**6])
+            rw = ReferenceRewriter(exponents, list(kept.items()), cap, [10**6])
+            forms = {t: rw.reduce(t) for t in map(tuple, exponent_array(nvars, cap).tolist())}
+        except AssemblyError:
+            continue
+        divisible = [t for t in forms if any(all(map(int.__le__, l, t)) for l in kept)]
+        capped += sum(forms[t] == {t: 1.0} for t in divisible)
+        long_sums += sum(len(f) >= 3 for f in forms.values())
+    assert capped >= 5 and long_sums >= 20
+
+
+def _bound_problem(seed):
+    """Multi-term rules (one raising the degree on odd seeds) and moment
+    bindings whose forms have several terms, over one measure."""
+    rng = np.random.default_rng(seed)
+    c = lambda: float(rng.choice(NON_DYADIC))  # noqa: E731
+    ctx = ModelContext()
+    x = ctx.vars("x", 3)
+    cons = [
+        x[0] ** 2 == c() * x[0] + c() * x[1] + c(),
+        x[1] * x[2] == c() * x[0] * x[2] + c() * x[1] + c(),
+        mass(ctx.measure(1)) == 1,
+        mom(x[1]) == c() + c() * mom(x[0] * x[1]) + c() * mom(x[2]),
+        mom(x[2] ** 2) == mom(x[0]) + c() * mom(x[1]) + c() * mom(x[1] * x[2] ** 2),
+        mom(x[0] * x[2]) == c() * mom(x[2] ** 2) + c() * mom(x[1] ** 2),
+    ]
+    if seed % 2:
+        cons.append(x[1] ** 3 == c() * x[2] ** 4 + c() * x[0])
+    return GPMProblem(minimize(mom(x[0] * x[1] + c() * x[2])), cons)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("order", [2, 3])
+def test_forms_with_bound_representatives_match_the_reference(seed, order):
+    problem = _bound_problem(seed)
+    msdp = assemble(problem, order)
+    assert msdp.report.n_moment_substitutions >= 3
+    ref = ReferenceForms(problem, order)
+    assert ref.n_bindings == msdp.report.n_moment_substitutions
+    measure = problem.measures[0]
+    exps = msdp.index.raw_exponents[measure]
+    rows = msdp.index.rows(measure, exps)
+    assert np.diff(rows.coeffs.indptr).max() >= 3
+    y = np.random.default_rng(seed).normal(size=msdp.n_vars)
+    values = mvec_values(msdp, y, measure)
+    for k, t in enumerate(map(tuple, exps.tolist())):
+        want = ref.form_of_exponents(measure, t)
+        const, coeffs = _row_form(rows, k)
+        assert const == want.const
+        assert list(coeffs.items()) == list(want.coeffs.items())
+        assert values[k] == want.value(y)
+
+
+def test_moments_above_twice_the_order_are_rejected():
+    # codes in radix 2r + 1 cannot tell such monomials apart
+    ctx = ModelContext()
+    x, y = ctx.var("x"), ctx.var("y")
+    msdp = assemble(GPMProblem(minimize(mom(x)), [y ** 2 == x * y + 1]), 1)
+    values = np.ones(msdp.n_vars)
+    assert expression_value(msdp, values, mom(x * y)) == 1.0
+    for expr in (mom(x ** 3), mom(x * y ** 2)):
+        with pytest.raises(AssemblyError, match="degree above 2"):
+            expression_value(msdp, values, expr)
 
 
 def test_moment_substitution_binds_monomial():

@@ -17,11 +17,12 @@ interior-point call on its own, the number of calls and the SHA-256 of
 all of them (status, iterations, message, history, x, y, z, in call
 order, recorded by wrapping gpmkit.conic.solve), the status and
 iteration count of each call (`calls solved/18,solved/12`, in call
-order), and the SHA-256 of the outcome (status, objective and the atoms
-of every measure).  Diffing that output shows a solver or certificate
-refactor leaves every iterate and result bit-identical, and where a
-solver change saves or spends iterations; a change to the re-centering
-solves alone leaves the top-level hash unchanged:
+order), and the SHA-256 of the outcome (status, objective, and for every
+measure its moment values in raw grlex order and its atoms).  Diffing
+that output shows a solver, certificate or moment-evaluation refactor
+leaves every iterate and result bit-identical, and where a solver change
+saves or spends iterations; a change to the re-centering solves alone
+leaves the top-level hash unchanged:
 
     PYTHONPATH=src python tools/conic_digest.py --solve > after.txt
 
@@ -142,6 +143,8 @@ def solve_digest(model, order, seed):
         conic_module.solve = solve
     outcome = hashlib.sha256(repr((sol.status, sol.objective)).encode())
     for measure in sol.msdp.problem.measures:
+        moments = sol.moments.get(measure.label, {})
+        outcome.update(np.array(list(moments.values()), dtype=float).tobytes())
         if sol.status == 1:
             outcome.update(np.ascontiguousarray(measure.support_points).tobytes())
             outcome.update(np.ascontiguousarray(measure.weights).tobytes())
