@@ -53,7 +53,7 @@ from .conic import (
     ConeSpec,
     ConicProblem,
     ConicSolution,
-    PresolveResult,
+    Reduction,
     SolverParams,
     presolve_eliminate_equalities,
     solve_conic,

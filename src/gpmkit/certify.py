@@ -36,7 +36,7 @@ from .conic import (
     ConeSpec,
     ConicProblem,
     SolverParams,
-    lift_sign_split,
+    lift,
     solve_conic,
     split_by_sign,
     to_conic,
@@ -344,9 +344,9 @@ def solve_gpm(problem, order=None, params=None, seed=0):
 
     The conic problem goes through the reductions in order: the sign
     split (``sign_classes`` finds the flips, ``split_by_sign`` checks
-    and applies them, ``lift_sign_split`` maps the solution back), then,
-    inside ``solve_conic``, zero-diagonal facial reduction and presolve.
-    ``symmetry`` reports the split per measure.
+    them and returns the reduced problem), then, inside ``solve_conic``,
+    zero-diagonal facial reduction and presolve.  ``conic.lift`` maps
+    each solution back.  ``symmetry`` reports the split per measure.
 
     Returns a GPMSolution; on certification the extracted supports are
     stored into the measures, so eval_on_support reads the minimizers
@@ -364,7 +364,7 @@ def solve_gpm(problem, order=None, params=None, seed=0):
     if split is None:
         sol = solve_conic(conic, params)
     else:
-        sol = lift_sign_split(conic, split, solve_conic(split.problem, params))
+        sol = lift(conic, split, solve_conic(split.problem, params))
     symmetry = _symmetry_report(msdp, classes, split)
     if sol.status in ("infeasible", "unbounded", "failed"):
         return GPMSolution(
@@ -424,8 +424,9 @@ def _symmetry_report(msdp, classes, split):
                 if meas is measure and classes.moments[k]
             )
             blocks = [
-                size for block, sizes in zip(msdp.blocks, split.sizes)
-                if block.measure is measure for size in sizes
+                size for block, rc in zip(msdp.blocks, classes.blocks)
+                if block.measure is measure
+                for size in np.unique(rc, return_counts=True)[1].tolist()
             ]
         report[measure.label] = {
             "generators": [list(g) for g in gens],

@@ -17,7 +17,7 @@ only.  Presolve parameterizes the affine solution set as y = y0 + N t
 and rewrites the problem over t.
 
 A moment SDP reaches the solver through three reductions, in this
-order, each lifted back to the coordinates it started from:
+order:
 
 1. the sign split (``split_by_sign``, applied by ``solve_gpm``): moments
    that a sign flip of the data negates are pinned to 0 and every PSD
@@ -25,6 +25,11 @@ order, each lifted back to the coordinates it started from:
 2. zero-diagonal facial reduction (``_reduce_zero_diagonals``): slacks
    certified zero on the whole dual set leave the cones;
 3. presolve (``presolve_eliminate_equalities``): free columns go.
+
+Each returns a ``Reduction``: the reduced problem and two linear maps
+back, y = y0 + N y_r for the moments and x = X x_r for the primal
+entries.  One ``lift`` applies them to a solution of the reduced
+problem, so a further reduction only has to build its y0, N and X.
 
 The solver keeps each PSD block of A, symmetrized, either as CSR rows
 over its s*s entries or as a dense (m, s, s) tensor.  It picks one per
@@ -142,6 +147,8 @@ class ConicSolution:
     step lengths, lost progress, a failed factorization or a rejected
     step, or the ray found.  history rows are (pobj, dobj, pinf, dinf,
     gap) per iteration, the last one for the point the solve stopped at.
+    After a reduction's ``lift``, z is c - A'y on every column, free
+    columns included.
     """
 
     status: str
@@ -197,21 +204,52 @@ def to_conic(msdp):
 
 
 @dataclass
-class PresolveResult:
-    """Outcome of equality elimination.
+class Reduction:
+    """A reduced conic problem and the linear maps back to the original.
 
-    When status is 'ok', ``problem`` has no free cone and original
-    moments are recovered as y = y0 + N t from the reduced dual t.
-    When status is 'infeasible' the equality rows are contradictory and
-    ``residual`` reports the violation.
+    A point (x_r, y_r) of ``problem`` maps to y = y0 + N y_r and
+    x = X x_r, with N and X sparse.  ``n_eliminated`` counts the leading
+    free columns that presolve removed; X is zero on them and ``lift``
+    recovers them by least squares.  Presolve alone can end with status
+    'infeasible': the equality rows are contradictory, ``residual``
+    reports the violation and the problem and maps are None.
     """
 
     problem: object
     y0: np.ndarray
     N: object
-    status: str
+    X: object
+    status: str = "ok"
     residual: float = 0.0
     n_eliminated: int = 0
+
+
+def _selection(n, idx):
+    """The n x len(idx) 0/1 matrix whose column k is unit vector idx[k]."""
+    return scipy.sparse.csr_matrix(
+        (np.ones(idx.size), (idx, np.arange(idx.size))), shape=(n, idx.size)
+    )
+
+
+def lift(problem, red, inner):
+    """A solution of ``red.problem`` in the coordinates of ``problem``.
+
+    y = y0 + N y_r and x = X x_r, the free entries presolve eliminated
+    solved from A x = b by least squares; z = c - A'y on every column,
+    and both objectives gain back the b'y0 the reduction moved into the
+    offset.  Status, residuals and history stay those of ``inner``.
+    """
+    y = red.y0 + red.N @ inner.y
+    x = red.X @ inner.x
+    nf = red.n_eliminated
+    if nf:
+        A = scipy.sparse.csc_matrix(problem.A)
+        x[:nf] = scipy.sparse.linalg.lsqr(A[:, :nf], problem.b - A[:, nf:] @ x[nf:])[0]
+    z = np.asarray(problem.c - problem.A.T @ y).reshape(-1)
+    shift = float(problem.b @ red.y0)
+    return replace(
+        inner, x=x, y=y, z=z, pobj=inner.pobj + shift, dobj=inner.dobj + shift
+    )
 
 
 # equality rows that y = y0 + N t misses by more than this are inconsistent
@@ -259,8 +297,8 @@ def _presolve_residual(problem, res):
 
 
 def _infeasible(residual, nf):
-    return PresolveResult(
-        problem=None, y0=None, N=None, status="infeasible",
+    return Reduction(
+        problem=None, y0=None, N=None, X=None, status="infeasible",
         residual=residual, n_eliminated=nf,
     )
 
@@ -438,24 +476,9 @@ def _presolve_pass(problem, substitute):
         sense=problem.sense,
         offset=offset,
     )
-    return PresolveResult(
-        problem=reduced, y0=y0, N=N, status="ok", n_eliminated=nf
-    )
-
-
-@dataclass
-class SignSplit:
-    """A conic problem cut down by a sign symmetry, and the map back.
-
-    Row k of ``problem`` is row ``rows[k]`` of the original and column j
-    is column ``cols[j]``; ``sizes`` lists, per original PSD block, the
-    orders of the blocks it split into.
-    """
-
-    problem: ConicProblem
-    rows: np.ndarray
-    cols: np.ndarray
-    sizes: list
+    # X = [0; I] on the cone columns, as one diagonal
+    X = scipy.sparse.eye(problem.n, problem.n - nf, k=-nf, format="dia")
+    return Reduction(problem=reduced, y0=y0, N=N, X=X, n_eliminated=nf)
 
 
 def split_by_sign(problem, moment_class, block_classes):
@@ -475,7 +498,9 @@ def split_by_sign(problem, moment_class, block_classes):
     is block-diagonal over its row classes, and each class becomes its
     own block, classes in increasing order.
 
-    Returns None when the gate fails.
+    Returns a ``Reduction`` whose maps select the kept rows and columns
+    (its lift leaves y 0 at the pinned rows and x 0 at the dropped
+    columns), or None when the gate fails.
     """
     cone = problem.cone
     A = scipy.sparse.coo_matrix(problem.A)
@@ -498,7 +523,7 @@ def split_by_sign(problem, moment_class, block_classes):
     for start, s, rc in zip(cone.psd_starts, cone.s, block_classes):
         parts = [np.flatnonzero(rc == v) for v in np.unique(rc)]
         cols.extend((start + np.add.outer(R * s, R)).reshape(-1) for R in parts)
-        sizes.append(tuple(R.size for R in parts))
+        sizes.extend(R.size for R in parts)
     cols = np.concatenate(cols)
     rows = np.flatnonzero(~pinned)
     nfree = int(np.count_nonzero(cols < cone.f))
@@ -506,36 +531,14 @@ def split_by_sign(problem, moment_class, block_classes):
         A=scipy.sparse.csc_matrix(problem.A)[:, cols][rows].tocsr(),
         b=problem.b[rows],
         c=problem.c[cols],
-        cone=ConeSpec(f=nfree, l=cone.l, s=tuple(n for p in sizes for n in p)),
+        cone=ConeSpec(f=nfree, l=cone.l, s=tuple(sizes)),
         sense=problem.sense,
         offset=problem.offset,
     )
-    return SignSplit(problem=reduced, rows=rows, cols=cols, sizes=sizes)
-
-
-def lift_sign_split(problem, split, inner):
-    """A solution of ``split.problem`` in the coordinates of ``problem``.
-
-    y is 0 at the pinned rows, x is 0 at every dropped column (so each
-    PSD block of X is block-diagonal over its classes) and z = c - A'y;
-    the objectives are unchanged.
-    """
-    x = np.zeros(problem.n)
-    x[split.cols] = inner.x
-    y = np.zeros(problem.m)
-    y[split.rows] = inner.y
-    z = np.asarray(problem.c - problem.A.T @ y).reshape(-1)
-    return replace(inner, x=x, y=y, z=z)
-
-
-@dataclass
-class _Reduction:
-    """Facial reduction data: which slack positions were certified zero."""
-
-    problem: ConicProblem
-    kept_l: list
-    kept_s: list
-    added: list
+    return Reduction(
+        problem=reduced, y0=np.zeros(problem.m),
+        N=_selection(problem.m, rows), X=_selection(problem.n, cols),
+    )
 
 
 def _reduce_zero_diagonals(problem):
@@ -549,25 +552,27 @@ def _reduce_zero_diagonals(problem):
     certified psd rows/cols are deleted and every deleted entry of
     c - A'y is pinned by a new equality column.  Returns None when no
     certificate exists.
+
+    Reduced columns run free, pins, kept orthant, kept block entries;
+    X maps each to its original column, an off-diagonal pin (d, i) to
+    both (d, i) and (i, d), so A_r = A X and c_r = X'c.
     """
     cone = problem.cone
     if not cone.s:
         return None
     A = scipy.sparse.csc_matrix(problem.A)
-    cols = [cone.f + p for p in range(cone.l)]
-    kinds = [("l", p) for p in range(cone.l)]
-    for j, size in enumerate(cone.s):
-        cols.extend(cone.diagonal(j).tolist())
-        kinds.extend(("s", j, d) for d in range(size))
-    if not cols:
+    cols = np.concatenate(
+        [cone.f + np.arange(cone.l)] + [cone.diagonal(j) for j in range(len(cone.s))]
+    )
+    if not cols.size:
         return None
     # equality functionals (free columns) hold identically on the dual
     # set, so they may enter the certificate with free sign
-    pick = cols + list(range(cone.f))
+    pick = np.concatenate([cols, np.arange(cone.f)])
     A_eq = scipy.sparse.vstack(
         [A[:, pick], scipy.sparse.csr_matrix(problem.c[pick])], format="csc"
     )
-    ncand = len(cols)
+    ncand = cols.size
     res = scipy.optimize.linprog(
         c=np.concatenate([-np.ones(ncand), np.zeros(cone.f)]),
         A_eq=A_eq,
@@ -585,100 +590,40 @@ def _reduce_zero_diagonals(problem):
     scale_cert = float(lam[:ncand].sum()) + float(np.abs(lam[ncand:]).sum())
     if np.abs(A_eq @ lam).max() > 1e-7 * (1.0 + scale_cert):
         return None
-    lam = lam[:ncand]
-    forced_l = set()
-    forced_s = [set() for _ in cone.s]
-    for k in np.nonzero(lam)[0]:
-        kind = kinds[k]
-        if kind[0] == "l":
-            forced_l.add(kind[1])
-        else:
-            forced_s[kind[1]].add(kind[2])
+    forced = lam[:ncand] > 0
 
-    added_cols = []
-    added_c = []
-    added = []
-    kept_l = [p for p in range(cone.l) if p not in forced_l]
-    for p in sorted(forced_l):
-        added_cols.append(A[:, [cone.f + p]])
-        added_c.append(float(problem.c[cone.f + p]))
-        added.append(("l", p))
-    kept_s = []
-    keep_cols = [cone.f + p for p in kept_l]
-    new_sizes = []
-    for j, (off, size) in enumerate(zip(cone.psd_starts, cone.s)):
-        D = forced_s[j]
-        K = [i for i in range(size) if i not in D]
-        kept_s.append(K)
-        for d in sorted(D):
-            for i in range(size):
-                if i in D and i > d:
-                    continue
-                col = A[:, [off + d * size + i]]
-                cval = float(problem.c[off + d * size + i])
-                if i != d:
-                    col = col + A[:, [off + i * size + d]]
-                    cval += float(problem.c[off + i * size + d])
-                added_cols.append(col)
-                added_c.append(cval)
-                added.append(("s", j, d, i))
-        if K:
-            new_sizes.append(len(K))
-            keep_cols.extend(off + a * size + b for a in K for b in K)
-
-    pieces = []
-    if cone.f:
-        pieces.append(A[:, :cone.f])
-    pieces.extend(added_cols)
-    if keep_cols:
-        pieces.append(A[:, keep_cols])
-    if not pieces:
-        return None
-    A_new = scipy.sparse.hstack(pieces, format="csr")
-    c_new = np.concatenate(
-        [problem.c[:cone.f], np.asarray(added_c), problem.c[keep_cols]]
-    )
+    # an orthant pin is its own mirror; a block pin (d, i) covers row d
+    # of a forced diagonal, with i <= d where i is forced too
+    pins = [cone.f + np.flatnonzero(forced[:cone.l])]
+    mirrors = list(pins)
+    kept = [cone.f + np.flatnonzero(~forced[:cone.l])]
+    sizes = []
+    blocks = np.split(forced[cone.l:], np.cumsum(cone.s)[:-1])
+    for off, s, D in zip(cone.psd_starts, cone.s, blocks):
+        d, i = np.nonzero(D[:, None] & (~D | np.tri(s, dtype=bool)))
+        pins.append(off + d * s + i)
+        mirrors.append(off + i * s + d)
+        K = np.flatnonzero(~D)
+        if K.size:
+            sizes.append(K.size)
+            kept.append((off + np.add.outer(K * s, K)).reshape(-1))
+    free = np.arange(cone.f)
+    col = np.concatenate([free, *pins, *kept])
+    mirror = np.concatenate([free, *mirrors, *kept])
+    # 1 at each column's entry and its mirror, 2 summed where they coincide
+    X = (_selection(problem.n, col) + _selection(problem.n, mirror)).sign()
     reduced = ConicProblem(
-        A=A_new,
+        A=(A @ X).tocsr(),
         b=problem.b.copy(),
-        c=c_new,
-        cone=ConeSpec(f=cone.f + len(added), l=len(kept_l), s=tuple(new_sizes)),
+        c=X.T @ problem.c,
+        cone=ConeSpec(f=cone.f + sum(p.size for p in pins), l=kept[0].size, s=tuple(sizes)),
         sense=problem.sense,
         offset=problem.offset,
     )
-    return _Reduction(problem=reduced, kept_l=kept_l, kept_s=kept_s, added=added)
-
-
-def _lift_reduction(problem, red, inner):
-    """Map a solution of the reduced problem back to original coordinates."""
-    cone = problem.cone
-    starts = cone.psd_starts
-    x = np.zeros(problem.n)
-    xr = inner.x
-    x[:cone.f] = xr[:cone.f]
-    nadd = len(red.added)
-    added_vals = xr[cone.f:cone.f + nadd]
-    pos = cone.f + nadd
-    kept_l = np.asarray(red.kept_l, dtype=np.intp)
-    x[cone.f + kept_l] = xr[pos:pos + kept_l.size]
-    pos += kept_l.size
-    for start, size, K in zip(starts, cone.s, red.kept_s):
-        K = np.asarray(K, dtype=np.intp)
-        k = K.size
-        x[start + np.add.outer(K * size, K)] = xr[pos:pos + k * k].reshape(k, k)
-        pos += k * k
-    # an added off-diagonal column is A_di + A_id, so both entries get its value
-    for val, spec in zip(added_vals, red.added):
-        if spec[0] == "l":
-            x[cone.f + spec[1]] = val
-        else:
-            _, j, d, i = spec
-            size = cone.s[j]
-            x[starts[j] + d * size + i] = val
-            x[starts[j] + i * size + d] = val
-    z = np.asarray(problem.c - problem.A.T @ inner.y).reshape(-1)
-    z[:cone.f] = 0.0
-    return replace(inner, x=x, z=z)
+    return Reduction(
+        problem=reduced, y0=np.zeros(problem.m),
+        N=scipy.sparse.identity(problem.m, format="csr"), X=X,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1321,44 +1266,28 @@ def solve_conic(problem, params=None):
     """Reduce, solve, and lift back to the coordinates of ``problem``.
 
     Of the three reductions of the module docstring, the sign split is
-    applied by the caller, ``solve_gpm``, before this; here the
-    zero-diagonal facial reduction runs first (solving the reduced
-    problem recursively), then presolve of the free columns.
+    applied by the caller, ``solve_gpm``, before this.  Here the
+    zero-diagonal facial reduction runs first, its reduced problem
+    solved by a recursive call, then presolve of the free columns before
+    the interior-point ``solve``; ``lift`` maps each result back.
 
     Returns a ConicSolution in the coordinates of ``problem``: y holds
-    all original dual (moment) variables, x all original primal entries
-    with the free components recovered by least squares, and pobj/dobj
-    are the objectives c'x and b'y of ``problem`` (history rows stay
-    those of the solved problem).
+    all original dual (moment) variables, x all original primal entries,
+    z = c - A'y, and pobj/dobj are the objectives c'x and b'y of
+    ``problem`` (history rows stay those of the solved problem).
     """
     params = params or SolverParams()
     red = _reduce_zero_diagonals(problem)
     if red is not None:
-        inner = solve_conic(red.problem, params)
-        return _lift_reduction(problem, red, inner)
+        return lift(problem, red, solve_conic(red.problem, params))
     if problem.cone.f == 0:
         return solve(problem, params)
-    pre = presolve_eliminate_equalities(problem)
-    if pre.status == "infeasible":
+    red = presolve_eliminate_equalities(problem)
+    if red.status == "infeasible":
         # no y solves A_f'y = c_f, so some free x_f has A_f x_f = 0 and
         # c_f'x_f < 0: a primal improving ray, which the IPM reports as
         # unbounded too.  The violated rows are dual constraints.
         return _without_iterations(
-            problem, "unbounded", "inconsistent equality rows", dinf=pre.residual
+            problem, "unbounded", "inconsistent equality rows", dinf=red.residual
         )
-    inner = solve(pre.problem, params)
-    y = pre.y0 + pre.N @ inner.y
-    nf = problem.cone.f
-    x = np.zeros(problem.n)
-    x[nf:] = inner.x
-    A = scipy.sparse.csc_matrix(problem.A)
-    if nf:
-        rhs = problem.b - A[:, nf:] @ inner.x
-        x[:nf] = scipy.sparse.linalg.lsqr(A[:, :nf], rhs)[0]
-    z = problem.c - problem.A.T @ y
-    # presolve moved b'y0 out of both objectives; put it back
-    shift = float(problem.b @ pre.y0)
-    return replace(
-        inner, x=x, y=y, z=np.asarray(z).reshape(-1),
-        pobj=inner.pobj + shift, dobj=inner.dobj + shift,
-    )
+    return lift(problem, red, solve(red.problem, params))

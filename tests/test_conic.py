@@ -575,8 +575,7 @@ def test_facial_reduction_lifts_into_the_second_of_two_blocks():
     b = np.array([1.0, 0.0, -0.2])
     problem = ConicProblem(A=A, b=b, c=c, cone=ConeSpec(l=1, s=(2, 2)))
     red = _reduce_zero_diagonals(problem)
-    assert red.kept_s == [[0, 1], []]
-    assert red.added == [("s", 1, 0, 0), ("s", 1, 1, 0), ("s", 1, 1, 1)]
+    assert red.problem.cone == ConeSpec(f=3, l=1, s=(2,))
     sol = solve_conic(problem)
     assert sol.status == "solved"
     assert sol.y == pytest.approx([np.sqrt(0.75), 0.5, 0.0], abs=1e-7)
@@ -594,6 +593,26 @@ def test_no_facial_reduction_with_interior():
         c=np.arange(4.0), cone=ConeSpec(s=(2,)),
     )
     assert _reduce_zero_diagonals(problem) is None
+
+
+def test_facial_reduction_then_presolve():
+    # the reduction adds its pins to the free cone, so presolve runs on
+    # its output and the two lifts chain
+    ctx = ModelContext()
+    x = ctx.vars("x", 2)
+    problem = to_conic(assemble(GPMProblem(
+        minimize(mom(1 + x[0] + x[1])),
+        [x[0] ** 2 + x[1] ** 2 <= 0, mom(x[0] + 2 * x[1]) == 0],
+    )))
+    assert problem.cone == ConeSpec(f=1, l=1, s=(3,))
+    assert _reduce_zero_diagonals(problem) is not None
+    sol = solve_conic(problem)
+    assert sol.status == "solved"
+    A = problem.A
+    assert np.abs(A @ sol.x - problem.b).max() <= 1e-9
+    assert problem.c @ sol.x == pytest.approx(sol.pobj, abs=1e-9)
+    assert problem.b @ sol.y == pytest.approx(sol.dobj, abs=1e-9)
+    np.testing.assert_array_equal(sol.z, problem.c - A.T @ sol.y)
 
 
 def test_point_mass_support_solves():

@@ -22,7 +22,7 @@ from gpmkit import (
     solve_gpm,
     to_conic,
 )
-from gpmkit.conic import lift_sign_split, split_by_sign
+from gpmkit.conic import lift, split_by_sign
 from gpmkit.dsl import parse_model
 from gpmkit.relaxation import sign_classes
 
@@ -190,9 +190,9 @@ def test_split_matches_the_unsplit_problem(seed):
     problem, row_class, rcs, masks = random_symmetric_problem(np.random.default_rng(seed))
     split = split_by_sign(problem, row_class, rcs)
     assert split is not None
-    assert split.sizes == [tuple(np.bincount(rc)[np.unique(rc)]) for rc in rcs]
+    assert split.problem.cone.s == tuple(n for rc in rcs for n in np.bincount(rc)[np.unique(rc)])
     whole = solve_conic(problem)
-    lifted = lift_sign_split(problem, split, solve_conic(split.problem))
+    lifted = lift(problem, split, solve_conic(split.problem))
     assert whole.status == lifted.status == "solved"
     for obj in ("pobj", "dobj"):
         a, b = getattr(whole, obj), getattr(lifted, obj)
