@@ -462,7 +462,8 @@ def _presolve_pass(problem, substitute):
     N.eliminate_zeros()
     N.sort_indices()
 
-    A_rest = A[:, nf:].tocsr()
+    # N.T is CSC, so a CSC A_rest enters the product unconverted
+    A_rest = A[:, nf:]
     A_red = (N.T @ A_rest).tocsr()
     c_red = np.asarray(problem.c[nf:] - A_rest.T @ y0)
     b_red = np.asarray(N.T @ problem.b)

@@ -10,6 +10,16 @@ F_0 = -C and F_k = -A_k.  A negative block size denotes a diagonal
 (linear) block holding the orthant.  The format has no free cone;
 equality columns must be eliminated by presolve before export.
 
+Entry lines are built in arrays, a bounded chunk at a time.  Each line
+is five NUL-padded fixed-width byte fields: the matrix number, block
+number, i and j are rows of one table holding b"%d " for 0 up to the
+largest of them, and the value is a row of b"%.17g\n" for each distinct
+value of the chunk.  Packing the fields of all lines into one uint8
+array and dropping its NULs leaves the lines.  Every token is Python's
+own %d or %.17g output, and a NUL never occurs in one, so the file is
+byte for byte what one "%d %d %d %d %.17g\n" per entry writes.  F_0
+takes only the nonzero columns of c.
+
 The JSON format is a faithful dump of the ConicProblem fields and
 round-trips exactly, including sense and offset, which SDPA cannot
 carry.
@@ -62,31 +72,42 @@ def export_sdpa(problem, path):
 
     A = scipy.sparse.csr_matrix(problem.A)
     c = np.asarray(problem.c, dtype=float)
-    with open(path, "w") as fh:
-        fh.write("\n".join(header) + "\n")
-        # F_0 = -C over the columns in order, then F_k = -A_k row by row,
+    numbers = np.array([b"%d " % k for k in range(max(m, len(blocks), *map(abs, blocks)) + 1)])
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode())
+        # F_0 = -C over the nonzero columns, then F_k = -A_k row by row,
         # a bounded chunk of entries at a time
-        for lo in range(0, problem.n, _SDPA_CHUNK):
-            cols = np.arange(lo, min(lo + _SDPA_CHUNK, problem.n))
-            fh.write(_sdpa_lines(cone, np.zeros(cols.size, dtype=np.int64), cols, -c[cols]))
+        cols = np.flatnonzero(c)
+        for lo in range(0, cols.size, _SDPA_CHUNK):
+            at = cols[lo:lo + _SDPA_CHUNK]
+            fh.write(_sdpa_lines(numbers, cone, np.zeros(at.size, dtype=np.int64), at, -c[at]))
         for lo in range(0, A.nnz, _SDPA_CHUNK):
             at = np.arange(lo, min(lo + _SDPA_CHUNK, A.nnz))
             matno = np.searchsorted(A.indptr, at, side="right")
-            fh.write(_sdpa_lines(cone, matno, A.indices[at], -A.data[at]))
+            fh.write(_sdpa_lines(numbers, cone, matno, A.indices[at], -A.data[at]))
 
 
-def _sdpa_lines(cone, matno, cols, vals):
-    """Entry lines of the upper-triangle nonzeros among the given ones."""
+def _sdpa_lines(numbers, cone, matno, cols, vals):
+    """Entry lines of the upper-triangle nonzeros among the given ones.
+
+    ``numbers`` holds b"%d " of 0 up to the largest integer field, as a
+    NUL-padded bytes array; each distinct value is formatted once.
+    """
     blkno, i, j = _block_coordinates(cone, cols)
     keep = (i <= j) & (vals != 0.0)
-    n = int(keep.sum())
-    fields = [None] * (5 * n)
-    fields[0::5] = matno[keep].tolist()
-    fields[1::5] = blkno[keep].tolist()
-    fields[2::5] = (i[keep] + 1).tolist()
-    fields[3::5] = (j[keep] + 1).tolist()
-    fields[4::5] = vals[keep].tolist()
-    return ("%d %d %d %d %.17g\n" * n) % tuple(fields)
+    distinct, which = np.unique(vals[keep], return_inverse=True)
+    fields = (
+        numbers[matno[keep]],
+        numbers[blkno[keep]],
+        numbers[i[keep] + 1],
+        numbers[j[keep] + 1],
+        np.array([b"%.17g\n" % v for v in distinct.tolist()])[which],
+    )
+    lines = np.empty(len(which), dtype=[("", f.dtype) for f in fields])
+    for name, field in zip(lines.dtype.names, fields):
+        lines[name] = field
+    flat = lines.view(np.uint8)
+    return flat[flat != 0].tobytes()
 
 
 def _block_coordinates(cone, cols):

@@ -522,6 +522,7 @@ class MomentIndex:
         self.raw_exponents = {}
         self.bound = {}
         self._reps = {}
+        self._raw_codes = {}
         self._numbers = {}
         self._n_vars = 0
         self._var_of = None
@@ -537,13 +538,18 @@ class MomentIndex:
                 2 * order,
             )
             raw = exponent_array(len(measure.vars), 2 * order)
-            reps = raw[_representatives(mrules, raw)]
-            codes = _codes(reps, mrules.radix)
+            codes = _codes(raw, mrules.radix)
             by_code = np.argsort(codes)
+            is_rep = _representatives(mrules, raw)
+            # the representatives in code order, by position among them
+            rep_by_code = by_code[is_rep[by_code]]
             self.exponents[measure] = exponents
             self.rules[measure] = mrules
             self.raw_exponents[measure] = raw
-            self._reps[measure] = (reps, codes[by_code], by_code)
+            self._raw_codes[measure] = (codes[by_code], by_code)
+            self._reps[measure] = (
+                raw[is_rep], codes[rep_by_code], (np.cumsum(is_rep) - 1)[rep_by_code]
+            )
 
     def finalize_variables(self):
         """Number every unbound representative; call after bindings."""
@@ -617,9 +623,26 @@ class MomentIndex:
         """Position of each exponent row among the representatives, and
         whether it is one (the position is meaningless where it is not)."""
         _, codes, by_code = self._reps[measure]
-        want = _codes(exps, self.rules[measure].radix)
+        want = self.codes(measure, exps)
         at = np.searchsorted(codes, want).clip(max=max(len(codes) - 1, 0))
         return by_code[at], codes[at] == want
+
+    def codes(self, measure, exps):
+        """Integer code of each exponent row; codes of degree <= 2r add
+        as their exponent rows do, since no digit carries."""
+        return _codes(exps, self.rules[measure].radix)
+
+    def distinct(self, measure, codes):
+        """The distinct exponent rows among codes of degree <= 2r, in code
+        order, and the position of each code among them.
+
+        The rows are looked up in the sorted codes of all rows of degree
+        <= 2r, so no first occurrences are needed, and np.unique skips
+        the stable sort they take.
+        """
+        codes, inverse = np.unique(codes, return_inverse=True)
+        table, by_code = self._raw_codes[measure]
+        return self.raw_exponents[measure][by_code[np.searchsorted(table, codes)]], inverse
 
     def _bound_positions(self, measure):
         keys = [t for m, t in self.bound if m is measure]
@@ -685,21 +708,20 @@ class MomentIndex:
         order ``form_of_terms`` sums it.  Zeros left by cancellation are
         dropped, as LinForm drops them.
         """
-        nvars = len(measure.vars)
         n_terms = len(terms)
-        prods = shifts[:, None, :] + _exponent_array(list(terms), nvars)[None, :, :]
-        prods = prods.reshape(-1, nvars)
-        _, first, inverse = np.unique(
-            _codes(prods, self.rules[measure].radix), return_index=True, return_inverse=True
-        )
-        rows = self.rows(measure, prods[first])
+        term_exps = _exponent_array(list(terms), len(measure.vars))
+        # s + t has degree at most 2r, so its code is the sum of codes
+        self.rules[measure].check_degree(shifts + term_exps[term_exps.sum(axis=1).argmax()])
+        codes = self.codes(measure, shifts)[:, None] + self.codes(measure, term_exps)
+        prods, inverse = self.distinct(measure, codes.reshape(-1))
+        rows = self.rows(measure, prods)
         S = scipy.sparse.csr_matrix(
             (
                 np.tile(np.fromiter(terms.values(), dtype=float, count=n_terms), len(shifts)),
                 inverse,
                 np.arange(len(shifts) + 1) * n_terms,
             ),
-            shape=(len(shifts), len(first)),
+            shape=(len(shifts), len(prods)),
         )
         coeffs = S @ rows.coeffs
         coeffs.eliminate_zeros()
@@ -854,7 +876,7 @@ def assemble(problem, order=None):
     blocks = []
     for measure in problem.measures:
         basis = index.basis(measure, order)
-        rows, cols, slot, products = _block_entries(basis)
+        rows, cols, slot, products = _block_entries(index, measure, basis)
         forms = index.rows(measure, products)
         blocks.append(_block("moment", index, measure, basis, rows, cols, slot, forms))
 
@@ -867,7 +889,7 @@ def assemble(problem, order=None):
         if len(basis) <= 1:
             ineq_forms.append(index.form_of_terms(measure, terms))
             continue
-        rows, cols, slot, products = _block_entries(basis)
+        rows, cols, slot, products = _block_entries(index, measure, basis)
         forms = index.shifted_rows(measure, terms, products)
         blocks.append(
             _block("localizing", index, measure, basis, rows, cols, slot, forms, source=con)
@@ -939,22 +961,18 @@ def _codes(exps, radix):
     return exps.astype(dtype) @ powers
 
 
-def _block_entries(basis):
+def _block_entries(index, measure, basis):
     """Upper triangle of a block over a basis of exponent rows, as arrays.
 
     Returns rows and cols (i <= j, row by row), each entry's slot and
-    the exponent rows of the distinct products, one per slot; entries
-    with the same product share one slot.  Products are compared by an
-    integer code in a radix above twice the largest basis degree: no
-    digit of a product carries, so the code of a product is the sum of
-    the codes.
+    the exponent rows of the distinct products in code order, one per
+    slot; entries with the same product share one slot.  The code of a
+    product is the sum of the codes of its factors.
     """
-    codes = _codes(basis, 2 * int(basis.sum(axis=1).max()) + 1)
+    codes = index.codes(measure, basis)
     rows, cols = np.triu_indices(len(basis))
-    _, first, slot = np.unique(
-        codes[rows] + codes[cols], return_index=True, return_inverse=True
-    )
-    return rows, cols, slot, basis[rows[first]] + basis[cols[first]]
+    products, slot = index.distinct(measure, codes[rows] + codes[cols])
+    return rows, cols, slot, products
 
 
 def _block(kind, index, measure, basis, rows, cols, slot, forms, source=None):

@@ -151,6 +151,152 @@ def test_sdpa_writes_the_exact_bytes(tmp_path):
     )
 
 
+def reference_sdpa_text(problem):
+    """The SDPA file with every entry line formatted by the % operator.
+
+    Columns map to (block, i, j) through per-block index arrays, and
+    every nonzero upper-triangle entry of F_0 = -C, then of each
+    F_k = -A_k, becomes "%d %d %d %d %.17g" with 1-based indices.
+    """
+    cone = problem.cone
+    blocks = ([-cone.l] if cone.l else []) + list(cone.s) or [-1]
+    header = [
+        '"generated by gpmkit',
+        f"{problem.m}",
+        f"{len(blocks)}",
+        " ".join(str(s) for s in blocks),
+        " ".join(f"{float(-v):.17g}" for v in problem.b),
+    ]
+    first = 2 if cone.l else 1
+    blk = [np.ones(cone.l, dtype=np.int64)]
+    i = [np.arange(cone.l)]
+    j = [np.arange(cone.l)]
+    for k, s in enumerate(cone.s):
+        blk.append(np.full(s * s, first + k))
+        i.append(np.repeat(np.arange(s), s))
+        j.append(np.tile(np.arange(s), s))
+    blk, i, j = (np.concatenate(parts).astype(np.int64) for parts in (blk, i, j))
+    A = scipy.sparse.csr_matrix(problem.A)
+    matno = np.concatenate(
+        [np.zeros(problem.n, dtype=np.int64), np.repeat(np.arange(1, problem.m + 1), np.diff(A.indptr))]
+    )
+    cols = np.concatenate([np.arange(problem.n), A.indices])
+    vals = np.concatenate([-np.asarray(problem.c, dtype=float), -A.data])
+    keep = (i[cols] <= j[cols]) & (vals != 0.0)
+    cols = cols[keep]
+    n = int(keep.sum())
+    fields = [None] * (5 * n)
+    fields[0::5] = matno[keep].tolist()
+    fields[1::5] = blk[cols].tolist()
+    fields[2::5] = (i[cols] + 1).tolist()
+    fields[3::5] = (j[cols] + 1).tolist()
+    fields[4::5] = vals[keep].tolist()
+    return "\n".join(header) + "\n" + ("%d %d %d %d %.17g\n" * n) % tuple(fields)
+
+
+# values that take all 17 digits, subnormals, extremes and non-finite
+SPECIAL_VALUES = [
+    0.1, 1.0 / 3.0, -2.0 / 3.0, np.pi, 1.0 + 2.0 ** -52, 123456789.01234567,
+    5e-324, -1e-310, 2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
+    np.inf, -np.inf, np.nan, 1.0, -1.0, 2.0, 1e16, 1e-5,
+]
+
+
+def special_problem():
+    """Orthant and two blocks; A and C hold SPECIAL_VALUES, 0.0 and -0.0."""
+    rng = np.random.default_rng(3)
+    cone = ConeSpec(l=3, s=(2, 4))
+    m, n = 12, cone.total_length
+    pool = np.array(SPECIAL_VALUES + [0.0, -0.0])
+    at = rng.choice(m * n, size=m * n // 2, replace=False)
+    data = rng.choice(pool, size=at.size)
+    data[:2] = 0.0, -0.0
+    A = scipy.sparse.csr_matrix((data, divmod(at, n)), shape=(m, n))
+    c = rng.choice(pool, size=n)
+    c[:2] = 0.0, -0.0
+    return ConicProblem(A=A, b=rng.choice(pool, size=m), c=c, cone=cone)
+
+
+def wide_problem():
+    """m, the orthant, block orders and the block count cross 9/10,
+    99/100 and 999/1000, so every integer field changes width."""
+    rng = np.random.default_rng(5)
+    cone = ConeSpec(l=100, s=(1,) * 9 + (10, 100, 1000))
+    m, n = 1000, cone.total_length
+    edges = np.array([0, 8, 9, 10, 98, 99, 100, 998, 999])
+    # the orthant's diagonal, then each block's (i, j) on the edges
+    cols = [edges[edges < cone.l]]
+    for start, s in zip(cone.psd_starts, cone.s):
+        ij = edges[edges < s]
+        cols.append(start + (ij[:, None] * s + ij).reshape(-1))
+    cols = np.concatenate(cols)
+    rows = rng.integers(0, m, size=cols.size)
+    rows[: edges.size] = edges  # diagonal entries, so F_1 ... F_1000 all print
+    A = scipy.sparse.csr_matrix((rng.normal(size=cols.size), (rows, cols)), shape=(m, n))
+    c = np.zeros(n)
+    c[cols[::3]] = rng.normal(size=cols[::3].size) / 7.0
+    return ConicProblem(A=A, b=rng.normal(size=m), c=c, cone=cone)
+
+
+def orthant_problem():
+    A = np.array([[1.0, 2.0, 0.0], [0.0, -0.25, 4.0]])
+    return ConicProblem(
+        A=A, b=np.array([1.0, 2.0]), c=np.array([0.5, -0.0, -3.0]), cone=ConeSpec(l=3)
+    )
+
+
+def empty_a_problem():
+    cone = ConeSpec(l=1, s=(3,))
+    return ConicProblem(
+        A=scipy.sparse.csr_matrix((2, cone.total_length)), b=np.array([1.0, 0.0]),
+        c=np.arange(cone.total_length, dtype=float), cone=cone,
+    )
+
+
+def no_rows_problem():
+    cone = ConeSpec(s=(2,))
+    return ConicProblem(
+        A=scipy.sparse.csr_matrix((0, 4)), b=np.zeros(0), c=np.array([1.0, 0.5, 0.5, 2.0]),
+        cone=cone,
+    )
+
+
+BYTE_CASES = {
+    "special": special_problem,
+    "wide": wide_problem,
+    "orthant": orthant_problem,
+    "empty_a": empty_a_problem,
+    "no_rows": no_rows_problem,
+}
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 3, 7])
+@pytest.mark.parametrize("case", sorted(BYTE_CASES))
+def test_sdpa_bytes_match_the_percent_format(tmp_path, monkeypatch, case, chunk):
+    problem = BYTE_CASES[case]()
+    if chunk is not None:
+        monkeypatch.setattr(formats_module, "_SDPA_CHUNK", chunk)
+    path = tmp_path / "p.dat-s"
+    export_sdpa(problem, path)
+    assert path.read_bytes() == reference_sdpa_text(problem).encode()
+
+
+def test_byte_cases_cover_special_values_and_field_widths():
+    # A and C store both zeros, which the file skips; it negates the rest
+    problem = special_problem()
+    for values in (problem.A.data, problem.c):
+        zeros = np.signbit(values[values == 0.0])
+        assert zeros.any() and not zeros.all()
+    lines = [line.split() for line in reference_sdpa_text(problem).splitlines()[5:]]
+    assert {e[4] for e in lines} == {f"{-v:.17g}" for v in SPECIAL_VALUES}
+    # matrix numbers and indices 1..1000, block numbers 1..13, and the
+    # orthant's indices 1..100
+    lines = [line.split() for line in reference_sdpa_text(wide_problem()).splitlines()[5:]]
+    for field, digits in ((0, 4), (1, 2), (2, 4), (3, 4)):
+        assert {len(e[field]) for e in lines} == set(range(1, digits + 1))
+    assert {len(e[2]) for e in lines if e[1] == "1"} == {1, 2, 3}
+
+
 def test_json_writes_the_exact_bytes(tmp_path):
     path = tmp_path / "p.json"
     export_json(tiny_problem(), path)

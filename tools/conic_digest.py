@@ -79,9 +79,15 @@ SOLVE_CASES = [
 ]
 SOLVE_SEEDS = (0, 1)
 
+# the max-cut files hold only +-1 entries; rational, camel and
+# quadratic3 add an orthant, several blocks and non-unit coefficients
 EXPORT_CASES = [
     ("maxcut_nosub", 4, "sdpa"),
     ("maxcut_sub", 4, "json"),
+    ("maxcut_sub", 4, "sdpa"),
+    ("rational", 1, "sdpa"),
+    ("camel", 3, "sdpa"),
+    ("quadratic3", 4, "sdpa"),
 ]
 
 
