@@ -42,8 +42,7 @@ from .conic import (
     to_conic,
 )
 from .model import ModelError
-from .polynomials import Monomial
-from .relaxation import assemble, mmat_values, moment_block, sign_classes
+from .relaxation import assemble, mmat_values, moment_block, mvec_values, sign_classes
 
 # singular values below _RANK_TOL times the largest count as zero; atoms
 # may break support constraints and the objective by _FEAS_TOL (relative)
@@ -97,10 +96,10 @@ def check_flatness(msdp, y, measure):
 def _flatness(msdp, block, M):
     """Rank pattern of the moment matrix M of a measure's moment block."""
     v = _inequality_halfdegree(msdp, block.measure)
-    degrees = [mono.degree for mono in block.basis]
+    degrees = block.basis.sum(axis=1)
     ranks = {}
     for d in range(msdp.order + 1):
-        keep = [i for i, deg in enumerate(degrees) if deg <= d]
+        keep = np.flatnonzero(degrees <= d)
         ranks[d] = numeric_rank(M[np.ix_(keep, keep)])
     rank = ranks[msdp.order]
     rank_shifted = ranks[max(msdp.order - v, 0)]
@@ -184,34 +183,37 @@ def _extract(msdp, block, M, rho, seed):
     R, pivots = _column_echelon(V)
     if R is None:
         return ExtractionResult(success=False, message="rank-deficient factorization")
-    basis_pos = {mono: i for i, mono in enumerate(block.basis)}
-    pivot_monos = [block.basis[i] for i in pivots]
+    index = msdp.index
+    basis = block.basis
+    nvars = len(measure.vars)
+    # row k * rho + j: pivot row j times variable k
+    unit = np.eye(nvars, dtype=np.int64)
+    shifts = (basis[pivots] + unit[:, None, :]).reshape(nvars * rho, nvars)
+    rules = index.rules[measure]
+    if (rules.first_divisor(shifts) < 0).all():
+        nf, terminals = scipy.sparse.identity(len(shifts), format="csr"), shifts
+    else:
+        nf, terminals = rules.normal_forms(shifts)
+    # the basis is the grlex prefix of the representatives up to degree r
+    at, is_rep = index.rep_lookup(measure, terminals)
+    inside = (is_rep & (at < len(basis)))[nf.indices]
+    if not inside.all():
+        row = np.repeat(np.arange(len(shifts)), np.diff(nf.indptr))[~inside][0]
+        shifted = index.exponents[measure].monomial(tuple(shifts[row].tolist()))
+        return ExtractionResult(
+            success=False,
+            message=f"monomial {shifted!r} leaves the truncated basis",
+        )
+    nf = scipy.sparse.csr_matrix(
+        (nf.data, at[nf.indices], nf.indptr), shape=(len(shifts), len(basis))
+    )
+    # each row summed from 0.0 over its normal form's terms, in order
+    operators = list((nf @ R).reshape(nvars, rho, rho))
 
-    def coords_of(poly):
-        """Coordinates of a reduced polynomial in the pivot basis."""
-        row = np.zeros(rho)
-        for mono, coeff in poly.terms.items():
-            pos = basis_pos.get(mono)
-            if pos is None:
-                return None
-            row += coeff * R[pos]
-        return row
-
-    operators = []
-    for var in measure.vars:
-        N = np.zeros((rho, rho))
-        for j, w in enumerate(pivot_monos):
-            shifted = w.mul(Monomial(((var, 1),)))
-            reduced = msdp.index.reduce(measure, shifted)
-            row = coords_of(reduced)
-            if row is None:
-                return ExtractionResult(
-                    success=False,
-                    message=f"monomial {shifted!r} leaves the truncated basis",
-                )
-            N[j] = row
-        operators.append(N)
-
+    # basis rows as (position, power) factors in variable-uid order, so
+    # that Phi multiplies Python float powers as Monomial.eval does
+    by_uid = index.exponents[measure].by_uid
+    factors = [[(k, row[k]) for k in by_uid if row[k]] for row in basis.tolist()]
     rng = np.random.default_rng(seed)
     for _ in range(3):
         lam = rng.standard_normal(len(operators))
@@ -225,10 +227,13 @@ def _extract(msdp, block, M, rho, seed):
         for k, N in enumerate(operators):
             points[:, k] = np.einsum("ij,jk,ki->i", Q.T, N, Q)
         # weights by nonnegative least squares on the basis moments
-        Phi = np.zeros((len(block.basis), rho))
-        for i, mono in enumerate(block.basis):
-            for j in range(rho):
-                Phi[i, j] = mono.eval(dict(zip(measure.vars, points[j])))
+        Phi = np.zeros((len(basis), rho))
+        for j, point in enumerate(points.tolist()):
+            for i, row in enumerate(factors):
+                value = 1.0
+                for k, power in row:
+                    value *= point[k] ** power
+                Phi[i, j] = value
         target = M[:, 0]
         weights, residual = scipy.optimize.nnls(Phi, target)
         scale = 1.0 + float(np.linalg.norm(target))
@@ -315,6 +320,11 @@ class GPMSolution:
     bound.  status -1: the SDP could not be solved (infeasible,
     unbounded or numerical failure) and objective is None.
 
+    ``moments`` maps each measure label to its moment vector, as
+    ``mvec_values`` gives it: a float array in the grlex order of
+    ``mvec`` and of ``msdp.index.raw_exponents[measure]``.  It is empty
+    when the SDP was not solved.
+
     ``symmetry`` maps each measure label to None when no sign flip
     leaves its data unchanged, and otherwise to its flips (lists of
     variable names), the number of moments pinned to 0 and the orders
@@ -382,10 +392,7 @@ def solve_gpm(problem, order=None, params=None, seed=0):
         y, cert = _recenter(msdp, conic, sol, y, objective, cert, params, seed)
     moments = {}
     for measure in msdp.problem.measures:
-        rows = msdp.index.rows(measure, msdp.index.raw_exponents[measure])
-        values = dict(zip(msdp.index.raw[measure], (rows.coeffs @ y + rows.const).tolist()))
-        measure.moments = values
-        moments[measure.label] = values
+        measure.moments = moments[measure.label] = mvec_values(msdp, y, measure)
     status = 1 if cert.certified else 0
     if cert.certified:
         for measure in msdp.problem.measures:
@@ -449,11 +456,10 @@ def _recenter(msdp, conic, sol, y, objective, cert, params, seed):
     the pinned lower truncations keep their ranks.
     """
     low = 2 * msdp.order - 2
-    lower = [
-        (k, float(y[k]))
-        for k, (_, mono) in enumerate(msdp.index.var_meaning)
-        if mono.degree <= low
-    ]
+    degrees = np.empty(msdp.n_vars, dtype=np.int64)
+    for (_, t), k in msdp.index.var_of.items():
+        degrees[k] = sum(t)
+    lower = [(k, float(y[k])) for k in np.flatnonzero(degrees <= low).tolist()]
     top = _top_diagonal_positions(msdp, conic.cone)
     if not (lower and top):
         return y, cert
@@ -479,12 +485,8 @@ def _top_diagonal_positions(msdp, cone):
     out = []
     for j, block in enumerate(msdp.blocks):
         if block.kind == "moment":
-            diagonal = cone.diagonal(j)
-            out.extend(
-                int(diagonal[i])
-                for i, mono in enumerate(block.basis)
-                if mono.degree == msdp.order
-            )
+            top = block.basis.sum(axis=1) == msdp.order
+            out.extend(cone.diagonal(j)[top].tolist())
     return out
 
 

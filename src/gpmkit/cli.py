@@ -243,9 +243,11 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
         entry["symmetry"] = sol.symmetry.get(measure.label)
         moments = sol.moments.get(measure.label)
         if moments is not None:
+            monomial = sol.msdp.index.exponents[measure].monomial
+            rows = sol.msdp.index.raw_exponents[measure].tolist()
             entry["moments"] = [
-                (repr(mono), value, mono.degree)
-                for mono, value in moments.items()
+                (repr(monomial(tuple(t))), value, sum(t))
+                for t, value in zip(rows, moments.tolist())
             ]
         if sol.status == 1 and measure.support_points is not None:
             entry["points"] = [list(map(float, p)) for p in measure.support_points]

@@ -35,7 +35,8 @@ class Measure:
     sum of weighted Dirac atoms.  They are evaluation data: assembling a
     relaxation ignores them, and solving overwrites them with extracted
     atoms when optimality is certified.  ``moments`` holds the truncated
-    moment vector of the most recent relaxation solution.
+    moment vector of the most recent relaxation solution, a float array
+    in the order of ``mvec``.
     """
 
     def __init__(self, context, label, variables):

@@ -21,8 +21,11 @@ and a constant vector), with the normal forms under the rewrite rules
 computed wave by wave for the whole array; every block, row and moment
 vector takes its forms from it.  ``Monomial`` and ``Polynomial``
 objects appear only at the boundary: model data is converted once on
-the way in, and the basis, moment numbering and reductions handed out
-are converted back, one ``Monomial`` per tuple.
+the way in.  What assembly hands out stays in exponent rows: each
+measure's raw rows of degree up to 2r in grlex order
+(``MomentIndex.raw_exponents``), which ``mvec`` lists as monomials and
+``mvec_values`` evaluates in the same order, and each block's basis, an
+int64 array of grlex-ordered rows that index its rows and columns.
 """
 
 from __future__ import annotations
@@ -508,10 +511,12 @@ class MomentIndex:
     the numbering or a binding changes.
 
     ``raw_exponents`` holds each measure's exponent rows of degree up to
-    2r in grlex order, as an int64 array.  ``representatives`` and the
-    keys of ``bound`` and ``var_of`` are exponent tuples
-    (``exponents[measure]`` converts).  ``raw``, ``var_meaning`` and
-    ``reduce`` hand out ``Monomial`` objects, built on first use.
+    2r in grlex order, as an int64 array: the order of ``mvec``,
+    ``mvec_values`` and the solved moment vectors.  ``basis`` returns
+    its leading representatives, the grlex-ordered rows of a block
+    basis.  ``representatives`` and the keys of ``bound`` and ``var_of``
+    are exponent tuples (``exponents[measure]`` converts); ``var_of``
+    is the one lookup from a (measure, tuple) to its variable number.
     """
 
     def __init__(self, measures, order, rules):
@@ -527,9 +532,7 @@ class MomentIndex:
         self._n_vars = 0
         self._var_of = None
         self._rep_rows = {}
-        self._raw = None
         self._representatives = None
-        self._var_meaning = None
         for measure in self.measures:
             exponents = ExponentMap(measure.vars)
             mrules = _Rules(
@@ -555,7 +558,6 @@ class MomentIndex:
         """Number every unbound representative; call after bindings."""
         self._var_of = None
         self._rep_rows = {}
-        self._var_meaning = None
         self._n_vars = 0
         for measure in self.measures:
             free = np.ones(len(self._reps[measure][0]), dtype=bool)
@@ -587,16 +589,6 @@ class MomentIndex:
         return self._var_of
 
     @property
-    def raw(self):
-        """Monomials of degree up to 2r of each measure, in grlex order."""
-        if self._raw is None:
-            self._raw = {
-                m: [self.exponents[m].monomial(t) for t in map(tuple, exps.tolist())]
-                for m, exps in self.raw_exponents.items()
-            }
-        return self._raw
-
-    @property
     def representatives(self):
         """Representative tuples of each measure, in grlex order."""
         if self._representatives is None:
@@ -605,17 +597,9 @@ class MomentIndex:
             }
         return self._representatives
 
-    @property
-    def var_meaning(self):
-        """(measure, monomial) of each moment variable, by number."""
-        if self._var_meaning is None:
-            self._var_meaning = [
-                (m, self.exponents[m].monomial(t)) for m, t in self.var_of
-            ]
-        return self._var_meaning
-
     def basis(self, measure, degree):
-        """Exponent rows of the representatives of degree at most ``degree``."""
+        """Exponent rows of the representatives of degree at most ``degree``,
+        in grlex order."""
         reps = self._reps[measure][0]
         return reps[reps.sum(axis=1) <= degree]
 
@@ -727,11 +711,6 @@ class MomentIndex:
         coeffs.eliminate_zeros()
         return LinearRows(coeffs, S @ rows.const)
 
-    def reduce(self, measure, mono):
-        """Reduced form of a monomial, as a polynomial in representatives."""
-        exponents = self.exponents[measure]
-        return exponents.polynomial(self.rules[measure].reduce_terms({exponents.of(mono): 1.0}))
-
     def form_of_terms(self, measure, terms):
         """Affine form of the moment of a term map keyed by tuples."""
         if not terms:
@@ -781,16 +760,19 @@ def _representatives(rules, exps):
 class Block:
     """One semidefinite block: a moment or localizing matrix.
 
-    ``forms`` is LinearRows with one row per distinct product of two
-    basis elements.  ``rows`` and ``cols`` list the upper triangle
-    (i <= j) row by row, and ``slot`` the row of ``forms`` of each of
-    those entries: the matrix is symmetric with entries (rows[k],
-    cols[k]) and (cols[k], rows[k]) equal to row slot[k] of forms at y.
+    ``basis`` holds the exponent rows over the measure's variable list
+    that index the block's rows and columns, as an int64 array in grlex
+    order (``MomentIndex.basis``).  ``forms`` is LinearRows with one row
+    per distinct product of two basis elements.  ``rows`` and ``cols``
+    list the upper triangle (i <= j) row by row, and ``slot`` the row of
+    ``forms`` of each of those entries: the matrix is symmetric with
+    entries (rows[k], cols[k]) and (cols[k], rows[k]) equal to row
+    slot[k] of forms at y.
     """
 
     kind: str
     measure: object
-    basis: list
+    basis: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     slot: np.ndarray
@@ -878,7 +860,7 @@ def assemble(problem, order=None):
         basis = index.basis(measure, order)
         rows, cols, slot, products = _block_entries(index, measure, basis)
         forms = index.rows(measure, products)
-        blocks.append(_block("moment", index, measure, basis, rows, cols, slot, forms))
+        blocks.append(Block("moment", measure, basis, rows, cols, slot, forms))
 
     ineq_forms = []
     for con in plan.support_inequalities:
@@ -892,7 +874,7 @@ def assemble(problem, order=None):
         rows, cols, slot, products = _block_entries(index, measure, basis)
         forms = index.shifted_rows(measure, terms, products)
         blocks.append(
-            _block("localizing", index, measure, basis, rows, cols, slot, forms, source=con)
+            Block("localizing", measure, basis, rows, cols, slot, forms, source=con)
         )
 
     eq_parts = []
@@ -975,12 +957,6 @@ def _block_entries(index, measure, basis):
     return rows, cols, slot, products
 
 
-def _block(kind, index, measure, basis, rows, cols, slot, forms, source=None):
-    monomial = index.exponents[measure].monomial
-    monos = [monomial(t) for t in map(tuple, basis.tolist())]
-    return Block(kind, measure, monos, rows, cols, slot, forms, source)
-
-
 def _resolve_bindings(index, plan):
     """Turn binding candidates into bound affine forms on the index.
 
@@ -1056,7 +1032,9 @@ def _dedup_rows(rows, keep_infeasible):
     that the conic problem carries the contradiction.  A row repeats an
     earlier one when constants and coefficients compare equal.  Rows
     with the same number of coefficients are compared at once, as
-    integer keys of their constant, column indices and coefficient bits.
+    integer keys of their constant, column indices and coefficient bits:
+    a stable sort of the keys puts each run of equal rows in row order,
+    and the first row of each run is kept.
     """
     coeffs = rows.coeffs.sorted_indices()
     const = rows.const
@@ -1070,8 +1048,10 @@ def _dedup_rows(rows, keep_infeasible):
         key = np.column_stack(
             (_float_bits(const[sel]), coeffs.indices[at], _float_bits(coeffs.data[at]))
         )
-        _, first = np.unique(key, axis=0, return_index=True)
-        keep[sel[first]] = True
+        order = np.lexsort(key.T)
+        key = key[order]
+        starts = np.concatenate(([True], (key[1:] != key[:-1]).any(axis=1)))
+        keep[sel[order[starts]]] = True
     return LinearRows(coeffs[keep], const[keep])
 
 
@@ -1143,22 +1123,21 @@ def sign_classes(msdp):
     if shift == 0:
         return None
 
-    def class_of(measure, t):
+    def classes_of(measure, exps):
+        """Class of each exponent row, from the parities of its exponents."""
         gens, offset = flips[measure]
-        p = _parity(t)
-        return sum((bin(g & p).count("1") & 1) << (offset + k) for k, g in enumerate(gens))
+        flipped = np.array(
+            [[g >> k & 1 for g in gens] for k in range(len(measure.vars))], dtype=np.int64
+        ).reshape(len(measure.vars), len(gens))
+        bits = np.left_shift(1, np.arange(offset, offset + len(gens), dtype=np.int64))
+        return ((exps & 1) @ flipped % 2) @ bits
 
     moments = np.zeros(index.n_vars, dtype=np.int64)
-    for (measure, t), k in index.var_of.items():
-        moments[k] = class_of(measure, t)
-    blocks = [
-        np.array(
-            [class_of(block.measure, index.exponents[block.measure].of(mono))
-             for mono in block.basis],
-            dtype=np.int64,
-        )
-        for block in msdp.blocks
-    ]
+    for measure in index.measures:
+        numbers = index._numbers[measure]
+        free = numbers >= 0
+        moments[numbers[free]] = classes_of(measure, index._reps[measure][0][free])
+    blocks = [classes_of(block.measure, block.basis) for block in msdp.blocks]
     return SignClasses(generators, moments, blocks)
 
 
@@ -1210,28 +1189,36 @@ def format_block_sizes(sizes):
     return "+".join(parts)
 
 
+def _raw_rows(msdp, measure, degree):
+    exps = msdp.index.raw_exponents[measure]
+    return exps if degree is None else exps[exps.sum(axis=1) <= degree]
+
+
 def mvec(msdp, measure, degree=None):
-    """Monic monomials indexing the moment vector of a measure."""
+    """Monic monomials indexing the moment vector of a measure.
+
+    One object array entry per row of ``index.raw_exponents[measure]``
+    of degree at most ``degree`` (default 2r), in that grlex order, the
+    order of ``mvec_values``.
+    """
     measure = _resolve_measure(msdp, measure)
-    if degree is None:
-        degree = 2 * msdp.order
-    out = []
-    for mono in msdp.index.raw[measure]:
-        if mono.degree <= degree:
-            out.append(Polynomial({mono: 1.0}))
-    arr = np.empty(len(out), dtype=object)
-    for k, p in enumerate(out):
-        arr[k] = p
-    return arr
+    monomial = msdp.index.exponents[measure].monomial
+    exps = _raw_rows(msdp, measure, degree)
+    out = np.empty(len(exps), dtype=object)
+    for k, t in enumerate(map(tuple, exps.tolist())):
+        out[k] = Polynomial({monomial(t): 1.0})
+    return out
 
 
 def mvec_values(msdp, y, measure, degree=None):
-    """Numeric moment vector of a measure at the solution y."""
+    """Numeric moment vector of a measure at the solution y.
+
+    A float array aligned with ``mvec``: entry k is the moment of row k
+    of ``index.raw_exponents[measure]`` (degree at most ``degree``,
+    default 2r), in grlex order.
+    """
     measure = _resolve_measure(msdp, measure)
-    if degree is None:
-        degree = 2 * msdp.order
-    exps = msdp.index.raw_exponents[measure]
-    rows = msdp.index.rows(measure, exps[exps.sum(axis=1) <= degree])
+    rows = msdp.index.rows(measure, _raw_rows(msdp, measure, degree))
     return rows.coeffs @ y + rows.const
 
 

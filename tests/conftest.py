@@ -73,13 +73,12 @@ def binom(n, k):
     return math.comb(n, k)
 
 
-def raw_moment(mono, varlist, points, weights):
-    """Moment of one monomial of a discrete measure, by direct powers."""
+def raw_moment(exps, points, weights):
+    """Moment of one exponent tuple of a discrete measure, by direct powers."""
     total = 0.0
     for point, weight in zip(points, weights):
         value = 1.0
-        for var, coord in zip(varlist, point):
-            power = mono.exponent(var)
+        for coord, power in zip(point, exps):
             if power:
                 value *= float(coord) ** power
         total += float(weight) * value
@@ -89,9 +88,9 @@ def raw_moment(mono, varlist, points, weights):
 def planted_moment_vector(msdp, measure, points, weights):
     """Decision vector y whose moments are those of the planted atoms."""
     y = np.zeros(msdp.index.n_vars)
-    for k, (meas, mono) in enumerate(msdp.index.var_meaning):
+    for (meas, exps), k in msdp.index.var_of.items():
         assert meas is measure
-        y[k] = raw_moment(mono, measure.vars, points, weights)
+        y[k] = raw_moment(exps, points, weights)
     return y
 
 

@@ -23,10 +23,12 @@ from gpmkit import (
     minimize,
     mmat_values,
     mom,
+    mvec,
     numeric_rank,
     solve_gpm,
 )
 from gpmkit.dsl import parse_model
+from gpmkit.polynomials import ExponentMap
 from gpmkit.relaxation import moment_block
 
 from conftest import (
@@ -79,8 +81,8 @@ def test_gaussian_moments_are_not_flat():
     measure = problem.measures[0]
     gauss = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0}
     y = np.zeros(msdp.index.n_vars)
-    for k, (_, mono) in enumerate(msdp.index.var_meaning):
-        y[k] = gauss[mono.degree]
+    for (_, t), k in msdp.index.var_of.items():
+        y[k] = gauss[sum(t)]
     flat = check_flatness(msdp, y, measure)
     assert not flat.flat
     assert flat.rank == 3
@@ -214,10 +216,50 @@ def test_moments_stored_on_measures():
     sol = solve_gpm(problem)
     assert sol.status == 1
     measure = problem.measures[0]
-    values = list(sol.moments[1].values())
+    values = sol.moments[1]
     assert abs(values[0] - 1.0) < 1e-6
     assert abs(values[1] - 0.25) < 1e-4
     assert measure.moments is sol.moments[1]
+    # one float per row of the raw exponents, in mvec order
+    assert values.dtype == np.float64
+    assert len(values) == len(mvec(sol.msdp, 1)) == len(sol.msdp.index.raw_exponents[measure])
+
+
+def test_extraction_reduces_shifted_pivots_by_substitution_rules():
+    # the pivots 1 and x1 times x1 give x1^2, which only the rule
+    # x1^2 -> 1 brings back into the multilinear basis
+    ctx = ModelContext()
+    x = ctx.vars("x", 2)
+    problem = GPMProblem(minimize(mom(x[0] * x[1])), [x[0] ** 2 == 1, x[1] ** 2 == 1])
+    sol = solve_gpm(problem, order=2)
+    assert sol.msdp.report.n_support_substitutions == 2
+    assert sol.status == 1
+    points, weights = sol.support(1)
+    worst_point, worst_weight = match_atoms([[1.0, -1.0], [-1.0, 1.0]], [0.5, 0.5], points, weights)
+    assert len(points) == 2
+    assert worst_point < 1e-6 and worst_weight < 1e-6
+
+
+def test_solve_gpm_makes_no_monomial_per_moment(monkeypatch):
+    # only the two sides of the nine rules x(i)^2 -> 1 become Monomial
+    # objects; moments, blocks and extraction stay in exponent rows, so
+    # order 3 (5005 raw moments) makes no more than order 2 (715)
+    monomial = ExponentMap.monomial
+    calls = []
+
+    def counting_monomial(self, t):
+        calls.append(t)
+        return monomial(self, t)
+
+    monkeypatch.setattr(ExponentMap, "monomial", counting_monomial)
+    counts = []
+    for order in (2, 3):
+        with open(model_path("maxcut_sub.gpm")) as fh:
+            problem = parse_model(fh.read(), "maxcut_sub.gpm")
+        calls.clear()
+        solve_gpm(problem, order=order)
+        counts.append(len(calls))
+    assert 0 < counts[0] == counts[1]
 
 
 @pytest.mark.parametrize(
@@ -333,7 +375,9 @@ def test_rising_ranks_have_no_flat_truncation():
     problem = GPMProblem(minimize(mom(x)))
     msdp = assemble(problem, 3)
     gauss = {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 3.0, 5: 0.0, 6: 15.0}
-    y = np.array([gauss[mono.degree] for _, mono in msdp.index.var_meaning])
+    y = np.zeros(msdp.index.n_vars)
+    for (_, t), k in msdp.index.var_of.items():
+        y[k] = gauss[sum(t)]
     flat = check_flatness(msdp, y, problem.measures[0])
     assert flat.ranks_by_degree == {0: 1, 1: 2, 2: 3, 3: 4}
     assert flat.truncation is None

@@ -1,5 +1,6 @@
 """The gpm command line: exit codes, JSON report and export round trips."""
 
+import importlib
 import json
 
 import numpy as np
@@ -9,6 +10,8 @@ from gpmkit import (
     assemble,
     import_json,
     import_sdpa,
+    mvec,
+    mvec_values,
     presolve_eliminate_equalities,
     to_conic,
 )
@@ -91,6 +94,29 @@ def test_solve_json_report(tmp_path, capsys):
     }
     assert measure["points"][0][0] == pytest.approx(0.5, abs=1e-3)
     assert measure["ranks"] == [1, 1] and measure["flat_truncation"] == 1
+
+
+@pytest.mark.parametrize("name,order", [("camel.gpm", 3), ("maxcut_sub.gpm", 2)])
+def test_solve_json_moments_follow_mvec(tmp_path, capsys, monkeypatch, name, order):
+    # the moment vector solve_gpm stores is recorded with its y, and the
+    # report lists it as (label, value, degree) in mvec order
+    certify_module = importlib.import_module("gpmkit.certify")
+    seen = []
+
+    def recording_mvec_values(msdp, y, measure, degree=None):
+        seen.append((msdp, y.copy(), measure))
+        return mvec_values(msdp, y, measure, degree)
+
+    monkeypatch.setattr(certify_module, "mvec_values", recording_mvec_values)
+    out = tmp_path / "report.json"
+    assert main(["solve", model_path(name), "--order", str(order), "--json", str(out)]) == 0
+    capsys.readouterr()
+    (entry,) = json.loads(out.read_text())["measures"]
+    (msdp, y, measure), = seen
+    values = mvec_values(msdp, y, measure).tolist()
+    labels = mvec(msdp, measure)
+    assert len(labels) == len(msdp.index.raw_exponents[measure])
+    assert entry["moments"] == [[repr(p), v, p.degree] for p, v in zip(labels, values)]
 
 
 @pytest.mark.parametrize(

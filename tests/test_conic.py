@@ -697,7 +697,7 @@ def _reference_relaxation(msdp):
 def _reference_entries(ref, block):
     """(i, j, form) of a block's upper triangle, from its basis monomials."""
     exponents = ref.exponents[block.measure]
-    basis = [exponents.of(mono) for mono in block.basis]
+    basis = list(map(tuple, block.basis.tolist()))
     g = None if block.source is None else exponents.terms(block.source.gform())
     for i, bi in enumerate(basis):
         for j in range(i, len(basis)):

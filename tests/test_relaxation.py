@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gpmkit import (
     GPMProblem,
@@ -33,7 +34,14 @@ from gpmkit.polynomials import (
     exponent_array,
     grlex_key,
 )
-from gpmkit.relaxation import AssemblyError, MomentIndex, _inter_reduce, _Rules
+from gpmkit.relaxation import (
+    AssemblyError,
+    LinearRows,
+    MomentIndex,
+    _dedup_rows,
+    _inter_reduce,
+    _Rules,
+)
 
 from conftest import (
     ReferenceForms,
@@ -110,13 +118,17 @@ def _product_forms_match(msdp):
     for block in msdp.blocks:
         g = Polynomial.constant(1.0) if block.source is None else block.source.gform()
         s = block.size
+        assert block.basis.dtype == np.int64
+        assert block.basis.shape == (s, len(block.measure.vars))
+        monomial = msdp.index.exponents[block.measure].monomial
+        basis = [monomial(t) for t in map(tuple, block.basis.tolist())]
         assert len(block.rows) == s * (s + 1) // 2
         assert set(zip(block.rows.tolist(), block.cols.tolist())) == {
             (i, j) for i in range(s) for j in range(i, s)
         }
         for i, j, k in zip(block.rows, block.cols, block.slot):
             const, coeffs = _row_form(block.forms, k)
-            prod = Polynomial({block.basis[i]: 1.0}) * Polynomial({block.basis[j]: 1.0})
+            prod = Polynomial({basis[i]: 1.0}) * Polynomial({basis[j]: 1.0})
             want = ref.form_of_poly(block.measure, g * prod)
             assert const == want.const
             assert coeffs == want.coeffs
@@ -131,7 +143,8 @@ def _raw_is_grlex(msdp):
             if sum(exps) <= 2 * msdp.order
         ]
         ref = sorted(monos, key=lambda m: grlex_key(m, measure.vars))
-        assert msdp.index.raw[measure] == ref
+        ref = [tuple(m.exponent(v) for v in measure.vars) for m in ref]
+        assert list(map(tuple, msdp.index.raw_exponents[measure].tolist())) == ref
 
 
 def test_localizing_entries_match_polynomial_products():
@@ -150,10 +163,11 @@ def test_substituted_entries_match_polynomial_products():
     _raw_is_grlex(msdp)
     # every representative is multilinear and numbered in grlex order
     measure = problem.measures[0]
-    reps = [mono for _, mono in msdp.index.var_meaning]
-    assert all(p == 1 for mono in reps for _, p in mono.exps)
+    reps = [t for (_, t), _ in sorted(msdp.index.var_of.items(), key=lambda item: item[1])]
+    assert all(p <= 1 for t in reps for p in t)
     kept = set(reps)
-    assert reps == [m for m in msdp.index.raw[measure] if m in kept]
+    raw = map(tuple, msdp.index.raw_exponents[measure].tolist())
+    assert reps == [t for t in raw if t in kept]
 
 
 def test_maxcut_plain_equality_counts():
@@ -238,11 +252,13 @@ def test_rewrite_rule_with_polynomial_right_side():
         (2, 2): x ** 3 * y + x ** 2,
         (0, 4): x ** 3 * y + x ** 2 + 2 * x * y + 1,
     }
+    rules = msdp.index.rules[measure]
+    exponents = msdp.index.exponents[measure]
     for (px, py), poly in expected.items():
         mono = next(iter((x ** px * y ** py).terms))
-        assert msdp.index.reduce(measure, mono).equals(poly)
-    yvar = as_varref(y)
-    assert all(mono.exponent(yvar) <= 1 for _, mono in msdp.index.var_meaning)
+        assert rules.reduce_terms({exponents.of(mono): 1.0}) == exponents.terms(poly)
+    ypos = measure.vars.index(as_varref(y))
+    assert all(t[ypos] <= 1 for _, t in msdp.index.var_of)
 
 
 def test_swapped_rule_pair_keeps_one():
@@ -561,3 +577,58 @@ def test_substituted_and_plain_equalities_agree():
                 1.0 + abs(sol_sub.objective)
             )
             assert rel < 1e-5, (nvars, order, sol_sub.objective, sol_plain.objective)
+
+
+def _unique_dedup_reference(rows, keep_infeasible):
+    """The rows _dedup_rows keeps, by np.unique first occurrences."""
+    coeffs = rows.coeffs.sorted_indices()
+    const = rows.const
+    length = np.diff(coeffs.indptr)
+    holds = const == 0.0 if keep_infeasible else const >= 0.0
+    live = (length > 0) | ~holds
+    keep = np.zeros(len(const), dtype=bool)
+    for k in np.unique(length[live]):
+        sel = np.flatnonzero(live & (length == k))
+        at = coeffs.indptr[sel, None] + np.arange(k)
+        key = np.column_stack((
+            (const[sel] + 0.0).view(np.int64),
+            coeffs.indices[at],
+            (coeffs.data[at] + 0.0).view(np.int64),
+        ))
+        _, first = np.unique(key, axis=0, return_index=True)
+        keep[sel[first]] = True
+    return LinearRows(coeffs[keep], const[keep])
+
+
+def _random_repeated_rows(rng, n):
+    """n rows drawn from a small pool of rows of 0 to 3 coefficients, each
+    with its columns shuffled and a constant out of 0.0, -0.0, 1.0, -1.0."""
+    pool = []
+    for k in rng.integers(0, 4, size=max(n // 4, 1)):
+        pool.append((rng.choice(6, size=k, replace=False), rng.choice([1.0, -2.0, 0.5], size=k)))
+    indices, data, lengths = [], [], []
+    for i in rng.integers(0, len(pool), size=n):
+        cols, vals = pool[i]
+        order = rng.permutation(len(cols))
+        indices.append(cols[order])
+        data.append(vals[order])
+        lengths.append(len(cols))
+    indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+    coeffs = scipy.sparse.csr_matrix(
+        (np.concatenate(data + [np.zeros(0)]), np.concatenate(indices + [np.zeros(0, int)]), indptr),
+        shape=(n, 6),
+    )
+    return LinearRows(coeffs, rng.choice([0.0, -0.0, 1.0, -1.0], size=n))
+
+
+@pytest.mark.parametrize("keep_infeasible", [True, False])
+@pytest.mark.parametrize("n", [0, 1, 40, 600])
+def test_dedup_rows_keeps_the_first_of_each_repeat(n, keep_infeasible):
+    rows = _random_repeated_rows(np.random.default_rng(n), n)
+    assert (np.signbit(rows.const) & (rows.const == 0.0)).any() or n < 40
+    got = _dedup_rows(rows, keep_infeasible)
+    want = _unique_dedup_reference(rows, keep_infeasible)
+    assert len(got) < n or n < 40
+    for a, b in [(got.const, want.const), (got.coeffs.indptr, want.coeffs.indptr),
+                 (got.coeffs.indices, want.coeffs.indices), (got.coeffs.data, want.coeffs.data)]:
+        assert a.tobytes() == b.tobytes()

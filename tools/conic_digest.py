@@ -149,8 +149,9 @@ def solve_digest(model, order, seed):
         conic_module.solve = solve
     outcome = hashlib.sha256(repr((sol.status, sol.objective)).encode())
     for measure in sol.msdp.problem.measures:
-        moments = sol.moments.get(measure.label, {})
-        outcome.update(np.array(list(moments.values()), dtype=float).tobytes())
+        moments = sol.moments.get(measure.label)
+        if moments is not None:
+            outcome.update(moments.tobytes())
         if sol.status == 1:
             outcome.update(np.ascontiguousarray(measure.support_points).tobytes())
             outcome.update(np.ascontiguousarray(measure.weights).tobytes())
