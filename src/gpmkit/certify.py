@@ -189,14 +189,8 @@ def _extract(msdp, block, M, rho, seed):
     # row k * rho + j: pivot row j times variable k
     unit = np.eye(nvars, dtype=np.int64)
     shifts = (basis[pivots] + unit[:, None, :]).reshape(nvars * rho, nvars)
-    rules = index.rules[measure]
-    if (rules.first_divisor(shifts) < 0).all():
-        nf, terminals = scipy.sparse.identity(len(shifts), format="csr"), shifts
-    else:
-        nf, terminals = rules.normal_forms(shifts)
-    # the basis is the grlex prefix of the representatives up to degree r
-    at, is_rep = index.rep_lookup(measure, terminals)
-    inside = (is_rep & (at < len(basis)))[nf.indices]
+    nf, is_rep = index.rep_forms(measure, shifts)
+    inside = is_rep & (nf.indices < len(basis))
     if not inside.all():
         row = np.repeat(np.arange(len(shifts)), np.diff(nf.indptr))[~inside][0]
         shifted = index.exponents[measure].monomial(tuple(shifts[row].tolist()))
@@ -204,9 +198,7 @@ def _extract(msdp, block, M, rho, seed):
             success=False,
             message=f"monomial {shifted!r} leaves the truncated basis",
         )
-    nf = scipy.sparse.csr_matrix(
-        (nf.data, at[nf.indices], nf.indptr), shape=(len(shifts), len(basis))
-    )
+    nf.resize(len(shifts), len(basis))
     # each row summed from 0.0 over its normal form's terms, in order
     operators = list((nf @ R).reshape(nvars, rho, rho))
 

@@ -26,7 +26,7 @@ from .dsl import ParseError, build, parse_source
 from .formats import export_json, export_sdpa
 from .model import ModelError
 from .polynomials import PolyError, basis_size
-from .relaxation import AssemblyError, assemble, format_block_sizes
+from .relaxation import AssemblyError, assemble, format_block_sizes, mvec
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -243,11 +243,9 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
         entry["symmetry"] = sol.symmetry.get(measure.label)
         moments = sol.moments.get(measure.label)
         if moments is not None:
-            monomial = sol.msdp.index.exponents[measure].monomial
-            rows = sol.msdp.index.raw_exponents[measure].tolist()
             entry["moments"] = [
-                (repr(monomial(tuple(t))), value, sum(t))
-                for t, value in zip(rows, moments.tolist())
+                (repr(p), value, p.degree)
+                for p, value in zip(mvec(sol.msdp, measure), moments.tolist())
             ]
         if sol.status == 1 and measure.support_points is not None:
             entry["points"] = [list(map(float, p)) for p in measure.support_points]

@@ -676,12 +676,27 @@ class MomentIndex:
             at, _ = self.rep_lookup(measure, exps)
             # 0.0 + const, as a sum over the normal form {t: 1.0} gives it
             return LinearRows(reps.coeffs[at], reps.const[at] + 0.0)
-        nf, terminals = rules.normal_forms(exps)
-        at, _ = self.rep_lookup(measure, terminals)
-        nf = scipy.sparse.csr_matrix(
-            (nf.data, at[nf.indices], nf.indptr), shape=(len(exps), len(reps.const))
-        )
+        nf, _ = self.rep_forms(measure, exps)
         return LinearRows(_ordered_product(nf, reps.coeffs), nf @ reps.const)
+
+    def rep_forms(self, measure, exps):
+        """Normal forms of exponent rows over the representatives.
+
+        Returns (nf, is_rep): row i of the CSR matrix nf is the normal
+        form of row i of exps (degree at most 2r), its columns the grlex
+        positions of the representatives, so the basis of degree d is
+        the columns below ``len(basis(measure, d))``.  is_rep flags, per
+        stored entry, a term that is a representative; the column of any
+        other is meaningless.
+        """
+        nf, terminals = self.rules[measure].normal_forms(exps)
+        at, is_rep = self.rep_lookup(measure, terminals)
+        is_rep = is_rep[nf.indices]
+        nf = scipy.sparse.csr_matrix(
+            (nf.data, at[nf.indices], nf.indptr),
+            shape=(len(exps), len(self._reps[measure][0])),
+        )
+        return nf, is_rep
 
     def shifted_rows(self, measure, terms, shifts):
         """Rows of the moments of g x^s for each exponent row s of shifts.
