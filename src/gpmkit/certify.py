@@ -296,7 +296,7 @@ def certify(msdp, y, seed=0):
         ext = extractions[measure.label]
         for point, weight in zip(ext.points, ext.weights):
             recomputed += weight * poly.eval(dict(zip(measure.vars, point)))
-    sdp_objective = msdp.objective.value(y)
+    sdp_objective = (msdp.objective.coeffs @ y + msdp.objective.const)[0]
     mismatch = abs(recomputed - sdp_objective) / (1.0 + abs(sdp_objective))
     certified = bool(infeas <= _FEAS_TOL and mismatch <= _FEAS_TOL)
     return Certificate(certified, flatness, extractions, mismatch, infeas)
@@ -333,12 +333,15 @@ class GPMSolution:
     symmetry: dict = field(default_factory=dict)
 
     def support(self, label):
-        for measure in self.msdp.problem.measures:
-            if measure.label == label:
-                if measure.support_points is None:
-                    raise ModelError("measure has no discrete support")
-                return measure.support_points, measure.weights
-        raise ModelError(f"no measure with label {label}")
+        """Atoms and weights this solve extracted for the measure with
+        ``label``; ModelError unless the solve is certified (status 1).
+        The measure's ``support_points`` may hold an earlier solve's."""
+        if self.status != 1:
+            raise ModelError("the solution is not certified and has no atoms")
+        ext = self.certificate.extractions.get(label)
+        if ext is None:
+            raise ModelError(f"no measure with label {label}")
+        return ext.points, ext.weights
 
 
 def solve_gpm(problem, order=None, params=None, seed=0):

@@ -220,7 +220,7 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
     conic = sol.conic
     # c'x and b'y of the conic problem, in the model's sense and offset
     sign = 1.0 if sol.msdp.sense == "max" else -1.0
-    offset = sol.msdp.objective.const
+    offset = float(sol.msdp.objective.const[0])
     solver = {
         "status": conic.status,
         "iterations": conic.iterations,

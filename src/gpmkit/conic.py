@@ -177,7 +177,6 @@ def to_conic(msdp):
     the negated inequality rows, then for each block the negated rows of
     its distinct forms, each entry (i, j) taking the row of its slot.
     """
-    m = msdp.n_vars
     eq, ineq = msdp.lin_eq, msdp.lin_ineq
     cone = ConeSpec(
         f=len(eq),
@@ -192,14 +191,12 @@ def to_conic(msdp):
         cvals.append(block.forms.const[slots])
     A = scipy.sparse.vstack(columns, format="csr").T.tocsr()
 
-    obj = np.zeros(m)
-    for idx, coef in msdp.objective.coeffs.items():
-        obj[idx] = coef
+    obj = msdp.objective.coeffs.toarray()[0]
     sense = msdp.sense
     b = obj if sense == "max" else -obj
     return ConicProblem(
         A=A, b=b, c=np.concatenate(cvals), cone=cone, sense=sense,
-        offset=msdp.objective.const,
+        offset=float(msdp.objective.const[0]),
     )
 
 

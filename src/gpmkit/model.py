@@ -159,10 +159,10 @@ class ModelContext:
         return measure
 
     def measure(self, label):
-        for measure in self.measures:
-            if measure.label == label:
-                return measure
-        raise ModelError(f"no measure with label {label}")
+        measure = measure_with_label(self.measures, label)
+        if measure is None:
+            raise ModelError(f"no measure with label {label}")
+        return measure
 
     def mass(self, target):
         if isinstance(target, int):
@@ -194,6 +194,11 @@ class ModelContext:
         order = [varlist.index(v) for v in measure.vars]
         measure.set_support(values[:, order], weights)
         return measure
+
+
+def measure_with_label(measures, label):
+    """The measure of the list with the given label, or None."""
+    return next((m for m in measures if m.label == label), None)
 
 
 def _unique_measure_of_vars(varlist):

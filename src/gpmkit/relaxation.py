@@ -15,17 +15,20 @@ Everything else becomes linear equality or inequality rows.
 Inside the relaxation a monomial of a measure is an exponent row over
 that measure's variable list: a product is an elementwise sum, and
 divisibility an elementwise comparison.  Whole arrays of rows are
-handled at once.  ``MomentIndex.rows`` turns an array of exponent rows
-into the affine forms of their moments, as LinearRows (CSR coefficients
-and a constant vector), with the normal forms under the rewrite rules
-computed wave by wave for the whole array; every block, row and moment
-vector takes its forms from it.  ``Monomial`` and ``Polynomial``
-objects appear only at the boundary: model data is converted once on
-the way in.  What assembly hands out stays in exponent rows: each
-measure's raw rows of degree up to 2r in grlex order
-(``MomentIndex.raw_exponents``), which ``mvec`` lists as monomials and
-``mvec_values`` evaluates in the same order, and each block's basis, an
-int64 array of grlex-ordered rows that index its rows and columns.
+handled at once; rewrite rules are exponent tuples from
+``extract_substitution_rules`` on.  Affine forms are LinearRows (CSR
+coefficients and a constant vector) only: the objective, a moment
+constraint and a bound moment are one row each.  ``MomentIndex.rows``
+turns an array of exponent rows into the forms of their moments, with
+the normal forms under the rewrite rules computed wave by wave for the
+whole array; every block, row and moment vector takes its forms from
+it.  ``Monomial`` and ``Polynomial`` objects appear only at the
+boundary: model data is converted once on the way in.  What assembly
+hands out stays in exponent rows: each measure's raw rows of degree up
+to 2r in grlex order (``MomentIndex.raw_exponents``), which ``mvec``
+lists as monomials and ``mvec_values`` evaluates in the same order, and
+each block's basis, an int64 array of grlex-ordered rows that index its
+rows and columns.
 """
 
 from __future__ import annotations
@@ -42,10 +45,10 @@ from .model import (
     GPMProblem,
     MomentConstraint,
     mass,
+    measure_with_label,
 )
 from .polynomials import (
     ExponentMap,
-    Monomial,
     Polynomial,
     basis_size,
     exponent_array,
@@ -56,32 +59,14 @@ class AssemblyError(ValueError):
     """Invalid or impossible relaxation assembly."""
 
 
-class LinForm:
-    """An affine form const + sum coeffs[i] * y_i over moment variables."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const=0.0, coeffs=None):
-        self.const = float(const)
-        self.coeffs = {i: float(c) for i, c in (coeffs or {}).items() if c != 0.0}
-
-    def value(self, y):
-        return self.const + sum(c * y[i] for i, c in self.coeffs.items())
-
-    def scaled(self, factor):
-        return LinForm(self.const * factor, {i: c * factor for i, c in self.coeffs.items()})
-
-    def __repr__(self):
-        terms = [f"{c:+g}*y{i}" for i, c in sorted(self.coeffs.items())]
-        return f"LinForm({self.const:+g} {' '.join(terms)})"
-
-
 @dataclass
 class LinearRows:
     """Affine forms const[k] + coeffs[k] @ y, one per row.
 
     ``coeffs`` is a CSR matrix with one column per moment variable and no
-    stored zeros; ``const`` holds the constant parts.
+    stored zeros; ``const`` holds the constant parts.  This is the one
+    affine-form type of a relaxation: a single form (the objective, a
+    moment constraint, a bound moment) is one row.
     """
 
     coeffs: object
@@ -89,39 +74,6 @@ class LinearRows:
 
     def __len__(self):
         return self.const.shape[0]
-
-
-def form_rows(forms, n_vars):
-    """The LinForms of a list as LinearRows, coefficients in dict order."""
-    counts = np.fromiter((len(f.coeffs) for f in forms), dtype=np.int64, count=len(forms))
-    indptr = np.concatenate(([0], np.cumsum(counts)))
-    nnz = int(indptr[-1])
-    chain = itertools.chain.from_iterable
-    indices = np.fromiter(chain(f.coeffs for f in forms), dtype=np.int64, count=nnz)
-    data = np.fromiter(chain(f.coeffs.values() for f in forms), dtype=float, count=nnz)
-    coeffs = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(forms), n_vars))
-    const = np.fromiter((f.const for f in forms), dtype=float, count=len(forms))
-    return LinearRows(coeffs, const)
-
-
-def _acc_form(const, coeffs, other, factor=1.0):
-    """Accumulate factor * other into the (const, coeffs) builder pair."""
-    const += factor * other.const
-    for i, c in other.coeffs.items():
-        coeffs[i] = coeffs.get(i, 0.0) + factor * c
-    return const
-
-
-@dataclass(frozen=True)
-class SubstitutionRule:
-    """Rewrite rule lhs -> rhs on monomials of one measure."""
-
-    measure: object
-    lhs: Monomial
-    rhs: Polynomial
-
-    def __repr__(self):
-        return f"{self.lhs!r} -> {self.rhs!r} (measure {self.measure.label})"
 
 
 def _ranges(starts, lengths):
@@ -338,9 +290,13 @@ def _compose(terminal, parents, children, coeffs):
 
 @dataclass
 class SubstitutionPlan:
-    """Outcome of scanning constraints for substitution opportunities."""
+    """Outcome of scanning constraints for substitution opportunities.
 
-    rules: list
+    ``rules`` maps a measure to its inter-reduced rewrite rules: left-side
+    exponent tuples to right sides as term maps keyed by tuples.
+    """
+
+    rules: dict
     residual_support_equalities: list
     support_inequalities: list
     binding_candidates: list
@@ -423,20 +379,16 @@ def extract_substitution_rules(problem, order):
         table[lhs_mono] = con.rhs
         n_subs += 1
 
-    rules = []
+    rules = {}
     for measure, table in rules_by_measure.items():
         exponents = ExponentMap(measure.vars)
         table = {exponents.of(lhs): exponents.terms(rhs) for lhs, rhs in table.items()}
         budget = [10 * basis_size(len(measure.vars), cap)]
-        kept, demoted = _inter_reduce(exponents, table, cap, budget)
+        rules[measure], demoted = _inter_reduce(exponents, table, cap, budget)
         n_subs -= len(demoted)
         for lhs, rhs in demoted:
             residual.append(
                 (measure, exponents.polynomial({lhs: 1.0}) - exponents.polynomial(rhs))
-            )
-        for lhs, rhs in kept.items():
-            rules.append(
-                SubstitutionRule(measure, exponents.monomial(lhs), exponents.polynomial(rhs))
             )
 
     bindings = []
@@ -497,7 +449,9 @@ class MomentIndex:
 
     Raw monomials of degree up to 2r are reduced to combinations of
     representative monomials; representatives either carry a moment
-    variable or are bound to an affine form of other variables.  The
+    variable or are bound to an affine form of other variables (a
+    one-row LinearRows in ``bound``).  ``rules`` is
+    ``SubstitutionPlan.rules``, each measure's table of tuples.  The
     representatives are the tuples no rule's left side divides, found
     by one array test, plus those a degree-raising rule leaves fixed at
     the degree cap.
@@ -535,11 +489,7 @@ class MomentIndex:
         self._representatives = None
         for measure in self.measures:
             exponents = ExponentMap(measure.vars)
-            mrules = _Rules(
-                exponents,
-                [(exponents.of(r.lhs), exponents.terms(r.rhs)) for r in rules if r.measure is measure],
-                2 * order,
-            )
+            mrules = _Rules(exponents, rules.get(measure, {}).items(), 2 * order)
             raw = exponent_array(len(measure.vars), 2 * order)
             codes = _codes(raw, mrules.radix)
             by_code = np.argsort(codes)
@@ -639,10 +589,10 @@ class MomentIndex:
         if rows is not None:
             return rows
         reps = self._reps[measure][0]
-        at = self._bound_positions(measure).tolist()
-        forms = [form for (m, _), form in self.bound.items() if m is measure]
+        at = self._bound_positions(measure)
+        bound = _stacked([f for (m, _), f in self.bound.items() if m is measure], self.n_vars)
         lengths = np.ones(len(reps), dtype=np.int64)
-        lengths[at] = [len(f.coeffs) for f in forms]
+        lengths[at] = np.diff(bound.coeffs.indptr)
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         indices = np.empty(indptr[-1], dtype=np.int64)
         data = np.ones(indptr[-1])
@@ -650,10 +600,10 @@ class MomentIndex:
         free = lengths == 1
         free[at] = False
         indices[indptr[:-1][free]] = self._numbers[measure][free]
-        for k, form in zip(at, forms):
-            indices[indptr[k]:indptr[k + 1]] = list(form.coeffs)
-            data[indptr[k]:indptr[k + 1]] = list(form.coeffs.values())
-            const[k] = form.const
+        slots = _ranges(indptr[at], lengths[at])
+        indices[slots] = bound.coeffs.indices
+        data[slots] = bound.coeffs.data
+        const[at] = bound.const
         rows = LinearRows(
             scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(reps), self.n_vars)),
             const,
@@ -703,9 +653,10 @@ class MomentIndex:
 
         ``terms`` is g as a term map.  One sparse product S @ rows gives
         every row: row s of S holds g's coefficients at the rows of
-        s + t, in g's term order, so each coefficient is summed in the
-        order ``form_of_terms`` sums it.  Zeros left by cancellation are
-        dropped, as LinForm drops them.
+        s + t, in g's term order, so each coefficient is summed from 0.0
+        over g's terms in that order, as a term-by-term accumulation
+        sums it.  Zeros left by cancellation are dropped.  The zero
+        shift gives the form of g itself, a 1x1 localizer's one row.
         """
         n_terms = len(terms)
         term_exps = _exponent_array(list(terms), len(measure.vars))
@@ -726,28 +677,29 @@ class MomentIndex:
         coeffs.eliminate_zeros()
         return LinearRows(coeffs, S @ rows.const)
 
-    def form_of_terms(self, measure, terms):
-        """Affine form of the moment of a term map keyed by tuples."""
-        if not terms:
-            return LinForm()
-        rows = self.rows(measure, _exponent_array(list(terms), len(measure.vars)))
-        head = _term_row(list(terms.values()))
-        coeffs = _ordered_product(head, rows.coeffs)
-        const = (head @ rows.const)[0]
-        return LinForm(const, dict(zip(coeffs.indices.tolist(), coeffs.data.tolist())))
-
     def form_of_expression(self, expr):
+        """Affine form of a moment expression, as one-row LinearRows.
+
+        Each measure's polynomial is summed over its terms' rows in term
+        order; the measures' rows are then summed in label order, the
+        constant from ``expr.constant`` on.
+        """
         const = expr.constant
-        coeffs = {}
+        parts = []
         for measure, poly in expr.terms_by_label():
             if measure not in self.rules:
                 raise AssemblyError(
                     f"expression references measure {measure.label}, "
                     "which is not part of the relaxation"
                 )
-            form = self.form_of_terms(measure, self.exponents[measure].terms(poly))
-            const = _acc_form(const, coeffs, form, 1.0)
-        return LinForm(const, coeffs)
+            terms = self.exponents[measure].terms(poly)
+            rows = self.rows(measure, _exponent_array(list(terms), len(measure.vars)))
+            head = _term_row(list(terms.values()))
+            parts.append(LinearRows(_ordered_product(head, rows.coeffs), head @ rows.const))
+            const += parts[-1].const[0]
+        ones = _term_row(np.ones(len(parts)))
+        coeffs = _ordered_product(ones, _stacked(parts, self.n_vars).coeffs)
+        return LinearRows(coeffs, np.array([const]))
 
 
 def _representatives(rules, exps):
@@ -834,7 +786,9 @@ class MomentSDP:
     row of ``lin_eq`` to vanish and every row of ``lin_ineq`` to be
     nonnegative, and optimizes the objective form.  Both are LinearRows:
     one CSR matrix of coefficients and one vector of constants, without
-    repeated rows or constant rows that hold trivially.
+    repeated rows or constant rows that hold trivially.  ``objective``
+    is one-row LinearRows too, its coefficients in the order in which
+    a term-by-term accumulation first meets them.
     """
 
     problem: GPMProblem
@@ -843,7 +797,7 @@ class MomentSDP:
     blocks: list
     lin_eq: LinearRows
     lin_ineq: LinearRows
-    objective: LinForm
+    objective: LinearRows
     sense: str
     report: AssemblyReport
 
@@ -877,17 +831,18 @@ def assemble(problem, order=None):
         forms = index.rows(measure, products)
         blocks.append(Block("moment", measure, basis, rows, cols, slot, forms))
 
-    ineq_forms = []
+    ineq_parts = []
     for con in plan.support_inequalities:
         measure = con.measure
         g = con.gform()
         terms = index.exponents[measure].terms(g)
         basis = index.basis(measure, order - math.ceil(g.degree / 2))
-        if len(basis) <= 1:
-            ineq_forms.append(index.form_of_terms(measure, terms))
-            continue
         rows, cols, slot, products = _block_entries(index, measure, basis)
         forms = index.shifted_rows(measure, terms, products)
+        if len(basis) == 1:
+            # a 1x1 localizer, the zero shift: one orthant row g
+            ineq_parts.append(forms)
+            continue
         blocks.append(
             Block("localizing", measure, basis, rows, cols, slot, forms, source=con)
         )
@@ -899,19 +854,17 @@ def assemble(problem, order=None):
         shifts = index.raw_exponents[measure][: basis_size(len(measure.vars), d)]
         eq_parts.append(index.shifted_rows(measure, index.exponents[measure].terms(g), shifts))
 
-    eq_forms = []
     for con in plan.kept_moment_constraints:
         form = index.form_of_expression(con.residual())
         if con.rel == "==":
-            eq_forms.append(form)
+            eq_parts.append(form)
         elif con.rel == ">=":
-            ineq_forms.append(form)
+            ineq_parts.append(form)
         else:
-            ineq_forms.append(form.scaled(-1.0))
-    eq_parts.append(form_rows(eq_forms, index.n_vars))
+            ineq_parts.append(LinearRows(-form.coeffs, -form.const))
 
-    lin_eq = _dedup_rows(_stacked(eq_parts), keep_infeasible=True)
-    lin_ineq = _dedup_rows(form_rows(ineq_forms, index.n_vars), keep_infeasible=False)
+    lin_eq = _dedup_rows(_stacked(eq_parts, index.n_vars), keep_infeasible=True)
+    lin_ineq = _dedup_rows(_stacked(ineq_parts, index.n_vars), keep_infeasible=False)
 
     objective = index.form_of_expression(problem.objective.expr)
     report = AssemblyReport(
@@ -973,7 +926,7 @@ def _block_entries(index, measure, basis):
 
 
 def _resolve_bindings(index, plan):
-    """Turn binding candidates into bound affine forms on the index.
+    """Turn binding candidates into bound affine forms (one-row LinearRows).
 
     Provisional variables number every representative; each candidate
     binds one of them to an affine form of the others, solving for the
@@ -994,44 +947,50 @@ def _resolve_bindings(index, plan):
         lhs_form = index.form_of_expression(con.lhs)
         rhs_form = index.form_of_expression(rhs)
         tvar = int(index._numbers[measure][at[0]])
-        pivot = lhs_form.coeffs.get(tvar, 0.0) - rhs_form.coeffs.get(tvar, 0.0)
+        pivot = lhs_form.coeffs[0, tvar] - rhs_form.coeffs[0, tvar]
         if pivot == 0.0:
             plan.kept_moment_constraints.append(con)
             continue
-        const = (rhs_form.const - lhs_form.const) / pivot
-        coeffs = {}
-        for i, c in rhs_form.coeffs.items():
-            if i != tvar:
-                coeffs[i] = coeffs.get(i, 0.0) + c / pivot
-        for i, c in lhs_form.coeffs.items():
-            if i != tvar:
-                coeffs[i] = coeffs.get(i, 0.0) - c / pivot
-        bound_form = LinForm(const, coeffs)
+        # c / pivot per side, the right side first; the target's own
+        # column is zeroed, sums to 0.0 and drops out
+        sides = scipy.sparse.vstack([rhs_form.coeffs, lhs_form.coeffs], format="csr")
+        sides.data = np.where(sides.indices == tvar, 0.0, sides.data / pivot)
+        bound_form = LinearRows(
+            _ordered_product(_term_row([1.0, -1.0]), sides),
+            (rhs_form.const - lhs_form.const) / pivot,
+        )
         # keep earlier bindings resolved in terms of unbound variables
         for other, form in list(index.bound.items()):
-            c = form.coeffs.get(tvar)
-            if c is not None:
-                coeffs2 = {i: v for i, v in form.coeffs.items() if i != tvar}
-                const2 = _acc_form(form.const, coeffs2, bound_form, c)
-                index.set_bound(other, LinForm(const2, coeffs2))
+            hit = form.coeffs.indices == tvar
+            if hit.any():
+                c = form.coeffs.data[hit][0]
+                rest = form.coeffs.copy()
+                rest.data[hit] = 0.0
+                both = scipy.sparse.vstack([rest, bound_form.coeffs], format="csr")
+                index.set_bound(other, LinearRows(
+                    _ordered_product(_term_row([1.0, c]), both),
+                    form.const + c * bound_form.const,
+                ))
         index.set_bound(key, bound_form)
         n_bound += 1
 
     # provisional variable i is the i-th representative of all measures
     index.finalize_variables()
-    final = np.concatenate([index._numbers[m] for m in index.measures]).tolist()
+    final = np.concatenate([index._numbers[m] for m in index.measures])
     for key, form in list(index.bound.items()):
-        coeffs = {final[i]: c for i, c in form.coeffs.items()}
-        index.set_bound(key, LinForm(form.const, coeffs))
+        coeffs = scipy.sparse.csr_matrix(
+            (form.coeffs.data, final[form.coeffs.indices], form.coeffs.indptr),
+            shape=(1, index.n_vars),
+        )
+        index.set_bound(key, LinearRows(coeffs, form.const))
     return n_bound
 
 
-def _stacked(parts):
-    """One LinearRows of the rows of several, in order."""
-    return LinearRows(
-        scipy.sparse.vstack([p.coeffs for p in parts], format="csr"),
-        np.concatenate([p.const for p in parts]),
-    )
+def _stacked(parts, n_vars):
+    """One LinearRows of the rows of several, in order, over n_vars variables."""
+    coeffs = [scipy.sparse.csr_matrix((0, n_vars))] + [p.coeffs for p in parts]
+    const = np.concatenate([np.zeros(0)] + [p.const for p in parts])
+    return LinearRows(scipy.sparse.vstack(coeffs, format="csr"), const)
 
 
 def _float_bits(values):
@@ -1255,13 +1214,14 @@ def mmat_values(msdp, y, measure):
 
 def expression_value(msdp, y, expr):
     """Numeric value of a moment expression at the solution y."""
-    return msdp.index.form_of_expression(expr).value(y)
+    form = msdp.index.form_of_expression(expr)
+    return (form.coeffs @ y + form.const)[0]
 
 
 def _resolve_measure(msdp, measure):
     if isinstance(measure, int):
-        for m in msdp.index.measures:
-            if m.label == measure:
-                return m
-        raise AssemblyError(f"no measure with label {measure}")
+        found = measure_with_label(msdp.index.measures, measure)
+        if found is None:
+            raise AssemblyError(f"no measure with label {measure}")
+        return found
     return measure

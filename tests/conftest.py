@@ -16,7 +16,6 @@ from gpmkit import GPMProblem, ModelContext, assemble, minimize, mom
 from gpmkit.polynomials import basis_size
 from gpmkit.relaxation import (
     AssemblyError,
-    LinForm,
     MomentIndex,
     extract_substitution_rules,
 )
@@ -245,6 +244,21 @@ def reference_inter_reduce(exponents, table, cap, budget):
     raise AssemblyError("substitution not terminating")
 
 
+class RefForm:
+    """An affine form const + sum coeffs[i] * y_i, its coefficients a dict
+    without zeros, in the order they were first added."""
+
+    def __init__(self, const=0.0, coeffs=None):
+        self.const = float(const)
+        self.coeffs = {i: float(c) for i, c in (coeffs or {}).items() if c != 0.0}
+
+    def value(self, y):
+        return self.const + sum(c * y[i] for i, c in self.coeffs.items())
+
+    def scaled(self, factor):
+        return RefForm(self.const * factor, {i: c * factor for i, c in self.coeffs.items()})
+
+
 def _accumulate(const, coeffs, form, factor):
     const += factor * form.const
     for i, c in form.coeffs.items():
@@ -259,7 +273,7 @@ class ReferenceForms:
     representatives from a fresh MomentIndex (the rules' inter-reduction
     and the representatives are checked against the references above on
     their own).  Numbers the moments and resolves the moment bindings
-    again, and builds every form as a LinForm from the normal forms of
+    again, and builds every form as a RefForm from the normal forms of
     ReferenceRewriter, accumulating one term at a time.  ``plan`` ends
     up with the bindings that fell back to rows.
     """
@@ -272,11 +286,7 @@ class ReferenceForms:
         self.rewriters = {}
         for measure in self.index.measures:
             exponents = self.exponents[measure]
-            rules = [
-                (exponents.of(r.lhs), exponents.terms(r.rhs))
-                for r in self.plan.rules
-                if r.measure is measure
-            ]
+            rules = list(self.plan.rules.get(measure, {}).items())
             budget = [10 * basis_size(len(measure.vars), 2 * order)]
             self.rewriters[measure] = ReferenceRewriter(exponents, rules, 2 * order, budget)
         self.bound = {}
@@ -298,13 +308,13 @@ class ReferenceForms:
             else:
                 idx = self.var_of[(measure, rep)]
                 coeffs[idx] = coeffs.get(idx, 0.0) + coeff
-        return LinForm(const, coeffs)
+        return RefForm(const, coeffs)
 
     def form_of_terms(self, measure, terms):
         const, coeffs = 0.0, {}
         for t, coeff in terms.items():
             const = _accumulate(const, coeffs, self.form_of_exponents(measure, t), coeff)
-        return LinForm(const, coeffs)
+        return RefForm(const, coeffs)
 
     def form_of_poly(self, measure, poly):
         return self.form_of_terms(measure, self.exponents[measure].terms(poly))
@@ -313,7 +323,7 @@ class ReferenceForms:
         const, coeffs = expr.constant, {}
         for measure, poly in expr.terms_by_label():
             const = _accumulate(const, coeffs, self.form_of_poly(measure, poly), 1.0)
-        return LinForm(const, coeffs)
+        return RefForm(const, coeffs)
 
     def _resolve_bindings(self):
         self._number()
@@ -339,12 +349,12 @@ class ReferenceForms:
             for i, c in lhs_form.coeffs.items():
                 if i != tvar:
                     coeffs[i] = coeffs.get(i, 0.0) - c / pivot
-            bound_form = LinForm((rhs_form.const - lhs_form.const) / pivot, coeffs)
+            bound_form = RefForm((rhs_form.const - lhs_form.const) / pivot, coeffs)
             for other, form in list(self.bound.items()):
                 c = form.coeffs.get(tvar)
                 if c is not None:
                     rest = {i: v for i, v in form.coeffs.items() if i != tvar}
-                    self.bound[other] = LinForm(
+                    self.bound[other] = RefForm(
                         _accumulate(form.const, rest, bound_form, c), rest
                     )
             self.bound[key] = bound_form
@@ -352,5 +362,5 @@ class ReferenceForms:
         self._number()
         for key, form in list(self.bound.items()):
             coeffs = {self.var_of[provisional[i]]: c for i, c in form.coeffs.items()}
-            self.bound[key] = LinForm(form.const, coeffs)
+            self.bound[key] = RefForm(form.const, coeffs)
         return n_bound

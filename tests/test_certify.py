@@ -209,6 +209,23 @@ def test_support_unknown_label():
         sol.support(2)
 
 
+def test_support_of_an_uncertified_solve_is_not_an_earlier_solves_atoms():
+    # the certified order-4 solve stores its atoms on the shared measure;
+    # the order-1 bound that follows has none of its own
+    with open(model_path("quadratic3.gpm")) as fh:
+        problem = parse_model(fh.read(), "quadratic3.gpm")
+    exact = solve_gpm(problem, order=4)
+    assert exact.status == 1
+    bound = solve_gpm(problem, order=1)
+    assert bound.status == 0
+    with pytest.raises(ModelError):
+        bound.support(1)
+    points, weights = exact.support(1)
+    worst_point, _ = match_atoms([[2.0, 0.0, 0.0], [0.5, 0.0, 3.0]], [0.5, 0.5], points, weights)
+    assert len(points) == 2 and worst_point < 1e-3
+    assert np.array_equal(problem.measures[0].support_points, points)
+
+
 def test_moments_stored_on_measures():
     ctx = ModelContext()
     x = ctx.var("x")
@@ -241,9 +258,10 @@ def test_extraction_reduces_shifted_pivots_by_substitution_rules():
 
 
 def test_solve_gpm_makes_no_monomial_per_moment(monkeypatch):
-    # only the two sides of the nine rules x(i)^2 -> 1 become Monomial
-    # objects; moments, blocks and extraction stay in exponent rows, so
-    # order 3 (5005 raw moments) makes no more than order 2 (715)
+    # the nine rules x(i)^2 -> 1, moments, blocks and extraction stay in
+    # exponent tuples and rows, so neither order 2 (715 raw moments) nor
+    # order 3 (5005) makes a Monomial; mvec, which lists the moments as
+    # monomials, shows that the counter sees every call
     monomial = ExponentMap.monomial
     calls = []
 
@@ -257,9 +275,11 @@ def test_solve_gpm_makes_no_monomial_per_moment(monkeypatch):
         with open(model_path("maxcut_sub.gpm")) as fh:
             problem = parse_model(fh.read(), "maxcut_sub.gpm")
         calls.clear()
-        solve_gpm(problem, order=order)
+        sol = solve_gpm(problem, order=order)
         counts.append(len(calls))
-    assert 0 < counts[0] == counts[1]
+        moments = mvec(sol.msdp, 1)
+        assert len(calls) == len(moments) == {2: 715, 3: 5005}[order]
+    assert counts == [0, 0]
 
 
 @pytest.mark.parametrize(

@@ -646,7 +646,7 @@ def test_to_conic_camel_shape():
     assert conic.objective_value(sol.y) == pytest.approx(-1.0316, abs=1e-3)
 
 
-# -- reference conic form, built one LinForm and one entry at a time
+# -- reference conic form, built one RefForm and one entry at a time
 
 
 def _shifted(terms, t):
@@ -666,7 +666,7 @@ def _reference_dedup(forms, keep_infeasible):
 
 
 def _reference_relaxation(msdp):
-    """Reference forms of the relaxation, and its rows as LinForms."""
+    """Reference forms of the relaxation, and its rows as RefForms."""
     problem, order = msdp.problem, msdp.order
     ref = ReferenceForms(problem, order)
     plan, index = ref.plan, ref.index
@@ -860,6 +860,22 @@ def test_to_conic_matches_the_per_entry_reference_on_random_problems(seed):
     y = np.random.default_rng(seed).normal(size=msdp.n_vars)
     for measure in problem.measures:
         assert_same_bytes(mmat_values(msdp, y, measure), reference_mmat(msdp, y, measure))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_objective_and_bound_forms_match_the_reference_in_stored_order(seed):
+    # b is dense, so only the rows show the order in which certify sums
+    # the objective; odd seeds sum it over two measures
+    problem, order = random_gpm_problem(seed)
+    msdp = assemble(problem, order)
+    ref = ReferenceForms(msdp.problem, msdp.order)
+    assert list(msdp.index.bound) == list(ref.bound)
+    pairs = [(msdp.objective, ref.form_of_expression(msdp.problem.objective.expr))]
+    pairs += [(form, ref.bound[key]) for key, form in msdp.index.bound.items()]
+    for rows, want in pairs:
+        assert len(rows) == 1 and rows.const[0] == want.const
+        got = zip(rows.coeffs.indices.tolist(), rows.coeffs.data.tolist())
+        assert list(got) == list(want.coeffs.items())
 
 
 def test_to_conic_matches_the_reference_when_codes_exceed_int64():

@@ -315,7 +315,7 @@ def test_representatives_match_reducing_every_tuple(problem, order):
         exponents = index.exponents[measure]
         rw = ReferenceRewriter(
             exponents,
-            [(exponents.of(r.lhs), exponents.terms(r.rhs)) for r in rules if r.measure is measure],
+            list(rules.get(measure, {}).items()),
             2 * order,
             [10 * basis_size(len(measure.vars), 2 * order)],
         )

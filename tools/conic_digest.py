@@ -2,7 +2,12 @@
 
 For each model/order pair, assembles the moment relaxation, converts it
 with to_conic and prints one line: the SHA-256 of the CSR arrays of A,
-of b, c, the cone, sense and offset, and of the AssemblyReport.  When the
+of b, c, the cone, sense and offset, of the AssemblyReport, and of the
+forms of every block and of lin_eq and lin_ineq (CSR indptr, indices
+and data in stored order, then the constants).  to_conic's transposes
+sort coefficients, so A alone would not show a change in the order in
+which assembly lists them, and that order decides how mvec_values and
+mmat_values sum each moment.  When the
 conic problem has equality rows, a second line hashes the output of
 presolve_eliminate_equalities: the reduced A, b, c and offset, the
 particular solution y0 and the CSR arrays of the null-space map N.  Run
@@ -112,6 +117,9 @@ def digest(model, order):
     conic = to_conic(msdp)
     h = _conic_hash(conic)
     h.update(repr(msdp.report).encode())
+    for rows in [block.forms for block in msdp.blocks] + [msdp.lin_eq, msdp.lin_ineq]:
+        for arr in (rows.coeffs.indptr, rows.coeffs.indices, rows.coeffs.data, rows.const):
+            h.update(np.ascontiguousarray(arr).tobytes())
     lines = [f"{model}-{order} {h.hexdigest()}"]
     if conic.cone.f:
         pre = presolve_eliminate_equalities(conic)
