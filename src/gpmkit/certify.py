@@ -503,12 +503,12 @@ def _face_problem(conic, columns, pins, bound, slack):
         cols.extend((2 * col - 1, 2 * col))
         vals.extend((1.0, -1.0))
         cvals.extend((value + tau, tau - value))
-    extra = scipy.sparse.csr_matrix(
+    extra = scipy.sparse.csc_matrix(
         (vals, (rows, cols)), shape=(m, len(cvals)), dtype=float
     )
     split = conic.cone.f + conic.cone.l
     A = scipy.sparse.hstack(
-        [conic.A[:, :split], extra, conic.A[:, split:]], format="csr"
+        [conic.A[:, :split], extra, conic.A[:, split:]], format="csc"
     )
     c = np.concatenate([conic.c[:split], cvals, conic.c[split:]])
     cone = ConeSpec(f=conic.cone.f, l=conic.cone.l + len(cvals), s=conic.cone.s)

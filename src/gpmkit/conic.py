@@ -31,6 +31,11 @@ back, y = y0 + N y_r for the moments and x = X x_r for the primal
 entries.  One ``lift`` applies them to a solution of the reduced
 problem, so a further reduction only has to build its y0, N and X.
 
+``ConicProblem`` owns the data layout: A is float64 CSC, its columns
+the cone entries that every reduction slices, b and c float64 vectors.
+Every consumer reads that as given; only the writers of ``formats``
+convert A, once each, to the row order of their files.
+
 The solver keeps each PSD block of A, symmetrized, either as CSR rows
 over its s*s entries or as a dense (m, s, s) tensor.  It picks one per
 block from an nnz-based estimate of what forming that block's share of
@@ -99,6 +104,11 @@ class ConicProblem:
     ``sense`` and ``offset`` recover the original objective: the source
     problem's optimum is offset - b'y for a minimization and
     offset + b'y for a maximization.
+
+    Construction fixes the layout: A becomes float64 CSC with sorted
+    row indices, so every product with A sums in one order (a float64
+    CSC argument is sorted in place, not copied), and b and c float64
+    vectors.  ConicError if A, b, c and the cone disagree in shape.
     """
 
     A: object
@@ -107,6 +117,18 @@ class ConicProblem:
     cone: ConeSpec
     sense: str = "min"
     offset: float = 0.0
+
+    def __post_init__(self):
+        self.A = scipy.sparse.csc_matrix(self.A, dtype=float)
+        self.A.sort_indices()
+        self.b = np.asarray(self.b, dtype=float)
+        self.c = np.asarray(self.c, dtype=float)
+        n = self.cone.total_length
+        if self.b.ndim != 1 or self.c.shape != (n,) or self.A.shape != (self.b.size, n):
+            raise ConicError(
+                f"conic problem has inconsistent dimensions: A is {self.A.shape}, "
+                f"b {self.b.shape} and c {self.c.shape}, the cone has {n} entries"
+            )
 
     @property
     def m(self):
@@ -173,9 +195,10 @@ def to_conic(msdp):
     B(y) a PSD slack Z = C - sum_k y_k A_k with C the constant part of
     B and A_k minus its coefficient matrices.
 
-    A is built transposed, one row per column of x: the equality rows,
-    the negated inequality rows, then for each block the negated rows of
-    its distinct forms, each entry (i, j) taking the row of its slot.
+    A is built transposed, one CSR row per column of x, which makes A
+    CSC: the equality rows, the negated inequality rows, then for each
+    block the negated rows of its distinct forms, each entry (i, j)
+    taking the row of its slot.
     """
     eq, ineq = msdp.lin_eq, msdp.lin_ineq
     cone = ConeSpec(
@@ -189,7 +212,7 @@ def to_conic(msdp):
         slots = block.slot_matrix().reshape(-1)
         columns.append(-block.forms.coeffs[slots])
         cvals.append(block.forms.const[slots])
-    A = scipy.sparse.vstack(columns, format="csr").T.tocsr()
+    A = scipy.sparse.vstack(columns, format="csr").T
 
     obj = msdp.objective.coeffs.toarray()[0]
     sense = msdp.sense
@@ -240,9 +263,9 @@ def lift(problem, red, inner):
     x = red.X @ inner.x
     nf = red.n_eliminated
     if nf:
-        A = scipy.sparse.csc_matrix(problem.A)
+        A = problem.A
         x[:nf] = scipy.sparse.linalg.lsqr(A[:, :nf], problem.b - A[:, nf:] @ x[nf:])[0]
-    z = np.asarray(problem.c - problem.A.T @ y).reshape(-1)
+    z = problem.c - problem.A.T @ y
     shift = float(problem.b @ red.y0)
     return replace(
         inner, x=x, y=y, z=z, pobj=inner.pobj + shift, dobj=inner.dobj + shift
@@ -271,7 +294,6 @@ def presolve_eliminate_equalities(problem):
     result is verified against every equality row; on failure the rows
     are resolved in one SVD pass instead.
     """
-    problem = replace(problem, A=scipy.sparse.csc_matrix(problem.A))
     res = _presolve_pass(problem, substitute=True)
     if res.status != "ok" or problem.cone.f == 0:
         return res
@@ -287,7 +309,7 @@ def presolve_eliminate_equalities(problem):
 def _presolve_residual(problem, res):
     """Worst violation of the equality rows by the y = y0 + N t set."""
     nf = problem.cone.f
-    Af = scipy.sparse.csc_matrix(problem.A)[:, :nf]
+    Af = problem.A[:, :nf]
     r0 = float(np.abs(Af.T @ res.y0 - problem.c[:nf]).max(initial=0.0))
     r1 = float(np.abs((Af.T @ res.N).data).max(initial=0.0))
     return max(r0, r1)
@@ -421,9 +443,10 @@ def _alias_roots(m, i, j, ci, cj, const):
 def _presolve_pass(problem, substitute):
     m = problem.m
     nf = problem.cone.f
-    A = scipy.sparse.csc_matrix(problem.A)
+    A = problem.A
+    # the transpose of a CSC is CSR: one row per equality
     root_of, a, bshift, is_pinned, pin, worst, R, const = _substitute(
-        A[:, :nf].T.tocsr(), np.asarray(problem.c[:nf], dtype=float), substitute
+        A[:, :nf].T, problem.c[:nf], substitute
     )
     if worst > _PRESOLVE_TOL:
         return _infeasible(worst, nf)
@@ -459,17 +482,14 @@ def _presolve_pass(problem, substitute):
     N.eliminate_zeros()
     N.sort_indices()
 
-    # N.T is CSC, so a CSC A_rest enters the product unconverted
+    # N.T is CSC, so the CSC A_rest enters the product and leaves it as CSC
     A_rest = A[:, nf:]
-    A_red = (N.T @ A_rest).tocsr()
-    c_red = np.asarray(problem.c[nf:] - A_rest.T @ y0)
-    b_red = np.asarray(N.T @ problem.b)
     by0 = float(problem.b @ y0)
     offset = problem.offset + (by0 if problem.sense == "max" else -by0)
     reduced = ConicProblem(
-        A=A_red,
-        b=b_red,
-        c=c_red,
+        A=N.T @ A_rest,
+        b=N.T @ problem.b,
+        c=problem.c[nf:] - A_rest.T @ y0,
         cone=ConeSpec(f=0, l=problem.cone.l, s=problem.cone.s),
         sense=problem.sense,
         offset=offset,
@@ -501,17 +521,18 @@ def split_by_sign(problem, moment_class, block_classes):
     columns), or None when the gate fails.
     """
     cone = problem.cone
-    A = scipy.sparse.coo_matrix(problem.A)
+    A = problem.A
+    row, col = A.indices, np.repeat(np.arange(problem.n), np.diff(A.indptr))
     moment_class = np.asarray(moment_class, dtype=np.int64)
     col_class = np.zeros(problem.n, dtype=np.int64)
-    free = A.col < cone.f
-    np.maximum.at(col_class, A.col[free], moment_class[A.row[free]])
+    free = col < cone.f
+    np.maximum.at(col_class, col[free], moment_class[row[free]])
     for start, rc in zip(cone.psd_starts, block_classes):
         col_class[start:start + rc.size**2] = np.bitwise_xor.outer(rc, rc).reshape(-1)
     pinned = moment_class != 0
     if (
         np.any(problem.b[pinned])
-        or np.any(moment_class[A.row] != col_class[A.col])
+        or np.any(moment_class[row] != col_class[col])
         or np.any(col_class[problem.c != 0])
     ):
         return None
@@ -526,7 +547,7 @@ def split_by_sign(problem, moment_class, block_classes):
     rows = np.flatnonzero(~pinned)
     nfree = int(np.count_nonzero(cols < cone.f))
     reduced = ConicProblem(
-        A=scipy.sparse.csc_matrix(problem.A)[:, cols][rows].tocsr(),
+        A=A[:, cols][rows],
         b=problem.b[rows],
         c=problem.c[cols],
         cone=ConeSpec(f=nfree, l=cone.l, s=tuple(sizes)),
@@ -558,7 +579,7 @@ def _reduce_zero_diagonals(problem):
     cone = problem.cone
     if not cone.s:
         return None
-    A = scipy.sparse.csc_matrix(problem.A)
+    A = problem.A
     cols = np.concatenate(
         [cone.f + np.arange(cone.l)] + [cone.diagonal(j) for j in range(len(cone.s))]
     )
@@ -611,7 +632,7 @@ def _reduce_zero_diagonals(problem):
     # 1 at each column's entry and its mirror, 2 summed where they coincide
     X = (_selection(problem.n, col) + _selection(problem.n, mirror)).sign()
     reduced = ConicProblem(
-        A=(A @ X).tocsr(),
+        A=A @ X,
         b=problem.b.copy(),
         c=X.T @ problem.c,
         cone=ConeSpec(f=cone.f + sum(p.size for p in pins), l=kept[0].size, s=tuple(sizes)),
@@ -757,7 +778,7 @@ class _Cones:
         cone = problem.cone
         if cone.f:
             raise ConicError("free variables must be eliminated by presolve first")
-        A = scipy.sparse.csc_matrix(problem.A)
+        A = problem.A
         self.m = m = problem.m
         self.l = cone.l
         parts = []
@@ -766,12 +787,12 @@ class _Cones:
             sym = _symmetrized(A[:, off : off + s * s], s)
             sparse, floats = _storage(sym, s)
             entries += floats
-            cblk = np.asarray(problem.c[off : off + s * s], dtype=float).reshape(s, s)
+            cblk = problem.c[off : off + s * s].reshape(s, s)
             parts.append((sym, s, sparse, 0.5 * (cblk + cblk.T)))
         if entries > _MAX_ENTRIES:
             raise ConicError("problem too large for the interior-point solver")
         self.A_l = A[:, : cone.l].toarray()
-        self.c_l = np.asarray(problem.c[: cone.l], dtype=float)
+        self.c_l = problem.c[: cone.l]
         self.blocks = [
             (_SparseBlock if sparse else _DenseBlock)(sym, s)
             for sym, s, sparse, _ in parts
@@ -1010,7 +1031,7 @@ def solve(problem, params=None):
     """
     params = params or SolverParams()
     cones = _Cones(problem)
-    b = np.asarray(problem.b, dtype=float)
+    b = problem.b
     m = cones.m
 
     if cones.nu == 0:

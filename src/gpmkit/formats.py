@@ -70,8 +70,9 @@ def export_sdpa(problem, path):
         " ".join(_fmt(-v) for v in problem.b),
     ]
 
-    A = scipy.sparse.csr_matrix(problem.A)
-    c = np.asarray(problem.c, dtype=float)
+    # the file lists F_1..F_m in turn, the rows of A
+    A = problem.A.tocsr()
+    c = problem.c
     numbers = np.array([b"%d " % k for k in range(max(m, len(blocks), *map(abs, blocks)) + 1)])
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode())
@@ -220,13 +221,13 @@ def import_sdpa(path):
                 rows.append(matno - 1)
                 cols.append(pos)
                 vals.append(-value)  # A_k = -F_k
-    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, n))
+    A = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(m, n))
     return ConicProblem(A=A, b=b, c=c, cone=cone, sense="min", offset=0.0)
 
 
 def export_json(problem, path):
-    """Write the problem as JSON with A in coordinate form."""
-    coo = scipy.sparse.coo_matrix(problem.A)
+    """Write the problem as JSON with A in coordinate form, in row order."""
+    A = problem.A.tocsr()
     payload = {
         "m": int(problem.m),
         "cone": {
@@ -235,12 +236,12 @@ def export_json(problem, path):
             "s": [int(s) for s in problem.cone.s],
         },
         "A": {
-            "rows": coo.row.tolist(),
-            "cols": coo.col.tolist(),
-            "vals": coo.data.tolist(),
+            "rows": np.repeat(np.arange(problem.m), np.diff(A.indptr)).tolist(),
+            "cols": A.indices.tolist(),
+            "vals": A.data.tolist(),
         },
-        "b": np.asarray(problem.b).tolist(),
-        "c": np.asarray(problem.c).tolist(),
+        "b": problem.b.tolist(),
+        "c": problem.c.tolist(),
         "offset": float(problem.offset),
         "sense": problem.sense,
     }
@@ -271,14 +272,10 @@ def import_json(path):
         raise ConicError("A rows, cols and vals differ in length")
     if np.any((rows < 0) | (rows >= m)) or np.any((cols < 0) | (cols >= n)):
         raise ConicError(f"A entry indices outside the {m}x{n} matrix")
-    A = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, n))
-    b = np.asarray(payload["b"], dtype=float)
-    c = np.asarray(payload["c"], dtype=float)
-    if b.shape[0] != m or c.shape[0] != n:
-        raise ConicError("JSON problem has inconsistent dimensions")
     if payload["sense"] not in ("min", "max"):
         raise ConicError(f"invalid sense: {payload['sense']}")
     return ConicProblem(
-        A=A, b=b, c=c, cone=cone, sense=payload["sense"],
+        A=scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(m, n)),
+        b=payload["b"], c=payload["c"], cone=cone, sense=payload["sense"],
         offset=float(payload["offset"]),
     )

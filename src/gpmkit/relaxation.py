@@ -155,10 +155,12 @@ class _Rules:
 
     def first_divisor(self, exps):
         """Index of the first rule whose left side divides each row, or -1."""
-        if not len(self.lhs):
-            return np.full(len(exps), -1)
-        divides = (exps[:, None, :] >= self.lhs[None, :, :]).all(axis=2)
-        return np.where(divides.any(axis=1), divides.argmax(axis=1), -1)
+        first = np.full(len(exps), -1)
+        # the last rule first, so that the first one to divide a row wins
+        for k in range(len(self.lhs) - 1, -1, -1):
+            at = np.flatnonzero(self.lhs[k])
+            first[(exps[:, at] >= self.lhs[k, at]).all(axis=1)] = k
+        return first
 
     def normal_forms(self, exps, budget=None):
         """Normal forms of the rows of exps, of degree at most the cap.

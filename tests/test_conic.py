@@ -25,6 +25,7 @@ from gpmkit import (
     to_conic,
 )
 import gpmkit.conic as conic_module
+from gpmkit.certify import _face_problem
 from gpmkit.conic import (
     ConicError,
     _Cones,
@@ -35,8 +36,11 @@ from gpmkit.conic import (
     _reduce_zero_diagonals,
     _symmetrized,
     solve,
+    split_by_sign,
 )
 from gpmkit.dsl import parse_model
+from gpmkit.formats import export_json, export_sdpa, import_json, import_sdpa
+from gpmkit.relaxation import sign_classes
 
 from conftest import ReferenceForms, camel_problem, model_path
 
@@ -185,6 +189,36 @@ def test_solve_rejects_free_cone():
     # the driver presolves the free column away instead
     sol = solve_conic(problem)
     assert sol.status == "solved"
+
+
+def trace_problem(**changes):
+    """min <C, X> s.t. tr X = 1 over one 2x2 block, with fields replaced."""
+    fields = dict(
+        A=np.eye(2).reshape(1, -1), b=np.array([1.0]),
+        c=np.array([1.0, 0.5, 0.5, 2.0]), cone=ConeSpec(s=(2,)),
+    )
+    fields.update(changes)
+    return ConicProblem(**fields)
+
+
+def test_problem_with_c_one_entry_short_is_refused():
+    # solve_conic used to fail inside with an IndexError
+    with pytest.raises(ConicError, match="inconsistent dimensions"):
+        trace_problem(c=np.array([1.0, 0.5, 0.5]))
+
+
+def test_problem_with_b_too_long_is_refused():
+    # solve_conic used to fail inside linprog with a ValueError
+    with pytest.raises(ConicError, match="inconsistent dimensions"):
+        trace_problem(b=np.array([1.0, 2.0]))
+
+
+def test_problem_stores_a_as_float64_csc_and_b_c_as_float64():
+    problem = trace_problem(
+        A=scipy.sparse.csr_matrix(np.array([[1, 0, 0, 1]])), b=[1], c=[1, 0, 0, 2]
+    )
+    assert problem.A.format == "csc" and problem.A.dtype == np.float64
+    assert problem.b.dtype == problem.c.dtype == np.float64
 
 
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
@@ -589,7 +623,7 @@ def test_facial_reduction_lifts_into_the_second_of_two_blocks():
 
 def test_no_facial_reduction_with_interior():
     problem = ConicProblem(
-        A=np.eye(4).reshape(1, -1), b=np.array([1.0]),
+        A=np.eye(2).reshape(1, -1), b=np.array([1.0]),
         c=np.arange(4.0), cone=ConeSpec(s=(2,)),
     )
     assert _reduce_zero_diagonals(problem) is None
@@ -613,6 +647,40 @@ def test_facial_reduction_then_presolve():
     assert problem.c @ sol.x == pytest.approx(sol.pobj, abs=1e-9)
     assert problem.b @ sol.y == pytest.approx(sol.dobj, abs=1e-9)
     np.testing.assert_array_equal(sol.z, problem.c - A.T @ sol.y)
+
+
+def test_every_producer_hands_on_the_problem_layout(tmp_path):
+    """to_conic, the reductions, the face problem and both readers all
+    give A as float64 CSC and b, c as float64 vectors."""
+    def layout(problem):
+        return (problem.A.format, problem.A.dtype, problem.b.dtype, problem.c.dtype)
+
+    want = ("csc", np.float64, np.float64, np.float64)
+    with open(model_path("rational.gpm")) as fh:
+        rational = to_conic(assemble(parse_model(fh.read())))
+    camel_msdp = assemble(camel_problem()[1], 3)
+    camel = to_conic(camel_msdp)
+    classes = sign_classes(camel_msdp)
+    ctx = ModelContext()
+    x = ctx.vars("x", 2)
+    point_mass = to_conic(assemble(GPMProblem(
+        minimize(mom(1 + x[0] + x[1])),
+        [x[0] ** 2 + x[1] ** 2 <= 0, mom(x[0] + 2 * x[1]) == 0],
+    )))
+    export_sdpa(camel, tmp_path / "camel.dat-s")
+    export_json(rational, tmp_path / "rational.json")
+    problems = {
+        "to_conic": rational,
+        "presolve": presolve_eliminate_equalities(rational).problem,
+        "split_by_sign": split_by_sign(camel, classes.moments, classes.blocks).problem,
+        "_reduce_zero_diagonals": _reduce_zero_diagonals(point_mass).problem,
+        "_face_problem": _face_problem(
+            camel, camel.cone.diagonal(0)[-3:], [(0, 1.0, 0.1)], -1.0, 0.1
+        ),
+        "import_sdpa": import_sdpa(tmp_path / "camel.dat-s"),
+        "import_json": import_json(tmp_path / "rational.json"),
+    }
+    assert {name: layout(p) for name, p in problems.items()} == dict.fromkeys(problems, want)
 
 
 def test_point_mass_support_solves():

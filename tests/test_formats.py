@@ -61,7 +61,7 @@ def test_sdpa_round_trip_is_exact(tmp_path):
     assert back.cone == problem.cone
     assert np.array_equal(back.b, problem.b)
     assert np.array_equal(back.c, problem.c)
-    assert np.array_equal(np.asarray(back.A.todense()), problem.A)
+    assert np.array_equal(back.A.toarray(), problem.A.toarray())
     assert back.sense == "min"
     assert back.offset == 0.0
 
@@ -316,7 +316,7 @@ def test_sdpa_cannot_carry_sense_or_offset(tmp_path):
     back = import_sdpa(path)
     assert back.sense == "min"
     assert back.offset == 0.0
-    assert np.array_equal(np.asarray(back.A.todense()), problem.A)
+    assert np.array_equal(back.A.toarray(), problem.A.toarray())
 
 
 def test_sdpa_orthant_only_round_trip(tmp_path):
@@ -401,7 +401,7 @@ def test_json_round_trip_keeps_everything(tmp_path):
     assert back.offset == -2.25
     assert np.array_equal(back.b, problem.b)
     assert np.array_equal(back.c, problem.c)
-    assert np.array_equal(np.asarray(back.A.todense()), problem.A)
+    assert np.array_equal(back.A.toarray(), problem.A.toarray())
 
 
 def _json_payload(tmp_path):

@@ -387,6 +387,10 @@ def test_batched_normal_forms_match_the_reference_bit_for_bit(seed):
     rules = list(want[0].items())
     rw = ReferenceRewriter(exponents, rules, cap, [budget])
     exps = exponent_array(nvars, cap)
+    # first_divisor against a row-by-row scan of the rules in their order
+    arrays = _Rules(exponents, rules, cap)
+    divides = [[all(map(int.__ge__, t, lhs)) for lhs in arrays.lhs.tolist()] for t in exps.tolist()]
+    assert arrays.first_divisor(exps).tolist() == [d.index(True) if any(d) else -1 for d in divides]
     try:
         reference = [list(rw.reduce(t).items()) for t in map(tuple, exps.tolist())]
     except AssemblyError:

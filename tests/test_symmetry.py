@@ -216,7 +216,7 @@ def _mixed_entry(masks, cone):
 
 
 def _break(kind, problem, row_class, masks):
-    A, b, c = problem.A.copy(), problem.b.copy(), problem.c.copy()
+    A, b, c = problem.A.tolil(), problem.b.copy(), problem.c.copy()
     odd_row = int(np.flatnonzero(row_class)[0])
     even_row = int(np.flatnonzero(row_class == 0)[0])
     if kind == "b on a pinned row":

@@ -5,10 +5,12 @@ import importlib.util
 import os
 import re
 
+import numpy as np
 import pytest
 
 import gpmkit.conic as conic_module
 from gpmkit.cli import cmd_export
+from gpmkit.relaxation import assemble
 
 from conftest import model_path
 
@@ -52,3 +54,14 @@ def test_export_digest_hashes_the_exported_file(
     cmd_export(model_path(f"{model}.gpm"), fmt, str(out), order=order)
     capsys.readouterr()
     assert line == f"{model}-{order} {fmt} {hashlib.sha256(out.read_bytes()).hexdigest()}"
+
+
+def test_digest_has_a_case_with_rows_of_several_coefficients(conic_digest):
+    # the paper models give every moment-block row one coefficient, so
+    # only a case like this one shows the order assembly stores them in
+    (model, order), = [case for case in conic_digest.CASES if case[0] in conic_digest.SOURCES]
+    msdp = assemble(conic_digest._load(model).problem, order)
+    assert msdp.report.n_moment_substitutions == 1
+    moment = next(block for block in msdp.blocks if block.kind == "moment")
+    assert np.diff(moment.forms.coeffs.indptr).max() > 1
+    assert re.fullmatch(f"{model}-{order} {HEX}", "\n".join(conic_digest.digest(model, order)))

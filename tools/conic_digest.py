@@ -1,18 +1,19 @@
 """Print a digest of the conic form of the paper models.
 
-For each model/order pair, assembles the moment relaxation, converts it
-with to_conic and prints one line: the SHA-256 of the CSR arrays of A,
-of b, c, the cone, sense and offset, of the AssemblyReport, and of the
-forms of every block and of lin_eq and lin_ineq (CSR indptr, indices
-and data in stored order, then the constants).  to_conic's transposes
-sort coefficients, so A alone would not show a change in the order in
-which assembly lists them, and that order decides how mvec_values and
-mmat_values sum each moment.  When the
-conic problem has equality rows, a second line hashes the output of
-presolve_eliminate_equalities: the reduced A, b, c and offset, the
-particular solution y0 and the CSR arrays of the null-space map N.  Run
-it on two checkouts and diff the output to show that a refactor leaves
-the relaxation and its presolve byte-identical:
+For each model/order pair of CASES (the paper models, then the models
+of SOURCES), assembles the moment relaxation, converts it with to_conic
+and prints one line: the SHA-256 of the CSR arrays of A, of b, c, the
+cone, sense and offset, of the AssemblyReport, and of the forms of
+every block and of lin_eq and lin_ineq (CSR indptr, indices and data in
+stored order, then the constants).  The conic form sorts
+coefficients, so A alone would not show a change in the order in which
+assembly lists them, and that order decides how mvec_values and
+mmat_values sum each moment.  When the conic problem has equality rows,
+a second line hashes the output of presolve_eliminate_equalities: the
+reduced A, b, c and offset, the particular solution y0 and the CSR
+arrays of the null-space map N.  Run it on two checkouts and diff the
+output to show that a refactor leaves the relaxation and its presolve
+byte-identical:
 
     PYTHONPATH=src python tools/conic_digest.py > after.txt
 
@@ -70,7 +71,24 @@ CASES = [
     ("maxcut_nosub", 2),
     ("maxcut_nosub", 3),
     ("maxcut_nosub", 4),
+    ("rules", 2),
 ]
+
+# models that exist only as digest cases, by name.  In the paper models
+# every rule has a one-term right side and the only binding is a
+# constant, so every moment-block row has one coefficient; here rules
+# with several terms and a binding to a non-constant form give rows of
+# several coefficients, and their stored order reaches the digest.
+SOURCES = {
+    "rules": """
+        var x[2];
+        min x(1)*x(2)^2 - 0.7*x(1) + 1.3*x(2)^3;
+        x(1)^2 == 0.3*x(1) + 0.7*x(2) - 0.1;
+        x(2)^3 == 2.9*x(1)*x(2) - 1.3*x(2) + 0.1;
+        1 - x(2)^2 >= 0;
+        mom(x(2)) == 0.3 + 0.7*mom(x(1)*x(2));
+    """,
+}
 
 SOLVE_CASES = [
     ("camel", 3),
@@ -106,6 +124,8 @@ def _conic_hash(conic):
 
 
 def _load(model):
+    if model in SOURCES:
+        return build(parse_source(SOURCES[model], filename=f"<{model}>"))
     path = os.path.join(ROOT, "models", f"{model}.gpm")
     with open(path, encoding="utf-8") as handle:
         return build(parse_source(handle.read(), filename=path))
