@@ -170,7 +170,12 @@ def extract_points(msdp, y, measure, seed=0):
 
 
 def _extract(msdp, block, M, rho, seed):
-    """Atoms of a measure from its moment matrix M, factored at rank rho."""
+    """Atoms of a measure from its moment matrix M, factored at rank rho.
+
+    Three random combinations of the multiplication operators are tried;
+    of those whose atoms fit the moments, the one with the smallest NNLS
+    residual wins.
+    """
     measure = block.measure
     if rho == 0:
         return ExtractionResult(success=False, message="moment matrix is zero")
@@ -206,6 +211,7 @@ def _extract(msdp, block, M, rho, seed):
     # that Phi multiplies Python float powers as Monomial.eval does
     by_uid = index.exponents[measure].by_uid
     factors = [[(k, row[k]) for k in by_uid if row[k]] for row in basis.tolist()]
+    best = None
     rng = np.random.default_rng(seed)
     for _ in range(3):
         lam = rng.standard_normal(len(operators))
@@ -229,14 +235,17 @@ def _extract(msdp, block, M, rho, seed):
         target = M[:, 0]
         weights, residual = scipy.optimize.nnls(Phi, target)
         scale = 1.0 + float(np.linalg.norm(target))
-        if residual <= math.sqrt(_RANK_TOL) * scale:
-            return ExtractionResult(
+        fits = residual <= math.sqrt(_RANK_TOL) * scale
+        if fits and (best is None or residual < best.residual):
+            best = ExtractionResult(
                 success=True,
                 points=points,
                 weights=weights,
                 rank=rho,
                 residual=residual,
             )
+    if best is not None:
+        return best
     return ExtractionResult(
         success=False,
         rank=rho,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .conic import ConicError, SolverParams, presolve_eliminate_equalities, to_conic
 from .certify import solve_gpm
@@ -47,18 +47,6 @@ class RunReport:
     objective: object = None
     certified: object = None
     measures: object = None
-
-    def to_json_dict(self):
-        return {
-            "file": self.file,
-            "order": self.order,
-            "assembly": self.assembly,
-            "solver": self.solver,
-            "status": self.status,
-            "objective": self.objective,
-            "certified": self.certified,
-            "measures": self.measures,
-        }
 
     def to_text(self):
         lines = _assembly_text(self.assembly)
@@ -266,7 +254,7 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
     )
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(report.to_json_dict(), handle, indent=2)
+            json.dump(asdict(report), handle, indent=2)
             handle.write("\n")
     return report
 

@@ -34,7 +34,8 @@ problem, so a further reduction only has to build its y0, N and X.
 ``ConicProblem`` owns the data layout: A is float64 CSC, its columns
 the cone entries that every reduction slices, b and c float64 vectors.
 Every consumer reads that as given; only the writers of ``formats``
-convert A, once each, to the row order of their files.
+convert A, once each, to the row order of their files.  ``ConeSpec``
+owns the column map between PSD block entries and columns.
 
 The solver keeps each PSD block of A, symmetrized, either as CSR rows
 over its s*s entries or as a dense (m, s, s) tensor.  It picks one per
@@ -71,8 +72,9 @@ class ConicError(ValueError):
 class ConeSpec:
     """Dimensions of the cone product: free, orthant, PSD block orders.
 
-    Columns run free, then orthant, then each PSD block of order s as
-    its s*s entries, entry (i, j) at the block's start + i*s + j.
+    It owns the column layout: free, then orthant, then each PSD block
+    of order s as its s*s entries, row-major with both triangles stored.
+    ``column``, ``block_columns`` and ``entries`` map entries to columns.
     """
 
     f: int = 0
@@ -87,6 +89,25 @@ class ConeSpec:
     def psd_starts(self):
         """Start column of each PSD block."""
         return tuple(accumulate((k * k for k in self.s), initial=self.f + self.l))[:-1]
+
+    def column(self, k, i, j):
+        """Column of entry (i, j) of PSD block k; k, i and j broadcast."""
+        starts, sizes = (np.array(v, dtype=np.int64)[k] for v in (self.psd_starts, self.s))
+        return starts + np.multiply(i, sizes) + j
+
+    def block_columns(self, k, rows):
+        """Columns of the rows x rows sub-block of PSD block k, row-major."""
+        return self.column(k, rows[:, None], rows).reshape(-1)
+
+    def entries(self, cols):
+        """(k, i, j) of each column: entry (i, j) of PSD block k, or k = -1
+        and i = j = column - f (the orthant entry) ahead of the blocks."""
+        cols = np.asarray(cols, dtype=np.int64)
+        k = np.searchsorted(self.psd_starts, cols, side="right") - 1
+        i, j, psd = cols - self.f, cols - self.f, k >= 0
+        start = self.column(k[psd], 0, 0)
+        i[psd], j[psd] = np.divmod(cols[psd] - start, np.take(self.s, k[psd]))
+        return k, i, j
 
     def diagonal(self, j):
         """Columns of the diagonal entries of PSD block j."""
@@ -197,8 +218,8 @@ def to_conic(msdp):
 
     A is built transposed, one CSR row per column of x, which makes A
     CSC: the equality rows, the negated inequality rows, then for each
-    block the negated rows of its distinct forms, each entry (i, j)
-    taking the row of its slot.
+    block the negated rows of its distinct forms, its slot matrix read
+    in the row-major order of ``ConeSpec``.
     """
     eq, ineq = msdp.lin_eq, msdp.lin_ineq
     cone = ConeSpec(
@@ -209,7 +230,7 @@ def to_conic(msdp):
     columns = [eq.coeffs, -ineq.coeffs]
     cvals = [-eq.const, ineq.const]
     for block in msdp.blocks:
-        slots = block.slot_matrix().reshape(-1)
+        slots = block.slots.reshape(-1)
         columns.append(-block.forms.coeffs[slots])
         cvals.append(block.forms.const[slots])
     A = scipy.sparse.vstack(columns, format="csr").T
@@ -527,8 +548,9 @@ def split_by_sign(problem, moment_class, block_classes):
     col_class = np.zeros(problem.n, dtype=np.int64)
     free = col < cone.f
     np.maximum.at(col_class, col[free], moment_class[row[free]])
-    for start, rc in zip(cone.psd_starts, block_classes):
-        col_class[start:start + rc.size**2] = np.bitwise_xor.outer(rc, rc).reshape(-1)
+    for k, rc in enumerate(block_classes):
+        at = cone.block_columns(k, np.arange(rc.size))
+        col_class[at] = np.bitwise_xor.outer(rc, rc).reshape(-1)
     pinned = moment_class != 0
     if (
         np.any(problem.b[pinned])
@@ -539,9 +561,9 @@ def split_by_sign(problem, moment_class, block_classes):
     nfl = cone.f + cone.l
     cols = [np.flatnonzero(col_class[:nfl] == 0)]
     sizes = []
-    for start, s, rc in zip(cone.psd_starts, cone.s, block_classes):
+    for k, rc in enumerate(block_classes):
         parts = [np.flatnonzero(rc == v) for v in np.unique(rc)]
-        cols.extend((start + np.add.outer(R * s, R)).reshape(-1) for R in parts)
+        cols.extend(cone.block_columns(k, R) for R in parts)
         sizes.extend(R.size for R in parts)
     cols = np.concatenate(cols)
     rows = np.flatnonzero(~pinned)
@@ -618,14 +640,14 @@ def _reduce_zero_diagonals(problem):
     kept = [cone.f + np.flatnonzero(~forced[:cone.l])]
     sizes = []
     blocks = np.split(forced[cone.l:], np.cumsum(cone.s)[:-1])
-    for off, s, D in zip(cone.psd_starts, cone.s, blocks):
-        d, i = np.nonzero(D[:, None] & (~D | np.tri(s, dtype=bool)))
-        pins.append(off + d * s + i)
-        mirrors.append(off + i * s + d)
+    for k, D in enumerate(blocks):
+        d, i = np.nonzero(D[:, None] & (~D | np.tri(D.size, dtype=bool)))
+        pins.append(cone.column(k, d, i))
+        mirrors.append(cone.column(k, i, d))
         K = np.flatnonzero(~D)
         if K.size:
             sizes.append(K.size)
-            kept.append((off + np.add.outer(K * s, K)).reshape(-1))
+            kept.append(cone.block_columns(k, K))
     free = np.arange(cone.f)
     col = np.concatenate([free, *pins, *kept])
     mirror = np.concatenate([free, *mirrors, *kept])
@@ -798,7 +820,7 @@ class _Cones:
             for sym, s, sparse, _ in parts
         ]
         self.c_s = [C for *_, C in parts]
-        self.nu = cone.l + sum(cone.s)
+        self.nu = cone.barrier_degree
         self.c_norm = math.sqrt(
             float(self.c_l @ self.c_l) + sum(float((c * c).sum()) for c in self.c_s)
         )

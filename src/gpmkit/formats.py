@@ -37,6 +37,9 @@ from .conic import ConeSpec, ConicError, ConicProblem
 
 # entry lines of an SDPA file formatted and written at a time
 _SDPA_CHUNK = 1 << 16
+# an SDPA entry line: matrix number, block number, i, j and the value
+_SDPA_ENTRY = np.dtype("i8, i8, i8, i8, f8")
+_SEPARATORS = str.maketrans("{},()", "     ")
 
 
 def _require_no_free(problem):
@@ -94,7 +97,9 @@ def _sdpa_lines(numbers, cone, matno, cols, vals):
     ``numbers`` holds b"%d " of 0 up to the largest integer field, as a
     NUL-padded bytes array; each distinct value is formatted once.
     """
-    blkno, i, j = _block_coordinates(cone, cols)
+    # the orthant, block -1 of the layout, is SDPA block 1 when present
+    k, i, j = cone.entries(cols)
+    blkno = k + (2 if cone.l else 1)
     keep = (i <= j) & (vals != 0.0)
     distinct, which = np.unique(vals[keep], return_inverse=True)
     fields = (
@@ -111,24 +116,6 @@ def _sdpa_lines(numbers, cone, matno, cols, vals):
     return flat[flat != 0].tobytes()
 
 
-def _block_coordinates(cone, cols):
-    """SDPA block number and 0-based (i, j) of each conic column.
-
-    The orthant is diagonal block 1 when present, then the PSD blocks in
-    the column layout of ConeSpec.
-    """
-    sizes = np.asarray(cone.s, dtype=np.int64)
-    starts = np.asarray(cone.psd_starts, dtype=np.int64)
-    blkno = np.ones(len(cols), dtype=np.int64)
-    i = np.array(cols, dtype=np.int64)
-    j = i.copy()
-    psd = i >= cone.l
-    k = np.searchsorted(starts, i[psd], side="right") - 1
-    i[psd], j[psd] = np.divmod(i[psd] - starts[k], sizes[k])
-    blkno[psd] = k + (2 if cone.l else 1)
-    return blkno, i, j
-
-
 def _fmt(value):
     return f"{float(value):.17g}"
 
@@ -138,23 +125,15 @@ def import_sdpa(path):
 
     Comment lines starting with '"' or '*' are skipped; braces and
     commas in the block structure line are tolerated.  The orthant is
-    reassembled from negative (diagonal) blocks.  SDPA has no sense or
-    offset, so the result has sense 'min' and offset 0.
+    reassembled from negative (diagonal) blocks.  Repeated entries of
+    F_1..F_m sum, in file order; a repeated F_0 entry keeps the last
+    value.  SDPA has no sense or offset, so the result has sense 'min'
+    and offset 0.
     """
-    numbers = []
-    header = []
-    entries = []
     with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line[0] in '"*':
-                continue
-            line = line.replace("{", " ").replace("}", " ").replace(",", " ")
-            line = line.replace("(", " ").replace(")", " ")
-            if len(header) < 3:
-                header.append(line)
-                continue
-            numbers.append(line)
+        lines = [raw.strip() for raw in fh]
+    lines = [line.translate(_SEPARATORS) for line in lines if line and line[0] not in '"*']
+    header, numbers = lines[:3], lines[3:]
     if len(header) < 3 or not numbers:
         raise ConicError(f"not a valid SDPA sparse file: {path}")
     m = int(header[0].split()[0])
@@ -165,64 +144,65 @@ def import_sdpa(path):
     c_sdpa = [float(tok) for tok in numbers[0].split()]
     if len(c_sdpa) != m:
         raise ConicError("objective vector length does not match mDIM")
-    for line in numbers[1:]:
-        toks = line.split()
-        if len(toks) != 5:
-            raise ConicError(f"malformed SDPA entry line: {line}")
-        entries.append(
-            (int(toks[0]), int(toks[1]), int(toks[2]), int(toks[3]), float(toks[4]))
-        )
-
+    matno, blkno, i, j, value = _entry_fields(numbers[1:])
     cone = ConeSpec(
         l=sum(-s for s in block_struct if s < 0),
         s=tuple(s for s in block_struct if s > 0),
     )
-    # column offset of each block in the x layout: orthant first
-    col_of_block = {}
-    lp_seen = 0
-    psd_starts = iter(cone.psd_starts)
-    for bno, s in enumerate(block_struct, start=1):
-        if s < 0:
-            col_of_block[bno] = ("l", lp_seen, -s)
-            lp_seen += -s
-        elif s > 0:
-            col_of_block[bno] = ("s", next(psd_starts), s)
+    # block number -> index into struct, unknown numbers to a size-0 sentinel
+    struct = np.array(block_struct + [0], dtype=np.int64)
+    bno = np.where((blkno >= 1) & (blkno <= nblocks), blkno - 1, nblocks)
+    diag, s = struct[bno] < 0, np.abs(struct[bno])
+    bad = np.array([
+        (matno < 0) | (matno > m),
+        s == 0,
+        diag & (i != j),
+        (i < 1) | (i > s) | (j < 1) | (j > s),
+    ])
+    if bad.any():  # the first bad entry's first failed check
+        e = int(np.argmax(bad.any(axis=0)))
+        raise ConicError([
+            f"entry references matrix {matno[e]} outside 0..{m}",
+            f"entry references unknown block {blkno[e]}",
+            "off-diagonal entry in a diagonal block",
+            "entry indices outside the block",
+        ][int(np.argmax(bad[:, e]))])
 
-    n = cone.total_length
-    b = -np.asarray(c_sdpa)
-    c = np.zeros(n)
-    rows, cols, vals = [], [], []
+    # each entry's column, then its mirror off the diagonal of a PSD
+    # block; the orthant runs through the diagonal blocks in turn
+    lp = np.where(struct < 0, -struct, 0)
+    k, p, q = (np.cumsum(struct > 0) - 1)[bno[~diag]], i[~diag] - 1, j[~diag] - 1
+    pos = np.empty((len(value), 2), dtype=np.int64)
+    pos[diag, 0] = (np.cumsum(lp) - lp)[bno[diag]] + i[diag] - 1
+    pos[~diag] = np.stack([cone.column(k, p, q), cone.column(k, q, p)], axis=1)
+    twice = ~diag & (i != j)
+    cols = pos[np.stack([np.ones_like(twice), twice], axis=1)]
+    entry = np.repeat(np.arange(len(value)), 1 + twice)
+    rows, vals = matno[entry] - 1, -value[entry]  # A_k = -F_k, C = -F_0
 
-    def positions(blkno, i, j):
-        spec = col_of_block.get(blkno)
-        if spec is None:
-            raise ConicError(f"entry references unknown block {blkno}")
-        kind, off, s = spec
-        if kind == "l":
-            if i != j:
-                raise ConicError("off-diagonal entry in a diagonal block")
-            if not 1 <= i <= s:
-                raise ConicError("entry indices outside the block")
-            yield off + i - 1
-            return
-        if not (1 <= i <= s and 1 <= j <= s):
-            raise ConicError("entry indices outside the block")
-        yield off + (i - 1) * s + (j - 1)
-        if i != j:
-            yield off + (j - 1) * s + (i - 1)
+    c = np.zeros(cone.total_length)
+    # a later F_0 entry overwrites an earlier one
+    at, v, in_A = cols[rows < 0], vals[rows < 0], rows >= 0
+    last = at.size - 1 - np.unique(at[::-1], return_index=True)[1]
+    c[at[last]] = v[last]
+    A = scipy.sparse.csc_matrix((vals[in_A], (rows[in_A], cols[in_A])), shape=(m, c.size))
+    return ConicProblem(A=A, b=-np.asarray(c_sdpa), c=c, cone=cone, sense="min", offset=0.0)
 
-    for matno, blkno, i, j, value in entries:
-        if not 0 <= matno <= m:
-            raise ConicError(f"entry references matrix {matno} outside 0..{m}")
-        for pos in positions(blkno, i, j):
-            if matno == 0:
-                c[pos] = -value  # C = -F_0
-            else:
-                rows.append(matno - 1)
-                cols.append(pos)
-                vals.append(-value)  # A_k = -F_k
-    A = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(m, n))
-    return ConicProblem(A=A, b=b, c=c, cone=cone, sense="min", offset=0.0)
+
+def _entry_fields(lines):
+    """Matrix number, block number, i, j and value of SDPA entry lines."""
+    if not lines:
+        return np.zeros((5, 0), dtype=np.int64)
+    try:
+        fields = np.loadtxt(lines, dtype=_SDPA_ENTRY, comments=None, ndmin=1, unpack=True)
+    except ValueError:
+        fields = None
+    if fields is None or len(fields[0]) != len(lines):  # loadtxt skips blank lines
+        for line in lines:
+            if len(line.split()) != 5:
+                raise ConicError(f"malformed SDPA entry line: {line}")
+        raise ConicError("SDPA entry line with a non-numeric field")
+    return fields
 
 
 def export_json(problem, path):

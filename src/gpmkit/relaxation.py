@@ -732,32 +732,21 @@ class Block:
     ``basis`` holds the exponent rows over the measure's variable list
     that index the block's rows and columns, as an int64 array in grlex
     order (``MomentIndex.basis``).  ``forms`` is LinearRows with one row
-    per distinct product of two basis elements.  ``rows`` and ``cols``
-    list the upper triangle (i <= j) row by row, and ``slot`` the row of
-    ``forms`` of each of those entries: the matrix is symmetric with
-    entries (rows[k], cols[k]) and (cols[k], rows[k]) equal to row
-    slot[k] of forms at y.
+    per distinct product of two basis elements, and ``slots`` the
+    symmetric s x s array of each entry's row of ``forms``: entry (i, j)
+    of the matrix at y is row slots[i, j] of forms at y.
     """
 
     kind: str
     measure: object
     basis: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    slot: np.ndarray
+    slots: np.ndarray
     forms: LinearRows
     source: object = None
 
     @property
     def size(self):
         return len(self.basis)
-
-    def slot_matrix(self):
-        """The s x s array of each entry's index into ``forms``."""
-        out = np.empty((self.size, self.size), dtype=self.slot.dtype)
-        out[self.rows, self.cols] = self.slot
-        out[self.cols, self.rows] = self.slot
-        return out
 
 
 @dataclass
@@ -829,9 +818,9 @@ def assemble(problem, order=None):
     blocks = []
     for measure in problem.measures:
         basis = index.basis(measure, order)
-        rows, cols, slot, products = _block_entries(index, measure, basis)
+        slots, products = _block_entries(index, measure, basis)
         forms = index.rows(measure, products)
-        blocks.append(Block("moment", measure, basis, rows, cols, slot, forms))
+        blocks.append(Block("moment", measure, basis, slots, forms))
 
     ineq_parts = []
     for con in plan.support_inequalities:
@@ -839,14 +828,14 @@ def assemble(problem, order=None):
         g = con.gform()
         terms = index.exponents[measure].terms(g)
         basis = index.basis(measure, order - math.ceil(g.degree / 2))
-        rows, cols, slot, products = _block_entries(index, measure, basis)
+        slots, products = _block_entries(index, measure, basis)
         forms = index.shifted_rows(measure, terms, products)
         if len(basis) == 1:
             # a 1x1 localizer, the zero shift: one orthant row g
             ineq_parts.append(forms)
             continue
         blocks.append(
-            Block("localizing", measure, basis, rows, cols, slot, forms, source=con)
+            Block("localizing", measure, basis, slots, forms, source=con)
         )
 
     eq_parts = []
@@ -914,17 +903,20 @@ def _codes(exps, radix):
 
 
 def _block_entries(index, measure, basis):
-    """Upper triangle of a block over a basis of exponent rows, as arrays.
+    """Slot matrix of a block over a basis of exponent rows.
 
-    Returns rows and cols (i <= j, row by row), each entry's slot and
-    the exponent rows of the distinct products in code order, one per
-    slot; entries with the same product share one slot.  The code of a
+    Returns the symmetric s x s array of each entry's slot and the
+    exponent rows of the distinct products in code order, one per slot;
+    entries with the same product share one slot.  The code of a
     product is the sum of the codes of its factors.
     """
     codes = index.codes(measure, basis)
     rows, cols = np.triu_indices(len(basis))
     products, slot = index.distinct(measure, codes[rows] + codes[cols])
-    return rows, cols, slot, products
+    slots = np.empty((len(basis), len(basis)), dtype=slot.dtype)
+    slots[rows, cols] = slot
+    slots[cols, rows] = slot
+    return slots, products
 
 
 def _resolve_bindings(index, plan):
@@ -1211,7 +1203,7 @@ def mmat_values(msdp, y, measure):
     """Numeric moment matrix of a measure at the solution y."""
     block = moment_block(msdp, measure)
     values = block.forms.coeffs @ y + block.forms.const
-    return values[block.slot_matrix()]
+    return values[block.slots]
 
 
 def expression_value(msdp, y, expr):

@@ -221,6 +221,34 @@ def test_problem_stores_a_as_float64_csc_and_b_c_as_float64():
     assert problem.b.dtype == problem.c.dtype == np.float64
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_cone_spec_maps_invert_each_other(seed):
+    """entries undoes column and block_columns on every column, with
+    blocks of orders 0 and 1 among the others."""
+    rng = np.random.default_rng(seed)
+    orders = [0, 1, *rng.integers(0, 6, size=3).tolist()]
+    f, l = rng.integers(1, 4, size=2).tolist()
+    cone = ConeSpec(f=f, l=l, s=tuple(rng.permutation(orders).tolist()))
+    cols = np.arange(cone.total_length)
+    k, i, j = cone.entries(cols)
+    lead = cone.f + cone.l
+    np.testing.assert_array_equal(k[:lead], -1)
+    np.testing.assert_array_equal(i[:lead], cols[:lead] - cone.f)
+    np.testing.assert_array_equal(j[:lead], i[:lead])
+    np.testing.assert_array_equal(cone.column(k[lead:], i[lead:], j[lead:]), cols[lead:])
+    for b, s in enumerate(cone.s):
+        rows = np.sort(rng.choice(s, size=int(rng.integers(0, s + 1)), replace=False))
+        for picked in (np.arange(s), rows):
+            kb, ib, jb = cone.entries(cone.block_columns(b, picked))
+            np.testing.assert_array_equal(kb, b)
+            np.testing.assert_array_equal(ib, np.repeat(picked, picked.size))
+            np.testing.assert_array_equal(jb, np.tile(picked, picked.size))
+        np.testing.assert_array_equal(cone.diagonal(b), cone.column(b, np.arange(s), np.arange(s)))
+    # the blocks tile the columns after the orthant, in order
+    whole = [cone.block_columns(b, np.arange(s)) for b, s in enumerate(cone.s)]
+    np.testing.assert_array_equal(np.concatenate([cols[:lead], *whole]), cols)
+
+
 @pytest.mark.parametrize("eps", [0.0, -1.0, float("nan"), float("inf")])
 def test_eps_validation(eps):
     with pytest.raises(ConicError):

@@ -367,11 +367,56 @@ def test_sdpa_tolerates_comments_and_braces(tmp_path):
     assert problem.c[2] == problem.c[3] == -0.25
 
 
+def test_sdpa_mixed_entries_read_back_exactly(tmp_path):
+    """An orthant and two PSD blocks, F_0 entries that overwrite earlier
+    ones, both triangles of a block and repeated entries, which A sums
+    in the order of the file (-0.1 - 0.2 - 0.3, not -0.1 - (0.2 + 0.3))."""
+    text = "\n".join(
+        [
+            '"orthant of 3, PSD blocks of orders 2 and 3',
+            "2",
+            "3",
+            "{-3, 2, 3}",
+            "1.5 -2.0",
+            "0 1 1 1 0.1",
+            "0 1 1 1 0.7",
+            "0 2 1 2 0.25",
+            "0 2 2 1 0.5",
+            "0 3 3 3 -0.125",
+            "1 1 2 2 0.1",
+            "1 1 2 2 0.2",
+            "1 1 2 2 0.3",
+            "1 2 1 2 1.0",
+            "1 2 2 1 2.0",
+            "2 3 1 3 0.1",
+            "2 3 3 1 0.2",
+            "2 3 1 3 0.3",
+            "2 3 2 2 4.0",
+            "2 1 3 3 -1.0",
+            "",
+        ]
+    )
+    path = tmp_path / "mixed.dat-s"
+    path.write_text(text)
+    problem = import_sdpa(path)
+    assert problem.cone == ConeSpec(l=3, s=(2, 3))
+    assert problem.b.tolist() == [-1.5, 2.0]
+    c = np.zeros(16)
+    c[[0, 4, 5, 15]] = -0.7, -0.5, -0.5, 0.125
+    assert problem.c.tolist() == c.tolist()
+    A = np.zeros((2, 16))
+    A[0, [1, 4, 5]] = -0.6000000000000001, -3.0, -3.0
+    A[1, [2, 9, 11, 13]] = 1.0, -0.6000000000000001, -4.0, -0.6000000000000001
+    assert problem.A.toarray().tolist() == A.tolist()
+
+
 BAD_SDPA = [
     ("1\n1\n", "not a valid SDPA sparse file"),
     ("1\n2\n-1\n1.0\n", "block structure does not match"),
     ("2\n1\n-1\n1.0\n", "objective vector length does not match mDIM"),
     ("1\n1\n-1\n1.0\n0 1 1 1\n", "malformed SDPA entry line"),
+    ("1\n1\n-1\n1.0\n0 1 1 1 1.0\n( )\n", "malformed SDPA entry line"),
+    ("1\n1\n-1\n1.0\n0 1 x 1 1.0\n", "SDPA entry line with a non-numeric field"),
     ("1\n1\n-2\n1.0\n0 1 1 2 1.0\n", "off-diagonal entry in a diagonal block"),
     ("1\n1\n2\n1.0\n0 1 3 3 1.0\n", "entry indices outside the block"),
     ("1\n1\n2\n1.0\n0 5 1 1 1.0\n", "entry references unknown block"),

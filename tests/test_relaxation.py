@@ -122,12 +122,10 @@ def _product_forms_match(msdp):
         assert block.basis.shape == (s, len(block.measure.vars))
         monomial = msdp.index.exponents[block.measure].monomial
         basis = [monomial(t) for t in map(tuple, block.basis.tolist())]
-        assert len(block.rows) == s * (s + 1) // 2
-        assert set(zip(block.rows.tolist(), block.cols.tolist())) == {
-            (i, j) for i in range(s) for j in range(i, s)
-        }
-        for i, j, k in zip(block.rows, block.cols, block.slot):
-            const, coeffs = _row_form(block.forms, k)
+        assert block.slots.shape == (s, s)
+        np.testing.assert_array_equal(block.slots, block.slots.T)
+        for i, j in zip(*np.triu_indices(s)):
+            const, coeffs = _row_form(block.forms, block.slots[i, j])
             prod = Polynomial({basis[i]: 1.0}) * Polynomial({basis[j]: 1.0})
             want = ref.form_of_poly(block.measure, g * prod)
             assert const == want.const
