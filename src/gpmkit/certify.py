@@ -37,12 +37,22 @@ from .conic import (
     ConicProblem,
     SolverParams,
     lift,
+    permuted_columns,
+    reduce_by_orbits,
+    restricted,
     solve_conic,
     split_by_sign,
     to_conic,
 )
 from .model import ModelError
-from .relaxation import assemble, mmat_values, moment_block, mvec_values, sign_classes
+from .relaxation import (
+    assemble,
+    mmat_values,
+    moment_block,
+    mvec_values,
+    sign_classes,
+    variable_permutations,
+)
 
 # singular values below _RANK_TOL times the largest count as zero; atoms
 # may break support constraints and the objective by _FEAS_TOL (relative)
@@ -330,6 +340,11 @@ class GPMSolution:
     leaves its data unchanged, and otherwise to its flips (lists of
     variable names), the number of moments pinned to 0 and the orders
     of the blocks handed to the solver for it (None when not split).
+    ``permutations`` maps each measure label to None when no permutation
+    of its variables was found, and otherwise to its generators (each a
+    list of cycles of variable names), the number of its moments left
+    after the sign split and the number of their orbits (None when the
+    orbit reduction was not applied).
     """
 
     status: int
@@ -340,6 +355,7 @@ class GPMSolution:
     certificate: object = None
     moments: dict = field(default_factory=dict)
     symmetry: dict = field(default_factory=dict)
+    permutations: dict = field(default_factory=dict)
 
     def support(self, label):
         """Atoms and weights this solve extracted for the measure with
@@ -358,9 +374,13 @@ def solve_gpm(problem, order=None, params=None, seed=0):
 
     The conic problem goes through the reductions in order: the sign
     split (``sign_classes`` finds the flips, ``split_by_sign`` checks
-    them and returns the reduced problem), then, inside ``solve_conic``,
-    zero-diagonal facial reduction and presolve.  ``conic.lift`` maps
-    each solution back.  ``symmetry`` reports the split per measure.
+    them and returns the reduced problem), the orbit reduction
+    (``variable_permutations`` finds the permutations of the variables,
+    ``reduce_by_orbits`` checks them and keeps one moment per orbit),
+    then, inside the one ``solve_conic`` call, zero-diagonal facial
+    reduction and presolve.  ``conic.lift`` maps each solution back, the
+    last reduction first.  ``symmetry`` and ``permutations`` report the
+    first two per measure.
 
     Returns a GPMSolution; on certification the extracted supports are
     stored into the measures, so eval_on_support reads the minimizers
@@ -368,22 +388,24 @@ def solve_gpm(problem, order=None, params=None, seed=0):
     SDP was solved.  An uncertified point is re-centered (_recenter)
     only when every measure has a flat truncation: the face solve moves
     only the top-degree part of each M_r, so a point whose ranks rise
-    at every degree is reported as it is.  The face solve is not split.
+    at every degree is reported as it is.  The face solve is not reduced.
     """
     params = params or SolverParams()
     msdp = assemble(problem, order)
     conic = to_conic(msdp)
-    classes = sign_classes(msdp)
-    split = None if classes is None else split_by_sign(conic, classes.moments, classes.blocks)
-    if split is None:
-        sol = solve_conic(conic, params)
-    else:
-        sol = lift(conic, split, solve_conic(split.problem, params))
+    classes, split, perms, orbits = _symmetry_reductions(msdp, conic)
+    signed = conic if split is None else split.problem
+    sol = solve_conic(signed if orbits is None else orbits.problem, params)
+    if orbits is not None:
+        sol = lift(signed, orbits, sol)
+    if split is not None:
+        sol = lift(conic, split, sol)
     symmetry = _symmetry_report(msdp, classes, split)
+    permutations = _permutation_report(msdp, perms, split, orbits)
     if sol.status in ("infeasible", "unbounded", "failed"):
         return GPMSolution(
             status=-1, objective=None, order=msdp.order, msdp=msdp, conic=sol,
-            symmetry=symmetry,
+            symmetry=symmetry, permutations=permutations,
         )
     y = sol.y
     objective = conic.objective_value(y)
@@ -411,7 +433,35 @@ def solve_gpm(problem, order=None, params=None, seed=0):
         certificate=cert,
         moments=moments,
         symmetry=symmetry,
+        permutations=permutations,
     )
+
+
+def _symmetry_reductions(msdp, conic):
+    """The sign split and then the orbit reduction of a relaxation.
+
+    Returns (classes, split, perms, orbits): the sign classes and the
+    split's Reduction of ``conic``, then the variable permutations and
+    the orbit Reduction of the split problem (of ``conic`` itself when
+    there is no split), each None where nothing was found or the gate
+    refused.  Each generator's moment permutation and block maps become
+    a row and a column permutation of ``conic``, restricted to the rows
+    and columns the split keeps.
+    """
+    classes = sign_classes(msdp)
+    split = None if classes is None else split_by_sign(conic, classes.moments, classes.blocks)
+    perms = variable_permutations(msdp)
+    if perms is None:
+        return classes, split, None, None
+    generators = []
+    for pi, blocks in zip(perms.moments, perms.blocks):
+        sigma = permuted_columns(conic, pi, blocks)
+        if sigma is not None and split is not None:
+            pi, sigma = restricted(pi, split.N), restricted(sigma, split.X)
+        if pi is not None and sigma is not None:
+            generators.append((pi, sigma))
+    target = conic if split is None else split.problem
+    return classes, split, perms, reduce_by_orbits(target, generators)
 
 
 def _symmetry_report(msdp, classes, split):
@@ -443,6 +493,40 @@ def _symmetry_report(msdp, classes, split):
             "generators": [list(g) for g in gens],
             "pinned": pinned,
             "blocks": blocks,
+        }
+    return report
+
+
+def _permutation_report(msdp, perms, split, orbits):
+    """Per measure label: its permutation generators, moments and orbits.
+
+    None for a measure without generators; otherwise a dict of the
+    generators (cycles of variable names), the number of its moments
+    handed to the orbit reduction (those the sign split keeps) and the
+    number of their orbits, None when the reduction was not applied.
+    """
+    keep = np.ones(msdp.n_vars, dtype=bool)
+    if split is not None:
+        keep = np.asarray(split.N.sum(axis=1)).ravel() > 0
+    label = None
+    if orbits is not None:
+        # the orbit of each moment the split keeps
+        N = (orbits.N if split is None else split.N @ orbits.N).tocoo()
+        label = np.full(msdp.n_vars, -1)
+        label[N.row] = N.col
+    report = {}
+    for measure in msdp.problem.measures:
+        gens = [] if perms is None else perms.generators[measure.label]
+        if not gens:
+            report[measure.label] = None
+            continue
+        numbers = msdp.index._numbers[measure]
+        numbers = numbers[numbers >= 0]
+        numbers = numbers[keep[numbers]]
+        report[measure.label] = {
+            "generators": gens,
+            "moments": int(numbers.size),
+            "orbits": None if label is None else int(np.unique(label[numbers]).size),
         }
     return report
 

@@ -97,6 +97,18 @@ class RunReport:
                     f"pinned moments = {symmetry['pinned']}, blocks = "
                     f"{'unsplit' if blocks is None else format_block_sizes(blocks)}"
                 )
+            perms = entry["permutations"]
+            if perms is None:
+                lines.append(f"Measure {entry['label']}: permutation symmetry = none")
+            else:
+                gens = "; ".join(
+                    "".join(f"({' '.join(cycle)})" for cycle in g) for g in perms["generators"]
+                )
+                orbits = "unreduced" if perms["orbits"] is None else perms["orbits"]
+                lines.append(
+                    f"Measure {entry['label']}: permutations = {gens}, "
+                    f"moments = {perms['moments']}, orbits = {orbits}"
+                )
             if entry.get("points") is not None:
                 points = entry["points"]
                 weights = entry["weights"]
@@ -229,6 +241,7 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
             entry["ranks"] = [flat.ranks_by_degree[d] for d in range(sol.order + 1)]
             entry["flat_truncation"] = flat.truncation
         entry["symmetry"] = sol.symmetry.get(measure.label)
+        entry["permutations"] = sol.permutations.get(measure.label)
         moments = sol.moments.get(measure.label)
         if moments is not None:
             entry["moments"] = [

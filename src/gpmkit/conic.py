@@ -16,20 +16,25 @@ eliminated by presolve before solving: the solver handles l and s cones
 only.  Presolve parameterizes the affine solution set as y = y0 + N t
 and rewrites the problem over t.
 
-A moment SDP reaches the solver through three reductions, in this
+A moment SDP reaches the solver through four reductions, in this
 order:
 
 1. the sign split (``split_by_sign``, applied by ``solve_gpm``): moments
    that a sign flip of the data negates are pinned to 0 and every PSD
    block splits into one block per parity class of its rows;
-2. zero-diagonal facial reduction (``_reduce_zero_diagonals``): slacks
+2. the orbit reduction (``reduce_by_orbits``, applied by ``solve_gpm``):
+   under permutations of the variables that fix the data, the moments
+   are restricted to one variable per orbit, with the cones unchanged;
+3. zero-diagonal facial reduction (``_reduce_zero_diagonals``): slacks
    certified zero on the whole dual set leave the cones;
-3. presolve (``presolve_eliminate_equalities``): free columns go.
+4. presolve (``presolve_eliminate_equalities``): free columns go.
 
-Each returns a ``Reduction``: the reduced problem and two linear maps
-back, y = y0 + N y_r for the moments and x = X x_r for the primal
-entries.  One ``lift`` applies them to a solution of the reduced
-problem, so a further reduction only has to build its y0, N and X.
+The first two apply only where a check of the data, exact to the last
+bit, shows the symmetry they use.  Each returns a ``Reduction``: the
+reduced problem and two linear maps back, y = y0 + N y_r for the
+moments and x = X x_r for the primal entries.  One ``lift`` applies
+them to a solution of the reduced problem, so a further reduction only
+has to build its y0, N and X.
 
 ``ConicProblem`` owns the data layout: A is float64 CSC, its columns
 the cone entries that every reduction slices, b and c float64 vectors.
@@ -249,8 +254,9 @@ class Reduction:
     """A reduced conic problem and the linear maps back to the original.
 
     A point (x_r, y_r) of ``problem`` maps to y = y0 + N y_r and
-    x = X x_r, with N and X sparse.  ``n_eliminated`` counts the leading
-    free columns that presolve removed; X is zero on them and ``lift``
+    x = X x_r, with N sparse and X sparse or, for the orbit average, a
+    linear operator.  ``n_eliminated`` counts the leading free columns
+    that presolve removed; X is zero on them and ``lift``
     recovers them by least squares.  Presolve alone can end with status
     'infeasible': the equality rows are contradictory, ``residual``
     reports the violation and the problem and maps are None.
@@ -582,6 +588,141 @@ def split_by_sign(problem, moment_class, block_classes):
     )
 
 
+def permuted_columns(problem, moments, blocks):
+    """The column permutation that goes with a permutation of the moments.
+
+    ``moments`` sends row k of A to row moments[k]; ``blocks`` holds one
+    (target, rows) pair per PSD block, as ``relaxation.Permutations``
+    lists them: entry (i, j) of block k goes to entry (rows[i], rows[j])
+    of block target.  A free or orthant column goes to the column of the
+    same kind that equals it with its rows permuted, with the same c,
+    matched by sorted keys.  Returns sigma with column j going to column
+    sigma[j], or None when some free or orthant column has no image.
+    """
+    cone = problem.cone
+    sigma = np.empty(problem.n, dtype=np.int64)
+    for k, (target, rows) in enumerate(blocks):
+        sigma[cone.block_columns(k, np.arange(len(rows)))] = cone.column(
+            target, rows[:, None], rows
+        ).reshape(-1)
+    for lo, hi in ((0, cone.f), (cone.f, cone.f + cone.l)):
+        moved = problem.A[:, lo:hi]
+        moved.indices = np.asarray(moments)[moved.indices]
+        moved.sort_indices()
+        image = _matching_columns(problem.A[:, lo:hi], moved, problem.c[lo:hi])
+        if image is None:
+            return None
+        sigma[lo:hi] = lo + image
+    return sigma
+
+
+def _matching_columns(P, Q, c):
+    """For each column of Q, the column of P equal to it, c included.
+
+    P and Q are CSC with sorted row indices and the same entries of c.
+    Columns are keyed by their c, row indices and value bits; equal keys of P and Q are paired in
+    column order, so repeated columns still give a permutation.  None
+    when the keys of P and Q are not the same multiset.
+    """
+    image = np.full(Q.shape[1], -1, dtype=np.int64)
+    p_len, q_len = np.diff(P.indptr), np.diff(Q.indptr)
+    for k in np.unique(np.concatenate((p_len, q_len))):
+        p_sel, q_sel = np.flatnonzero(p_len == k), np.flatnonzero(q_len == k)
+        if p_sel.size != q_sel.size:
+            return None
+        keys, orders = [], []
+        for M, sel in ((P, p_sel), (Q, q_sel)):
+            at = M.indptr[sel, None] + np.arange(k)
+            key = np.column_stack((_bits(c[sel]), M.indices[at], _bits(M.data[at])))
+            orders.append(np.lexsort(key.T[::-1]))
+            keys.append(key[orders[-1]])
+        if not np.array_equal(*keys):
+            return None
+        image[q_sel[orders[1]]] = p_sel[orders[0]]
+    return image
+
+
+def _bits(values):
+    # adding 0.0 turns -0.0 into 0.0, so equal floats get equal bits
+    return (values + 0.0).view(np.int64)
+
+
+def restricted(perm, selection):
+    """A permutation of the entries that a selection keeps, renumbered.
+
+    ``selection`` is a 0/1 matrix with one 1 per column, like the maps of
+    the sign split: its column k keeps entry kept[k].  Returns the
+    permutation q of the kept entries with kept[q[k]] = perm[kept[k]], or
+    None when perm moves a kept entry onto a dropped one.
+    """
+    kept = selection.tocsc().indices
+    where = np.full(selection.shape[0], -1, dtype=np.int64)
+    where[kept] = np.arange(kept.size)
+    image = where[perm[kept]]
+    return None if (image < 0).any() else image
+
+
+def reduce_by_orbits(problem, generators):
+    """Restrict the moments to orbits of permutations that fix the data.
+
+    ``generators`` holds (pi, sigma) pairs: row k of A goes to row pi[k]
+    and column j to column sigma[j], sigma mapping each cone onto itself
+    (PSD blocks onto blocks of the same order, rows and columns alike).
+    The reduction applies only when every pair fixes the data exactly:
+    b[pi] == b, c[sigma] == c and A[pi][:, sigma] == A.  Averaging a dual
+    point over the group then keeps it feasible and keeps b'y, so y may
+    be constant on the orbits of the rows: y = N t with N the orbit
+    indicator, A_r = N'A and b_r = N'b, with c and the cone unchanged.
+    Orbits are the connected components of the generators' graphs, so
+    the group is never enumerated.
+
+    The lift averages x over the orbits of the columns, the Reynolds
+    operator of the group: A x_r = b holds on orbit sums, and b is
+    constant on orbits, so the average satisfies A x = b; it stays in
+    the cone, which the group maps onto itself.  Returns the
+    ``Reduction``, or None without generators, when the gate fails or
+    when no orbit has two rows.
+    """
+    if not generators:
+        return None
+    A, b, c = problem.A, problem.b, problem.c
+    for pi, sigma in generators:
+        if (
+            np.any(b[pi] != b)
+            or np.any(c[sigma] != c)
+            or (A[pi][:, sigma] != A).nnz
+        ):
+            return None
+    rows = _orbit_labels(problem.m, [pi for pi, _ in generators])
+    if rows.max(initial=-1) + 1 == problem.m:
+        return None
+    cols = _orbit_labels(problem.n, [sigma for _, sigma in generators])
+    N = scipy.sparse.csr_matrix(
+        (np.ones(problem.m), (np.arange(problem.m), rows)), shape=(problem.m, rows.max() + 1)
+    )
+    reduced = ConicProblem(
+        A=N.T @ A, b=N.T @ b, c=c, cone=problem.cone,
+        sense=problem.sense, offset=problem.offset,
+    )
+    size = np.bincount(cols)
+
+    def average(x):
+        return (np.bincount(cols, weights=x, minlength=size.size) / size)[cols]
+
+    X = scipy.sparse.linalg.LinearOperator((problem.n, problem.n), matvec=average, dtype=float)
+    return Reduction(problem=reduced, y0=np.zeros(problem.m), N=N, X=X)
+
+
+def _orbit_labels(n, perms):
+    """Orbit of each of n points under the permutations, numbered by
+    their smallest point."""
+    src = np.tile(np.arange(n), len(perms))
+    graph = scipy.sparse.csr_matrix(
+        (np.ones(src.size), (src, np.concatenate(perms))), shape=(n, n)
+    )
+    return scipy.sparse.csgraph.connected_components(graph, directed=False)[1]
+
+
 def _reduce_zero_diagonals(problem):
     """Shrink cones along slacks that vanish on the whole dual set.
 
@@ -730,16 +871,25 @@ class _SparseBlock:
         self.s = s
         self.A = sym
         self.sq_norms = np.asarray(sym.multiply(sym).sum(axis=1)).ravel()
-        self.rows = []
-        for k in range(sym.shape[0]):
-            lo, hi = sym.indptr[k], sym.indptr[k + 1]
-            if hi == lo:
-                continue
-            i, j = np.divmod(sym.indices[lo:hi], s)
-            R = np.unique(i)
-            D = np.zeros((R.size, R.size))
-            D[np.searchsorted(R, i), np.searchsorted(R, j)] = sym.data[lo:hi]
-            self.rows.append((k, R, D))
+        # one pass over the CSR: the matrix rows each CSR row touches, as
+        # an (m, s) mask, give every R_k at once, and an entry's place in
+        # D_k is the rank of its matrix row and column among them
+        m = sym.shape[0]
+        row = np.repeat(np.arange(m), np.diff(sym.indptr))
+        i, j = np.divmod(sym.indices, s)
+        touched = np.zeros((m, s), dtype=bool)
+        touched[row, i] = True
+        rank = np.cumsum(touched, axis=1) - 1
+        r = touched.sum(axis=1)
+        start = np.concatenate(([0], np.cumsum(r)))
+        offset = np.concatenate(([0], np.cumsum(r * r)))
+        R = np.nonzero(touched)[1].astype(sym.indices.dtype)
+        flat = np.zeros(offset[-1])
+        flat[offset[row] + rank[row, i] * r[row] + rank[row, j]] = sym.data
+        self.rows = [
+            (k, R[start[k] : start[k + 1]], flat[offset[k] : offset[k + 1]].reshape(r[k], r[k]))
+            for k in np.flatnonzero(r).tolist()
+        ]
 
     def apply(self, X):
         return self.A @ X.reshape(-1)
@@ -1306,8 +1456,9 @@ def _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=False):
 def solve_conic(problem, params=None):
     """Reduce, solve, and lift back to the coordinates of ``problem``.
 
-    Of the three reductions of the module docstring, the sign split is
-    applied by the caller, ``solve_gpm``, before this.  Here the
+    Of the four reductions of the module docstring, the sign split and
+    the orbit reduction are applied by the caller, ``solve_gpm``, before
+    this.  Here the
     zero-diagonal facial reduction runs first, its reduced problem
     solved by a recursive call, then presolve of the free columns before
     the interior-point ``solve``; ``lift`` maps each result back.

@@ -1145,6 +1145,328 @@ def _flip_generators(parities, nvars):
     return gens
 
 
+@dataclass
+class Permutations:
+    """Variable permutations that fix a relaxation's data, and their action.
+
+    A generator p of one measure maps its variable k to variable p[k],
+    and so the exponent row e to the row e' with e'[p[k]] = e[k].  It
+    maps the objective onto itself and the sets of support and of moment
+    constraints onto themselves, so it permutes the moment variables and
+    maps every block of its measure onto a block of the same order: the
+    moment matrix onto itself, a localizing matrix onto that of the image
+    constraint.  Blocks of other measures stay where they are.
+
+    ``generators`` maps each measure label to its generators, each as
+    its nontrivial cycles of variable names (empty when none was found).
+    ``moments`` holds one array per generator, over all measures:
+    moment variable k goes to moments[g][k].  ``blocks`` holds per
+    generator one (target, rows) pair per block of ``msdp.blocks``: row
+    i of the block goes to row rows[i] of block target.
+    """
+
+    generators: dict
+    moments: list
+    blocks: list
+
+
+# refinements the automorphism search may spend per measure; when they
+# run out the generators found so far are kept, which leaves a subgroup
+_SEARCH_BUDGET = 2000
+
+
+def variable_permutations(msdp):
+    """Generators of each measure's permutations that fix the data.
+
+    The data are the objective, the support constraints as a set and the
+    moment constraints as a set, each compared exactly (relation, both
+    sides, every coefficient).  The group is never enumerated: ``_automorphisms`` returns generators
+    only.  A generator that does not map the representatives and block
+    bases onto themselves (a rule set whose normal forms depend on the
+    variable order) is dropped, which again leaves a subgroup.  Returns
+    None when no measure has a generator.
+    """
+    index = msdp.index
+    generators, moments, blocks = {}, [], []
+    for measure in index.measures:
+        items, support = _data_items(msdp.problem, index, measure)
+        names = [v.name for v in measure.vars]
+        generators[measure.label] = []
+        for perm in _automorphisms(len(names), items):
+            action = _permutation_action(msdp, measure, perm, items, support)
+            if action is None:
+                continue
+            moments.append(action[0])
+            blocks.append(action[1])
+            generators[measure.label].append(
+                [[names[k] for k in cycle] for cycle in _cycles(perm)]
+            )
+    if not moments:
+        return None
+    return Permutations(generators, moments, blocks)
+
+
+def _data_items(problem, index, measure):
+    """The data a permutation of a measure's variables must fix, as items.
+
+    An item is (label, terms): terms is a tuple of (side, support,
+    coefficient) over the measure's part of one datum, the support of a
+    monomial being its (variable, exponent) pairs of positive exponent,
+    and label an int that stands for everything a permutation leaves
+    alone (the kind of datum, its relation, constants, other measures'
+    parts).  Also returns the position among the items of each support
+    constraint on the measure, so that localizing blocks can follow
+    their constraint.
+    """
+    raw, support = [], {}
+
+    def terms_of(meas, poly):
+        return sorted(index.exponents[meas].terms(poly).items())
+
+    def add(tag, sides, others=()):
+        terms = tuple(
+            (side, tuple((k, e) for k, e in enumerate(t) if e), c)
+            for side, poly in sides
+            for t, c in terms_of(measure, poly)
+        )
+        if terms:
+            raw.append(((tag, tuple(others)), terms))
+        return bool(terms)
+
+    def parts(exprs):
+        # the measure's parts, and every other measure's as fixed data
+        mine, others = [], []
+        for side, expr in enumerate(exprs):
+            for meas, poly in expr.terms_by_label():
+                if meas is measure:
+                    mine.append((side, poly))
+                else:
+                    others.append((side, meas.label, tuple(terms_of(meas, poly))))
+        return mine, others
+
+    objective = problem.objective
+    add(("objective", objective.direction, objective.expr.constant), *parts((objective.expr,)))
+    for con in problem.moment_constraints:
+        add(("moment", con.rel, con.lhs.constant, con.rhs.constant), *parts((con.lhs, con.rhs)))
+    for con in problem.support_constraints:
+        if con.measure is measure and add(("support", con.rel), enumerate((con.lhs, con.rhs))):
+            support[len(raw) - 1] = con
+    labels = {label: k for k, label in enumerate(sorted({label for label, _ in raw}))}
+    return [(labels[label], terms) for label, terms in raw], support
+
+
+def _refine(colors, items):
+    """Refine a coloring of the variables until it is stable.
+
+    A term's key is its side, its coefficient and the colors and
+    exponents of its variables; an item's is its label and the sorted
+    keys of its terms.  A variable's signature collects, for every term
+    it occurs in, the item's key, the term's key and its own exponent.
+    Item keys and colors are ranks among the sorted distinct values, so
+    they depend on the data alone, not on the numbering of the
+    variables.  Returns the colors and the trace of signature lists,
+    equal for nodes a permutation maps onto each other.
+    """
+    trace = []
+    n_colors = len(set(colors))
+    while True:
+        keyed = []
+        for label, terms in items:
+            keys = [
+                (side, coeff, tuple(sorted((colors[k], e) for k, e in supp)))
+                for side, supp, coeff in terms
+            ]
+            keyed.append(((label, tuple(sorted(keys))), keys, terms))
+        whole = {w: r for r, w in enumerate(sorted({w for w, _, _ in keyed}))}
+        sigs = [[] for _ in colors]
+        for w, keys, terms in keyed:
+            w = whole[w]
+            for key, (_, supp, _) in zip(keys, terms):
+                for k, e in supp:
+                    sigs[k].append((w, key, e))
+        full = [(colors[k], tuple(sorted(sig))) for k, sig in enumerate(sigs)]
+        distinct = sorted(set(full))
+        trace.append(distinct)
+        rank = {sig: r for r, sig in enumerate(distinct)}
+        colors = [rank[sig] for sig in full]
+        if len(distinct) == n_colors:
+            return colors, trace
+        n_colors = len(distinct)
+
+
+def _individualized(colors, v):
+    """The coloring with v split off from its cell."""
+    return [2 * c + (k == v) for k, c in enumerate(colors)]
+
+
+def _target_cell(colors):
+    """The color of the smallest cell of more than one variable, or None."""
+    counts = {}
+    for c in colors:
+        counts[c] = counts.get(c, 0) + 1
+    cells = [(size, c) for c, size in counts.items() if size > 1]
+    return min(cells)[1] if cells else None
+
+
+def _automorphisms(nvars, items, budget=_SEARCH_BUDGET):
+    """Generators of the variable permutations that map items onto themselves.
+
+    Individualization and refinement: the first path individualizes the
+    smallest variable of the target cell at each level down to a
+    discrete coloring, which fixes a base b_1, b_2, ...  Then, from the
+    deepest level up, every variable v of the cell of b_i that is not yet
+    in the orbit of b_i under the generators found so far (all of them
+    fix b_1 .. b_i-1) is tried: a depth-first search for a permutation
+    that fixes b_1 .. b_i-1 and maps b_i to v, along nodes whose refinement
+    traces equal the first path's.  A leaf is checked exactly against the
+    items.  The generators returned generate the whole group unless the
+    budget of refinements ran out first.
+    """
+    want = _item_counts(items)
+    left = [_refine([0] * nvars, items)]
+    base = []
+    spent = 1
+    while (cell := _target_cell(left[-1][0])) is not None:
+        colors = left[-1][0]
+        base.append(min(k for k in range(nvars) if colors[k] == cell))
+        left.append(_refine(_individualized(colors, base[-1]), items))
+        spent += 1
+    gens = []
+
+    def descend(level, node):
+        nonlocal spent
+        colors, trace = node
+        if trace != left[level][1]:
+            return None
+        if level == len(base):
+            perm = [0] * nvars
+            by_color = {c: k for k, c in enumerate(colors)}
+            for k, c in enumerate(left[level][0]):
+                perm[k] = by_color[c]
+            return perm if _item_counts(items, perm) == want else None
+        cell = left[level][0][base[level]]
+        for w in (k for k in range(nvars) if colors[k] == cell):
+            if spent >= budget:
+                return None
+            spent += 1
+            found = descend(level + 1, _refine(_individualized(colors, w), items))
+            if found is not None:
+                return found
+        return None
+
+    for level in range(len(base) - 1, -1, -1):
+        colors = left[level][0]
+        b = base[level]
+        for v in range(nvars):
+            if colors[v] != colors[b] or v in _orbit(b, gens):
+                continue
+            if spent >= budget:
+                return gens
+            spent += 1
+            found = descend(level + 1, _refine(_individualized(colors, v), items))
+            if found is not None:
+                gens.append(found)
+    return gens
+
+
+def _item_counts(items, perm=None):
+    """The items as a multiset, their variables renamed by perm."""
+    counts = {}
+    for label, terms in items:
+        if perm is not None:
+            terms = _permuted(terms, perm)
+        key = (label, frozenset(terms))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def _permuted(terms, perm):
+    """Terms with variable k renamed perm[k]."""
+    return [
+        (side, tuple(sorted((perm[k], e) for k, e in supp)), c) for side, supp, c in terms
+    ]
+
+
+def _orbit(v, gens):
+    """The orbit of v under the group the permutations gens generate."""
+    seen = {v}
+    todo = [v]
+    while todo:
+        u = todo.pop()
+        for g in gens:
+            if g[u] not in seen:
+                seen.add(g[u])
+                todo.append(g[u])
+    return seen
+
+
+def _cycles(perm):
+    """The cycles of length > 1 of a permutation, each from its smallest entry."""
+    seen = set()
+    out = []
+    for start in range(len(perm)):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        while perm[cycle[-1]] != start:
+            cycle.append(perm[cycle[-1]])
+            seen.add(cycle[-1])
+        if len(cycle) > 1:
+            out.append(cycle)
+    return out
+
+
+def _permutation_action(msdp, measure, perm, items, support):
+    """The moment permutation and block maps of one generator, or None.
+
+    Each free representative's exponent row is permuted and looked up by
+    code; it has to land on a free representative.  Each block basis of
+    the measure is permuted and looked up in the target block's basis,
+    the moment matrix in itself and a localizing matrix in that of the
+    constraint its own maps to.  None when a lookup misses.
+    """
+    index = msdp.index
+    pinv = np.argsort(perm)
+    numbers = index._numbers[measure]
+    free = numbers >= 0
+    at, is_rep = index.rep_lookup(measure, index._reps[measure][0][free][:, pinv])
+    if not is_rep.all() or (numbers[at] < 0).any():
+        return None
+    moments = np.arange(index.n_vars)
+    moments[numbers[free]] = numbers[at]
+
+    # where each support constraint goes: to an equal item of the images
+    image = {}
+    position = {}
+    for k, (label, terms) in enumerate(items):
+        position.setdefault((label, frozenset(terms)), []).append(k)
+    for k, con in support.items():
+        label, terms = items[k]
+        image[con] = support[position[(label, frozenset(_permuted(terms, perm)))].pop()]
+    block_of = {
+        block.source: j for j, block in enumerate(msdp.blocks) if block.kind == "localizing"
+    }
+
+    maps = []
+    for j, block in enumerate(msdp.blocks):
+        if block.measure is not measure:
+            maps.append((j, np.arange(block.size)))
+            continue
+        target = j if block.kind == "moment" else block_of.get(image[block.source])
+        if target is None:
+            return None
+        basis = msdp.blocks[target].basis
+        codes = index.codes(measure, basis)
+        order = np.argsort(codes)
+        want = index.codes(measure, block.basis[:, pinv])
+        pos = np.searchsorted(codes[order], want).clip(max=len(codes) - 1)
+        if len(basis) != block.size or (codes[order][pos] != want).any():
+            return None
+        maps.append((target, order[pos]))
+    return moments, maps
+
+
 def format_block_sizes(sizes):
     """Human-readable block size list, e.g. '35x35+8x(20x20)'."""
     if not sizes:

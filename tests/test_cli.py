@@ -90,7 +90,7 @@ def test_solve_json_report(tmp_path, capsys):
     (measure,) = report["measures"]
     assert set(measure) == {
         "label", "variables", "moments", "points", "weights", "ranks",
-        "flat_truncation", "symmetry",
+        "flat_truncation", "symmetry", "permutations",
     }
     assert measure["points"][0][0] == pytest.approx(0.5, abs=1e-3)
     assert measure["ranks"] == [1, 1] and measure["flat_truncation"] == 1
@@ -161,6 +161,37 @@ def test_solve_reports_the_sign_split(tmp_path, capsys, name, order, symmetry, l
     text = capsys.readouterr().out
     (measure,) = json.loads(out.read_text())["measures"]
     assert measure["symmetry"] == symmetry
+    assert line in text.splitlines()
+
+
+@pytest.mark.parametrize(
+    "name,order,permutations,line",
+    [
+        (
+            "maxcut_sub.gpm", 3,
+            {
+                "generators": [
+                    [["x(2)", "x(9)"], ["x(3)", "x(8)"], ["x(4)", "x(7)"], ["x(5)", "x(6)"]],
+                    [["x(1)", "x(2)", "x(3)", "x(4)", "x(5)", "x(6)", "x(7)", "x(8)", "x(9)"]],
+                ],
+                "moments": 246,
+                "orbits": 21,
+            },
+            "Measure 1: permutations = (x(2) x(9))(x(3) x(8))(x(4) x(7))(x(5) x(6)); "
+            "(x(1) x(2) x(3) x(4) x(5) x(6) x(7) x(8) x(9)), moments = 246, orbits = 21",
+        ),
+        ("camel.gpm", 3, None, "Measure 1: permutation symmetry = none"),
+    ],
+)
+def test_solve_reports_the_orbit_reduction(tmp_path, capsys, name, order, permutations, line):
+    # the antiweb graph's reflection and rotation generate its 18
+    # automorphisms; the 246 moments the sign split keeps fall into 21
+    # orbits.  camel's x1^2 and x2^2 have different coefficients
+    out = tmp_path / "report.json"
+    assert main(["solve", model_path(name), "--order", str(order), "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    (measure,) = json.loads(out.read_text())["measures"]
+    assert measure["permutations"] == permutations
     assert line in text.splitlines()
 
 

@@ -1090,6 +1090,43 @@ def test_sparse_and_dense_blocks_match_the_trace_formulas():
                 close(block.sq_norms, (B ** 2).sum(axis=(1, 2)))
 
 
+def _sparse_rows_by_loop(sym, s):
+    """(k, R_k, D_k) of every nonempty row, gathered one row at a time."""
+    rows = []
+    for k in range(sym.shape[0]):
+        lo, hi = sym.indptr[k], sym.indptr[k + 1]
+        if hi == lo:
+            continue
+        i, j = np.divmod(sym.indices[lo:hi], s)
+        R = np.unique(i)
+        D = np.zeros((R.size, R.size))
+        D[np.searchsorted(R, i), np.searchsorted(R, j)] = sym.data[lo:hi]
+        rows.append((k, R, D))
+    return rows
+
+
+@pytest.mark.parametrize("source", ["random", "maxcut_sub.gpm"])
+def test_sparse_block_rows_equal_the_row_by_row_gather(source):
+    if source == "random":
+        rng = np.random.default_rng(3)
+        problems = [random_sparse_blocks_problem(rng)[0] for _ in range(4)]
+    else:
+        with open(model_path(source)) as fh:
+            problems = [to_conic(assemble(parse_model(fh.read()), 3))]
+    for problem in problems:
+        A = problem.A
+        for off, s in zip(problem.cone.psd_starts, problem.cone.s):
+            sym = _symmetrized(A[:, off : off + s * s], s)
+            # an empty row, which gets no entry
+            sym = scipy.sparse.vstack([sym, scipy.sparse.csr_matrix((1, s * s))], format="csr")
+            got, want = _SparseBlock(sym, s).rows, _sparse_rows_by_loop(sym, s)
+            assert len(got) == len(want)
+            for (k, R, D), (k0, R0, D0) in zip(got, want):
+                assert k == k0 and R.dtype == R0.dtype and D.shape == D0.shape
+                np.testing.assert_array_equal(R, R0)
+                np.testing.assert_array_equal(D, D0)
+
+
 def test_maxcut_order_two_solves_through_sparse_blocks():
     with open(model_path("maxcut_sub.gpm")) as fh:
         problem = to_conic(assemble(parse_model(fh.read()), 2))

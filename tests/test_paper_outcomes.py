@@ -9,6 +9,8 @@ them.  quadratic3 at order 4 certifies both paper atoms on every
 extraction seed of 0-59 (never the single merged atom (2,0,0)).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -74,3 +76,26 @@ def test_quadratic3_order_four_extracts_the_closest_atoms(seed):
     assert len(points) == 2
     for atom in QUADRATIC3_ATOMS:
         assert min(np.max(np.abs(point - np.asarray(atom))) for point in points) < 1e-3
+
+
+def test_maxcut_order_five_certifies_every_maximum_cut():
+    """At order 5 the max-cut relaxation is flat: status 1 with 78 atoms,
+    the 39 maximum cuts of the antiweb graph and their negations."""
+    with open(model_path("maxcut_sub.gpm")) as fh:
+        problem = parse_model(fh.read(), "maxcut_sub.gpm")
+    sol = solve_gpm(problem, order=5)
+    assert sol.status == 1
+    assert sol.objective == pytest.approx(12.0, rel=1e-8)
+    points, _ = sol.support(1)
+    assert len(points) == 78
+    signs = np.sign(points)
+    assert np.abs(points - signs).max() < 1e-6
+
+    # every +-1 vector and its cut value, from the objective polynomial
+    measure = problem.measures[0]
+    ((_, poly),) = problem.objective.expr.terms_by_label()
+    cube = [np.array(v) for v in itertools.product((-1.0, 1.0), repeat=len(measure.vars))]
+    values = np.array([poly.eval(dict(zip(measure.vars, v))) for v in cube])
+    assert values.max() == 12.0
+    best = {tuple(v) for v, value in zip(cube, values) if value == 12.0}
+    assert {tuple(s) for s in signs} == best and len(best) == 78
