@@ -39,9 +39,8 @@ from .conic import (
     lift,
     permuted_columns,
     reduce_by_orbits,
-    restricted,
+    sign_flips,
     solve_conic,
-    split_by_sign,
     to_conic,
 )
 from .model import ModelError
@@ -338,13 +337,14 @@ class GPMSolution:
 
     ``symmetry`` maps each measure label to None when no sign flip
     leaves its data unchanged, and otherwise to its flips (lists of
-    variable names), the number of moments pinned to 0 and the orders
-    of the blocks handed to the solver for it (None when not split).
-    ``permutations`` maps each measure label to None when no permutation
-    of its variables was found, and otherwise to its generators (each a
-    list of cycles of variable names), the number of its moments left
-    after the sign split and the number of their orbits (None when the
-    orbit reduction was not applied).
+    variable names), the number of moments the orbit reduction pins to 0
+    and the orders of its blocks' parity classes under the flips kept,
+    which the pattern split of ``solve_conic`` hands to the solver as
+    blocks (None when no flip was kept).  ``permutations`` maps each
+    measure label to None when no permutation of its variables was
+    found, and otherwise to its generators (each a list of cycles of
+    variable names), the number of its moments no flip pins and the
+    number of their orbits (None when no permutation was kept).
     """
 
     status: int
@@ -372,15 +372,16 @@ class GPMSolution:
 def solve_gpm(problem, order=None, params=None, seed=0):
     """Assemble, solve and certify the moment relaxation of a problem.
 
-    The conic problem goes through the reductions in order: the sign
-    split (``sign_classes`` finds the flips, ``split_by_sign`` checks
-    them and returns the reduced problem), the orbit reduction
-    (``variable_permutations`` finds the permutations of the variables,
-    ``reduce_by_orbits`` checks them and keeps one moment per orbit),
-    then, inside the one ``solve_conic`` call, zero-diagonal facial
-    reduction and presolve.  ``conic.lift`` maps each solution back, the
-    last reduction first.  ``symmetry`` and ``permutations`` report the
-    first two per measure.
+    The conic problem goes through the reductions in order: the orbit
+    reduction (``sign_classes`` finds the sign flips and
+    ``variable_permutations`` the permutations of the variables;
+    ``reduce_by_orbits`` checks each as a signed permutation of the
+    conic data, keeps one moment per orbit and pins to 0 the moments
+    that some flip negates), then, inside the one ``solve_conic`` call,
+    the pattern split, which splits the blocks by parity, zero-diagonal
+    facial reduction and presolve.  ``conic.lift`` maps each solution
+    back, the last reduction first.  ``symmetry`` and ``permutations``
+    report the orbit reduction per measure.
 
     Returns a GPMSolution; on certification the extracted supports are
     stored into the measures, so eval_on_support reads the minimizers
@@ -388,20 +389,16 @@ def solve_gpm(problem, order=None, params=None, seed=0):
     SDP was solved.  An uncertified point is re-centered (_recenter)
     only when every measure has a flat truncation: the face solve moves
     only the top-degree part of each M_r, so a point whose ranks rise
-    at every degree is reported as it is.  The face solve is not reduced.
+    at every degree is reported as it is.  The face solve skips the orbit
+    reduction.
     """
     params = params or SolverParams()
     msdp = assemble(problem, order)
     conic = to_conic(msdp)
-    classes, split, perms, orbits = _symmetry_reductions(msdp, conic)
-    signed = conic if split is None else split.problem
-    sol = solve_conic(signed if orbits is None else orbits.problem, params)
-    if orbits is not None:
-        sol = lift(signed, orbits, sol)
-    if split is not None:
-        sol = lift(conic, split, sol)
-    symmetry = _symmetry_report(msdp, classes, split)
-    permutations = _permutation_report(msdp, perms, split, orbits)
+    red, symmetry, permutations = _symmetry_reduction(msdp, conic)
+    sol = solve_conic(conic if red is None else red.problem, params)
+    if red is not None:
+        sol = lift(conic, red, sol)
     if sol.status in ("infeasible", "unbounded", "failed"):
         return GPMSolution(
             status=-1, objective=None, order=msdp.order, msdp=msdp, conic=sol,
@@ -437,98 +434,64 @@ def solve_gpm(problem, order=None, params=None, seed=0):
     )
 
 
-def _symmetry_reductions(msdp, conic):
-    """The sign split and then the orbit reduction of a relaxation.
+def _symmetry_reduction(msdp, conic):
+    """The orbit reduction of ``conic`` and its report per measure.
 
-    Returns (classes, split, perms, orbits): the sign classes and the
-    split's Reduction of ``conic``, then the variable permutations and
-    the orbit Reduction of the split problem (of ``conic`` itself when
-    there is no split), each None where nothing was found or the gate
-    refused.  Each generator's moment permutation and block maps become
-    a row and a column permutation of ``conic``, restricted to the rows
-    and columns the split keeps.
+    The generators are the sign flips, one per class bit of
+    ``sign_classes``, then each variable permutation's moment and block
+    maps as a row and a column permutation of ``conic``, signs +1.
+    Returns the Reduction (None when nothing was found or every
+    generator was refused) and the ``symmetry`` and ``permutations``
+    dicts of ``GPMSolution``.
     """
-    classes = sign_classes(msdp)
-    split = None if classes is None else split_by_sign(conic, classes.moments, classes.blocks)
-    perms = variable_permutations(msdp)
-    if perms is None:
-        return classes, split, None, None
-    generators = []
-    for pi, blocks in zip(perms.moments, perms.blocks):
-        sigma = permuted_columns(conic, pi, blocks)
-        if sigma is not None and split is not None:
-            pi, sigma = restricted(pi, split.N), restricted(sigma, split.X)
-        if pi is not None and sigma is not None:
-            generators.append((pi, sigma))
-    target = conic if split is None else split.problem
-    return classes, split, perms, reduce_by_orbits(target, generators)
-
-
-def _symmetry_report(msdp, classes, split):
-    """Per measure label: its sign flips, pinned moments and split blocks.
-
-    None for a measure whose flip group is trivial; otherwise a dict of
-    the generators (flipped variable names), the number of moments
-    pinned to 0 and the orders of the blocks its blocks split into, the
-    last None (and no moment pinned) when the split was not applied.
-    """
-    report = {}
+    classes, perms = sign_classes(msdp), variable_permutations(msdp)
+    generators, owners = [], []
+    if classes is not None:
+        generators = sign_flips(conic, classes.moments, classes.blocks)
+        owners = [("flip", t) for t in range(len(generators))]
+    if perms is not None:
+        labels = [label for label, gens in perms.generators.items() for _ in gens]
+        for label, pi, blocks in zip(labels, perms.moments, perms.blocks):
+            sigma = permuted_columns(conic, pi, blocks)
+            if sigma is not None:
+                generators.append((pi, sigma, np.ones(conic.m), np.ones(conic.n)))
+                owners.append(("perm", label))
+    red = reduce_by_orbits(conic, generators)
+    kept = set() if red is None else {owners[k] for k in red.kept}
+    # a moment is held (not pinned) where its row of N is not empty
+    held, orbit = np.ones(msdp.n_vars, dtype=bool), np.arange(msdp.n_vars)
+    if red is not None:
+        held = np.diff(red.N.indptr) > 0
+        orbit[held] = red.N.indices
+    symmetry, permutations, bit = {}, {}, 0
     for measure in msdp.problem.measures:
-        gens = [] if classes is None else classes.generators[measure.label]
-        if not gens:
-            report[measure.label] = None
-            continue
-        pinned, blocks = 0, None
-        if split is not None:
-            pinned = sum(
-                1 for (meas, _), k in msdp.index.var_of.items()
-                if meas is measure and classes.moments[k]
-            )
-            blocks = [
-                size for block, rc in zip(msdp.blocks, classes.blocks)
-                if block.measure is measure
-                for size in np.unique(rc, return_counts=True)[1].tolist()
-            ]
-        report[measure.label] = {
-            "generators": [list(g) for g in gens],
-            "pinned": pinned,
-            "blocks": blocks,
-        }
-    return report
-
-
-def _permutation_report(msdp, perms, split, orbits):
-    """Per measure label: its permutation generators, moments and orbits.
-
-    None for a measure without generators; otherwise a dict of the
-    generators (cycles of variable names), the number of its moments
-    handed to the orbit reduction (those the sign split keeps) and the
-    number of their orbits, None when the reduction was not applied.
-    """
-    keep = np.ones(msdp.n_vars, dtype=bool)
-    if split is not None:
-        keep = np.asarray(split.N.sum(axis=1)).ravel() > 0
-    label = None
-    if orbits is not None:
-        # the orbit of each moment the split keeps
-        N = (orbits.N if split is None else split.N @ orbits.N).tocoo()
-        label = np.full(msdp.n_vars, -1)
-        label[N.row] = N.col
-    report = {}
-    for measure in msdp.problem.measures:
-        gens = [] if perms is None else perms.generators[measure.label]
-        if not gens:
-            report[measure.label] = None
-            continue
         numbers = msdp.index._numbers[measure]
         numbers = numbers[numbers >= 0]
-        numbers = numbers[keep[numbers]]
-        report[measure.label] = {
+        flips = [] if classes is None else classes.generators[measure.label]
+        mask = sum(1 << t for t in range(bit, bit + len(flips)) if ("flip", t) in kept)
+        bit += len(flips)
+        symmetry[measure.label] = {
+            "generators": [list(g) for g in flips],
+            "pinned": int(np.count_nonzero(~held[numbers])) if mask else 0,
+            "blocks": [
+                size for block, rc in zip(msdp.blocks, classes.blocks) if block.measure is measure
+                for size in _class_sizes(rc & mask)
+            ] if mask else None,
+        } if flips else None
+        gens = [] if perms is None else perms.generators[measure.label]
+        numbers = numbers[held[numbers]]
+        permutations[measure.label] = {
             "generators": gens,
             "moments": int(numbers.size),
-            "orbits": None if label is None else int(np.unique(label[numbers]).size),
-        }
-    return report
+            "orbits": int(np.unique(orbit[numbers]).size) if ("perm", measure.label) in kept else None,
+        } if gens else None
+    return red, symmetry, permutations
+
+
+def _class_sizes(rc):
+    """Orders of the classes of a block's rows, by their smallest row."""
+    _, first, sizes = np.unique(rc, return_index=True, return_counts=True)
+    return sizes[np.argsort(first)].tolist()
 
 
 def _recenter(msdp, conic, sol, y, objective, cert, params, seed):

@@ -19,22 +19,25 @@ and rewrites the problem over t.
 A moment SDP reaches the solver through four reductions, in this
 order:
 
-1. the sign split (``split_by_sign``, applied by ``solve_gpm``): moments
-   that a sign flip of the data negates are pinned to 0 and every PSD
-   block splits into one block per parity class of its rows;
-2. the orbit reduction (``reduce_by_orbits``, applied by ``solve_gpm``):
-   under permutations of the variables that fix the data, the moments
-   are restricted to one variable per orbit, with the cones unchanged;
+1. the orbit reduction (``reduce_by_orbits``, applied by ``solve_gpm``):
+   under signed permutations that fix the data (``sign_flips`` and
+   ``permuted_columns`` give them), the moments are restricted to one
+   variable per orbit, an orbit that holds a moment together with its
+   negative pinned to 0, with the cones unchanged;
+2. the pattern split (``split_by_pattern``, first in ``solve_conic``):
+   free and orthant columns without data go and every PSD block splits
+   into the connected components of its entries with data, which
+   turns the pins of step 1 into one block per parity class;
 3. zero-diagonal facial reduction (``_reduce_zero_diagonals``): slacks
    certified zero on the whole dual set leave the cones;
 4. presolve (``presolve_eliminate_equalities``): free columns go.
 
-The first two apply only where a check of the data, exact to the last
-bit, shows the symmetry they use.  Each returns a ``Reduction``: the
-reduced problem and two linear maps back, y = y0 + N y_r for the
-moments and x = X x_r for the primal entries.  One ``lift`` applies
-them to a solution of the reduced problem, so a further reduction only
-has to build its y0, N and X.
+The first applies only where a check of the data, exact to the last
+bit, shows the symmetry it uses; the second involves no tolerance.
+Each returns a ``Reduction``: the reduced problem and two linear maps
+back, y = y0 + N y_r for the moments and x = X x_r for the primal
+entries.  One ``lift`` applies them to a solution of the reduced
+problem, so a further reduction only has to build its y0, N and X.
 
 ``ConicProblem`` owns the data layout: A is float64 CSC, its columns
 the cone entries that every reduction slices, b and c float64 vectors.
@@ -259,7 +262,8 @@ class Reduction:
     that presolve removed; X is zero on them and ``lift``
     recovers them by least squares.  Presolve alone can end with status
     'infeasible': the equality rows are contradictory, ``residual``
-    reports the violation and the problem and maps are None.
+    reports the violation and the problem and maps are None.  ``kept``
+    lists the generators the orbit reduction kept, by position.
     """
 
     problem: object
@@ -269,6 +273,7 @@ class Reduction:
     status: str = "ok"
     residual: float = 0.0
     n_eliminated: int = 0
+    kept: tuple = ()
 
 
 def _selection(n, idx):
@@ -282,16 +287,24 @@ def lift(problem, red, inner):
     """A solution of ``red.problem`` in the coordinates of ``problem``.
 
     y = y0 + N y_r and x = X x_r, the free entries presolve eliminated
-    solved from A x = b by least squares; z = c - A'y on every column,
-    and both objectives gain back the b'y0 the reduction moved into the
-    offset.  Status, residuals and history stay those of ``inner``.
+    solved from A x = b by least squares to rounding accuracy, so x
+    misses A x = b about as much as the inner x misses its own rows;
+    z = c - A'y on every column, and both objectives gain back the b'y0
+    the reduction moved into the offset.  Status, residuals and history
+    stay those of ``inner``.
     """
     y = red.y0 + red.N @ inner.y
     x = red.X @ inner.x
     nf = red.n_eliminated
     if nf:
-        A = problem.A
-        x[:nf] = scipy.sparse.linalg.lsqr(A[:, :nf], problem.b - A[:, nf:] @ x[nf:])[0]
+        # no tolerance relative to the right side, which can be ~1e7 where
+        # the inner residual is ~1e-8: lsqr runs until rounding stops it,
+        # capped at 4x the min(A_f.shape) steps of exact arithmetic
+        Af = problem.A[:, :nf]
+        x[:nf] = scipy.sparse.linalg.lsqr(
+            Af, problem.b - problem.A[:, nf:] @ x[nf:],
+            atol=0.0, btol=0.0, iter_lim=4 * min(Af.shape) + 10,
+        )[0]
     z = problem.c - problem.A.T @ y
     shift = float(problem.b @ red.y0)
     return replace(
@@ -526,66 +539,31 @@ def _presolve_pass(problem, substitute):
     return Reduction(problem=reduced, y0=y0, N=N, X=X, n_eliminated=nf)
 
 
-def split_by_sign(problem, moment_class, block_classes):
-    """Pin the non-invariant moments to 0 and split PSD blocks by class.
+def sign_flips(problem, moment_class, block_classes):
+    """The flips of ``relaxation.sign_classes`` as signed generators.
 
-    ``moment_class`` gives a class (a bitmask, 0 for invariant) per row
-    of A and ``block_classes`` one per row of each PSD block, as
-    ``relaxation.sign_classes`` computes them.  Entry (i, j) of a block
-    then has class c_i ^ c_j.  The split applies only when b is 0 on
-    every pinned row (class != 0), every nonzero of A has the class of
-    its column (a free column taking the one class of the rows it
-    touches, an orthant column class 0), and c is 0 on every column of
-    class != 0.  The data is then invariant under the flips, so
-    averaging a dual point over them keeps it feasible and keeps b'y:
-    restricting y to 0 at the pinned rows loses nothing.  The pinned
-    rows and all columns of class != 0 go; what is left of each block
-    is block-diagonal over its row classes, and each class becomes its
-    own block, classes in increasing order.
-
-    Returns a ``Reduction`` whose maps select the kept rows and columns
-    (its lift leaves y 0 at the pinned rows and x 0 at the dropped
-    columns), or None when the gate fails.
+    ``moment_class`` holds a class bitmask per row of A, ``block_classes``
+    one per row of each PSD block.  Bit t gives (pi, sigma, r, s) with pi
+    and sigma the identity, r = -1 on the rows of class bit t, s = d_i d_j
+    on block entry (i, j) with d = -1 on the block rows of bit t, s on a
+    free column the sign of the rows it touches and +1 on an orthant
+    column; ``reduce_by_orbits`` refuses the flip where the data break it.
     """
-    cone = problem.cone
-    A = problem.A
+    A, cone = problem.A, problem.cone
     row, col = A.indices, np.repeat(np.arange(problem.n), np.diff(A.indptr))
-    moment_class = np.asarray(moment_class, dtype=np.int64)
-    col_class = np.zeros(problem.n, dtype=np.int64)
     free = col < cone.f
-    np.maximum.at(col_class, col[free], moment_class[row[free]])
-    for k, rc in enumerate(block_classes):
-        at = cone.block_columns(k, np.arange(rc.size))
-        col_class[at] = np.bitwise_xor.outer(rc, rc).reshape(-1)
-    pinned = moment_class != 0
-    if (
-        np.any(problem.b[pinned])
-        or np.any(moment_class[row] != col_class[col])
-        or np.any(col_class[problem.c != 0])
-    ):
-        return None
-    nfl = cone.f + cone.l
-    cols = [np.flatnonzero(col_class[:nfl] == 0)]
-    sizes = []
-    for k, rc in enumerate(block_classes):
-        parts = [np.flatnonzero(rc == v) for v in np.unique(rc)]
-        cols.extend(cone.block_columns(k, R) for R in parts)
-        sizes.extend(R.size for R in parts)
-    cols = np.concatenate(cols)
-    rows = np.flatnonzero(~pinned)
-    nfree = int(np.count_nonzero(cols < cone.f))
-    reduced = ConicProblem(
-        A=A[:, cols][rows],
-        b=problem.b[rows],
-        c=problem.c[cols],
-        cone=ConeSpec(f=nfree, l=cone.l, s=tuple(sizes)),
-        sense=problem.sense,
-        offset=problem.offset,
-    )
-    return Reduction(
-        problem=reduced, y0=np.zeros(problem.m),
-        N=_selection(problem.m, rows), X=_selection(problem.n, cols),
-    )
+    moment_class = np.asarray(moment_class, dtype=np.int64)
+    bits = np.bitwise_or.reduce(np.concatenate([moment_class, *block_classes]))
+    generators = []
+    for t in range(int(bits).bit_length()):
+        r = 1.0 - 2.0 * (moment_class >> t & 1)
+        s = np.ones(problem.n)
+        np.minimum.at(s, col[free], r[row[free]])
+        for k, rc in enumerate(block_classes):
+            d = 1.0 - 2.0 * (rc >> t & 1)
+            s[cone.block_columns(k, np.arange(d.size))] = np.outer(d, d).reshape(-1)
+        generators.append((np.arange(problem.m), np.arange(problem.n), r, s))
+    return generators
 
 
 def permuted_columns(problem, moments, blocks):
@@ -647,80 +625,137 @@ def _bits(values):
     return (values + 0.0).view(np.int64)
 
 
-def restricted(perm, selection):
-    """A permutation of the entries that a selection keeps, renumbered.
-
-    ``selection`` is a 0/1 matrix with one 1 per column, like the maps of
-    the sign split: its column k keeps entry kept[k].  Returns the
-    permutation q of the kept entries with kept[q[k]] = perm[kept[k]], or
-    None when perm moves a kept entry onto a dropped one.
-    """
-    kept = selection.tocsc().indices
-    where = np.full(selection.shape[0], -1, dtype=np.int64)
-    where[kept] = np.arange(kept.size)
-    image = where[perm[kept]]
-    return None if (image < 0).any() else image
-
-
 def reduce_by_orbits(problem, generators):
-    """Restrict the moments to orbits of permutations that fix the data.
+    """Restrict the moments to the orbits of signed permutations.
 
-    ``generators`` holds (pi, sigma) pairs: row k of A goes to row pi[k]
-    and column j to column sigma[j], sigma mapping each cone onto itself
-    (PSD blocks onto blocks of the same order, rows and columns alike).
-    The reduction applies only when every pair fixes the data exactly:
-    b[pi] == b, c[sigma] == c and A[pi][:, sigma] == A.  Averaging a dual
-    point over the group then keeps it feasible and keeps b'y, so y may
-    be constant on the orbits of the rows: y = N t with N the orbit
-    indicator, A_r = N'A and b_r = N'b, with c and the cone unchanged.
-    Orbits are the connected components of the generators' graphs, so
-    the group is never enumerated.
+    ``generators`` holds (pi, sigma, r, s): row k of A goes to row pi[k]
+    with sign r[k], column j to column sigma[j] with sign s[j], mapping
+    each cone onto itself (PSD entries (i, j) by a signed permutation of
+    rows and columns alike, sign d_i d_j; orthant entries with sign +1),
+    as ``sign_flips`` and ``permuted_columns`` give them.  A generator is
+    kept only when it fixes the data exactly: b[pi] r == b, c[sigma] s ==
+    c and r_k s_j A[pi[k], sigma[j]] == A[k, j]; dropping the others
+    leaves a subgroup.  Averaging a dual point over the group keeps it
+    feasible and keeps b'y, so y may be fixed by the group: y = N t with
+    N the signed orbit indicator, and an orbit that holds a row with its
+    negative pinned to 0.  A_r = N'A, b_r = N'b, c and the cone stay; the
+    columns only pinned rows touch are left empty for ``split_by_pattern``.
 
-    The lift averages x over the orbits of the columns, the Reynolds
-    operator of the group: A x_r = b holds on orbit sums, and b is
-    constant on orbits, so the average satisfies A x = b; it stays in
-    the cone, which the group maps onto itself.  Returns the
-    ``Reduction``, or None without generators, when the gate fails or
-    when no orbit has two rows.
+    The lift is the signed Reynolds average of x over the column orbits,
+    the projection onto the vectors the group fixes: A commutes with the
+    group and b is fixed, so A x = b, and x stays in the cone.  Returns
+    the ``Reduction``, ``kept`` the positions of the generators kept, or
+    None when none is kept or no row is pinned or shares an orbit.
     """
-    if not generators:
-        return None
     A, b, c = problem.A, problem.b, problem.c
-    for pi, sigma in generators:
-        if (
-            np.any(b[pi] != b)
-            or np.any(c[sigma] != c)
-            or (A[pi][:, sigma] != A).nnz
-        ):
-            return None
-    rows = _orbit_labels(problem.m, [pi for pi, _ in generators])
-    if rows.max(initial=-1) + 1 == problem.m:
+    kept = []
+    for at, (pi, sigma, r, s) in enumerate(generators):
+        P = A[pi][:, sigma]
+        P.data *= r[P.indices] * np.repeat(s, np.diff(P.indptr))
+        if not (np.any(b[pi] * r != b) or np.any(c[sigma] * s != c) or (P != A).nnz):
+            kept.append(at)
+    if not kept:
         return None
-    cols = _orbit_labels(problem.n, [sigma for _, sigma in generators])
-    N = scipy.sparse.csr_matrix(
-        (np.ones(problem.m), (np.arange(problem.m), rows)), shape=(problem.m, rows.max() + 1)
-    )
+    gens = [generators[at] for at in kept]
+    rows, row_sign = _signed_orbits(problem.m, [(pi, r) for pi, _, r, _ in gens])
+    orbits = int(rows.max(initial=-1)) + 1
+    if orbits == problem.m:
+        return None
+    cols, col_sign = _signed_orbits(problem.n, [(sigma, s) for _, sigma, _, s in gens])
+    held = np.flatnonzero(rows >= 0)
+    N = scipy.sparse.csr_matrix((row_sign[held], (held, rows[held])), shape=(problem.m, orbits))
     reduced = ConicProblem(
         A=N.T @ A, b=N.T @ b, c=c, cone=problem.cone,
         sense=problem.sense, offset=problem.offset,
     )
-    size = np.bincount(cols)
+    on = np.flatnonzero(cols >= 0)
+    label, sign = cols[on], col_sign[on]
+    size = np.bincount(label)
 
     def average(x):
-        return (np.bincount(cols, weights=x, minlength=size.size) / size)[cols]
+        out = np.zeros(problem.n)
+        out[on] = sign * (np.bincount(label, weights=sign * x[on], minlength=size.size) / size)[label]
+        return out
 
     X = scipy.sparse.linalg.LinearOperator((problem.n, problem.n), matvec=average, dtype=float)
-    return Reduction(problem=reduced, y0=np.zeros(problem.m), N=N, X=X)
+    return Reduction(problem=reduced, y0=np.zeros(problem.m), N=N, X=X, kept=tuple(kept))
 
 
-def _orbit_labels(n, perms):
-    """Orbit of each of n points under the permutations, numbered by
-    their smallest point."""
-    src = np.tile(np.arange(n), len(perms))
-    graph = scipy.sparse.csr_matrix(
-        (np.ones(src.size), (src, np.concatenate(perms))), shape=(n, n)
+def _signed_orbits(n, maps):
+    """Orbits of n points under signed permutations (perm, sign): point k
+    goes to perm[k] with sign sign[k], so a fixed vector v has
+    v[perm[k]] = sign[k] v[k], and ``_alias_roots`` walks these relations.
+    Returns each point's orbit, numbered by its smallest point, and a with
+    v = a * v[smallest]; the orbit is -1 where it holds a point with its
+    negative, so that every fixed vector vanishes there.
+    """
+    src = np.tile(np.arange(n), len(maps))
+    dst = np.concatenate([perm for perm, _ in maps]).astype(np.int64)
+    sign = np.concatenate([s for _, s in maps]).astype(float)
+    # each moved point gives the row ci v[i] + cj v[j] = 0 on i < j,
+    # sorted by (i, j) for _alias_roots
+    moved = np.flatnonzero(src != dst)
+    i, j = np.minimum(src[moved], dst[moved]), np.maximum(src[moved], dst[moved])
+    order = np.argsort(i * n + j)
+    moved, i, j = moved[order], i[order], j[order]
+    forward = src[moved] == i
+    ci, cj = np.where(forward, -sign[moved], 1.0), np.where(forward, 1.0, -sign[moved])
+    merged = _alias_roots(n, i, j, ci, cj, np.zeros(moved.size))
+    top, a = (np.arange(n), np.ones(n)) if merged is None else merged[1:3]
+    # an orbit is pinned where some relation, a loop included, fails
+    pinned = np.zeros(n, dtype=bool)
+    pinned[top[src[a[dst] != sign * a[src]]]] = True
+    roots = np.flatnonzero((top == np.arange(n)) & ~pinned)
+    number = np.full(n, -1, dtype=np.int64)
+    number[roots] = np.arange(roots.size)
+    return number[top], a
+
+
+def split_by_pattern(problem):
+    """Drop the columns without data and split PSD blocks by their pattern.
+
+    An entry is live when A or c is nonzero on it; free and orthant
+    columns that are not go.  Each PSD block splits into the connected
+    components of the graph of its live entries on its rows, ordered by
+    smallest row, and a component without a live entry goes.  The data
+    being block-diagonal over the components, x and the dual slack are
+    PSD exactly when each part is, and dropped entries lift to x = 0.
+    Returns the ``Reduction``, y unchanged, or None when nothing changes.
+    """
+    cone = problem.cone
+    A = problem.A
+    live = problem.c != 0
+    live[np.repeat(np.arange(problem.n), np.diff(A.indptr))[A.data != 0]] = True
+    nfl = cone.f + cone.l
+    cols = [np.flatnonzero(live[:nfl])]
+    sizes = []
+    for k, s in enumerate(cone.s):
+        L = live[cone.block_columns(k, np.arange(s))].reshape(s, s)
+        _, label = scipy.sparse.csgraph.connected_components(
+            scipy.sparse.csr_matrix(L | L.T), directed=False
+        )
+        rows = np.argsort(label, kind="stable")
+        parts = sorted(np.split(rows, np.flatnonzero(np.diff(label[rows])) + 1), key=lambda R: R[0])
+        for R in parts:
+            if R.size > 1 or L[R[0], R[0]]:
+                cols.append(cone.block_columns(k, R))
+                sizes.append(R.size)
+    cols = np.concatenate(cols)
+    if np.array_equal(cols, np.arange(problem.n)):
+        return None
+    f = int(np.count_nonzero(live[: cone.f]))
+    reduced = ConicProblem(
+        A=A[:, cols],
+        b=problem.b,
+        c=problem.c[cols],
+        cone=ConeSpec(f=f, l=int(np.count_nonzero(live[:nfl])) - f, s=tuple(sizes)),
+        sense=problem.sense,
+        offset=problem.offset,
     )
-    return scipy.sparse.csgraph.connected_components(graph, directed=False)[1]
+    return Reduction(
+        problem=reduced, y0=np.zeros(problem.m),
+        N=scipy.sparse.identity(problem.m, format="csr"), X=_selection(problem.n, cols),
+    )
 
 
 def _reduce_zero_diagonals(problem):
@@ -1456,12 +1491,12 @@ def _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=False):
 def solve_conic(problem, params=None):
     """Reduce, solve, and lift back to the coordinates of ``problem``.
 
-    Of the four reductions of the module docstring, the sign split and
-    the orbit reduction are applied by the caller, ``solve_gpm``, before
-    this.  Here the
-    zero-diagonal facial reduction runs first, its reduced problem
-    solved by a recursive call, then presolve of the free columns before
-    the interior-point ``solve``; ``lift`` maps each result back.
+    Of the four reductions of the module docstring, the orbit reduction
+    is applied by the caller, ``solve_gpm``, before this.  Here the
+    pattern split and then the zero-diagonal facial reduction run, the
+    reduced problem of either solved by a recursive call, then presolve
+    of the free columns before the interior-point ``solve``; ``lift``
+    maps each result back.
 
     Returns a ConicSolution in the coordinates of ``problem``: y holds
     all original dual (moment) variables, x all original primal entries,
@@ -1469,9 +1504,10 @@ def solve_conic(problem, params=None):
     ``problem`` (history rows stay those of the solved problem).
     """
     params = params or SolverParams()
-    red = _reduce_zero_diagonals(problem)
-    if red is not None:
-        return lift(problem, red, solve_conic(red.problem, params))
+    for reduce in (split_by_pattern, _reduce_zero_diagonals):
+        red = reduce(problem)
+        if red is not None:
+            return lift(problem, red, solve_conic(red.problem, params))
     if problem.cone.f == 0:
         return solve(problem, params)
     red = presolve_eliminate_equalities(problem)

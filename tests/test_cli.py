@@ -185,7 +185,7 @@ def test_solve_reports_the_sign_split(tmp_path, capsys, name, order, symmetry, l
 )
 def test_solve_reports_the_orbit_reduction(tmp_path, capsys, name, order, permutations, line):
     # the antiweb graph's reflection and rotation generate its 18
-    # automorphisms; the 246 moments the sign split keeps fall into 21
+    # automorphisms; the 246 moments no sign flip pins fall into 21
     # orbits.  camel's x1^2 and x2^2 have different coefficients
     out = tmp_path / "report.json"
     assert main(["solve", model_path(name), "--order", str(order), "--json", str(out)]) == 0

@@ -22,6 +22,7 @@ from gpmkit import (
     mom,
     presolve_eliminate_equalities,
     solve_conic,
+    solve_gpm,
     to_conic,
 )
 import gpmkit.conic as conic_module
@@ -35,8 +36,10 @@ from gpmkit.conic import (
     _psd_step,
     _reduce_zero_diagonals,
     _symmetrized,
+    reduce_by_orbits,
+    sign_flips,
     solve,
-    split_by_sign,
+    split_by_pattern,
 )
 from gpmkit.dsl import parse_model
 from gpmkit.formats import export_json, export_sdpa, import_json, import_sdpa
@@ -416,6 +419,68 @@ def test_presolve_lift_matches_entrywise_reference(seed):
     assert np.abs(Af.T @ N).max() <= 1e-12
 
 
+def free_column_problem(rng, m=12, nf=8, l=2, s=3):
+    """A strictly feasible problem with nf free columns among m rows.
+
+    The planted free entries are of order 1e3 and the cone entries of
+    order 1, so the right side presolve's lift solves for the free
+    entries is large against the residual the inner solve leaves.
+    """
+    def pd():
+        G = rng.normal(size=(s, s))
+        return (G @ G.T + 0.5 * np.eye(s)).reshape(-1)
+
+    A = np.vstack([
+        np.concatenate([rng.normal(size=nf + l), (S + S.T).reshape(-1)])
+        for S in rng.normal(size=(m, s, s))
+    ])
+    x0 = np.concatenate([1e3 * rng.normal(size=nf), rng.uniform(0.5, 1.5, l), pd()])
+    z0 = np.concatenate([np.zeros(nf), rng.uniform(0.5, 1.5, l), pd()])
+    c = A.T @ rng.normal(size=m) + z0
+    return ConicProblem(A=A, b=A @ x0, c=c, cone=ConeSpec(f=nf, l=l, s=(s,)))
+
+
+def _lifted_residual(problem, inner_problem, inner, lifted):
+    """Absolute residuals ||b - Ax||_inf of the inner and the lifted point."""
+    inner_res = np.abs(inner_problem.b - inner_problem.A @ inner.x).max()
+    return inner_res, np.abs(problem.b - problem.A @ lifted.x).max()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_presolve_lift_meets_the_rows_as_well_as_the_inner_solve(seed):
+    # lsqr must not stop at a tolerance relative to its right side: the
+    # lifted point misses A x = b by no more than a small multiple of
+    # what the inner point misses its own rows by, plus rounding
+    problem = free_column_problem(np.random.default_rng(seed))
+    red = presolve_eliminate_equalities(problem)
+    inner = solve(red.problem)
+    lifted = conic_module.lift(problem, red, inner)
+    inner_res, res = _lifted_residual(problem, red.problem, inner, lifted)
+    floor = 100 * np.finfo(float).eps * np.abs(problem.b).max()
+    assert res <= 10.0 * inner_res + floor, (res, inner_res)
+
+
+def test_maxcut_nosub_lifted_point_meets_the_rows(monkeypatch):
+    # presolve's right side reaches ~1e6 here, as X grows along the
+    # kernel of the duplicate rows; the orbit and split lifts keep the
+    # residual presolve's lift leaves
+    calls = []
+    solve_ipm = conic_module.solve
+
+    def recording(problem, *args, **kwargs):
+        sol = solve_ipm(problem, *args, **kwargs)
+        calls.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(conic_module, "solve", recording)
+    with open(model_path("maxcut_nosub.gpm")) as fh:
+        sol = solve_gpm(parse_model(fh.read()), order=2)
+    ((inner_problem, inner),) = calls
+    problem = to_conic(sol.msdp)
+    inner_res, res = _lifted_residual(problem, inner_problem, inner, sol.conic)
+    assert res <= 10.0 * inner_res, (res, inner_res)
+
+
 def test_presolve_inconsistent_rows():
     # two pins on the same dual variable with different values
     A = np.array([[2.0, 1.0, 1.0]])
@@ -689,6 +754,7 @@ def test_every_producer_hands_on_the_problem_layout(tmp_path):
     camel_msdp = assemble(camel_problem()[1], 3)
     camel = to_conic(camel_msdp)
     classes = sign_classes(camel_msdp)
+    orbits = reduce_by_orbits(camel, sign_flips(camel, classes.moments, classes.blocks)).problem
     ctx = ModelContext()
     x = ctx.vars("x", 2)
     point_mass = to_conic(assemble(GPMProblem(
@@ -700,7 +766,8 @@ def test_every_producer_hands_on_the_problem_layout(tmp_path):
     problems = {
         "to_conic": rational,
         "presolve": presolve_eliminate_equalities(rational).problem,
-        "split_by_sign": split_by_sign(camel, classes.moments, classes.blocks).problem,
+        "reduce_by_orbits": orbits,
+        "split_by_pattern": split_by_pattern(orbits).problem,
         "_reduce_zero_diagonals": _reduce_zero_diagonals(point_mass).problem,
         "_face_problem": _face_problem(
             camel, camel.cone.diagonal(0)[-3:], [(0, 1.0, 0.1)], -1.0, 0.1

@@ -2,8 +2,9 @@
 
 Detection is checked on planted groups against their elements, listed by
 hand; the reduction is checked against the unreduced problem on random
-problems invariant under a planted permutation, and its gate against
-data that breaks each of its three conditions.
+problems invariant under a planted permutation, handed to it as a
+signed generator with all signs +1, and its gate against data that
+breaks each of its three conditions.
 """
 
 import importlib
@@ -231,11 +232,16 @@ def invariant_problem(rng):
     return problem, pi, sigma
 
 
+def unsigned(problem, pi, sigma):
+    """The permutation as the one signed generator of reduce_by_orbits."""
+    return [(pi, sigma, np.ones(problem.m), np.ones(problem.n))]
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_orbit_reduction_matches_the_unreduced_problem(seed):
     problem, pi, sigma = invariant_problem(np.random.default_rng(seed))
-    red = reduce_by_orbits(problem, [(pi, sigma)])
-    assert red is not None and red.problem.m == 4
+    red = reduce_by_orbits(problem, unsigned(problem, pi, sigma))
+    assert red is not None and red.problem.m == 4 and red.kept == (0,)
     whole = solve_conic(problem)
     lifted = lift(problem, red, solve_conic(red.problem))
     # the unreduced solve of seed 5 stops 'inaccurate' (lost progress,
@@ -270,8 +276,8 @@ def test_gate_refuses_data_the_permutation_does_not_fix(kind):
     else:
         A[0, 0] += 1e-12
     broken = ConicProblem(A=A, b=b, c=c, cone=problem.cone)
-    assert reduce_by_orbits(problem, [(pi, sigma)]) is not None
-    assert reduce_by_orbits(broken, [(pi, sigma)]) is None
+    assert reduce_by_orbits(problem, unsigned(problem, pi, sigma)) is not None
+    assert reduce_by_orbits(broken, unsigned(problem, pi, sigma)) is None
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,15 @@
-"""Sign-symmetry detection and the block split it drives.
+"""Sign-symmetry detection, the orbit reduction it drives, and the
+pattern split that turns the pinned moments into parity blocks.
 
-Detection is checked on planted partial symmetries; the split is checked
-against the unsplit problem on random sign-symmetric conic problems, and
-its structural gate against data that breaks the symmetry in each of
-the ways the gate names.
+Detection is checked on planted partial symmetries.  The flips, as
+signed generators of the orbit reduction followed by the pattern split,
+are checked against the unreduced problem on random sign-symmetric
+conic problems, and the reduction's check against data that breaks a
+flip in each of six ways.  The pattern split alone is checked on
+planted block-diagonal data under a random permutation.
 """
+
+import importlib
 
 import numpy as np
 import pytest
@@ -22,7 +27,8 @@ from gpmkit import (
     solve_gpm,
     to_conic,
 )
-from gpmkit.conic import lift, split_by_sign
+import gpmkit.conic as conic_module
+from gpmkit.conic import lift, reduce_by_orbits, sign_flips, split_by_pattern
 from gpmkit.dsl import parse_model
 from gpmkit.relaxation import sign_classes
 
@@ -88,7 +94,7 @@ def test_gate_rejects_the_flip_an_asymmetric_rule_breaks():
         moments[k] = t[0] % 2
     blocks = [b.basis[:, 0] % 2 for b in msdp.blocks]
     assert moments.any()
-    assert split_by_sign(conic, moments, blocks) is None
+    assert reduce_by_orbits(conic, sign_flips(conic, moments, blocks)) is None
 
 
 def test_measures_get_their_own_class_bits():
@@ -184,14 +190,26 @@ def random_symmetric_problem(rng):
     return problem, row_class, rcs, masks
 
 
+def by_smallest_row(rc):
+    """Orders of the classes of block rows rc, by their smallest row."""
+    _, first, sizes = np.unique(rc, return_index=True, return_counts=True)
+    return sizes[np.argsort(first)].tolist()
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_split_matches_the_unsplit_problem(seed):
     problem, row_class, rcs, masks = random_symmetric_problem(np.random.default_rng(seed))
-    split = split_by_sign(problem, row_class, rcs)
+    flips = sign_flips(problem, row_class, rcs)
+    red = reduce_by_orbits(problem, flips)
+    assert red is not None and red.kept == tuple(range(len(flips)))
+    split = split_by_pattern(red.problem)
     assert split is not None
-    assert split.problem.cone.s == tuple(n for rc in rcs for n in np.bincount(rc)[np.unique(rc)])
+    # one block per parity class, ordered by smallest row, and the odd
+    # free column without rows left
+    assert split.problem.cone.s == tuple(n for rc in rcs for n in by_smallest_row(rc))
+    assert split.problem.cone.f == 1
     whole = solve_conic(problem)
-    lifted = lift(problem, split, solve_conic(split.problem))
+    lifted = lift(problem, red, lift(red.problem, split, solve_conic(split.problem)))
     assert whole.status == lifted.status == "solved"
     for obj in ("pobj", "dobj"):
         a, b = getattr(whole, obj), getattr(lifted, obj)
@@ -206,26 +224,31 @@ def test_split_matches_the_unsplit_problem(seed):
 
 
 def _mixed_entry(masks, cone):
-    """Columns of entries (i, j) and (j, i) of a block with c_i ^ c_j != 0."""
+    """Columns of entries (i, j) and (j, i) of a block with c_i ^ c_j != 0,
+    and that class."""
     for start, mask in zip(cone.psd_starts, masks):
         hits = np.argwhere(mask != 0)
         if hits.size:
             i, j = hits[0]
-            return start + i * mask.shape[0] + j, start + j * mask.shape[0] + i
+            return (start + i * mask.shape[0] + j, start + j * mask.shape[0] + i), int(mask[i, j])
     raise AssertionError("no mixed entry")
 
 
 def _break(kind, problem, row_class, masks):
+    """The problem with one flip broken, and the class of the break."""
     A, b, c = problem.A.tolil(), problem.b.copy(), problem.c.copy()
     odd_row = int(np.flatnonzero(row_class)[0])
     even_row = int(np.flatnonzero(row_class == 0)[0])
+    broken = int(row_class[odd_row])
     if kind == "b on a pinned row":
         b[odd_row] = 1.0
     elif kind == "c on a mixed entry":
-        for col in _mixed_entry(masks, problem.cone):
+        cols, broken = _mixed_entry(masks, problem.cone)
+        for col in cols:
             c[col] = 0.5
     elif kind == "A entry of the wrong class":
-        for col in _mixed_entry(masks, problem.cone):
+        cols, broken = _mixed_entry(masks, problem.cone)
+        for col in cols:
             A[even_row, col] = 0.5
     elif kind == "orthant column on a pinned row":
         A[odd_row, problem.cone.f] = 1.0
@@ -235,7 +258,7 @@ def _break(kind, problem, row_class, masks):
         A[odd_row, 1] = 1.0
         A[row_class != row_class[odd_row], 1] = 0.0
         c[1] = 1.0
-    return ConicProblem(A=A, b=b, c=c, cone=problem.cone)
+    return ConicProblem(A=A, b=b, c=c, cone=problem.cone), broken
 
 
 @pytest.mark.parametrize(
@@ -252,8 +275,143 @@ def _break(kind, problem, row_class, masks):
 def test_gate_refuses_asymmetric_data(kind):
     for seed in range(50):
         problem, row_class, rcs, masks = random_symmetric_problem(np.random.default_rng(seed))
-        if row_class.any() and problem.cone.l:
+        # each flip negates some row, so alone it pins some moment
+        if problem.cone.l and all((row_class >> t & 1).any() for t in range(2)):
             break
-    assert split_by_sign(problem, row_class, rcs) is not None
-    broken = _break(kind, problem, row_class, masks)
-    assert split_by_sign(broken, row_class, rcs) is None
+    flips = sign_flips(problem, row_class, rcs)
+    assert len(flips) == 2 and reduce_by_orbits(problem, flips).kept == (0, 1)
+    broken, bits = _break(kind, problem, row_class, masks)
+    # the flips of the bits of the broken class go, each alone and with
+    # the other; a flip the break leaves alone stays
+    flips = sign_flips(broken, row_class, rcs)
+    for t, flip in enumerate(flips):
+        assert (reduce_by_orbits(broken, [flip]) is None) == bool(bits >> t & 1)
+    red = reduce_by_orbits(broken, flips)
+    kept = tuple(t for t in range(2) if not bits >> t & 1)
+    assert (red is None) if not kept else (red.kept == kept)
+
+
+# ---------------------------------------------------------------------------
+# two flips and a swap: the swap maps the x(1)-odd block onto the x(2)-odd one
+
+FLIPS_AND_SWAP = (
+    "var x[2]; min x(1)^4 + x(2)^4 + x(1)^2*x(2)^2 - 2*x(1)^2 - 2*x(2)^2;"
+    " x(1)^2 + x(2)^2 <= 3;"
+)
+
+
+def test_two_flips_and_a_swap_solve_alike_with_and_without_the_reduction(monkeypatch):
+    certify_module = importlib.import_module("gpmkit.certify")
+    blocks = []
+    solve = conic_module.solve
+
+    def recording(problem, *args, **kwargs):
+        blocks.append(problem.cone.s)
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(conic_module, "solve", recording)
+    sol = solve_gpm(parse_model(FLIPS_AND_SWAP), order=3)
+    (report,) = sol.symmetry.values()
+    assert report["generators"] == [["x(1)"], ["x(2)"]]
+    # moment matrix rows 1, x1, x2, x1^2, x1x2, x2^2, x1^3, x1^2x2, x1x2^2,
+    # x2^3 in classes 0, 1, 2, 0, 3, 0, 1, 2, 1, 2 (bit 0 for x1, bit 1
+    # for x2), then the localizing block's rows 1, x1, x2, x1^2, x1x2,
+    # x2^2; each block's classes by smallest row
+    assert report["blocks"] == [3, 3, 3, 1, 3, 1, 1, 1]
+    assert report["pinned"] == 18
+    (perms,) = sol.permutations.values()
+    assert perms["generators"] == [[["x(1)", "x(2)"]]]
+    # the swap pairs the even moments x1^2 with x2^2, x1^4 with x2^4 ...
+    assert perms["moments"] == 9 and perms["orbits"] == 5
+    (cone,) = blocks
+    assert cone == tuple(report["blocks"])
+    assert sol.status == 1 and len(sol.support(1)[0]) == 4
+    monkeypatch.setattr(certify_module, "sign_classes", lambda msdp: None)
+    monkeypatch.setattr(certify_module, "variable_permutations", lambda msdp: None)
+    whole = solve_gpm(parse_model(FLIPS_AND_SWAP), order=3)
+    assert sol.status == whole.status
+    assert abs(sol.objective - whole.objective) <= 1e-6 * (1.0 + abs(whole.objective))
+    for label, moments in whole.moments.items():
+        assert np.abs(sol.moments[label] - moments).max() <= 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the pattern split on planted block-diagonal data
+
+
+def planted_blocks(rng):
+    """A strictly feasible problem whose PSD block is block-diagonal under
+    a random permutation of its rows, with columns that hold no data.
+
+    The block holds components of orders 3, 2 and 4 and one row without
+    any data (a dead 1 x 1 component); free column 0 and orthant columns
+    0 and 2 carry data, free column 1 and orthant column 1 none.  The
+    planted x0 and z0 are block-diagonal too.  Returns the problem, the
+    components as rows of the permuted block, and the dead columns.
+    """
+    sizes = (3, 2, 4, 1)
+    s = sum(sizes)
+    perm = rng.permutation(s)
+    parts = np.split(perm, np.cumsum(sizes)[:-1])
+    live = parts[:3]
+    m = 6
+    cone = ConeSpec(f=2, l=3, s=(s,))
+    dead = np.array([1, cone.f + 1])
+
+    def block(fill):
+        B = np.zeros((s, s))
+        for R in live:
+            B[np.ix_(R, R)] = fill(R.size)
+        return B.reshape(-1)
+
+    def sym(k):
+        S = rng.normal(size=(k, k))
+        return S + S.T
+
+    def pd(k):
+        G = rng.normal(size=(k, k))
+        return G @ G.T + 0.5 * np.eye(k)
+
+    A = np.vstack([
+        np.concatenate([[rng.normal(), 0.0], [rng.normal(), 0.0, rng.normal()], block(sym)])
+        for _ in range(m)
+    ])
+    x0 = np.concatenate([[rng.normal(), 0.0], rng.uniform(0.5, 1.5, size=3), block(pd)])
+    y0 = rng.normal(size=m)
+    z0 = np.concatenate([[0.0, 0.0], rng.uniform(0.5, 1.5, size=3), block(pd)])
+    z0[dead] = 0.0
+    c = A.T @ y0 + z0
+    return ConicProblem(A=A, b=A @ x0, c=c, cone=cone), live, dead, parts[3]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pattern_split_recovers_planted_blocks(monkeypatch, seed):
+    problem, live, dead, (lone,) = planted_blocks(np.random.default_rng(seed))
+    split = split_by_pattern(problem)
+    by_row = sorted(live, key=min)
+    assert split.problem.cone == ConeSpec(f=1, l=2, s=tuple(R.size for R in by_row))
+    cone = problem.cone
+    kept = np.concatenate([[0, 2, 4]] + [cone.block_columns(0, np.sort(R)) for R in by_row])
+    np.testing.assert_array_equal(split.X.tocsc().indices, kept)
+    sol = solve_conic(problem)
+    monkeypatch.setattr(conic_module, "split_by_pattern", lambda problem: None)
+    whole = solve_conic(problem)
+    assert sol.status == whole.status == "solved"
+    for obj in ("pobj", "dobj"):
+        a, b = getattr(whole, obj), getattr(sol, obj)
+        assert abs(a - b) <= 1e-7 * (1.0 + abs(a)), (obj, a, b)
+    A, b = problem.A, problem.b
+    assert np.abs(A @ sol.x - b).max() <= 1e-8 * (1.0 + np.abs(b).max())
+    np.testing.assert_array_equal(sol.z, problem.c - A.T @ sol.y)
+    # the dead columns, the dead row and the entries between components are 0
+    X = sol.x[cone.psd_starts[0]:].reshape(cone.s[0], cone.s[0])
+    assert not sol.x[dead].any() and not X[lone].any() and not X[:, lone].any()
+    label = np.zeros(cone.s[0], dtype=int)
+    for k, R in enumerate(live):
+        label[R] = k + 1
+    assert not X[np.not_equal.outer(label, label)].any()
+
+
+def test_pattern_split_leaves_a_connected_problem_alone():
+    msdp = assemble(parse_model("var x; var y; min x^2*y^2 + x + y; x^2 + y^2 <= 1;"), 2)
+    assert split_by_pattern(to_conic(msdp)) is None

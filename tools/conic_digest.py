@@ -76,9 +76,10 @@ CASES = [
 
 # models that exist only as digest cases, by name.  In the paper models
 # every rule has a one-term right side and the only binding is a
-# constant, so every moment-block row has one coefficient; here rules
-# with several terms and a binding to a non-constant form give rows of
-# several coefficients, and their stored order reaches the digest.
+# constant, so every moment-block row has one coefficient; in "rules"
+# rules with several terms and a binding to a non-constant form give
+# rows of several coefficients, and their stored order reaches the
+# digest.
 SOURCES = {
     "rules": """
         var x[2];
@@ -87,6 +88,14 @@ SOURCES = {
         x(2)^3 == 2.9*x(1)*x(2) - 1.3*x(2) + 0.1;
         1 - x(2)^2 >= 0;
         mom(x(2)) == 0.3 + 0.7*mom(x(1)*x(2));
+    """,
+    # two separate sign flips and the swap x(1) <-> x(2), which maps the
+    # block of the moments odd in x(1) onto the block of those odd in
+    # x(2): the orbit reduction pins the odd moments and pairs blocks
+    "flips_and_swap": """
+        var x[2];
+        min x(1)^4 + x(2)^4 + x(1)^2*x(2)^2 - 2*x(1)^2 - 2*x(2)^2;
+        x(1)^2 + x(2)^2 <= 3;
     """,
 }
 
@@ -99,6 +108,7 @@ SOLVE_CASES = [
     ("quadratic3", 4),
     ("maxcut_sub", 3),
     ("maxcut_nosub", 2),
+    ("flips_and_swap", 3),
 ]
 SOLVE_SEEDS = (0, 1)
 
