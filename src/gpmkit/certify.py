@@ -379,9 +379,11 @@ def solve_gpm(problem, order=None, params=None, seed=0):
     conic data, keeps one moment per orbit and pins to 0 the moments
     that some flip negates), then, inside the one ``solve_conic`` call,
     the pattern split, which splits the blocks by parity, zero-diagonal
-    facial reduction and presolve.  ``conic.lift`` maps each solution
-    back, the last reduction first.  ``symmetry`` and ``permutations``
-    report the orbit reduction per measure.
+    facial reduction, presolve and the block rotation, which splits a
+    block into its symmetry-adapted blocks where that pays.
+    ``conic.lift`` maps each solution back, the last reduction first.
+    ``symmetry`` and ``permutations`` report the orbit reduction per
+    measure.
 
     Returns a GPMSolution; on certification the extracted supports are
     stored into the measures, so eval_on_support reads the minimizers

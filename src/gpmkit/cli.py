@@ -58,6 +58,7 @@ class RunReport:
         if self.solver["message"]:
             lines.append(f"  Solver message   = {self.solver['message']}")
         lines.append(f"  Iterations       = {self.solver['iterations']}")
+        lines.append(f"  PSD blocks       = {format_block_sizes(self.solver['blocks'])}")
         lines.append(f"  Primal residual  = {self.solver['pinf']:.1e}")
         lines.append(f"  Dual residual    = {self.solver['dinf']:.1e}")
         lines.append(f"  Duality gap      = {self.solver['gap']:.1e}")
@@ -230,6 +231,7 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
         "primal_objective": offset + sign * conic.pobj,
         "dual_objective": offset + sign * conic.dobj,
         "message": conic.message,
+        "blocks": list(conic.blocks),
     }
     measures = []
     for measure in sol.msdp.problem.measures:

@@ -16,7 +16,7 @@ eliminated by presolve before solving: the solver handles l and s cones
 only.  Presolve parameterizes the affine solution set as y = y0 + N t
 and rewrites the problem over t.
 
-A moment SDP reaches the solver through four reductions, in this
+A moment SDP reaches the solver through five reductions, in this
 order:
 
 1. the orbit reduction (``reduce_by_orbits``, applied by ``solve_gpm``):
@@ -30,14 +30,23 @@ order:
    turns the pins of step 1 into one block per parity class;
 3. zero-diagonal facial reduction (``_reduce_zero_diagonals``): slacks
    certified zero on the whole dual set leave the cones;
-4. presolve (``presolve_eliminate_equalities``): free columns go.
+4. presolve (``presolve_eliminate_equalities``): free columns go;
+5. the block rotation (``rotate_blocks``, right before the solver): a
+   PSD block whose data splits in the eigenbasis of a random
+   combination of it is rotated into that basis, where the pattern
+   split of step 2 splits it, when the split saves more than the
+   blocks it adds cost.
 
 The first applies only where a check of the data, exact to the last
-bit, shows the symmetry it uses; the second involves no tolerance.
-Each returns a ``Reduction``: the reduced problem and two linear maps
-back, y = y0 + N y_r for the moments and x = X x_r for the primal
-entries.  One ``lift`` applies them to a solution of the reduced
-problem, so a further reduction only has to build its y0, N and X.
+bit, shows the symmetry it uses; the second involves no tolerance.  The
+fifth is the only one that changes the data by a tolerance: it rotates
+a block only when every rotated entry outside the blocks it splits
+into is at most 1e-9 times the largest entry of the block's data, and
+sets those entries to exactly 0.  Each returns a ``Reduction``: the
+reduced problem and two linear maps back, y = y0 + N y_r for the
+moments and x = X x_r for the primal entries.  One ``lift`` applies
+them to a solution of the reduced problem, so a further reduction only
+has to build its y0, N and X.
 
 ``ConicProblem`` owns the data layout: A is float64 CSC, its columns
 the cone entries that every reduction slices, b and c float64 vectors.
@@ -198,8 +207,10 @@ class ConicSolution:
     step lengths, lost progress, a failed factorization or a rejected
     step, or the ray found.  history rows are (pobj, dobj, pinf, dinf,
     gap) per iteration, the last one for the point the solve stopped at.
-    After a reduction's ``lift``, z is c - A'y on every column, free
-    columns included.
+    blocks holds the PSD block orders of the problem the outcome was
+    decided on, which ``solve_conic`` leaves as the interior-point solve
+    saw them.  After a reduction's ``lift``, z is c - A'y on every
+    column, free columns included.
     """
 
     status: str
@@ -214,6 +225,7 @@ class ConicSolution:
     iterations: int
     history: list = field(default_factory=list)
     message: str = ""
+    blocks: tuple = ()
 
 
 def to_conic(msdp):
@@ -257,10 +269,10 @@ class Reduction:
     """A reduced conic problem and the linear maps back to the original.
 
     A point (x_r, y_r) of ``problem`` maps to y = y0 + N y_r and
-    x = X x_r, with N sparse and X sparse or, for the orbit average, a
-    linear operator.  ``n_eliminated`` counts the leading free columns
-    that presolve removed; X is zero on them and ``lift``
-    recovers them by least squares.  Presolve alone can end with status
+    x = X x_r, with N sparse and X sparse or, for the orbit average and
+    the block rotation, a linear operator.  ``n_eliminated`` counts the
+    leading free columns that presolve removed; X is zero on them and
+    ``lift`` recovers them by least squares.  Presolve alone can end with status
     'infeasible': the equality rows are contradictory, ``residual``
     reports the violation and the problem and maps are None.  ``kept``
     lists the generators the orbit reduction kept, by position.
@@ -758,6 +770,139 @@ def split_by_pattern(problem):
     )
 
 
+# a rotated block entry outside the components is rounding when it is at
+# most this times the largest entry of the block's data; the largest
+# seen on the max-cut blocks is 1.6e-11, on maxcut_sub-5's 219-order one
+_ROTATION_TOL = 1e-9
+# seed of the random combinations, fixed so every run rotates alike
+_ROTATION_SEED = 2010
+
+
+def rotate_blocks(problem):
+    """Rotate PSD blocks into the eigenbasis of their data where that splits them.
+
+    The numerical block diagonalization of Murota, Kanno, Kojima and
+    Kojima (Japan J. Indust. Appl. Math. 27, 2010), which needs no group:
+    the eigenvectors V of a random combination of a block's data, and
+    the components ``_block_split`` screens.  A block is rotated only
+    when ``_rotated_block`` finds every entry of V'A_kV and V'CV outside
+    those components at most _ROTATION_TOL times the block's largest
+    entry; they are set to exactly 0, and the other blocks keep their
+    columns as they are.  ``split_by_pattern`` on the result then finds the
+    components, drops those without data and orders them.
+
+    The data of a rotated block is that of the original one in the basis
+    V, so x lifts as V X_r V' on each rotated block, a linear operator,
+    and y is unchanged.  Returns the ``Reduction`` or None when no block
+    is rotated.
+    """
+    cone, m = problem.cone, problem.m
+    rng = np.random.default_rng(_ROTATION_SEED)
+    c = problem.c.copy()
+    pieces, rotations, start = [], [], 0
+    for first, s in zip(cone.psd_starts, cone.s):
+        # every block takes its draw, skipped or not, so the weights of
+        # block k depend on k and m only
+        r = rng.standard_normal((2, m + 1))
+        cols = slice(first, first + s * s)
+        blk, C = problem.A[:, cols], c[cols].reshape(s, s)
+        split = _block_split(blk, C, r)
+        rotated = None if split is None else _rotated_block(blk, C, *split)
+        if rotated is None:
+            continue
+        pieces += [problem.A[:, start:first], rotated[0]]
+        c[cols] = rotated[1]
+        rotations.append((cols, split[0]))
+        start = first + s * s
+    if not rotations:
+        return None
+    pieces.append(problem.A[:, start:])
+    reduced = ConicProblem(
+        A=scipy.sparse.hstack(pieces, format="csc"), b=problem.b, c=c, cone=cone,
+        sense=problem.sense, offset=problem.offset,
+    )
+
+    def rotate(x):
+        out = np.array(x, dtype=float).reshape(-1)
+        for cols, V in rotations:
+            X = V @ out[cols].reshape(V.shape) @ V.T
+            out[cols] = (0.5 * (X + X.T)).reshape(-1)
+        return out
+
+    X = scipy.sparse.linalg.LinearOperator((problem.n, problem.n), matvec=rotate, dtype=float)
+    return Reduction(
+        problem=reduced, y0=np.zeros(m), N=scipy.sparse.identity(m, format="csr"), X=X,
+    )
+
+
+def _block_split(blk, C, r):
+    """Screen one block for a split that pays: (V, label) or None.
+
+    ``blk`` holds the block's (m, s*s) columns of A and C its s x s part
+    of c; the rows of r weight two combinations, G = sum_k r_k A_k +
+    r_0 C and H alike.  V holds the eigenvectors of G and label the
+    component of each in the pattern of V'HV (its entries above
+    _ROTATION_TOL times the largest), -1 for a lone direction without
+    data.  None when there is one component, or when the dense Schur
+    estimate of the block less those of its components with data is not
+    more than _BLOCK_COST for each block the split adds.
+    """
+    m, s = blk.shape[0], C.shape[0]
+    G, H = ((blk.T @ w[1:]).reshape(s, s) + w[0] * C for w in r)
+    w, V = np.linalg.eigh(G + G.T)
+    W = np.abs(V.T @ (H + H.T) @ V)
+    live = W > _ROTATION_TOL * W.max(initial=0.0)
+    touched = live.any(axis=1)
+    # the eigenvectors of a repeated eigenvalue are any basis of its
+    # eigenspace, so each eigenspace stays in one component
+    tie = np.flatnonzero(np.diff(w) <= _ROTATION_TOL * np.abs(w).max(initial=0.0))
+    live[tie, tie + 1] = True
+    n, label = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix(live), directed=False
+    )
+    sizes = np.bincount(label)
+    data = np.bincount(label, weights=touched, minlength=n) > 0
+    if n == 1 or not data.any():
+        return None
+    saving = _dense_schur_cost(m, s) - _dense_schur_cost(m, sizes[data]).sum()
+    if saving <= _BLOCK_COST * (np.count_nonzero(data) - 1):
+        return None
+    return V, np.where(data[label], label, -1)
+
+
+def _rotated_block(blk, C, V, label):
+    """One block's data in the basis V: (its (m, s*s) CSC columns, its
+    entries of c), or None when an entry outside the components of
+    ``label`` exceeds _ROTATION_TOL times the largest entry of blk and C.
+
+    Read as an (m*s, s) matrix, the CSR rows of the block give every
+    A_k V in one sparse product, and one stacked GEMM every V'A_kV.
+    The entries inside the components go into the CSC columns directly.
+    """
+    m, s = blk.shape[0], V.shape[0]
+    entries = blk.tocoo()
+    i, j = np.divmod(entries.col, s)
+    rows = scipy.sparse.csr_matrix((entries.data, (entries.row * s + i, j)), shape=(m * s, s))
+    T = (V.T @ (rows @ V).reshape(m, s, s)).reshape(m, s * s)
+    Cr = (V.T @ C @ V).reshape(-1)
+    inside = ((label[:, None] == label) & (label[:, None] >= 0)).reshape(-1)
+    # the largest magnitude of each rotated entry over the rows and c
+    size = np.maximum(np.abs(T).max(axis=0), np.abs(Cr))
+    scale = max(float(np.abs(blk.data).max(initial=0.0)), float(np.abs(C).max()))
+    if size[~inside].max(initial=0.0) > _ROTATION_TOL * scale:
+        return None
+    Cr[~inside] = 0.0
+    cols = np.flatnonzero(inside)
+    # row e of D is block column cols[e]; its nonzeros in row-major
+    # order are the CSC entries in column order
+    D = T[:, cols].T
+    e, row = np.nonzero(D)
+    count = np.zeros(s * s, dtype=np.int64)
+    count[cols] = np.count_nonzero(D, axis=1)
+    indptr = np.concatenate(([0], np.cumsum(count)))
+    return scipy.sparse.csc_matrix((D[e, row], row, indptr), shape=(m, s * s)), Cr
+
+
 def _reduce_zero_diagonals(problem):
     """Shrink cones along slacks that vanish on the whole dual set.
 
@@ -861,6 +1006,16 @@ _SPARSE_ROW_COST = 4.5e5
 _SMALL_FLOP_COST = 1.0
 _ACCUMULATE_FLOP_COST = 20.0
 _SPARSE_MARGIN = 1.5
+# Fixed cost of one PSD block per iteration, in the unit of
+# ``_dense_schur_cost``: the Python and LAPACK calls every block makes
+# whatever its order (inverse, Cholesky factors, step eigenvalues,
+# residual and Newton products).  Measured on random strictly feasible
+# problems with m = 21, 1 BLAS thread on a 2-core x86-64 VM, as the
+# slope of solve's time per iteration over 1 to 64 blocks of order 2
+# (0.25-0.27 ms per block) over its slope over the dense estimate of one
+# block of order 30 to 120 (1.0e-10 s per estimated flop); three runs
+# gave 2.4e6 to 2.8e6.
+_BLOCK_COST = 2.5e6
 # refuse problems whose solver data would exceed this many floats
 _MAX_ENTRIES = 2.5e8
 
@@ -938,6 +1093,12 @@ class _SparseBlock:
             M[:, k] += self.A @ G.reshape(-1)
 
 
+def _dense_schur_cost(m, s):
+    """Flops of a dense block's share of the Schur complement, per
+    iteration: T_k = Z^-1 A_k X for every row and A_flat T_flat'."""
+    return m * (4.0 * s**3 + 2.0 * m * s * s)
+
+
 def _storage(sym, s):
     """Choose one block's representation: (sparse?, floats it keeps).
 
@@ -951,7 +1112,7 @@ def _storage(sym, s):
     row = np.repeat(np.arange(m), np.diff(sym.indptr))
     r = np.bincount(np.unique(row * s + sym.indices // s) // s).astype(float)
     r = r[r > 0]
-    dense = m * (4.0 * s**3 + 2.0 * m * s * s)
+    dense = _dense_schur_cost(m, s)
     sparse = (
         r.size * _SPARSE_ROW_COST
         + _SMALL_FLOP_COST * float((2.0 * s * r * r + 2.0 * s * s * r).sum())
@@ -1199,6 +1360,7 @@ def _without_iterations(problem, status, message="", dinf=0.0, z=None):
         status=status, x=np.zeros(problem.n), y=np.zeros(problem.m),
         z=np.zeros(problem.n) if z is None else z, pobj=0.0, dobj=0.0,
         pinf=0.0, dinf=dinf, gap=0.0, iterations=0, message=message,
+        blocks=problem.cone.s,
     )
 
 
@@ -1428,7 +1590,7 @@ def solve(problem, params=None):
     return ConicSolution(
         status=status, x=x, y=y, z=z, pobj=pobj, dobj=dobj,
         pinf=pinf, dinf=dinf, gap=gap, iterations=it,
-        history=history, message=message,
+        history=history, message=message, blocks=problem.cone.s,
     )
 
 
@@ -1491,31 +1653,50 @@ def _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=False):
 def solve_conic(problem, params=None):
     """Reduce, solve, and lift back to the coordinates of ``problem``.
 
-    Of the four reductions of the module docstring, the orbit reduction
+    Of the five reductions of the module docstring, the orbit reduction
     is applied by the caller, ``solve_gpm``, before this.  Here the
-    pattern split and then the zero-diagonal facial reduction run, the
-    reduced problem of either solved by a recursive call, then presolve
-    of the free columns before the interior-point ``solve``; ``lift``
-    maps each result back.
+    others run once each, in the order listed: the pattern split, the
+    zero-diagonal facial reduction, presolve of the free columns and,
+    right before the interior-point ``solve``, the block rotation.  A
+    facial reduction or a rotation that fires hands its problem to the
+    pattern split again, which splits the blocks it changed.  ``lift``
+    maps the result back through each reduction, the last first.
 
     Returns a ConicSolution in the coordinates of ``problem``: y holds
     all original dual (moment) variables, x all original primal entries,
     z = c - A'y, and pobj/dobj are the objectives c'x and b'y of
-    ``problem`` (history rows stay those of the solved problem).
+    ``problem`` (history rows and ``blocks`` stay those of the solved
+    problem).
     """
     params = params or SolverParams()
-    for reduce in (split_by_pattern, _reduce_zero_diagonals):
-        red = reduce(problem)
-        if red is not None:
-            return lift(problem, red, solve_conic(red.problem, params))
-    if problem.cone.f == 0:
-        return solve(problem, params)
-    red = presolve_eliminate_equalities(problem)
-    if red.status == "infeasible":
+    steps, current = [], problem
+
+    def reduce(step):
+        nonlocal current
+        red = step(current)
+        if red is not None and red.status == "ok":
+            steps.append((current, red))
+            current = red.problem
+        return red
+
+    reduce(split_by_pattern)
+    if reduce(_reduce_zero_diagonals) is not None:
+        reduce(split_by_pattern)
+    red = reduce(presolve_eliminate_equalities) if current.cone.f else None
+    if red is not None and red.status == "infeasible":
         # no y solves A_f'y = c_f, so some free x_f has A_f x_f = 0 and
         # c_f'x_f < 0: a primal improving ray, which the IPM reports as
         # unbounded too.  The violated rows are dual constraints.
-        return _without_iterations(
-            problem, "unbounded", "inconsistent equality rows", dinf=red.residual
-        )
-    return lift(problem, red, solve(red.problem, params))
+        return _lift_steps(steps, _without_iterations(
+            current, "unbounded", "inconsistent equality rows", dinf=red.residual
+        ))
+    if reduce(rotate_blocks) is not None:
+        reduce(split_by_pattern)
+    return _lift_steps(steps, solve(current, params))
+
+
+def _lift_steps(steps, sol):
+    """``sol`` lifted through (problem, reduction) steps, the last first."""
+    for problem, red in reversed(steps):
+        sol = lift(problem, red, sol)
+    return sol

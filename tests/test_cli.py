@@ -83,7 +83,7 @@ def test_solve_json_report(tmp_path, capsys):
     }
     assert set(report["solver"]) == {
         "status", "iterations", "pinf", "dinf", "gap", "primal_objective",
-        "dual_objective", "message",
+        "dual_objective", "message", "blocks",
     }
     assert report["status"] == 1 and report["certified"] is True
     assert report["objective"] == pytest.approx(-1.0 / 3.0, abs=1e-4)
@@ -193,6 +193,20 @@ def test_solve_reports_the_orbit_reduction(tmp_path, capsys, name, order, permut
     (measure,) = json.loads(out.read_text())["measures"]
     assert measure["permutations"] == permutations
     assert line in text.splitlines()
+
+
+def test_solve_reports_the_blocks_the_solver_worked_on(tmp_path, capsys):
+    # the rotation splits the 93-order block of the odd moments into its
+    # symmetry-adapted blocks; the 37-order one is left whole, as its
+    # split would save less than the blocks it adds cost
+    out = tmp_path / "report.json"
+    assert main(["solve", model_path("maxcut_sub.gpm"), "--order", "3", "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    report = json.loads(out.read_text())
+    assert report["solver"]["blocks"] == [37, 20, 22, 20, 8, 20, 3]
+    (measure,) = report["measures"]
+    assert measure["symmetry"]["blocks"] == [37, 93]
+    assert "  PSD blocks       = 37x37+20x20+22x22+20x20+8x8+20x20+3x3" in text.splitlines()
 
 
 @pytest.mark.parametrize(

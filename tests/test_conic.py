@@ -37,6 +37,7 @@ from gpmkit.conic import (
     _reduce_zero_diagonals,
     _symmetrized,
     reduce_by_orbits,
+    rotate_blocks,
     sign_flips,
     solve,
     split_by_pattern,
@@ -1343,3 +1344,157 @@ def test_accepted_steps_are_logged_at_debug(caplog):
         assert 0.0 <= ap <= 1.0 and 0.0 <= ad <= 1.0
         assert 0.0 <= sigma <= 1.0
         assert cuts in range(4)
+
+
+def planted_problem(rng, sizes=(12, 20, 28), m=12, coupling=0.0):
+    """One PSD block whose data is block-diagonal with blocks of ``sizes``
+    in a random orthonormal basis Q, strictly feasible both ways.
+
+    ``coupling`` puts that multiple of the largest entry on every entry
+    between the first and the last planted block of row 0.  Returns the
+    problem and the planted c block in the basis Q.
+    """
+    s = sum(sizes)
+    Q, _ = np.linalg.qr(rng.normal(size=(s, s)))
+
+    def planted(draw):
+        return scipy.linalg.block_diag(*(draw(k) for k in sizes))
+
+    def symmetric(k):
+        S = rng.normal(size=(k, k))
+        return S + S.T
+
+    def spd(k):
+        G = rng.normal(size=(k, k))
+        return G @ G.T + 0.5 * np.eye(k)
+
+    rows = [planted(symmetric) for _ in range(m)]
+    if coupling:
+        first, last = slice(0, sizes[0]), slice(s - sizes[-1], s)
+        rows[0][first, last] = rows[0][last, first] = coupling * np.abs(rows[0]).max()
+    A = np.array([(Q @ B @ Q.T).reshape(-1) for B in rows])
+    x0 = (Q @ planted(spd) @ Q.T).reshape(-1)
+    y0 = rng.normal(size=m)
+    C = sum(y * B for y, B in zip(y0, rows)) + planted(spd)
+    problem = ConicProblem(A=A, b=A @ x0, c=(Q @ C @ Q.T).reshape(-1), cone=ConeSpec(s=(s,)))
+    return problem, C
+
+
+def test_rotation_recovers_planted_blocks_and_solves_like_the_unrotated_problem(monkeypatch):
+    problem, C = planted_problem(np.random.default_rng(4))
+    red = rotate_blocks(problem)
+    assert red is not None
+    split = split_by_pattern(red.problem)
+    assert sorted(split.problem.cone.s) == [12, 20, 28]
+    # each block's c is similar to a planted one: the same spectrum
+    cone = split.problem.cone
+    got = sorted(
+        np.linalg.eigvalsh(split.problem.c[cone.block_columns(k, np.arange(s))].reshape(s, s)).tolist()
+        for k, s in enumerate(cone.s)
+    )
+    want = sorted(
+        np.linalg.eigvalsh(C[a:b, a:b]).tolist() for a, b in ((0, 12), (12, 32), (32, 60))
+    )
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=0, atol=1e-9 * np.abs(C).max())
+
+    calls = []
+    solve_ipm = conic_module.solve
+
+    def recording(p, *args, **kwargs):
+        sol = solve_ipm(p, *args, **kwargs)
+        calls.append((p, sol))
+        return sol
+
+    monkeypatch.setattr(conic_module, "solve", recording)
+    sol = solve_conic(problem)
+    ((inner_problem, inner),) = calls
+    assert inner_problem.cone.s == split.problem.cone.s
+    direct = solve_ipm(problem)
+    assert sol.status == direct.status == "solved"
+    assert sol.dobj == pytest.approx(direct.dobj, rel=1e-7)
+    assert sol.pobj == pytest.approx(direct.pobj, rel=1e-7)
+    inner_res, res = _lifted_residual(problem, inner_problem, inner, sol)
+    assert res <= 10.0 * inner_res + 100 * np.finfo(float).eps * np.abs(problem.b).max()
+    X = sol.x.reshape(60, 60)
+    np.testing.assert_array_equal(X, X.T)
+    assert np.linalg.eigvalsh(X).min() >= -1e-9 * np.abs(X).max()
+
+
+def test_rotation_gate_refuses_a_coupling_above_its_tolerance():
+    # 1e-8 of the largest entry on every entry between the first and the
+    # last planted block of one row: in the basis the uncoupled data
+    # gives, the gate finds it and leaves the block alone, while the
+    # screen of the coupled data keeps the two blocks in one component
+    rng = np.random.default_rng(conic_module._ROTATION_SEED)
+    r = rng.standard_normal((2, 13))
+    plain, coupled = (
+        planted_problem(np.random.default_rng(4), coupling=coupling)[0] for coupling in (0.0, 1e-8)
+    )
+    V, label = conic_module._block_split(plain.A, plain.c.reshape(60, 60), r)
+    for problem, gate in ((plain, True), (coupled, False)):
+        rotated = conic_module._rotated_block(problem.A, problem.c.reshape(60, 60), V, label)
+        assert (rotated is not None) == gate
+    red = rotate_blocks(coupled)
+    assert sorted(split_by_pattern(red.problem).problem.cone.s) == [20, 40]
+
+
+@pytest.mark.parametrize("name,order,unsplit,blocks,free", [
+    ("maxcut_nosub", 2, (46, 9), (46, 9), [5, 8, 8, 8, 8, 1, 2, 2, 2, 2]),
+    ("maxcut_sub", 3, (37, 93), (37, 20, 22, 20, 8, 20, 3), [5, 8, 8, 8, 8, 3, 8, 20, 20, 20, 22]),
+])
+def test_rotation_splits_only_where_the_split_pays(monkeypatch, name, order, unsplit, blocks, free):
+    # without the fixed cost per block, the 37- and 46-order blocks would
+    # split into 5 + 4 x 8 (the 46 also dropping 9 directions without
+    # data) and the 9-order one into 1 + 4 x 2; the split saves less than
+    # the blocks it adds cost, so only the 93-order block splits
+    seen = []
+
+    def recording(p):
+        seen.append(p)
+        return rotate_blocks(p)
+
+    monkeypatch.setattr(conic_module, "rotate_blocks", recording)
+    with open(model_path(f"{name}.gpm")) as fh:
+        sol = solve_gpm(parse_model(fh.read()), order=order)
+    (problem,) = seen
+    assert problem.cone.s == unsplit
+    assert sol.conic.blocks == blocks
+    monkeypatch.setattr(conic_module, "_BLOCK_COST", 0.0)
+    red = rotate_blocks(problem)
+    assert sorted(split_by_pattern(red.problem).problem.cone.s) == sorted(free)
+
+
+def test_solve_conic_runs_each_reduction_once(monkeypatch):
+    # the pattern split runs first and once more on the rotation's output
+    # only; the rotation runs once, right before the interior-point solve
+    calls = []
+    for name in ("split_by_pattern", "_reduce_zero_diagonals",
+                 "presolve_eliminate_equalities", "rotate_blocks", "solve"):
+        def recording(problem, *args, _name=name, _fn=getattr(conic_module, name)):
+            calls.append(_name)
+            return _fn(problem, *args)
+
+        monkeypatch.setattr(conic_module, name, recording)
+    with open(model_path("maxcut_sub.gpm")) as fh:
+        sol = solve_gpm(parse_model(fh.read()), order=3)
+    assert sol.conic.status == "solved"
+    assert calls == [
+        "split_by_pattern", "_reduce_zero_diagonals", "rotate_blocks",
+        "split_by_pattern", "solve",
+    ]
+
+
+def test_rotated_solves_repeat_bit_for_bit():
+    outcomes = []
+    for _ in range(2):
+        with open(model_path("maxcut_sub.gpm")) as fh:
+            sol = solve_gpm(parse_model(fh.read()), order=3)
+        outcomes.append(
+            repr((sol.status, sol.objective, sol.conic.blocks, sol.conic.iterations)).encode()
+            + b"".join(np.ascontiguousarray(a).tobytes() for a in (
+                sol.conic.x, sol.conic.y, sol.conic.z, np.asarray(sol.conic.history),
+                *sol.moments.values(),
+            ))
+        )
+    assert outcomes[0] == outcomes[1]

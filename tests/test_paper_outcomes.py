@@ -78,6 +78,18 @@ def test_quadratic3_order_four_extracts_the_closest_atoms(seed):
         assert min(np.max(np.abs(point - np.asarray(atom))) for point in points) < 1e-3
 
 
+def test_maxcut_order_four_solves_on_symmetry_adapted_blocks():
+    """At order 4 the rotation splits both blocks, of orders 163 and 93,
+    into blocks of order 36 or less, and the solve still ends solved at
+    the max-cut value."""
+    with open(model_path("maxcut_sub.gpm")) as fh:
+        problem = parse_model(fh.read(), "maxcut_sub.gpm")
+    sol = solve_gpm(problem, order=4)
+    assert sol.conic.status == "solved", sol.conic.message
+    assert sol.objective == pytest.approx(12.0, abs=1e-6)
+    assert max(sol.conic.blocks) == 36
+
+
 def test_maxcut_order_five_certifies_every_maximum_cut():
     """At order 5 the max-cut relaxation is flat: status 1 with 78 atoms,
     the 39 maximum cuts of the antiweb graph and their negations."""
