@@ -14,12 +14,24 @@ An interior-point solver returns a point in the relative interior of
 the optimal face, where the top-degree moments of M_r are inflated and
 the rank test can fail although a lower truncation is already flat
 (rank M_t = rank M_{t-v} for some t <= r; Nie, Math. Program. 142,
-2013).  solve_gpm then
-re-centers once: a face solve that pins the moments of degree <= 2r-2
-and minimizes the top-degree diagonal.  It leaves every truncation of
-degree < r as it was, so it only pays when one of them already shows
-flatness.  It is skipped when some measure has no flat truncation; on
-the paper models it never certified such a point.
+2013).  certify therefore tries, per measure and in this order:
+
+1. M_r flat: extract the atoms from M_r at rank M_{r-v};
+2. a flat truncation t with 2t >= d, d the largest degree of the
+   measure's polynomials in the objective and the moment constraints:
+   extract from M_t at rank M_t.  By the flat extension theorem
+   (Curto & Fialkow, 2005) the moments of degree <= 2t then come from
+   an atomic measure, and 2t >= d makes those all the moments the data
+   reads;
+3. neither: no certificate at this point.
+
+Either way the atoms must then pass the same feasibility and objective
+checks.  When they do not, and every measure has a flat truncation,
+solve_gpm re-centers once: a face solve that pins the moments of
+degree <= 2r-2 and minimizes the top-degree diagonal.  It leaves every
+truncation of degree < r as it was, so it only pays when one of them
+already shows flatness.  It is skipped when some measure has no flat
+truncation; on the paper models it never certified such a point.
 """
 
 from __future__ import annotations
@@ -127,7 +139,11 @@ def _flatness(msdp, block, M):
 
 @dataclass
 class ExtractionResult:
-    """Atoms of one measure recovered from its moment matrix."""
+    """Atoms of one measure recovered from its moment matrix.
+
+    degree is the t of the truncation M_t the atoms came from (the
+    relaxation order r when M_r itself was factored).
+    """
 
     success: bool
     points: np.ndarray = None
@@ -135,6 +151,7 @@ class ExtractionResult:
     rank: int = 0
     residual: float = 0.0
     message: str = ""
+    degree: int | None = None
 
 
 def _column_echelon(V):
@@ -175,17 +192,30 @@ def extract_points(msdp, y, measure, seed=0):
     """
     block = moment_block(msdp, measure)
     M = mmat_values(msdp, y, block.measure)
-    return _extract(msdp, block, M, _flatness(msdp, block, M).rank_shifted, seed)
+    rho = _flatness(msdp, block, M).rank_shifted
+    return _extract_at(msdp, block, M, msdp.order, rho, seed)
 
 
-def _extract(msdp, block, M, rho, seed):
-    """Atoms of a measure from its moment matrix M, factored at rank rho.
+def _extract_at(msdp, block, M, t, rho, seed):
+    """Atoms of a measure from the truncation M_t of its moment matrix M.
+
+    The basis rows of degree <= t are a prefix of the grlex basis, so
+    M_t is the leading square of M.
+    """
+    k = int(np.count_nonzero(block.basis.sum(axis=1) <= t))
+    ext = _extract(msdp, block.measure, block.basis[:k], M[:k, :k], rho, seed)
+    ext.degree = t
+    return ext
+
+
+def _extract(msdp, measure, basis, M, rho, seed):
+    """Atoms of a measure from the moment matrix M over the exponent
+    rows ``basis``, factored at rank rho.
 
     Three random combinations of the multiplication operators are tried;
     of those whose atoms fit the moments, the one with the smallest NNLS
     residual wins.
     """
-    measure = block.measure
     if rho == 0:
         return ExtractionResult(success=False, message="moment matrix is zero")
 
@@ -198,7 +228,6 @@ def _extract(msdp, block, M, rho, seed):
     if R is None:
         return ExtractionResult(success=False, message="rank-deficient factorization")
     index = msdp.index
-    basis = block.basis
     nvars = len(measure.vars)
     # row k * rho + j: pivot row j times variable k
     unit = np.eye(nvars, dtype=np.int64)
@@ -273,13 +302,30 @@ class Certificate:
     infeasibility: float = 0.0
 
 
+def _data_degree(msdp, measure):
+    """Largest degree of the measure's polynomials in the objective and
+    the moment constraints."""
+    problem = msdp.problem
+    exprs = [problem.objective.expr]
+    for con in problem.moment_constraints:
+        exprs.extend((con.lhs, con.rhs))
+    return max(
+        (poly.degree for expr in exprs for meas, poly in expr.terms_by_label() if meas is measure),
+        default=0,
+    )
+
+
 def certify(msdp, y, seed=0):
     """Check flatness, extract atoms and verify them on all measures.
 
-    Certification requires every measure flat, extraction successful,
-    all extracted points feasible for their support constraints and the
-    objective recomputed from the atoms to match the SDP objective.
-    Each moment matrix is built, and its ranks found, once.
+    Each measure's atoms come from M_r when it is flat, and otherwise
+    from its flat truncation M_t (``FlatnessResult.truncation``) when
+    2t >= d, d the largest degree of its polynomials in the objective
+    and the moment constraints (``_data_degree``).  Certification then
+    requires extraction successful on every measure, all extracted
+    points feasible for their support constraints and the objective
+    recomputed from the atoms to match the SDP objective.  Each moment
+    matrix is built, and its ranks found, once.
     """
     flatness = {}
     extractions = {}
@@ -289,10 +335,14 @@ def certify(msdp, y, seed=0):
         M = mmat_values(msdp, y, block.measure)
         flat = _flatness(msdp, block, M)
         flatness[measure.label] = flat
-        if not flat.flat:
+        t = flat.truncation
+        if flat.flat:
+            ext = _extract_at(msdp, block, M, msdp.order, flat.rank_shifted, seed)
+        elif t is not None and 2 * t >= _data_degree(msdp, measure):
+            ext = _extract_at(msdp, block, M, t, flat.ranks_by_degree[t], seed)
+        else:
             certified = False
             continue
-        ext = _extract(msdp, block, M, flat.rank_shifted, seed)
         extractions[measure.label] = ext
         if not ext.success:
             certified = False
@@ -388,11 +438,13 @@ def solve_gpm(problem, order=None, params=None, seed=0):
     Returns a GPMSolution; on certification the extracted supports are
     stored into the measures, so eval_on_support reads the minimizers
     directly.  Moment vectors are stored on the measures whenever the
-    SDP was solved.  An uncertified point is re-centered (_recenter)
-    only when every measure has a flat truncation: the face solve moves
-    only the top-degree part of each M_r, so a point whose ranks rise
-    at every degree is reported as it is.  The face solve skips the orbit
-    reduction.
+    SDP was solved.  The solved point is certified from each measure's
+    M_r when it is flat, else from its flat truncation M_t when 2t >= d
+    (``certify``).  Only a point that neither certifies is re-centered
+    (_recenter), and only when every measure has a flat truncation: the
+    face solve moves only the top-degree part of each M_r, so a point
+    whose ranks rise at every degree is reported as it is.  The face
+    solve skips the orbit reduction.
     """
     params = params or SolverParams()
     msdp = assemble(problem, order)
@@ -505,8 +557,12 @@ def _recenter(msdp, conic, sol, y, objective, cert, params, seed):
     lower moments, each pinned within relative _RECENTER_REL.  The
     centered point replaces (y, cert) only if it is finite, keeps the
     objective within drift_tol and is certified itself.  solve_gpm calls
-    it only when cert shows a flat truncation on every measure, since
-    the pinned lower truncations keep their ranks.
+    it last, after certify found neither a flat M_r nor a flat
+    truncation M_t with 2t >= d whose atoms pass the checks, and only
+    when cert shows a flat truncation on every measure, since the
+    pinned lower truncations keep their ranks.  That leaves a flat
+    truncation below half the data degree (camel-3: t = 2, d = 6) or
+    atoms from M_t that fail the feasibility or objective check.
     """
     low = 2 * msdp.order - 2
     degrees = np.empty(msdp.n_vars, dtype=np.int64)

@@ -82,10 +82,11 @@ class RunReport:
         for entry in self.measures:
             if entry["ranks"] is not None:
                 ranks = " ".join(map(str, entry["ranks"]))
-                t = entry["flat_truncation"]
+                t, at = entry["flat_truncation"], entry["extracted_at"]
                 lines.append(
                     f"Measure {entry['label']}: ranks by degree = {ranks}, "
-                    f"flat truncation = {'none' if t is None else t}"
+                    f"flat truncation = {'none' if t is None else t}, "
+                    f"extracted at = {'none' if at is None else at}"
                 )
             symmetry = entry["symmetry"]
             if symmetry is None:
@@ -237,11 +238,14 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
     for measure in sol.msdp.problem.measures:
         entry = {"label": measure.label, "variables": measure.nvars}
         if sol.certificate is None:
-            entry["ranks"] = entry["flat_truncation"] = None
+            entry["ranks"] = entry["flat_truncation"] = entry["extracted_at"] = None
         else:
             flat = sol.certificate.flatness[measure.label]
             entry["ranks"] = [flat.ranks_by_degree[d] for d in range(sol.order + 1)]
             entry["flat_truncation"] = flat.truncation
+            # the degree t of the M_t the atoms came from, when extraction succeeded
+            ext = sol.certificate.extractions.get(measure.label)
+            entry["extracted_at"] = ext.degree if ext is not None and ext.success else None
         entry["symmetry"] = sol.symmetry.get(measure.label)
         entry["permutations"] = sol.permutations.get(measure.label)
         moments = sol.moments.get(measure.label)

@@ -1023,16 +1023,18 @@ _MAX_ENTRIES = 2.5e8
 class _DenseBlock:
     """A PSD block's rows as a dense (m, s, s) tensor.
 
+    Built from the symmetrized rows as a column-major (m, s*s) array;
     ``A2`` is the same data viewed as an (m, s*s) matrix, for the
     products with X and y.
     """
 
-    def __init__(self, sym, s):
-        m = sym.shape[0]
+    def __init__(self, dense, s):
+        m = dense.shape[0]
         self.s = s
-        # column-major: the layout fixes the summation order of the BLAS
-        # calls below, and so every iterate of a dense-block solve
-        self.A = sym.toarray(order="F").reshape(m, s, s)
+        # column-major (m, s*s) data: the layout fixes the summation order
+        # of the BLAS calls below, and so every iterate of a dense-block
+        # solve
+        self.A = dense.reshape(m, s, s)
         self.A2 = self.A.reshape(m, s * s)
         self.sq_norms = (self.A ** 2).sum(axis=(1, 2))
 
@@ -1099,27 +1101,24 @@ def _dense_schur_cost(m, s):
     return m * (4.0 * s**3 + 2.0 * m * s * s)
 
 
-def _storage(sym, s):
+def _storage(m, s, nnz, r):
     """Choose one block's representation: (sparse?, floats it keeps).
 
-    Compares the cost model's estimates of the two Schur formations.  A
-    block whose dense tensor alone would exceed the size limit is kept
-    sparse whatever the estimate.  A sparse block keeps its CSR entries
-    and the gathered r x r matrix of each nonempty row.
+    nnz counts the block's symmetrized entries and r holds r_k = |R_k|
+    for every nonempty row k.  Compares the cost model's estimates of
+    the two Schur formations.  A block whose dense tensor alone would
+    exceed the size limit is kept sparse whatever the estimate.  A
+    sparse block keeps its CSR entries and the gathered r x r matrix of
+    each nonempty row.
     """
-    m = sym.shape[0]
-    # r_k = |R_k| for every nonempty row k: distinct (row, matrix row) pairs
-    row = np.repeat(np.arange(m), np.diff(sym.indptr))
-    r = np.bincount(np.unique(row * s + sym.indices // s) // s).astype(float)
-    r = r[r > 0]
     dense = _dense_schur_cost(m, s)
     sparse = (
         r.size * _SPARSE_ROW_COST
         + _SMALL_FLOP_COST * float((2.0 * s * r * r + 2.0 * s * s * r).sum())
-        + _ACCUMULATE_FLOP_COST * 2.0 * sym.nnz * r.size
+        + _ACCUMULATE_FLOP_COST * 2.0 * nnz * r.size
     )
     if _SPARSE_MARGIN * sparse < dense or m * s * s > _MAX_ENTRIES:
-        return True, sym.nnz + float((r * r).sum())
+        return True, nnz + float((r * r).sum())
     return False, m * s * s
 
 
@@ -1130,16 +1129,36 @@ def _symmetrized(cols, s):
     return 0.5 * (A + A[:, swap])
 
 
+def _symmetrized_psd(A, cone):
+    """0.5 (A_k + A_k') over all PSD columns of the CSC matrix A at once.
+
+    Returns a CSC matrix whose columns are the PSD columns of A, so the
+    entries of each block are one contiguous range.  Each entry is the
+    sum times 0.5 that _symmetrized forms, and sums that are exactly 0
+    are dropped here as there; only the order of the entries differs.
+    """
+    start = cone.f + cone.l
+    P = A[:, start:]
+    swap = [
+        off - start + np.arange(s * s).reshape(s, s).T.reshape(-1)
+        for off, s in zip(cone.psd_starts, cone.s)
+    ]
+    return 0.5 * (P + P[:, np.concatenate(swap)]) if swap else P
+
+
 class _Cones:
     """Per-cone views of the problem data for the solver.
 
-    The orthant columns are a dense (m, l) array.  Each PSD block of A
-    is symmetrized once into CSR rows over its s*s entries, then kept
-    per block either as that CSR (``_SparseBlock``) or as a dense
-    (m, s, s) tensor (``_DenseBlock``), whichever ``_storage`` estimates
-    forms the block's share of the Schur complement faster.  Problems
-    whose M, orthant columns and block data would exceed _MAX_ENTRIES
-    floats are refused.
+    The orthant columns are a dense (m, l) array.  All PSD columns of A
+    are symmetrized in one pass (``_symmetrized_psd``).  Each block is
+    then kept either as a dense (m, s, s) tensor filled from those
+    entries (``_DenseBlock``) or as CSR rows over its s*s entries
+    (``_SparseBlock``, made by ``_symmetrized`` so that its rows keep
+    the entry order, and with it the summation order, of that one
+    block), whichever ``_storage`` estimates forms the block's share of
+    the Schur complement faster.  Problems whose M, orthant columns and
+    block data would exceed _MAX_ENTRIES floats are refused before any
+    block is allocated.
     """
 
     def __init__(self, problem):
@@ -1149,22 +1168,34 @@ class _Cones:
         A = problem.A
         self.m = m = problem.m
         self.l = cone.l
+        sym = _symmetrized_psd(A, cone)
         parts = []
         entries = m * m + m * cone.l  # M and the orthant columns
         for off, s in zip(cone.psd_starts, cone.s):
-            sym = _symmetrized(A[:, off : off + s * s], s)
-            sparse, floats = _storage(sym, s)
+            # the block's entries: column col of the block, row k of A
+            ptr = sym.indptr[off - cone.l : off - cone.l + s * s + 1]
+            col = np.repeat(np.arange(s * s), np.diff(ptr))
+            k = sym.indices[ptr[0] : ptr[-1]]
+            touched = np.zeros((s, m), dtype=bool)
+            touched[col // s, k] = True
+            r = touched.sum(axis=0).astype(float)
+            sparse, floats = _storage(m, s, col.size, r[r > 0])
             entries += floats
             cblk = problem.c[off : off + s * s].reshape(s, s)
-            parts.append((sym, s, sparse, 0.5 * (cblk + cblk.T)))
+            values = sym.data[ptr[0] : ptr[-1]]
+            parts.append((off, s, sparse, col, k, values, 0.5 * (cblk + cblk.T)))
         if entries > _MAX_ENTRIES:
             raise ConicError("problem too large for the interior-point solver")
         self.A_l = A[:, : cone.l].toarray()
         self.c_l = problem.c[: cone.l]
-        self.blocks = [
-            (_SparseBlock if sparse else _DenseBlock)(sym, s)
-            for sym, s, sparse, _ in parts
-        ]
+        self.blocks = []
+        for off, s, sparse, col, k, values, _ in parts:
+            if sparse:
+                self.blocks.append(_SparseBlock(_symmetrized(A[:, off : off + s * s], s), s))
+            else:
+                dense = np.zeros((s * s, m))
+                dense[col, k] = values
+                self.blocks.append(_DenseBlock(dense.T, s))
         self.c_s = [C for *_, C in parts]
         self.nu = cone.barrier_degree
         self.c_norm = math.sqrt(

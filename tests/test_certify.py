@@ -27,6 +27,7 @@ from gpmkit import (
     numeric_rank,
     solve_gpm,
 )
+from gpmkit.conic import to_conic
 from gpmkit.dsl import parse_model
 from gpmkit.polynomials import ExponentMap
 from gpmkit.relaxation import moment_block
@@ -286,19 +287,22 @@ def test_solve_gpm_makes_no_monomial_per_moment(monkeypatch):
     "name,order,calls,status",
     [
         ("camel.gpm", 3, 2, 1),
+        ("rational.gpm", 2, 1, 1),
         ("quadratic3.gpm", 1, 1, 0),
         ("quadratic3.gpm", 2, 1, 0),
         ("quadratic3.gpm", 3, 1, 0),
+        ("quadratic3.gpm", 4, 1, 1),
         ("maxcut_sub.gpm", 2, 1, 0),
     ],
 )
 def test_recentering_runs_only_on_a_flat_truncation(
     monkeypatch, name, order, calls, status
 ):
-    # the top-level solve, then one re-centering solve only when every
-    # measure of the uncertified point has a flat truncation; the package
-    # rebinds the name `certify` to the function, so the module whose
-    # `solve_conic` solve_gpm calls is fetched with importlib
+    # the top-level solve, then one re-centering solve only when the
+    # top-level point is not certified and every measure has a flat
+    # truncation; the package rebinds the name `certify` to the
+    # function, so the module whose `solve_conic` solve_gpm calls is
+    # fetched with importlib
     certify_module = importlib.import_module("gpmkit.certify")
     solve_conic = certify_module.solve_conic
     seen = []
@@ -314,10 +318,27 @@ def test_recentering_runs_only_on_a_flat_truncation(
     assert len(seen) == calls
     assert sol.status == status
     truncations = [f.truncation for f in sol.certificate.flatness.values()]
-    if calls == 1:
+    if calls == 1 and status == 1:
+        # certified at the top-level point from each flat truncation,
+        # below the relaxation order (rational-2 at 1, quadratic3-4 at 2)
+        degrees = [e.degree for e in sol.certificate.extractions.values()]
+        assert degrees == truncations and max(degrees) < order
+    elif calls == 1:
         assert truncations == [None] * len(truncations)
     else:
         assert None not in truncations
+
+
+def _quadratic3_order_four():
+    with open(model_path("quadratic3.gpm")) as fh:
+        return parse_model(fh.read(), "quadratic3.gpm")
+
+
+def _has_quadratic3_atoms(points):
+    return len(points) == 2 and all(
+        min(np.max(np.abs(p - np.asarray(atom))) for p in points) < 1e-3
+        for atom in [(2.0, 0.0, 0.0), (0.5, 0.0, 3.0)]
+    )
 
 
 def test_quadratic3_order_four_solves_stop_once_progress_is_lost(monkeypatch):
@@ -327,6 +348,9 @@ def test_quadratic3_order_four_solves_stop_once_progress_is_lost(monkeypatch):
     # The iterations past the best one follow BLAS rounding: the face
     # solve stops at 25 with one OpenBLAS thread and at 28 with two, so
     # only the gap to the best iterate is pinned, not the count.
+    # solve_gpm certifies the top-level point from its flat truncation
+    # M_2 and makes no face solve, so the face solve runs here on that
+    # top-level point through _recenter itself.
     certify_module = importlib.import_module("gpmkit.certify")
     solve_conic = certify_module.solve_conic
     seen = []
@@ -339,10 +363,14 @@ def test_quadratic3_order_four_solves_stop_once_progress_is_lost(monkeypatch):
         return sol
 
     monkeypatch.setattr(certify_module, "solve_conic", recording_solve_conic)
-    with open(model_path("quadratic3.gpm")) as fh:
-        problem = parse_model(fh.read(), "quadratic3.gpm")
-    sol = certify_module.solve_gpm(problem, order=4, seed=0)
-    # the top-level solve, then the re-centering face solve
+    sol = certify_module.solve_gpm(_quadratic3_order_four(), order=4, seed=0)
+    assert sol.status == 1
+    assert _has_quadratic3_atoms(sol.support(1)[0])
+    # the re-centering face solve from the same top-level point
+    y, cert = certify_module._recenter(
+        sol.msdp, to_conic(sol.msdp), sol.conic, sol.conic.y, sol.objective,
+        sol.certificate, SolverParams(), 0,
+    )
     assert [entry[:2] for entry in seen] == [
         ("inaccurate", "lost progress"),
         ("inaccurate", "lost progress"),
@@ -350,10 +378,84 @@ def test_quadratic3_order_four_solves_stop_once_progress_is_lost(monkeypatch):
     for (_, _, iterations, best_it), before in zip(seen, [24, 52]):
         assert iterations < before
         assert 0 < iterations - best_it <= 5
+    # _recenter hands back the centered point only when it is certified
+    assert y is not sol.conic.y and cert.certified
+    assert _has_quadratic3_atoms(cert.extractions[1].points)
+
+
+def test_quadratic3_order_four_re_centers_when_the_truncation_fails(monkeypatch):
+    # with extraction refused on every truncation below M_r, the top-level
+    # point is not certified, so solve_gpm re-centers, and the face solve's
+    # point certifies from M_4 itself
+    certify_module = importlib.import_module("gpmkit.certify")
+    solve_conic, extract = certify_module.solve_conic, certify_module._extract
+    seen, degrees = [], []
+
+    def counting_solve_conic(problem, params=None):
+        seen.append(problem)
+        return solve_conic(problem, params)
+
+    def extract_only_from_m_r(msdp, measure, basis, M, rho, seed):
+        degrees.append(int(basis.sum(axis=1).max()))
+        if degrees[-1] < msdp.order:
+            return certify_module.ExtractionResult(success=False, message="refused")
+        return extract(msdp, measure, basis, M, rho, seed)
+
+    monkeypatch.setattr(certify_module, "solve_conic", counting_solve_conic)
+    monkeypatch.setattr(certify_module, "_extract", extract_only_from_m_r)
+    sol = certify_module.solve_gpm(_quadratic3_order_four(), order=4)
+    assert len(seen) == 2
+    assert degrees == [2, 4]
     assert sol.status == 1
-    points, _ = sol.support(1)
-    for atom in [(2.0, 0.0, 0.0), (0.5, 0.0, 3.0)]:
-        assert min(np.max(np.abs(p - np.asarray(atom))) for p in points) < 1e-3
+    assert sol.certificate.extractions[1].degree == 4
+    assert _has_quadratic3_atoms(sol.support(1)[0])
+
+
+def inflated_instance(objective_degree):
+    """Two planted atoms in two variables at order 3, with the moments
+    x1^6 and x2^6 raised by 0.5: that adds a PSD diagonal term on the
+    rows x1^3 and x2^3 of M_3, so the ranks by degree read 1, 2, 2, 4
+    and the flat truncation is t = 2."""
+    ctx = ModelContext()
+    x = ctx.vars("x", 2)
+    problem = GPMProblem(minimize(mom(x[0] ** objective_degree + x[1])))
+    msdp = assemble(problem, 3)
+    measure = problem.measures[0]
+    points = np.array([[-0.6, 0.4], [0.5, 0.9]])
+    weights = np.array([0.3, 0.7])
+    y = planted_moment_vector(msdp, measure, points, weights)
+    for (_, exps), k in msdp.index.var_of.items():
+        if sorted(exps) == [0, 6]:
+            y[k] += 0.5
+    return msdp, measure, points, weights, y
+
+
+@pytest.mark.parametrize("objective_degree", [1, 4])
+def test_certify_extracts_planted_atoms_from_the_flat_truncation(objective_degree):
+    # 2t = 4 >= d: the atoms come from M_2, and M_3's inflated diagonal
+    # does not reach the objective
+    msdp, measure, points, weights, y = inflated_instance(objective_degree)
+    cert = certify(msdp, y)
+    flat = cert.flatness[measure.label]
+    assert flat.ranks_by_degree == {0: 1, 1: 2, 2: 2, 3: 4}
+    assert not flat.flat and flat.truncation == 2
+    ext = cert.extractions[measure.label]
+    assert ext.success and ext.degree == 2 and ext.rank == 2
+    dp, dw = match_atoms(points, weights, ext.points, ext.weights)
+    assert dp < 1e-6 and dw < 1e-6
+    assert cert.certified
+    assert cert.objective_mismatch < 1e-8
+
+
+@pytest.mark.parametrize("objective_degree", [5, 6])
+def test_certify_does_not_extract_below_half_the_data_degree(objective_degree):
+    # 2t = 4 < d: M_2 does not fix the moments the objective reads, so
+    # nothing is extracted and the point is not certified
+    msdp, measure, _, _, y = inflated_instance(objective_degree)
+    cert = certify(msdp, y)
+    assert cert.flatness[measure.label].truncation == 2
+    assert cert.extractions == {}
+    assert not cert.certified
 
 
 def planted_flatness(points, weights, order, constraints=()):

@@ -90,10 +90,34 @@ def test_solve_json_report(tmp_path, capsys):
     (measure,) = report["measures"]
     assert set(measure) == {
         "label", "variables", "moments", "points", "weights", "ranks",
-        "flat_truncation", "symmetry", "permutations",
+        "flat_truncation", "extracted_at", "symmetry", "permutations",
     }
     assert measure["points"][0][0] == pytest.approx(0.5, abs=1e-3)
     assert measure["ranks"] == [1, 1] and measure["flat_truncation"] == 1
+    assert measure["extracted_at"] == 1
+
+
+@pytest.mark.parametrize(
+    "name,order,ranks,extracted_at",
+    [("camel.gpm", 3, [1, 2, 2, 2], 3), ("quadratic3.gpm", 4, [1, 2, 2, 2, 17], 2)],
+)
+def test_solve_reports_the_degree_the_atoms_came_from(
+    tmp_path, capsys, name, order, ranks, extracted_at
+):
+    # camel-3's re-centered point is flat at r = 3, so its atoms come
+    # from M_3; quadratic3-4's top-level point fails the rank test only
+    # at degree 4, and its atoms come from the flat truncation M_2
+    out = tmp_path / "report.json"
+    assert main(["solve", model_path(name), "--order", str(order), "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    report = json.loads(out.read_text())
+    (measure,) = report["measures"]
+    assert report["status"] == 1 and len(measure["points"]) == 2
+    assert measure["ranks"] == ranks and measure["extracted_at"] == extracted_at
+    assert (
+        f"Measure 1: ranks by degree = {' '.join(map(str, ranks))}, "
+        f"flat truncation = 2, extracted at = {extracted_at}"
+    ) in text.splitlines()
 
 
 @pytest.mark.parametrize("name,order", [("camel.gpm", 3), ("maxcut_sub.gpm", 2)])
@@ -248,6 +272,7 @@ def test_inconsistent_moments_report_one_status(tmp_path, capsys):
         assert report["status"] == -1
         assert report["measures"][0]["ranks"] is None
         assert report["measures"][0]["flat_truncation"] is None
+        assert report["measures"][0]["extracted_at"] is None
         statuses.append(report["solver"]["status"])
     capsys.readouterr()
     assert statuses == ["unbounded", "unbounded", "unbounded"]

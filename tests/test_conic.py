@@ -1140,8 +1140,9 @@ def test_sparse_and_dense_blocks_match_the_trace_formulas():
             _symmetrized(A_csc[:, lo : lo + s * s], s)
             for lo, s in zip(offs, cone.s)
         ]
-        for kind in (_DenseBlock, _SparseBlock):
-            cones.blocks = [kind(sym, s) for sym, s in zip(syms, cone.s)]
+        dense = [sym.toarray(order="F") for sym in syms]
+        for kind, data in ((_DenseBlock, dense), (_SparseBlock, syms)):
+            cones.blocks = [kind(d, s) for d, s in zip(data, cone.s)]
 
             def close(got, want):
                 scale = np.abs(want).max()
@@ -1156,6 +1157,41 @@ def test_sparse_and_dense_blocks_match_the_trace_formulas():
                 close(got, want)
             for block, B in zip(cones.blocks, B_s):
                 close(block.sq_norms, (B ** 2).sum(axis=(1, 2)))
+
+
+def test_dense_blocks_equal_the_per_block_symmetrization(monkeypatch):
+    # _Cones symmetrizes all PSD columns in one pass; every dense block
+    # must hold the bytes, in the column-major layout, of symmetrizing
+    # its own columns, and _storage must see the nnz and r_k of that
+    # block's CSR.  The 1x1 block takes scipy's sorted-sum path, and the
+    # pair planted in row 0 cancels, so that entry is dropped
+    rng = np.random.default_rng(11)
+    storage = conic_module._storage
+    seen = []
+
+    def recording_storage(m, s, nnz, r):
+        seen.append((nnz, r.copy()))
+        return storage(m, s, nnz, r)
+
+    monkeypatch.setattr(conic_module, "_storage", recording_storage)
+    for _ in range(4):
+        problem, A = random_sparse_blocks_problem(rng, sizes=(5, 1, 7))
+        A[0, 3 + 1 * 5 + 2], A[0, 3 + 2 * 5 + 1] = 0.75, -0.75
+        problem = ConicProblem(
+            A=scipy.sparse.csr_matrix(A), b=problem.b, c=problem.c, cone=problem.cone
+        )
+        seen.clear()
+        cones = _Cones(problem)
+        cone = problem.cone
+        for block, off, s, (nnz, r) in zip(cones.blocks, cone.psd_starts, cone.s, seen):
+            sym = _symmetrized(problem.A[:, off : off + s * s], s)
+            want = sym.toarray(order="F").reshape(problem.m, s, s)
+            assert isinstance(block, _DenseBlock)
+            assert block.A.strides == want.strides and block.A.tobytes() == want.tobytes()
+            row = np.repeat(np.arange(problem.m), np.diff(sym.indptr))
+            pairs = np.unique(row * s + sym.indices // s)
+            assert nnz == sym.nnz
+            np.testing.assert_array_equal(r, np.bincount(pairs // s)[np.unique(pairs // s)])
 
 
 def _sparse_rows_by_loop(sym, s):

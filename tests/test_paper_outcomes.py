@@ -5,8 +5,13 @@ the objective, where given the status of the top-level interior-point
 solve, and, when certified, that every extracted atom is one of the
 paper's minimizers.  The number of atoms is not checked: on a face
 with several minimizers a valid certificate may expose only some of
-them.  quadratic3 at order 4 certifies both paper atoms on every
-extraction seed of 0-59 (never the single merged atom (2,0,0)).
+them.  quadratic3 at order 4 fails the rank test only at the top
+degree (ranks 1, 2, 2, 2, 17), so it certifies from the flat truncation
+M_2 of the top-level point, without a re-centering solve; it gives
+both paper atoms on every extraction seed of 0-159 (never the single
+merged atom (2,0,0)).  At seeds 23, 39, 62 and 125 the atoms from M_2
+break support constraints by 1.1e-4 to 1.5e-4, above the feasibility
+tolerance, and the re-centered point certifies them from M_4.
 """
 
 import itertools
@@ -66,12 +71,14 @@ def test_paper_outcome(name, order, status, objective, atoms):
 @pytest.mark.parametrize("seed", [13, 46])
 def test_quadratic3_order_four_extracts_the_closest_atoms(seed):
     """At these seeds the first combination whose atoms fit the moments
-    breaks support constraints by 4.2e-4 and 2.7e-4, above the
-    feasibility tolerance; a later one fits closer and certifies."""
+    of M_2 breaks support constraints by 5.1e-4 and 6.3e-4, above the
+    feasibility tolerance; a later one fits closer and certifies from
+    M_2."""
     with open(model_path("quadratic3.gpm")) as fh:
         problem = parse_model(fh.read(), "quadratic3.gpm")
     sol = solve_gpm(problem, order=4, seed=seed)
     assert sol.status == 1
+    assert sol.certificate.extractions[1].degree == 2
     points, _ = sol.support(1)
     assert len(points) == 2
     for atom in QUADRATIC3_ATOMS:
