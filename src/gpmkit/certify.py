@@ -8,7 +8,9 @@ atoms are recovered from a column echelon factorization of the moment
 matrix: the pivot monomials index a basis on which multiplication by
 each variable acts as a matrix, and the atoms are read off the shared
 Schur vectors of a random combination of those operators.  Weights are
-recovered by nonnegative least squares against the moment vector.
+the least-squares fit of the atoms to the moment vector, clipped at 0;
+where the fit is nonnegative and the atoms' moment columns are
+independent, that is the nonnegative least-squares fit.
 
 An interior-point solver returns a point in the relative interior of
 the optimal face, where the top-degree moments of M_r are inflated and
@@ -17,9 +19,9 @@ the rank test can fail although a lower truncation is already flat
 2013).  certify therefore tries, per measure and in this order:
 
 1. M_r flat: extract the atoms from M_r at rank M_{r-v};
-2. a flat truncation t with 2t >= d, d the largest degree of the
-   measure's polynomials in the objective and the moment constraints:
-   extract from M_t at rank M_t.  By the flat extension theorem
+2. the smallest flat truncation t with 2t >= d, d the largest degree
+   of the measure's polynomials in the objective and the moment
+   constraints: extract from M_t at rank M_t.  By the flat extension theorem
    (Curto & Fialkow, 2005) the moments of degree <= 2t then come from
    an atomic measure, and 2t >= d makes those all the moments the data
    reads;
@@ -41,7 +43,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 
 from .conic import (
@@ -99,6 +100,11 @@ class FlatnessResult:
     ranks_by_degree: dict
     truncation: int | None = None
 
+    def flat_from(self, start):
+        """The smallest flat truncation t >= start, or None."""
+        ranks, v = self.ranks_by_degree, self.v
+        return next((t for t in range(max(start, v), len(ranks)) if ranks[t] == ranks[t - v]), None)
+
 
 def _inequality_halfdegree(msdp, measure):
     v = 1
@@ -124,17 +130,15 @@ def _flatness(msdp, block, M):
         ranks[d] = numeric_rank(M[np.ix_(keep, keep)])
     rank = ranks[msdp.order]
     rank_shifted = ranks[max(msdp.order - v, 0)]
-    truncation = next(
-        (t for t in range(v, msdp.order + 1) if ranks[t] == ranks[t - v]), None
-    )
-    return FlatnessResult(
+    flat = FlatnessResult(
         flat=rank == rank_shifted,
         rank=rank,
         rank_shifted=rank_shifted,
         v=v,
         ranks_by_degree=ranks,
-        truncation=truncation,
     )
+    flat.truncation = flat.flat_from(v)
+    return flat
 
 
 @dataclass
@@ -213,8 +217,8 @@ def _extract(msdp, measure, basis, M, rho, seed):
     rows ``basis``, factored at rank rho.
 
     Three random combinations of the multiplication operators are tried;
-    of those whose atoms fit the moments, the one with the smallest NNLS
-    residual wins.
+    of those whose atoms fit the moments (``_atom_weights``), the one
+    with the smallest residual wins.
     """
     if rho == 0:
         return ExtractionResult(success=False, message="moment matrix is zero")
@@ -262,7 +266,7 @@ def _extract(msdp, measure, basis, M, rho, seed):
         points = np.zeros((rho, len(operators)))
         for k, N in enumerate(operators):
             points[:, k] = np.einsum("ij,jk,ki->i", Q.T, N, Q)
-        # weights by nonnegative least squares on the basis moments
+        # weights by least squares on the basis moments
         Phi = np.zeros((len(basis), rho))
         for j, point in enumerate(points.tolist()):
             for i, row in enumerate(factors):
@@ -271,7 +275,7 @@ def _extract(msdp, measure, basis, M, rho, seed):
                     value *= point[k] ** power
                 Phi[i, j] = value
         target = M[:, 0]
-        weights, residual = scipy.optimize.nnls(Phi, target)
+        weights, residual = _atom_weights(Phi, target)
         scale = 1.0 + float(np.linalg.norm(target))
         fits = residual <= math.sqrt(_RANK_TOL) * scale
         if fits and (best is None or residual < best.residual):
@@ -289,6 +293,19 @@ def _extract(msdp, measure, basis, M, rho, seed):
         rank=rho,
         message="no consistent atomic measure found",
     )
+
+
+def _atom_weights(Phi, target):
+    """Weights w >= 0 with Phi w close to target, and |Phi w - target|.
+
+    w is the least-squares solution clipped at 0, the residual that of
+    the clipped w.  Where the least-squares solution is nonnegative and
+    Phi has full column rank, w is the unique nonnegative least-squares
+    minimizer; elsewhere the residual can only exceed its minimum, so a
+    fit is never overstated.
+    """
+    weights = np.clip(np.linalg.lstsq(Phi, target, rcond=None)[0], 0.0, None)
+    return weights, float(np.linalg.norm(Phi @ weights - target))
 
 
 @dataclass
@@ -319,9 +336,11 @@ def certify(msdp, y, seed=0):
     """Check flatness, extract atoms and verify them on all measures.
 
     Each measure's atoms come from M_r when it is flat, and otherwise
-    from its flat truncation M_t (``FlatnessResult.truncation``) when
-    2t >= d, d the largest degree of its polynomials in the objective
-    and the moment constraints (``_data_degree``).  Certification then
+    from its smallest flat truncation M_t with 2t >= d, d the largest
+    degree of its polynomials in the objective and the moment
+    constraints (``_data_degree``).  A smaller flat t, the
+    ``FlatnessResult.truncation`` of camel-3 say, does not fix the
+    moments the data reads.  Certification then
     requires extraction successful on every measure, all extracted
     points feasible for their support constraints and the objective
     recomputed from the atoms to match the SDP objective.  Each moment
@@ -335,10 +354,10 @@ def certify(msdp, y, seed=0):
         M = mmat_values(msdp, y, block.measure)
         flat = _flatness(msdp, block, M)
         flatness[measure.label] = flat
-        t = flat.truncation
+        t = flat.flat_from(math.ceil(_data_degree(msdp, measure) / 2))
         if flat.flat:
             ext = _extract_at(msdp, block, M, msdp.order, flat.rank_shifted, seed)
-        elif t is not None and 2 * t >= _data_degree(msdp, measure):
+        elif t is not None:
             ext = _extract_at(msdp, block, M, t, flat.ranks_by_degree[t], seed)
         else:
             certified = False

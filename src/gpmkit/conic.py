@@ -28,9 +28,12 @@ order:
    free and orthant columns without data go and every PSD block splits
    into the connected components of its entries with data, which
    turns the pins of step 1 into one block per parity class;
-3. zero-diagonal facial reduction (``_reduce_zero_diagonals``): slacks
-   certified zero on the whole dual set leave the cones;
-4. presolve (``presolve_eliminate_equalities``): free columns go;
+3. presolve (``presolve_eliminate_equalities``): free columns go;
+4. zero-diagonal facial reduction (``_reduce_zero_diagonals``): slacks
+   certified zero on the whole dual set leave the cones, pinned by
+   free columns that the pattern split and presolve then take again;
+   an exact screen of the signs of the data rules most problems out
+   before the LP that looks for a certificate;
 5. the block rotation (``rotate_blocks``, right before the solver): a
    PSD block whose data splits in the eigenbasis of a random
    combination of it is rotated into that basis, where the pattern
@@ -71,7 +74,6 @@ from itertools import accumulate
 
 import numpy as np
 import scipy.linalg
-import scipy.optimize
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
@@ -915,50 +917,52 @@ def _reduce_zero_diagonals(problem):
     c - A'y is pinned by a new equality column.  Returns None when no
     certificate exists.
 
-    Reduced columns run free, pins, kept orthant, kept block entries;
-    X maps each to its original column, an off-diagonal pin (d, i) to
-    both (d, i) and (i, d), so A_r = A X and c_r = X'c.
+    The problem has no free columns (``solve_conic`` runs presolve
+    first), so a certificate is a vector lam >= 0 over the candidate
+    columns with [A; c'] lam = 0.  Before the LP that looks for one,
+    ``_certificate_candidates`` screens the signs of [A; c']; when no
+    candidate survives, no certificate exists and no LP runs.
+
+    Reduced columns run pins, kept orthant, kept block entries; X maps
+    each to its original column, an off-diagonal pin (d, i) to both
+    (d, i) and (i, d), so A_r = A X and c_r = X'c.
     """
     cone = problem.cone
+    if cone.f:
+        raise ConicError("zero-diagonal reduction needs a problem without free columns")
     if not cone.s:
         return None
     A = problem.A
-    cols = np.concatenate(
-        [cone.f + np.arange(cone.l)] + [cone.diagonal(j) for j in range(len(cone.s))]
-    )
-    if not cols.size:
-        return None
-    # equality functionals (free columns) hold identically on the dual
-    # set, so they may enter the certificate with free sign
-    pick = np.concatenate([cols, np.arange(cone.f)])
+    cols = np.concatenate([np.arange(cone.l)] + [cone.diagonal(j) for j in range(len(cone.s))])
     A_eq = scipy.sparse.vstack(
-        [A[:, pick], scipy.sparse.csr_matrix(problem.c[pick])], format="csc"
+        [A[:, cols], scipy.sparse.csr_matrix(problem.c[cols])], format="csc"
     )
-    ncand = cols.size
-    res = scipy.optimize.linprog(
-        c=np.concatenate([-np.ones(ncand), np.zeros(cone.f)]),
+    if not _certificate_candidates(A_eq).any():
+        return None
+    from scipy.optimize import linprog
+
+    res = linprog(
+        c=-np.ones(cols.size),
         A_eq=A_eq,
         b_eq=np.zeros(problem.m + 1),
-        bounds=[(0.0, 1.0)] * ncand + [(None, None)] * cone.f,
+        bounds=(0.0, 1.0),
         method="highs",
     )
     if not res.success or res.x is None:
         return None
-    lam = np.asarray(res.x).copy()
-    lam[:ncand] = np.where(lam[:ncand] > 1e-6, lam[:ncand], 0.0)
-    if not lam[:ncand].any():
+    lam = np.where(res.x > 1e-6, res.x, 0.0)
+    if not lam.any():
         return None
     # re-check the truncated certificate before trusting it
-    scale_cert = float(lam[:ncand].sum()) + float(np.abs(lam[ncand:]).sum())
-    if np.abs(A_eq @ lam).max() > 1e-7 * (1.0 + scale_cert):
+    if np.abs(A_eq @ lam).max() > 1e-7 * (1.0 + float(lam.sum())):
         return None
-    forced = lam[:ncand] > 0
+    forced = lam > 0
 
     # an orthant pin is its own mirror; a block pin (d, i) covers row d
     # of a forced diagonal, with i <= d where i is forced too
-    pins = [cone.f + np.flatnonzero(forced[:cone.l])]
+    pins = [np.flatnonzero(forced[:cone.l])]
     mirrors = list(pins)
-    kept = [cone.f + np.flatnonzero(~forced[:cone.l])]
+    kept = [np.flatnonzero(~forced[:cone.l])]
     sizes = []
     blocks = np.split(forced[cone.l:], np.cumsum(cone.s)[:-1])
     for k, D in enumerate(blocks):
@@ -969,16 +973,15 @@ def _reduce_zero_diagonals(problem):
         if K.size:
             sizes.append(K.size)
             kept.append(cone.block_columns(k, K))
-    free = np.arange(cone.f)
-    col = np.concatenate([free, *pins, *kept])
-    mirror = np.concatenate([free, *mirrors, *kept])
+    col = np.concatenate([*pins, *kept])
+    mirror = np.concatenate([*mirrors, *kept])
     # 1 at each column's entry and its mirror, 2 summed where they coincide
     X = (_selection(problem.n, col) + _selection(problem.n, mirror)).sign()
     reduced = ConicProblem(
         A=A @ X,
         b=problem.b.copy(),
         c=X.T @ problem.c,
-        cone=ConeSpec(f=cone.f + sum(p.size for p in pins), l=kept[0].size, s=tuple(sizes)),
+        cone=ConeSpec(f=sum(p.size for p in pins), l=kept[0].size, s=tuple(sizes)),
         sense=problem.sense,
         offset=problem.offset,
     )
@@ -986,6 +989,30 @@ def _reduce_zero_diagonals(problem):
         problem=reduced, y0=np.zeros(problem.m),
         N=scipy.sparse.identity(problem.m, format="csr"), X=X,
     )
+
+
+def _certificate_candidates(B):
+    """Columns of B that some lam >= 0 with B lam = 0 may use.
+
+    A row of B whose entries on the remaining columns are all of one
+    strict sign (zeros aside) forces lam to 0 on each column it touches;
+    dropping those columns can leave further rows of one sign, so this
+    repeats until no row is.  Only the signs of the stored entries count,
+    with no tolerance.  Returns the mask of the columns left: every
+    certificate is 0 off it.
+    """
+    B = scipy.sparse.csr_matrix(B)
+    positive = (B > 0).astype(float)
+    negative = (B < 0).astype(float)
+    touches = (positive + negative).T
+    alive = np.ones(B.shape[1], dtype=bool)
+    while alive.any():
+        one_sign = (positive @ alive > 0) != (negative @ alive > 0)
+        gone = alive & (touches @ one_sign > 0)
+        if not gone.any():
+            break
+        alive &= ~gone
+    return alive
 
 
 # ---------------------------------------------------------------------------
@@ -1686,12 +1713,16 @@ def solve_conic(problem, params=None):
 
     Of the five reductions of the module docstring, the orbit reduction
     is applied by the caller, ``solve_gpm``, before this.  Here the
-    others run once each, in the order listed: the pattern split, the
-    zero-diagonal facial reduction, presolve of the free columns and,
-    right before the interior-point ``solve``, the block rotation.  A
-    facial reduction or a rotation that fires hands its problem to the
-    pattern split again, which splits the blocks it changed.  ``lift``
-    maps the result back through each reduction, the last first.
+    others run once each, in the order listed: the pattern split,
+    presolve of the free columns, the zero-diagonal facial reduction
+    and, right before the interior-point ``solve``, the block rotation.
+    So the facial reduction never sees a free column, and where it does
+    not fire the solver gets the problem it would get without it.  A
+    facial reduction that fires hands its problem, whose pins are free
+    columns, to the pattern split and presolve again; a rotation that
+    fires hands its problem to the pattern split again, which splits the
+    blocks it changed.  ``lift`` maps the result back through each
+    reduction, the last first.
 
     Returns a ConicSolution in the coordinates of ``problem``: y holds
     all original dual (moment) variables, x all original primal entries,
@@ -1710,17 +1741,25 @@ def solve_conic(problem, params=None):
             current = red.problem
         return red
 
-    reduce(split_by_pattern)
-    if reduce(_reduce_zero_diagonals) is not None:
-        reduce(split_by_pattern)
-    red = reduce(presolve_eliminate_equalities) if current.cone.f else None
-    if red is not None and red.status == "infeasible":
+    def eliminate():
+        red = reduce(presolve_eliminate_equalities) if current.cone.f else None
+        if red is None or red.status != "infeasible":
+            return None
         # no y solves A_f'y = c_f, so some free x_f has A_f x_f = 0 and
         # c_f'x_f < 0: a primal improving ray, which the IPM reports as
         # unbounded too.  The violated rows are dual constraints.
         return _lift_steps(steps, _without_iterations(
             current, "unbounded", "inconsistent equality rows", dinf=red.residual
         ))
+
+    reduce(split_by_pattern)
+    unbounded = eliminate()
+    if unbounded is None and reduce(_reduce_zero_diagonals) is not None:
+        # its pins are free columns
+        reduce(split_by_pattern)
+        unbounded = eliminate()
+    if unbounded is not None:
+        return unbounded
     if reduce(rotate_blocks) is not None:
         reduce(split_by_pattern)
     return _lift_steps(steps, solve(current, params))

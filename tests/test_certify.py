@@ -6,6 +6,9 @@ return the atoms it started from.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +149,76 @@ def test_extraction_weights_report_mass():
     ext = extract_points(msdp, y, measure)
     assert ext.success
     assert abs(ext.weights.sum() - 1.0) < 1e-8
+
+
+def test_least_squares_weights_are_the_nnls_weights(monkeypatch):
+    # on planted atoms, exact and with moments perturbed by 1e-6, the
+    # least-squares weights are nonnegative and Phi has full column
+    # rank, so they are the nonnegative least-squares weights
+    from scipy.optimize import nnls
+
+    certify_module = importlib.import_module("gpmkit.certify")
+    atom_weights, seen = certify_module._atom_weights, []
+
+    def recording(Phi, target):
+        seen.append((Phi, target, *atom_weights(Phi, target)))
+        return seen[-1][2:]
+
+    monkeypatch.setattr(certify_module, "_atom_weights", recording)
+    rng = np.random.default_rng(11)
+    for case in range(30):
+        msdp, measure, _, _, y = planted_instance(rng, 1 + case % 3, 1 + (case // 3) % 3)
+        extract_points(msdp, y + (1e-6 * rng.standard_normal(y.size) if case % 2 else 0.0), measure)
+    assert len(seen) >= 30
+    for Phi, target, weights, residual in seen:
+        assert np.linalg.matrix_rank(Phi) == Phi.shape[1]
+        oracle, oracle_residual = nnls(Phi, target)
+        assert np.abs(weights - oracle).max() <= 1e-12
+        assert residual == pytest.approx(oracle_residual, abs=1e-12)
+
+
+def test_clipped_weights_never_overstate_the_fit():
+    # where the least-squares weights go negative, clipping leaves them
+    # nonnegative and the residual at least the nonnegative minimum
+    from scipy.optimize import nnls
+
+    certify_module = importlib.import_module("gpmkit.certify")
+    rng = np.random.default_rng(5)
+    clipped = 0
+    for _ in range(40):
+        Phi = rng.standard_normal((8, 3))
+        target = Phi @ rng.uniform(-1.0, 1.0, 3) + 0.1 * rng.standard_normal(8)
+        weights, residual = certify_module._atom_weights(Phi, target)
+        assert (weights >= 0).all()
+        assert residual == pytest.approx(np.linalg.norm(Phi @ weights - target), abs=1e-12)
+        assert residual >= nnls(Phi, target)[1] - 1e-12
+        clipped += bool((np.linalg.lstsq(Phi, target, rcond=None)[0] < 0).any())
+    assert clipped >= 10
+
+
+def test_solving_leaves_scipy_optimize_unloaded():
+    # import gpmkit and a certified solve load no scipy.optimize: the
+    # screen rules the facial-reduction LP out on rational-1, and the
+    # atom weights come from least squares
+    import gpmkit
+
+    code = (
+        "import sys\n"
+        "import gpmkit\n"
+        "from gpmkit.dsl import parse_model\n"
+        "with open(sys.argv[1]) as fh:\n"
+        "    sol = gpmkit.solve_gpm(parse_model(fh.read(), 'rational.gpm'), order=1)\n"
+        "assert sol.status == 1, sol.status\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gpmkit.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, model_path("rational.gpm")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_certify_accepts_planted_vector():
@@ -327,6 +400,34 @@ def test_recentering_runs_only_on_a_flat_truncation(
         assert truncations == [None] * len(truncations)
     else:
         assert None not in truncations
+
+
+@pytest.mark.parametrize("order", [4, 5])
+def test_camel_certifies_from_a_flat_truncation_at_half_the_data_degree(monkeypatch, order):
+    # ranks 1, 2, 2, 2 up to degree 3, then rising: the smallest flat t
+    # is 2, below half the objective degree d = 6, but t = 3 is flat too,
+    # and M_3 gives both atoms at the top-level point with no face solve
+    certify_module = importlib.import_module("gpmkit.certify")
+    solve_conic = certify_module.solve_conic
+    seen = []
+
+    def counting_solve_conic(problem, params=None):
+        seen.append(problem)
+        return solve_conic(problem, params)
+
+    monkeypatch.setattr(certify_module, "solve_conic", counting_solve_conic)
+    with open(model_path("camel.gpm")) as fh:
+        sol = certify_module.solve_gpm(parse_model(fh.read(), "camel.gpm"), order=order)
+    assert len(seen) == 1
+    assert sol.status == 1
+    flat = sol.certificate.flatness[1]
+    assert [flat.ranks_by_degree[t] for t in range(4)] == [1, 2, 2, 2]
+    assert not flat.flat and flat.truncation == 2
+    assert sol.certificate.extractions[1].degree == 3
+    points, _ = sol.support(1)
+    assert len(points) == 2
+    for atom in [(0.0898, -0.7127), (-0.0898, 0.7127)]:
+        assert min(np.max(np.abs(point - np.asarray(atom))) for point in points) < 1e-3
 
 
 def _quadratic3_order_four():

@@ -1,5 +1,6 @@
 """Conic solver against closed-form oracles and feasibility invariants."""
 
+import importlib
 import logging
 import math
 
@@ -665,31 +666,18 @@ def test_presolved_solve_reports_the_objectives_of_its_input():
     assert sol.dobj == pytest.approx(problem.b @ sol.y, abs=1e-8)
 
 
-def test_facial_reduction_zero_diagonal():
-    # dual slacks: z_l = -y1 - y2, Z00 = y1, Z11 = y2.  Their sum is
-    # identically zero, so all three are certified zero on the dual set
-    # and the interior-point iteration only sees the reduced problem
+def zero_diagonal_problem():
+    """Dual slacks z_l = -y1 - y2, Z00 = y1, Z11 = y2, summing to 0."""
     A = np.zeros((2, 5))
     A[:, 0] = [1.0, 1.0]   # orthant slack
     A[:, 1] = [-1.0, 0.0]  # Z00
     A[:, 4] = [0.0, -1.0]  # Z11
-    c = np.zeros(5)
-    b = np.zeros(2)
-    problem = ConicProblem(A=A, b=b, c=c, cone=ConeSpec(l=1, s=(2,)))
-    red = _reduce_zero_diagonals(problem)
-    assert red is not None
-    sol = solve_conic(problem)
-    assert sol.status == "solved"
-    assert abs(sol.pobj) < 1e-8
-    # the dual set is the single point y = 0
-    assert np.abs(sol.y).max() < 1e-8
+    return ConicProblem(A=A, b=np.zeros(2), c=np.zeros(5), cone=ConeSpec(l=1, s=(2,)))
 
 
-def test_facial_reduction_lifts_into_the_second_of_two_blocks():
-    # y = (y1, y2, y3); slacks z_l = 1 - y1, Z1 = [[1 + y1, y2], [y2, 1 - y1]]
-    # and Z2 = [[y3, 0.5 - y2], [0.5 - y2, -y3]].  Z2's diagonal sums to
-    # zero, so facial reduction forces Z2 = 0 (y2 = 0.5, y3 = 0) and max y1
-    # subject to Z1 psd gives y1 = sqrt(3)/2
+def second_block_problem():
+    """y = (y1, y2, y3); slacks z_l = 1 - y1, Z1 = [[1 + y1, y2], [y2, 1 - y1]]
+    and Z2 = [[y3, 0.5 - y2], [0.5 - y2, -y3]], max y1 - 0.2 y3."""
     A = np.zeros((3, 9))
     c = np.zeros(9)
     c[0] = 1.0
@@ -701,7 +689,39 @@ def test_facial_reduction_lifts_into_the_second_of_two_blocks():
     c[6] = c[7] = 0.5
     A[1, 6] = A[1, 7] = 1.0
     b = np.array([1.0, 0.0, -0.2])
-    problem = ConicProblem(A=A, b=b, c=c, cone=ConeSpec(l=1, s=(2, 2)))
+    return ConicProblem(A=A, b=b, c=c, cone=ConeSpec(l=1, s=(2, 2)))
+
+
+def point_mass_problem():
+    """A measure squeezed to the origin by x'x <= 0, with one moment
+    equality: cone f = 1, l = 1, s = (3,)."""
+    ctx = ModelContext()
+    x = ctx.vars("x", 2)
+    return to_conic(assemble(GPMProblem(
+        minimize(mom(1 + x[0] + x[1])),
+        [x[0] ** 2 + x[1] ** 2 <= 0, mom(x[0] + 2 * x[1]) == 0],
+    )))
+
+
+def test_facial_reduction_zero_diagonal():
+    # the three slacks sum to zero identically, so all three are
+    # certified zero on the dual set and the interior-point iteration
+    # only sees the reduced problem
+    problem = zero_diagonal_problem()
+    red = _reduce_zero_diagonals(problem)
+    assert red is not None
+    sol = solve_conic(problem)
+    assert sol.status == "solved"
+    assert abs(sol.pobj) < 1e-8
+    # the dual set is the single point y = 0
+    assert np.abs(sol.y).max() < 1e-8
+
+
+def test_facial_reduction_lifts_into_the_second_of_two_blocks():
+    # Z2's diagonal sums to zero, so facial reduction forces Z2 = 0
+    # (y2 = 0.5, y3 = 0) and max y1 subject to Z1 psd gives y1 = sqrt(3)/2
+    problem = second_block_problem()
+    A, b, c = problem.A.toarray(), problem.b, problem.c
     red = _reduce_zero_diagonals(problem)
     assert red.problem.cone == ConeSpec(f=3, l=1, s=(2,))
     sol = solve_conic(problem)
@@ -724,16 +744,14 @@ def test_no_facial_reduction_with_interior():
 
 
 def test_facial_reduction_then_presolve():
-    # the reduction adds its pins to the free cone, so presolve runs on
-    # its output and the two lifts chain
-    ctx = ModelContext()
-    x = ctx.vars("x", 2)
-    problem = to_conic(assemble(GPMProblem(
-        minimize(mom(1 + x[0] + x[1])),
-        [x[0] ** 2 + x[1] ** 2 <= 0, mom(x[0] + 2 * x[1]) == 0],
-    )))
+    # presolve runs first, so the reduction sees no free column; it adds
+    # its pins to the free cone, so presolve runs again on its output and
+    # the lifts chain
+    problem = point_mass_problem()
     assert problem.cone == ConeSpec(f=1, l=1, s=(3,))
-    assert _reduce_zero_diagonals(problem) is not None
+    with pytest.raises(ConicError, match="without free columns"):
+        _reduce_zero_diagonals(problem)
+    assert _reduce_zero_diagonals(presolve_eliminate_equalities(problem).problem) is not None
     sol = solve_conic(problem)
     assert sol.status == "solved"
     A = problem.A
@@ -741,6 +759,111 @@ def test_facial_reduction_then_presolve():
     assert problem.c @ sol.x == pytest.approx(sol.pobj, abs=1e-9)
     assert problem.b @ sol.y == pytest.approx(sol.dobj, abs=1e-9)
     np.testing.assert_array_equal(sol.z, problem.c - A.T @ sol.y)
+
+
+def zero_sum_problem(rng, plant):
+    """A random problem with integer data, PSD blocks symmetric; with
+    ``plant``, a positive integer combination of some orthant and
+    diagonal columns of [A; c'] is zero, so those slacks vanish on the
+    whole dual set."""
+    while True:
+        cone = ConeSpec(l=int(rng.integers(0, 3)), s=tuple(rng.integers(1, 4, rng.integers(1, 3))))
+        candidates = np.concatenate(
+            [np.arange(cone.l)] + [cone.diagonal(k) for k in range(len(cone.s))]
+        )
+        if candidates.size >= 2:
+            break
+    m = int(rng.integers(2, 6))
+    data = rng.integers(-2, 3, size=(m + 1, cone.total_length)) * (rng.random((m + 1, cone.total_length)) < 0.5)
+    for k, order in enumerate(cone.s):
+        i, j = np.triu_indices(order, 1)
+        data[:, cone.column(k, j, i)] = data[:, cone.column(k, i, j)]
+    if plant:
+        zero = rng.choice(candidates, size=int(rng.integers(2, min(4, candidates.size) + 1)), replace=False)
+        lam = rng.integers(1, 3, size=zero.size - 1)
+        data[:, zero[-1]] = -data[:, zero[:-1]] @ lam
+    return ConicProblem(A=data[:m], b=rng.standard_normal(m), c=data[m], cone=cone)
+
+
+def test_sign_screen_never_rules_out_a_certificate(monkeypatch):
+    """The screen keeps every column of each certificate the LP finds
+    without it, and with it the reduction is the same: on the
+    hand-made problems and on random ones with and without a planted
+    zero-sum set of diagonals."""
+    import scipy.optimize
+
+    linprog, found = scipy.optimize.linprog, []
+
+    def recording_linprog(*args, **kwargs):
+        found.append(linprog(*args, **kwargs))
+        return found[-1]
+
+    monkeypatch.setattr(scipy.optimize, "linprog", recording_linprog)
+    rng = np.random.default_rng(7)
+    problems = [
+        zero_diagonal_problem(), second_block_problem(),
+        presolve_eliminate_equalities(point_mass_problem()).problem,
+        trace_problem(),
+    ] + [zero_sum_problem(rng, plant) for plant in (True, False) for _ in range(40)]
+    outcomes = []
+    for problem in problems:
+        cone = problem.cone
+        cols = np.concatenate([np.arange(cone.l)] + [cone.diagonal(k) for k in range(len(cone.s))])
+        B = np.vstack([problem.A[:, cols].toarray(), problem.c[cols]])
+        alive = conic_module._certificate_candidates(B)
+        found.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(conic_module, "_certificate_candidates", lambda B: np.ones(B.shape[1], dtype=bool))
+            unscreened = _reduce_zero_diagonals(problem)
+        (res,) = found
+        if res.success:
+            assert not (res.x > 1e-6)[~alive].any()
+        screened = _reduce_zero_diagonals(problem)
+        assert (screened is None) == (unscreened is None)
+        if screened is not None:
+            assert screened.problem.cone == unscreened.problem.cone
+            assert (screened.problem.A != unscreened.problem.A).nnz == 0
+        outcomes.append((unscreened is not None, bool(alive.any())))
+    # every planted problem keeps a certificate; most unplanted ones are
+    # ruled out by the screen alone
+    assert all(certified for certified, _ in outcomes[:3] + outcomes[4:44])
+    assert sum(not alive for _, alive in outcomes[44:]) >= 10
+
+
+@pytest.mark.parametrize(
+    "name,order,lp_calls",
+    [
+        ("camel.gpm", 3, [0, 1]), ("camel.gpm", 4, [0]), ("rational.gpm", 1, [0]),
+        ("rational.gpm", 2, [0]), ("quadratic3.gpm", 1, [0]), ("quadratic3.gpm", 2, [0]),
+        ("quadratic3.gpm", 3, [0]), ("quadratic3.gpm", 4, [0]), ("maxcut_sub.gpm", 3, [0]),
+        ("maxcut_nosub.gpm", 2, [0]),
+    ],
+)
+def test_no_facial_reduction_lp_on_the_paper_models(monkeypatch, name, order, lp_calls):
+    # LP calls per solve_conic call of solve_gpm: the sign screen rules
+    # out a certificate on every top-level problem; camel-3's re-centering
+    # face problem alone keeps candidates, and its LP finds none
+    import scipy.optimize
+
+    # the package rebinds the name `certify` to the function
+    certify_module = importlib.import_module("gpmkit.certify")
+    linprog, solve_conic = scipy.optimize.linprog, certify_module.solve_conic
+    counts = []
+
+    def counting_linprog(*args, **kwargs):
+        counts[-1] += 1
+        return linprog(*args, **kwargs)
+
+    def counting_solve_conic(problem, params=None):
+        counts.append(0)
+        return solve_conic(problem, params)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
+    monkeypatch.setattr(certify_module, "solve_conic", counting_solve_conic)
+    with open(model_path(name)) as fh:
+        sol = certify_module.solve_gpm(parse_model(fh.read(), name), order=order)
+    assert counts == lp_calls
+    assert sol.status >= 0
 
 
 def test_every_producer_hands_on_the_problem_layout(tmp_path):
@@ -756,12 +879,7 @@ def test_every_producer_hands_on_the_problem_layout(tmp_path):
     camel = to_conic(camel_msdp)
     classes = sign_classes(camel_msdp)
     orbits = reduce_by_orbits(camel, sign_flips(camel, classes.moments, classes.blocks)).problem
-    ctx = ModelContext()
-    x = ctx.vars("x", 2)
-    point_mass = to_conic(assemble(GPMProblem(
-        minimize(mom(1 + x[0] + x[1])),
-        [x[0] ** 2 + x[1] ** 2 <= 0, mom(x[0] + 2 * x[1]) == 0],
-    )))
+    point_mass = point_mass_problem()
     export_sdpa(camel, tmp_path / "camel.dat-s")
     export_json(rational, tmp_path / "rational.json")
     problems = {
@@ -769,7 +887,9 @@ def test_every_producer_hands_on_the_problem_layout(tmp_path):
         "presolve": presolve_eliminate_equalities(rational).problem,
         "reduce_by_orbits": orbits,
         "split_by_pattern": split_by_pattern(orbits).problem,
-        "_reduce_zero_diagonals": _reduce_zero_diagonals(point_mass).problem,
+        "_reduce_zero_diagonals": _reduce_zero_diagonals(
+            presolve_eliminate_equalities(point_mass).problem
+        ).problem,
         "_face_problem": _face_problem(
             camel, camel.cone.diagonal(0)[-3:], [(0, 1.0, 0.1)], -1.0, 0.1
         ),

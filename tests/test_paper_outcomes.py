@@ -11,7 +11,11 @@ M_2 of the top-level point, without a re-centering solve; it gives
 both paper atoms on every extraction seed of 0-159 (never the single
 merged atom (2,0,0)).  At seeds 23, 39, 62 and 125 the atoms from M_2
 break support constraints by 1.1e-4 to 1.5e-4, above the feasibility
-tolerance, and the re-centered point certifies them from M_4.
+tolerance, and the re-centered point certifies them from M_4.  camel
+at orders 4 and 5 (ranks 1, 2, 2, 2, 7 and 1, 2, 2, 2, 3, 8) is flat at
+t = 2 and at t = 3; only t = 3 reaches half the objective degree 6, and
+M_3 certifies both atoms at the top-level point.  At order 3 (ranks
+1, 2, 2, 3) no flat t reaches it, and the re-centered point certifies.
 """
 
 import itertools
@@ -29,6 +33,8 @@ QUADRATIC3_ATOMS = [(2.0, 0.0, 0.0), (0.5, 0.0, 3.0)]
 
 CASES = [
     ("camel.gpm", 3, 1, -1.0316, CAMEL_ATOMS),
+    ("camel.gpm", 4, 1, -1.0316, CAMEL_ATOMS),
+    ("camel.gpm", 5, 1, -1.0316, CAMEL_ATOMS),
     ("rational.gpm", 1, 1, -1.0 / 3.0, [(0.5,)]),
     ("quadratic3.gpm", 1, 0, -6.0, None),
     ("quadratic3.gpm", 2, 0, -5.6923, None),
