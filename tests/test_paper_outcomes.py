@@ -33,8 +33,6 @@ QUADRATIC3_ATOMS = [(2.0, 0.0, 0.0), (0.5, 0.0, 3.0)]
 
 CASES = [
     ("camel.gpm", 3, 1, -1.0316, CAMEL_ATOMS),
-    ("camel.gpm", 4, 1, -1.0316, CAMEL_ATOMS),
-    ("camel.gpm", 5, 1, -1.0316, CAMEL_ATOMS),
     ("rational.gpm", 1, 1, -1.0 / 3.0, [(0.5,)]),
     ("quadratic3.gpm", 1, 0, -6.0, None),
     ("quadratic3.gpm", 2, 0, -5.6923, None),
@@ -44,6 +42,9 @@ CASES = [
     # and the order-2 bound 12.4141 under the plain one
     ("maxcut_sub.gpm", 3, 0, 12.0, None),
     ("maxcut_nosub.gpm", 2, 0, 12.4141, None),
+    # new cases go last: the case ids number the atom lists by position
+    ("camel.gpm", 4, 1, -1.0316, CAMEL_ATOMS),
+    ("camel.gpm", 5, 1, -1.0316, CAMEL_ATOMS),
 ]
 
 # status of the top-level interior-point solve, for the cases that pin it
