@@ -39,7 +39,7 @@ truncation; on the paper models it never certified such a point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -573,8 +573,20 @@ def _recenter(msdp, conic, sol, y, objective, cert, params, seed):
     Top-degree moments only appear on the moment matrix diagonal, so on
     a degenerate face the solver can inflate them without cost.  One
     solve recomputes them as a minimal flat extension of the converged
-    lower moments, each pinned within relative _RECENTER_REL.  The
-    centered point replaces (y, cert) only if it is finite, keeps the
+    lower moments, each pinned within relative _RECENTER_REL.
+
+    The face problem is solved in the coordinates t = y' - y, centered
+    at the point y it refines: its c becomes c - A'y, and the solution
+    lifts back as y + t.  At t = 0 its slacks are those of y: each pin's
+    tau, the bound's slack and the diagonals of y's moment and
+    localizing matrices, all strictly positive at an interior point.  So
+    the row c' of [A; c'] has one strict sign on every column the
+    zero-diagonal facial reduction could use, and its exact sign screen
+    rules a certificate out with no LP: by Gordan's alternative a dual
+    point with all those slacks > 0 and a certificate exclude each
+    other.  Where a slack of y is 0, candidates survive and the LP runs.
+
+    The centered point replaces (y, cert) only if it is finite, keeps the
     objective within drift_tol and is certified itself.  solve_gpm calls
     it last, after certify found neither a flat M_r nor a flat
     truncation M_t with 2t >= d whose atoms pass the checks, and only
@@ -596,16 +608,19 @@ def _recenter(msdp, conic, sol, y, objective, cert, params, seed):
     pins = [(k, v, max(floor, _RECENTER_REL * (1.0 + abs(v)))) for k, v in lower]
     slack = max(floor, _RECENTER_REL * (1.0 + abs(bound)))
     face = _face_problem(conic, top, pins, bound, slack)
-    centered = solve_conic(face, SolverParams(eps=max(params.eps, 1e-7)))
-    if not np.all(np.isfinite(centered.y)):
+    # in t = y' - y: c - A'y' = (c - A'y) - A't
+    face = replace(face, c=face.c - face.A.T @ y)
+    t = solve_conic(face, SolverParams(eps=max(params.eps, 1e-7))).y
+    if not np.all(np.isfinite(t)):
         return y, cert
+    centered = y + t
     drift_tol = max(1e-5 * (1.0 + abs(objective)), 1e3 * abs(sol.gap))
-    if abs(conic.objective_value(centered.y) - objective) > drift_tol:
+    if abs(conic.objective_value(centered) - objective) > drift_tol:
         return y, cert
     # solver status on the sliver-thin face does not matter:
     # certification itself validates the centered point
-    recert = certify(msdp, centered.y, seed=seed)
-    return (centered.y, recert) if recert.certified else (y, cert)
+    recert = certify(msdp, centered, seed=seed)
+    return (centered, recert) if recert.certified else (y, cert)
 
 
 def _top_diagonal_positions(msdp, cone):

@@ -921,7 +921,11 @@ def _reduce_zero_diagonals(problem):
     first), so a certificate is a vector lam >= 0 over the candidate
     columns with [A; c'] lam = 0.  Before the LP that looks for one,
     ``_certificate_candidates`` screens the signs of [A; c']; when no
-    candidate survives, no certificate exists and no LP runs.
+    candidate survives, no certificate exists and no LP runs.  That is
+    the case whenever c itself is > 0 on every candidate, i.e. y = 0 is
+    a dual point with every candidate slack positive, as in the
+    re-centering face problem, which ``certify._recenter`` centers at
+    the interior point it refines.
 
     Reduced columns run pins, kept orthant, kept block entries; X maps
     each to its original column, an off-diagonal pin (d, i) to both
@@ -1150,7 +1154,11 @@ def _storage(m, s, nnz, r):
 
 
 def _symmetrized(cols, s):
-    """CSR rows of 0.5 (A_k + A_k') over the s*s entries of one block."""
+    """CSR rows of 0.5 (A_k + A_k') over the s*s entries of one block.
+
+    The per-block reference the tests hold ``_symmetrized_psd`` to; the
+    solver itself symmetrizes all blocks at once.
+    """
     A = scipy.sparse.csr_matrix(cols)
     swap = np.arange(s * s).reshape(s, s).T.reshape(-1)
     return 0.5 * (A + A[:, swap])
@@ -1180,12 +1188,12 @@ class _Cones:
     are symmetrized in one pass (``_symmetrized_psd``).  Each block is
     then kept either as a dense (m, s, s) tensor filled from those
     entries (``_DenseBlock``) or as CSR rows over its s*s entries
-    (``_SparseBlock``, made by ``_symmetrized`` so that its rows keep
-    the entry order, and with it the summation order, of that one
-    block), whichever ``_storage`` estimates forms the block's share of
-    the Schur complement faster.  Problems whose M, orthant columns and
-    block data would exceed _MAX_ENTRIES floats are refused before any
-    block is allocated.
+    (``_SparseBlock``, the block's slice of those columns as CSR, so
+    each row holds its entries in column order and sums them in an
+    order that depends on that block alone), whichever ``_storage``
+    estimates forms the block's share of the Schur complement faster.
+    Problems whose M, orthant columns and block data would exceed
+    _MAX_ENTRIES floats are refused before any block is allocated.
     """
 
     def __init__(self, problem):
@@ -1218,7 +1226,8 @@ class _Cones:
         self.blocks = []
         for off, s, sparse, col, k, values, _ in parts:
             if sparse:
-                self.blocks.append(_SparseBlock(_symmetrized(A[:, off : off + s * s], s), s))
+                cols = sym[:, off - cone.l : off - cone.l + s * s]
+                self.blocks.append(_SparseBlock(cols.tocsr(), s))
             else:
                 dense = np.zeros((s * s, m))
                 dense[col, k] = values

@@ -197,28 +197,59 @@ def test_clipped_weights_never_overstate_the_fit():
 
 
 def test_solving_leaves_scipy_optimize_unloaded():
-    # import gpmkit and a certified solve load no scipy.optimize: the
-    # screen rules the facial-reduction LP out on rational-1, and the
-    # atom weights come from least squares
+    # import gpmkit and certified solves load no scipy.optimize: the
+    # screen rules the facial-reduction LP out on rational-1, and on the
+    # re-centering face problems of camel-3 and of quadratic3-4 at
+    # extraction seed 23, and the atom weights come from least squares
     import gpmkit
 
     code = (
         "import sys\n"
         "import gpmkit\n"
         "from gpmkit.dsl import parse_model\n"
-        "with open(sys.argv[1]) as fh:\n"
-        "    sol = gpmkit.solve_gpm(parse_model(fh.read(), 'rational.gpm'), order=1)\n"
-        "assert sol.status == 1, sol.status\n"
-        "assert 'scipy.optimize' not in sys.modules\n"
+        "for path, order, seed in [(sys.argv[1], 1, 0), (sys.argv[2], 3, 0), (sys.argv[3], 4, 23)]:\n"
+        "    with open(path) as fh:\n"
+        "        sol = gpmkit.solve_gpm(parse_model(fh.read(), path), order=order, seed=seed)\n"
+        "    assert sol.status == 1, (path, sol.status)\n"
+        "    assert 'scipy.optimize' not in sys.modules, path\n"
     )
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(gpmkit.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    models = [model_path(name) for name in ("rational.gpm", "camel.gpm", "quadratic3.gpm")]
     proc = subprocess.run(
-        [sys.executable, "-c", code, model_path("rational.gpm")],
+        [sys.executable, "-c", code, *models],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("name,order,seed", [("camel.gpm", 3, 0), ("quadratic3.gpm", 4, 23)])
+def test_centered_face_problem_leaves_no_facial_reduction_candidate(monkeypatch, name, order, seed):
+    # _recenter centers the face problem at the top-level point, where
+    # every orthant slack (the pins' tau, the bound's slack) and every
+    # moment-matrix diagonal is positive: c, the row c' of [A; c'], has
+    # one strict sign on every candidate column, so the screen leaves none
+    certify_module = importlib.import_module("gpmkit.certify")
+    conic_module = importlib.import_module("gpmkit.conic")
+    solve_conic, faces = certify_module.solve_conic, []
+
+    def recording_solve_conic(problem, params=None):
+        faces.append(problem)
+        return solve_conic(problem, params)
+
+    monkeypatch.setattr(certify_module, "solve_conic", recording_solve_conic)
+    with open(model_path(name)) as fh:
+        sol = certify_module.solve_gpm(parse_model(fh.read(), name), order=order, seed=seed)
+    assert sol.status == 1
+    _, face = faces
+    cone = face.cone
+    cols = np.concatenate(
+        [cone.f + np.arange(cone.l)] + [cone.diagonal(k) for k in range(len(cone.s))]
+    )
+    assert (face.c[cols] > 0).all()
+    B = np.vstack([face.A[:, cols].toarray(), face.c[cols]])
+    assert not conic_module._certificate_candidates(B).any()
 
 
 def test_certify_accepts_planted_vector():
@@ -450,11 +481,13 @@ def test_quadratic3_order_four_solves_stop_once_progress_is_lost(monkeypatch):
     # solve stops at 25 with one OpenBLAS thread and at 28 with two, so
     # only the gap to the best iterate is pinned, not the count.
     # solve_gpm certifies the top-level point from its flat truncation
-    # M_2 and makes no face solve, so the face solve runs here on that
-    # top-level point through _recenter itself.
+    # M_2 and makes no face solve, so the face problem comes from
+    # _recenter itself on that top-level point.  _recenter solves it in
+    # coordinates centered at that point; the face solve pinned here is
+    # the one of the problem _face_problem returns, uncentered.
     certify_module = importlib.import_module("gpmkit.certify")
-    solve_conic = certify_module.solve_conic
-    seen = []
+    solve_conic, face_problem = certify_module.solve_conic, certify_module._face_problem
+    seen, faces = [], []
 
     def recording_solve_conic(problem, params=None):
         sol = solve_conic(problem, params)
@@ -463,15 +496,24 @@ def test_quadratic3_order_four_solves_stop_once_progress_is_lost(monkeypatch):
         seen.append((sol.status, sol.message.split(":")[0], sol.iterations, best_it))
         return sol
 
-    monkeypatch.setattr(certify_module, "solve_conic", recording_solve_conic)
-    sol = certify_module.solve_gpm(_quadratic3_order_four(), order=4, seed=0)
+    def recording_face_problem(*args):
+        faces.append(face_problem(*args))
+        return faces[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(certify_module, "solve_conic", recording_solve_conic)
+        sol = certify_module.solve_gpm(_quadratic3_order_four(), order=4, seed=0)
     assert sol.status == 1
     assert _has_quadratic3_atoms(sol.support(1)[0])
-    # the re-centering face solve from the same top-level point
+    # the re-centering face problem of the same top-level point
+    monkeypatch.setattr(certify_module, "_face_problem", recording_face_problem)
+    params = SolverParams()
     y, cert = certify_module._recenter(
         sol.msdp, to_conic(sol.msdp), sol.conic, sol.conic.y, sol.objective,
-        sol.certificate, SolverParams(), 0,
+        sol.certificate, params, 0,
     )
+    (face,) = faces
+    recording_solve_conic(face, SolverParams(eps=max(params.eps, 1e-7)))
     assert [entry[:2] for entry in seen] == [
         ("inaccurate", "lost progress"),
         ("inaccurate", "lost progress"),

@@ -830,19 +830,8 @@ def test_sign_screen_never_rules_out_a_certificate(monkeypatch):
     assert sum(not alive for _, alive in outcomes[44:]) >= 10
 
 
-@pytest.mark.parametrize(
-    "name,order,lp_calls",
-    [
-        ("camel.gpm", 3, [0, 1]), ("camel.gpm", 4, [0]), ("rational.gpm", 1, [0]),
-        ("rational.gpm", 2, [0]), ("quadratic3.gpm", 1, [0]), ("quadratic3.gpm", 2, [0]),
-        ("quadratic3.gpm", 3, [0]), ("quadratic3.gpm", 4, [0]), ("maxcut_sub.gpm", 3, [0]),
-        ("maxcut_nosub.gpm", 2, [0]),
-    ],
-)
-def test_no_facial_reduction_lp_on_the_paper_models(monkeypatch, name, order, lp_calls):
-    # LP calls per solve_conic call of solve_gpm: the sign screen rules
-    # out a certificate on every top-level problem; camel-3's re-centering
-    # face problem alone keeps candidates, and its LP finds none
+def _lp_calls_per_solve(monkeypatch, name, order, seed=0):
+    """LP calls of the facial reduction per solve_conic call of solve_gpm."""
     import scipy.optimize
 
     # the package rebinds the name `certify` to the function
@@ -861,9 +850,31 @@ def test_no_facial_reduction_lp_on_the_paper_models(monkeypatch, name, order, lp
     monkeypatch.setattr(scipy.optimize, "linprog", counting_linprog)
     monkeypatch.setattr(certify_module, "solve_conic", counting_solve_conic)
     with open(model_path(name)) as fh:
-        sol = certify_module.solve_gpm(parse_model(fh.read(), name), order=order)
-    assert counts == lp_calls
+        sol = certify_module.solve_gpm(parse_model(fh.read(), name), order=order, seed=seed)
     assert sol.status >= 0
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name,order,lp_calls",
+    [
+        ("camel.gpm", 3, [0, 0]), ("camel.gpm", 4, [0]), ("rational.gpm", 1, [0]),
+        ("rational.gpm", 2, [0]), ("quadratic3.gpm", 1, [0]), ("quadratic3.gpm", 2, [0]),
+        ("quadratic3.gpm", 3, [0]), ("quadratic3.gpm", 4, [0]), ("maxcut_sub.gpm", 3, [0]),
+        ("maxcut_nosub.gpm", 2, [0]),
+    ],
+)
+def test_no_facial_reduction_lp_on_the_paper_models(monkeypatch, name, order, lp_calls):
+    # the sign screen rules out a certificate on every top-level problem
+    # and on camel-3's re-centering face problem, whose slacks at the
+    # point it is centered on are all positive
+    assert _lp_calls_per_solve(monkeypatch, name, order) == lp_calls
+
+
+def test_no_facial_reduction_lp_when_quadratic3_order_four_re_centers(monkeypatch):
+    # at extraction seed 23 the atoms of quadratic3-4's flat truncation
+    # fail the checks, so solve_gpm re-centers
+    assert _lp_calls_per_solve(monkeypatch, "quadratic3.gpm", 4, seed=23) == [0, 0]
 
 
 def test_every_producer_hands_on_the_problem_layout(tmp_path):

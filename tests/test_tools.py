@@ -1,9 +1,13 @@
-"""tools/conic_digest.py, whose digests back every bit-identity claim."""
+"""tools/conic_digest.py, whose digests back every bit-identity claim,
+and tools/bench_rows.py, which writes the committed BENCH rows."""
 
 import hashlib
 import importlib.util
+import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +18,8 @@ from gpmkit.relaxation import assemble
 
 from conftest import model_path
 
-TOOL = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "conic_digest.py")
+TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools")
+TOOL = os.path.join(TOOLS, "conic_digest.py")
 HEX = "[0-9a-f]{64}"
 
 
@@ -65,3 +70,23 @@ def test_digest_has_a_case_with_rows_of_several_coefficients(conic_digest):
     moment = next(block for block in msdp.blocks if block.kind == "moment")
     assert np.diff(moment.forms.coeffs.indptr).max() > 1
     assert re.fullmatch(f"{model}-{order} {HEX}", "\n".join(conic_digest.digest(model, order)))
+
+
+def test_bench_rows_writes_one_row_per_instance(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, os.path.join(TOOLS, "bench_rows.py"), "--label", "check",
+         "--instances", "rational-1", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((tmp_path / "BENCH_check.json").read_text())
+    assert report["label"] == "check"
+    assert report["env"]["OPENBLAS_NUM_THREADS"] == "1" and report["env"]["numpy"]
+    (row,) = report["rows"]
+    assert row["instance"] == "rational-1" and row["status"] == 1
+    assert row["objective"] == pytest.approx(-1.0 / 3.0, abs=1e-6)
+    (call,) = row["ipm"]
+    assert call["status"] == "solved" and call["iterations"] > 0
+    assert call["m"] > 0 and call["blocks"]
+    assert row["solve_s"] > 0 and row["peak_rss_mb"] > 0
+    assert row["scipy_optimize_loaded"] is False
