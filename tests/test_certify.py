@@ -484,7 +484,10 @@ def test_quadratic3_order_four_solves_stop_once_progress_is_lost(monkeypatch):
     # M_2 and makes no face solve, so the face problem comes from
     # _recenter itself on that top-level point.  _recenter solves it in
     # coordinates centered at that point; the face solve pinned here is
-    # the one of the problem _face_problem returns, uncentered.
+    # the one of the problem _face_problem returns, uncentered.  The
+    # centered solve also loses progress, at 23 iterations, but its best
+    # one is 18 with one OpenBLAS thread and 16 with two, a gap past 5;
+    # it is checked only by _recenter certifying both atoms.
     certify_module = importlib.import_module("gpmkit.certify")
     solve_conic, face_problem = certify_module.solve_conic, certify_module._face_problem
     seen, faces = [], []

@@ -1325,6 +1325,35 @@ def test_dense_blocks_equal_the_per_block_symmetrization(monkeypatch):
             np.testing.assert_array_equal(r, np.bincount(pairs // s)[np.unique(pairs // s)])
 
 
+def test_sparse_blocks_equal_the_per_block_symmetrization(monkeypatch):
+    # with _storage choosing the sparse path for every block, each
+    # _SparseBlock is its block's slice of the one-pass symmetrized
+    # columns as CSR: the matrix of symmetrizing its own columns, bit for
+    # bit, with the cancelled pair of row 0 dropped and each row's
+    # entries in column order
+    rng = np.random.default_rng(11)
+    storage = conic_module._storage
+    monkeypatch.setattr(
+        conic_module, "_storage", lambda m, s, nnz, r: (True, storage(m, s, nnz, r)[1])
+    )
+    for _ in range(4):
+        problem, A = random_sparse_blocks_problem(rng, sizes=(5, 1, 7))
+        A[0, 3 + 1 * 5 + 2], A[0, 3 + 2 * 5 + 1] = 0.75, -0.75
+        problem = ConicProblem(
+            A=scipy.sparse.csr_matrix(A), b=problem.b, c=problem.c, cone=problem.cone
+        )
+        cones = _Cones(problem)
+        cone = problem.cone
+        assert len(cones.blocks) == len(cone.s)
+        for block, off, s in zip(cones.blocks, cone.psd_starts, cone.s):
+            want = _symmetrized(problem.A[:, off : off + s * s], s)
+            assert isinstance(block, _SparseBlock)
+            got = block.A
+            assert got.format == "csr" and got.has_sorted_indices
+            assert got.shape == want.shape and got.nnz == want.nnz
+            assert got.toarray().tobytes() == want.toarray().tobytes()
+
+
 def _sparse_rows_by_loop(sym, s):
     """(k, R_k, D_k) of every nonempty row, gathered one row at a time."""
     rows = []

@@ -4,10 +4,11 @@ Each instance (a model and an order, like ``camel-3``) is solved once by
 ``solve_gpm`` in a fresh child process with one BLAS thread, so every
 row pays its own imports and first-solve set-up, as one ``gpm solve``
 does.  A row holds the seconds of ``import gpmkit`` and of the
-``solve_gpm`` call, the status and objective, one entry per
-interior-point call (status, iterations, seconds, m and the PSD block
+``solve_gpm`` call (extraction seed 0), the status and objective, one
+entry per interior-point call (status, iterations, seconds, m and the PSD block
 orders the solver saw, recorded by wrapping ``gpmkit.conic.solve``), the
-child's peak RSS and whether ``scipy.optimize`` was loaded by the end of
+child's peak RSS (in MB of 10^6 bytes, the unit of gpmbench's
+``peak_rss_mb``) and whether ``scipy.optimize`` was loaded by the end of
 the solve.  The file also records the environment: Python, numpy and
 scipy versions, BLAS, CPUs and the thread variables.  Run from the root
 of a checkout:
@@ -43,7 +44,7 @@ INSTANCES = [
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_child(instance, seed):
+def run_child(instance):
     """Solve one instance in this process; return its row."""
     model, order = instance.rsplit("-", 1)
     start = time.perf_counter()
@@ -74,17 +75,18 @@ def run_child(instance, seed):
     with open(path, encoding="utf-8") as handle:
         problem = parse_model(handle.read(), path)
     begin = time.perf_counter()
-    sol = certify_module.solve_gpm(problem, order=int(order), seed=seed)
+    sol = certify_module.solve_gpm(problem, order=int(order), seed=0)
     solve_s = time.perf_counter() - begin
     return {
         "instance": instance,
-        "seed": seed,
+        "seed": 0,
         "import_s": import_s,
         "solve_s": solve_s,
         "status": sol.status,
         "objective": sol.objective,
         "ipm": calls,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+        # ru_maxrss is in KiB on Linux; MB (1e6 bytes) as gpmbench reports it
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
         "scipy_optimize_loaded": "scipy.optimize" in sys.modules,
     }
 
@@ -111,12 +113,11 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--label", help="the file is BENCH_<label>.json")
     parser.add_argument("--instances", nargs="+", default=INSTANCES, metavar="MODEL-ORDER")
-    parser.add_argument("--seed", type=int, default=0, help="extraction seed of solve_gpm")
     parser.add_argument("--out-dir", default=ROOT)
     parser.add_argument("--child", metavar="MODEL-ORDER", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(run_child(args.child, args.seed)))
+        print(json.dumps(run_child(args.child)))
         return
     if not args.label:
         parser.error("--label is required")
@@ -125,8 +126,7 @@ def main(argv=None):
     rows = []
     for instance in args.instances:
         proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--child", instance,
-             "--seed", str(args.seed)],
+            [sys.executable, os.path.abspath(__file__), "--child", instance],
             capture_output=True, text=True, check=False,
         )
         if proc.returncode != 0:
