@@ -16,28 +16,43 @@ An interior-point solver returns a point in the relative interior of
 the optimal face, where the top-degree moments of M_r are inflated and
 the rank test can fail although a lower truncation is already flat
 (rank M_t = rank M_{t-v} for some t <= r; Nie, Math. Program. 142,
-2013).  certify therefore tries, per measure and in this order:
+2013).  The forced-entry reduction of ``solve_conic`` leaves the moments
+that no feasible point of the sum-of-squares side constrains
+undetermined (NaN), and only the truncations M_t that hold none of them
+are determined; the ranks of the others are None.  certify tries, per
+measure and in this order:
 
-1. M_r flat: extract the atoms from M_r at rank M_{r-v};
-2. the smallest flat truncation t with 2t >= d, d the largest degree
-   of the measure's polynomials in the objective and the moment
-   constraints: extract from M_t at rank M_t.  By the flat extension theorem
-   (Curto & Fialkow, 2005) the moments of degree <= 2t then come from
-   an atomic measure, and 2t >= d makes those all the moments the data
-   reads;
-3. neither: no certificate at this point.
+1. M_r, when it is determined and flat: extract the atoms from M_r at
+   rank M_{r-v};
+2. the flat truncations M_t with t >= max(v, ceil(d/2)), d the largest
+   degree of the measure's polynomials in the objective and the moment
+   constraints, in increasing order up to the largest determined one:
+   extract from M_t at rank M_t.  By the flat extension theorem (Curto
+   & Fialkow, 2005) the moments of degree <= 2t then come from an
+   atomic measure, and 2t >= d makes those all the moments the data
+   reads.  M_t holds only determined moments, and its flat extension
+   to every degree (Laurent & Mourrain, Arch. Math. 93, 2009, state it
+   for any basis connected to 1) gives values to the undetermined
+   moments above degree 2t that match the atoms;
+3. none: no certificate at this point.
 
-Either way the atoms must then pass the same feasibility and objective
-checks.  When they do not, and every measure has a flat truncation,
-solve_gpm re-centers once: a face solve that pins the moments of
+A candidate counts only when its atoms pass the same feasibility and
+objective checks, and the first one that does wins: at quadratic3-4 an
+M_2 whose atoms break a support constraint can leave it to M_3.  When
+none passes, and every measure has a flat truncation, solve_gpm
+re-centers once: a face solve that pins the determined moments of
 degree <= 2r-2 and minimizes the top-degree diagonal.  It leaves every
 truncation of degree < r as it was, so it only pays when one of them
-already shows flatness.  It is skipped when some measure has no flat
-truncation; on the paper models it never certified such a point.
+already shows flatness, and it fills the undetermined moments with a
+minimal flat extension: that is how camel at orders 3-5, whose moments
+x2^6 and above the data leave free, certifies.  It is skipped when some
+measure has no flat truncation; on the paper models it never certified
+such a point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -89,8 +104,12 @@ def numeric_rank(matrix, tol=_RANK_TOL):
 class FlatnessResult:
     """Rank pattern of one measure's moment matrix.
 
-    truncation is the smallest t in [v, r] with rank M_t = rank M_{t-v}
-    (a flat truncation), or None when the ranks rise at every such t.
+    ranks_by_degree maps each t in [0, r] to rank M_t, or to None when
+    M_t holds an undetermined (NaN) moment; rank and rank_shifted are
+    those of M_r and M_{r-v}, and flat is false unless M_r is
+    determined.  truncation is the smallest t in [v, r] with rank M_t =
+    rank M_{t-v} (a flat truncation), or None when the ranks rise at
+    every such t where M_t is determined.
     """
 
     flat: bool
@@ -100,10 +119,14 @@ class FlatnessResult:
     ranks_by_degree: dict
     truncation: int | None = None
 
-    def flat_from(self, start):
-        """The smallest flat truncation t >= start, or None."""
+    def flat_truncations(self, start):
+        """The flat truncations t >= start with M_t determined, in
+        increasing order."""
         ranks, v = self.ranks_by_degree, self.v
-        return next((t for t in range(max(start, v), len(ranks)) if ranks[t] == ranks[t - v]), None)
+        return [
+            t for t in range(max(start, v), len(ranks))
+            if ranks[t] is not None and ranks[t] == ranks[t - v]
+        ]
 
 
 def _inequality_halfdegree(msdp, measure):
@@ -121,23 +144,28 @@ def check_flatness(msdp, y, measure):
 
 
 def _flatness(msdp, block, M):
-    """Rank pattern of the moment matrix M of a measure's moment block."""
+    """Rank pattern of the moment matrix M of a measure's moment block.
+
+    Only the truncations M_t that hold no undetermined (NaN) moment are
+    ranked.
+    """
     v = _inequality_halfdegree(msdp, block.measure)
     degrees = block.basis.sum(axis=1)
     ranks = {}
     for d in range(msdp.order + 1):
         keep = np.flatnonzero(degrees <= d)
-        ranks[d] = numeric_rank(M[np.ix_(keep, keep)])
+        M_d = M[np.ix_(keep, keep)]
+        ranks[d] = numeric_rank(M_d) if np.isfinite(M_d).all() else None
     rank = ranks[msdp.order]
     rank_shifted = ranks[max(msdp.order - v, 0)]
     flat = FlatnessResult(
-        flat=rank == rank_shifted,
+        flat=rank is not None and rank == rank_shifted,
         rank=rank,
         rank_shifted=rank_shifted,
         v=v,
         ranks_by_degree=ranks,
     )
-    flat.truncation = flat.flat_from(v)
+    flat.truncation = next(iter(flat.flat_truncations(v)), None)
     return flat
 
 
@@ -335,39 +363,64 @@ def _data_degree(msdp, measure):
 def certify(msdp, y, seed=0):
     """Check flatness, extract atoms and verify them on all measures.
 
-    Each measure's atoms come from M_r when it is flat, and otherwise
-    from its smallest flat truncation M_t with 2t >= d, d the largest
-    degree of its polynomials in the objective and the moment
-    constraints (``_data_degree``).  A smaller flat t, the
+    Each measure's candidates are M_r when it is flat, then its flat
+    truncations M_t with t >= max(v, ceil(d/2)) in increasing order, d
+    the largest degree of its polynomials in the objective and the
+    moment constraints (``_data_degree``), up to the largest M_t that
+    holds no undetermined moment.  A smaller flat t, the
     ``FlatnessResult.truncation`` of camel-3 say, does not fix the
-    moments the data reads.  Certification then
-    requires extraction successful on every measure, all extracted
-    points feasible for their support constraints and the objective
-    recomputed from the atoms to match the SDP objective.  Each moment
-    matrix is built, and its ranks found, once.
+    moments the data reads.  A choice of one candidate per measure
+    certifies when extraction succeeds on every measure, all extracted
+    points are feasible for their support constraints and the
+    objective recomputed from the atoms matches the SDP objective.  The
+    choices are tried in order, the first measure's slowest, and the
+    first that certifies wins; when none does, the first choice is
+    reported.  Each moment matrix is built, and its ranks found, once,
+    and each truncation is factored at most once.
     """
-    flatness = {}
-    extractions = {}
-    certified = True
+    flatness, candidates, extracted = {}, [], {}
     for measure in msdp.problem.measures:
         block = moment_block(msdp, measure)
         M = mmat_values(msdp, y, block.measure)
         flat = _flatness(msdp, block, M)
         flatness[measure.label] = flat
-        t = flat.flat_from(math.ceil(_data_degree(msdp, measure) / 2))
-        if flat.flat:
-            ext = _extract_at(msdp, block, M, msdp.order, flat.rank_shifted, seed)
-        elif t is not None:
-            ext = _extract_at(msdp, block, M, t, flat.ranks_by_degree[t], seed)
-        else:
-            certified = False
-            continue
-        extractions[measure.label] = ext
-        if not ext.success:
-            certified = False
-    if not certified:
-        return Certificate(False, flatness, extractions)
+        start = math.ceil(_data_degree(msdp, measure) / 2)
+        ts = [msdp.order] if flat.flat else []
+        ts += [t for t in flat.flat_truncations(start) if t not in ts]
+        # a flat M_t is factored at its rank, rank M_{t-v}
+        candidates.append([(measure.label, block, M, t, flat.ranks_by_degree[t]) for t in ts])
 
+    def extraction(label, block, M, t, rho):
+        if (label, t) not in extracted:
+            extracted[label, t] = _extract_at(msdp, block, M, t, rho, seed)
+        return extracted[label, t]
+
+    if not all(candidates):
+        # a measure without a candidate leaves nothing to certify
+        return Certificate(False, flatness, {
+            picks[0][0]: extraction(*picks[0]) for picks in candidates if picks
+        })
+    first = None
+    for choice in itertools.product(*candidates):
+        extractions = {pick[0]: extraction(*pick) for pick in choice}
+        if all(ext.success for ext in extractions.values()):
+            infeas, mismatch = _atom_checks(msdp, y, extractions)
+            cert = Certificate(
+                bool(infeas <= _FEAS_TOL and mismatch <= _FEAS_TOL),
+                flatness, extractions, mismatch, infeas,
+            )
+            if cert.certified:
+                return cert
+        else:
+            cert = Certificate(False, flatness, extractions)
+        first = first or cert
+    return first
+
+
+def _atom_checks(msdp, y, extractions):
+    """The largest relative violation of a support constraint at the
+    atoms, and the relative mismatch between the objective recomputed
+    from the atoms and the SDP objective at y."""
     infeas = 0.0
     for con in msdp.problem.support_constraints:
         ext = extractions[con.measure.label]
@@ -384,9 +437,7 @@ def certify(msdp, y, seed=0):
         for point, weight in zip(ext.points, ext.weights):
             recomputed += weight * poly.eval(dict(zip(measure.vars, point)))
     sdp_objective = (msdp.objective.coeffs @ y + msdp.objective.const)[0]
-    mismatch = abs(recomputed - sdp_objective) / (1.0 + abs(sdp_objective))
-    certified = bool(infeas <= _FEAS_TOL and mismatch <= _FEAS_TOL)
-    return Certificate(certified, flatness, extractions, mismatch, infeas)
+    return infeas, abs(recomputed - sdp_objective) / (1.0 + abs(sdp_objective))
 
 
 @dataclass
@@ -401,8 +452,9 @@ class GPMSolution:
 
     ``moments`` maps each measure label to its moment vector, as
     ``mvec_values`` gives it: a float array in the grlex order of
-    ``mvec`` and of ``msdp.index.raw_exponents[measure]``.  It is empty
-    when the SDP was not solved.
+    ``mvec`` and of ``msdp.index.raw_exponents[measure]``, NaN on the
+    moments the solve left undetermined.  It is empty when the SDP was
+    not solved.
 
     ``symmetry`` maps each measure label to None when no sign flip
     leaves its data unchanged, and otherwise to its flips (lists of
@@ -457,8 +509,9 @@ def solve_gpm(problem, order=None, params=None, seed=0):
     Returns a GPMSolution; on certification the extracted supports are
     stored into the measures, so eval_on_support reads the minimizers
     directly.  Moment vectors are stored on the measures whenever the
-    SDP was solved.  The solved point is certified from each measure's
-    M_r when it is flat, else from its flat truncation M_t when 2t >= d
+    SDP was solved, NaN where the forced-entry reduction left a moment
+    undetermined.  The solved point is certified from each measure's
+    M_r when it is flat, else from a flat truncation M_t with 2t >= d
     (``certify``).  Only a point that neither certifies is re-centered
     (_recenter), and only when every measure has a flat truncation: the
     face solve moves only the top-degree part of each M_r, so a point
@@ -586,6 +639,13 @@ def _recenter(msdp, conic, sol, y, objective, cert, params, seed):
     point with all those slacks > 0 and a certificate exclude each
     other.  Where a slack of y is 0, candidates survive and the LP runs.
 
+    Only the determined moments are pinned.  Where y holds undetermined
+    (NaN) moments, the center is not y but ``_recession_center``: y with
+    those moments moved along the recession direction that the
+    forced-entry reduction proved, far enough that every orthant entry
+    and PSD diagonal of the dual slack is positive there too.  The face
+    solve fills them with a minimal flat extension.
+
     The centered point replaces (y, cert) only if it is finite, keeps the
     objective within drift_tol and is certified itself.  solve_gpm calls
     it last, after certify found neither a flat M_r nor a flat
@@ -599,21 +659,23 @@ def _recenter(msdp, conic, sol, y, objective, cert, params, seed):
     degrees = np.empty(msdp.n_vars, dtype=np.int64)
     for (_, t), k in msdp.index.var_of.items():
         degrees[k] = sum(t)
-    lower = [(k, float(y[k])) for k in np.flatnonzero(degrees <= low).tolist()]
+    determined = ~np.isnan(y)
+    lower = [(k, float(y[k])) for k in np.flatnonzero((degrees <= low) & determined).tolist()]
     top = _top_diagonal_positions(msdp, conic.cone)
     if not (lower and top):
         return y, cert
-    bound = float(conic.b @ y)
+    center = y if determined.all() else _recession_center(conic, y, sol.recession)
+    bound = float(conic.b @ center)
     floor = 10.0 * abs(sol.gap)
     pins = [(k, v, max(floor, _RECENTER_REL * (1.0 + abs(v)))) for k, v in lower]
     slack = max(floor, _RECENTER_REL * (1.0 + abs(bound)))
     face = _face_problem(conic, top, pins, bound, slack)
-    # in t = y' - y: c - A'y' = (c - A'y) - A't
-    face = replace(face, c=face.c - face.A.T @ y)
+    # in t = y' - center: c - A'y' = (c - A'center) - A't
+    face = replace(face, c=face.c - face.A.T @ center)
     t = solve_conic(face, SolverParams(eps=max(params.eps, 1e-7))).y
     if not np.all(np.isfinite(t)):
         return y, cert
-    centered = y + t
+    centered = center + t
     drift_tol = max(1e-5 * (1.0 + abs(objective)), 1e3 * abs(sol.gap))
     if abs(conic.objective_value(centered) - objective) > drift_tol:
         return y, cert
@@ -621,6 +683,22 @@ def _recenter(msdp, conic, sol, y, objective, cert, params, seed):
     # certification itself validates the centered point
     recert = certify(msdp, centered, seed=seed)
     return (centered, recert) if recert.certified else (y, cert)
+
+
+def _recession_center(conic, y, d):
+    """y with its undetermined (NaN) moments moved along the recession
+    direction d of ``ConicSolution.recession``: from 0 by the smallest
+    multiple of d that lifts every orthant entry and PSD diagonal of the
+    dual slack that d raises to at least 1."""
+    cone = conic.cone
+    base = np.where(np.isnan(y), 0.0, y)
+    cols = np.concatenate(
+        [np.arange(cone.f, cone.f + cone.l)] + [cone.diagonal(j) for j in range(len(cone.s))]
+    )
+    z = (conic.c - conic.A.T @ base)[cols]
+    rise = -(conic.A.T @ d)[cols]
+    up = rise > 0
+    return base + max(0.0, float(np.max((1.0 - z[up]) / rise[up], initial=0.0))) * d
 
 
 def _top_diagonal_positions(msdp, cone):

@@ -10,13 +10,17 @@ overrides the default solver tolerance.
 
 Exit codes: 0 success, 1 I/O error, 2 parse or modeling error or an
 invalid --eps, 3 assembly error, 4 solver failure (status -1).  Text
-output rounds to 4 decimals; the JSON report keeps full precision.
+output rounds to 4 decimals; the JSON report keeps full precision.  A
+moment the solve left undetermined, and the rank of a truncation that
+holds one, is null in the JSON report and "undetermined" or "-" in the
+text.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 
@@ -81,7 +85,7 @@ class RunReport:
             lines.append(f"obj = {self.objective:.4f}")
         for entry in self.measures:
             if entry["ranks"] is not None:
-                ranks = " ".join(map(str, entry["ranks"]))
+                ranks = " ".join("-" if r is None else str(r) for r in entry["ranks"])
                 t, at = entry["flat_truncation"], entry["extracted_at"]
                 lines.append(
                     f"Measure {entry['label']}: ranks by degree = {ranks}, "
@@ -128,7 +132,11 @@ class RunReport:
                     f"Moments of measure {entry['label']} up to degree 2:"
                 )
                 for name, value in shown:
-                    lines.append(f"  {name} = {value:.4f}")
+                    lines.append(f"  {name} = {'undetermined' if value is None else f'{value:.4f}'}")
+                if entry["undetermined"]:
+                    lines.append(
+                        f"Measure {entry['label']}: {entry['undetermined']} moments undetermined"
+                    )
         return "\n".join(lines)
 
 
@@ -249,11 +257,14 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
         entry["symmetry"] = sol.symmetry.get(measure.label)
         entry["permutations"] = sol.permutations.get(measure.label)
         moments = sol.moments.get(measure.label)
+        entry["undetermined"] = 0
         if moments is not None:
+            # a moment the solve left undetermined (NaN) is written as null
             entry["moments"] = [
-                (repr(p), value, p.degree)
+                (repr(p), None if math.isnan(value) else value, p.degree)
                 for p, value in zip(mvec(sol.msdp, measure), moments.tolist())
             ]
+            entry["undetermined"] = sum(value is None for _, value, _ in entry["moments"])
         if sol.status == 1 and measure.support_points is not None:
             entry["points"] = [list(map(float, p)) for p in measure.support_points]
             entry["weights"] = [float(w) for w in measure.weights]
@@ -273,7 +284,7 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
     )
     if json_path:
         with open(json_path, "w", encoding="utf-8") as handle:
-            json.dump(asdict(report), handle, indent=2)
+            json.dump(asdict(report), handle, indent=2, allow_nan=False)
             handle.write("\n")
     return report
 

@@ -16,7 +16,7 @@ eliminated by presolve before solving: the solver handles l and s cones
 only.  Presolve parameterizes the affine solution set as y = y0 + N t
 and rewrites the problem over t.
 
-A moment SDP reaches the solver through five reductions, in this
+A moment SDP reaches the solver through six reductions, in this
 order:
 
 1. the orbit reduction (``reduce_by_orbits``, applied by ``solve_gpm``):
@@ -34,18 +34,23 @@ order:
    free columns that the pattern split and presolve then take again;
    an exact screen of the signs of the data rules most problems out
    before the LP that looks for a certificate;
-5. the block rotation (``rotate_blocks``, right before the solver): a
+5. the forced-entry reduction (``_drop_forced_entries``), its primal
+   twin: orthant entries and PSD rows and columns that a row of
+   A x = b with b_k = 0 forces to 0 at every feasible x leave the
+   cones, and rows of A left empty go, their moments left undetermined
+   (NaN) with the recession direction that frees them;
+6. the block rotation (``rotate_blocks``, right before the solver): a
    PSD block whose data splits in the eigenbasis of a random
    combination of it is rotated into that basis, where the pattern
    split of step 2 splits it, when the split saves more than the
    blocks it adds cost.
 
 The first applies only where a check of the data, exact to the last
-bit, shows the symmetry it uses; the second involves no tolerance.  The
-fifth is the only one that changes the data by a tolerance: it rotates
-a block only when every rotated entry outside the blocks it splits
-into is at most 1e-9 times the largest entry of the block's data, and
-sets those entries to exactly 0.  Each returns a ``Reduction``: the
+bit, shows the symmetry it uses; the second and the fifth involve no
+tolerance.  The sixth is the only one that changes the data by a
+tolerance: it rotates a block only when every rotated entry outside
+the blocks it splits into is at most 1e-9 times the largest entry of
+the block's data, and sets those entries to exactly 0.  Each returns a ``Reduction``: the
 reduced problem and two linear maps back, y = y0 + N y_r for the
 moments and x = X x_r for the primal entries.  One ``lift`` applies
 them to a solution of the reduced problem, so a further reduction only
@@ -179,8 +184,17 @@ class ConicProblem:
         return self.c.shape[0]
 
     def objective_value(self, y):
-        by = float(self.b @ y)
+        """The source objective at y; an undetermined (NaN) y_k with
+        b_k = 0 does not enter it."""
+        by = _objective_dot(self.b, y)
         return self.offset + (by if self.sense == "max" else -by)
+
+
+def _objective_dot(b, y):
+    """b'y over the rows with b_k != 0, so that the NaN of an
+    undetermined y_k with b_k = 0 does not make it NaN."""
+    used = b != 0
+    return float(b[used] @ y[used])
 
 
 @dataclass
@@ -213,6 +227,14 @@ class ConicSolution:
     decided on, which ``solve_conic`` leaves as the interior-point solve
     saw them.  After a reduction's ``lift``, z is c - A'y on every
     column, free columns included.
+
+    y is NaN on the moments that ``_drop_forced_entries`` left
+    undetermined, and z on the entries they touch.  ``recession`` is
+    then a direction d, 0 where y is determined and with b'd = 0, such
+    that z - tau A'd, with y's NaN read as 0, is strictly positive on
+    every orthant entry and PSD diagonal that the reduction dropped once
+    tau is large enough: the dual recession direction that leaves those
+    moments free.  It is None when y is determined.
     """
 
     status: str
@@ -228,6 +250,7 @@ class ConicSolution:
     history: list = field(default_factory=list)
     message: str = ""
     blocks: tuple = ()
+    recession: object = None
 
 
 def to_conic(msdp):
@@ -274,10 +297,14 @@ class Reduction:
     x = X x_r, with N sparse and X sparse or, for the orbit average and
     the block rotation, a linear operator.  ``n_eliminated`` counts the
     leading free columns that presolve removed; X is zero on them and
-    ``lift`` recovers them by least squares.  Presolve alone can end with status
-    'infeasible': the equality rows are contradictory, ``residual``
-    reports the violation and the problem and maps are None.  ``kept``
-    lists the generators the orbit reduction kept, by position.
+    ``lift`` recovers them by least squares.  Presolve and the
+    forced-entry reduction can end with status 'infeasible': the
+    equality rows are contradictory, or a row of A left empty has
+    b_k != 0; ``residual`` reports the violation and the problem and
+    maps are None.  ``kept`` lists the generators the orbit reduction
+    kept, by position.  The forced-entry reduction sets y0 to NaN on the
+    rows it drops and gives their ``recession`` direction (see
+    ``ConicSolution``).
     """
 
     problem: object
@@ -288,6 +315,7 @@ class Reduction:
     residual: float = 0.0
     n_eliminated: int = 0
     kept: tuple = ()
+    recession: np.ndarray = None
 
 
 def _selection(n, idx):
@@ -305,9 +333,14 @@ def lift(problem, red, inner):
     misses A x = b about as much as the inner x misses its own rows;
     z = c - A'y on every column, and both objectives gain back the b'y0
     the reduction moved into the offset.  Status, residuals and history
-    stay those of ``inner``.
+    stay those of ``inner``.  The recession direction maps as y does,
+    without y0, and gains the reduction's own.
     """
     y = red.y0 + red.N @ inner.y
+    recession = red.recession
+    if inner.recession is not None:
+        lifted = red.N @ inner.recession
+        recession = lifted if recession is None else recession + lifted
     x = red.X @ inner.x
     nf = red.n_eliminated
     if nf:
@@ -320,9 +353,10 @@ def lift(problem, red, inner):
             atol=0.0, btol=0.0, iter_lim=4 * min(Af.shape) + 10,
         )[0]
     z = problem.c - problem.A.T @ y
-    shift = float(problem.b @ red.y0)
+    shift = _objective_dot(problem.b, red.y0)
     return replace(
-        inner, x=x, y=y, z=z, pobj=inner.pobj + shift, dobj=inner.dobj + shift
+        inner, x=x, y=y, z=z, pobj=inner.pobj + shift, dobj=inner.dobj + shift,
+        recession=recession,
     )
 
 
@@ -1019,6 +1053,118 @@ def _certificate_candidates(B):
     return alive
 
 
+def _drop_forced_entries(problem):
+    """Drop the cone entries that are 0 at every feasible x.
+
+    The primal twin of ``_reduce_zero_diagonals``, and the
+    diagonal-inconsistency reduction of sum-of-squares programs
+    (Löfberg, IEEE Trans. Autom. Control 54, 2009).  A row k of A x = b
+    with b_k = 0 whose live entries all sit on orthant columns or PSD
+    diagonals, all of one strict sign, sums entries that are >= 0 on
+    the cone to 0, so each of them is 0 at every feasible x; a forced
+    diagonal forces its whole block row and column.  An entry is live
+    until it is forced, and the rule repeats in rounds to a fixpoint.
+    Only the signs of the stored entries count, with no tolerance, as in
+    ``_certificate_candidates``.
+
+    The forced orthant columns and block rows and columns go, and so do
+    the rows of A left empty.  A row left empty with b_k != 0 proves
+    that no x exists: the Reduction then has status 'infeasible' and
+    ``residual`` the largest such |b_k|.  Where an orthant entry or PSD
+    diagonal that no row touches has c_j < 0 as well, that entry is a
+    primal improving ray and no y is dual feasible, which ``solve`` and
+    the other exits of ``solve_conic`` report as 'unbounded'; the status
+    is then 'unbounded' and ``residual`` the most negative such c_j.
+
+    The reduced problem does not fix the moments of the rows it drops,
+    so y0 is NaN there.  The rows that forced entries give the
+    ``recession`` direction d: moving y_k against the sign of row k
+    raises the dual slack on the entries it forced.  Each round is
+    scaled, the last first, so that -A'd >= 1 on every entry it forced
+    whatever the later rounds put there; they touch those entries only
+    once they are forced.
+
+    The problem has no free columns (``solve_conic`` runs presolve
+    first).  Returns None when nothing is forced and no row is empty.
+    """
+    cone = problem.cone
+    if cone.f:
+        raise ConicError("forced-entry reduction needs a problem without free columns")
+    m, n = problem.m, problem.n
+    coo = problem.A.tocoo()
+    stored = coo.data != 0
+    row, col, val = coo.row[stored], coo.col[stored], coo.data[stored]
+    # entries() gives i = j on the orthant, so i == j marks the entries
+    # that are >= 0 on the cone; bi, bj number the rows of all blocks
+    # in one range
+    k, i, j = cone.entries(np.arange(n))
+    psd = k >= 0
+    first = np.cumsum((0,) + cone.s)[:-1].astype(np.int64)
+    bi, bj = first[k[psd]] + i[psd], first[k[psd]] + j[psd]
+    nonneg = (i == j)[col]
+    positive = val > 0
+    candidate = problem.b == 0
+    alive = np.ones(n, dtype=bool)
+    dead = np.zeros(sum(cone.s), dtype=bool)
+    rounds = []
+    while True:
+        live = alive[col]
+        on = live & nonneg
+        pos = np.bincount(row[on & positive], minlength=m) > 0
+        neg = np.bincount(row[on & ~positive], minlength=m) > 0
+        other = np.bincount(row[live & ~nonneg], minlength=m) > 0
+        forcing = candidate & ~other & (pos != neg)
+        if not forcing.any():
+            break
+        forced = np.unique(col[on & forcing[row]])
+        rounds.append((np.flatnonzero(forcing), forced))
+        alive[forced] = False
+        diagonal = forced[k[forced] >= 0]
+        dead[first[k[diagonal]] + i[diagonal]] = True
+        alive[psd] &= ~(dead[bi] | dead[bj])
+    kept = np.bincount(row[alive[col]], minlength=m) > 0
+    if not rounds and kept.all():
+        return None
+    empty = ~kept & (problem.b != 0)
+    if empty.any():
+        ray = (i == j) & (np.bincount(col, minlength=n) == 0) & (problem.c < 0)
+        status, residual = (
+            ("unbounded", float(problem.c[ray].min())) if ray.any()
+            else ("infeasible", float(np.abs(problem.b[empty]).max()))
+        )
+        return Reduction(
+            problem=None, y0=None, N=None, X=None, status=status, residual=residual,
+        )
+
+    cols, sizes = [np.flatnonzero(alive[: cone.l])], []
+    for block, s in enumerate(cone.s):
+        R = np.flatnonzero(~dead[first[block] : first[block] + s])
+        if R.size:
+            cols.append(cone.block_columns(block, R))
+            sizes.append(R.size)
+    cols, rows = np.concatenate(cols), np.flatnonzero(kept)
+    reduced = ConicProblem(
+        A=problem.A[:, cols][rows],
+        b=problem.b[rows],
+        c=problem.c[cols],
+        cone=ConeSpec(l=cols.size - sum(s * s for s in sizes), s=tuple(sizes)),
+        sense=problem.sense,
+        offset=problem.offset,
+    )
+    d = np.zeros(m)
+    rise = np.zeros(n)  # -A'd, the rise of the dual slack along d
+    for forcing, forced in reversed(rounds):
+        part = problem.A[forcing][:, forced]
+        sign = np.sign(np.asarray(part.sum(axis=1)).ravel())
+        weight = np.asarray(abs(part).sum(axis=0)).ravel()
+        d[forcing] = -sign * max(1.0, float(np.max((1.0 - rise[forced]) / weight)))
+        rise = -(problem.A.T @ d)
+    return Reduction(
+        problem=reduced, y0=np.where(kept, 0.0, np.nan), N=_selection(m, rows),
+        X=_selection(n, cols), recession=d,
+    )
+
+
 # ---------------------------------------------------------------------------
 # interior-point solver
 
@@ -1153,24 +1299,13 @@ def _storage(m, s, nnz, r):
     return False, m * s * s
 
 
-def _symmetrized(cols, s):
-    """CSR rows of 0.5 (A_k + A_k') over the s*s entries of one block.
-
-    The per-block reference the tests hold ``_symmetrized_psd`` to; the
-    solver itself symmetrizes all blocks at once.
-    """
-    A = scipy.sparse.csr_matrix(cols)
-    swap = np.arange(s * s).reshape(s, s).T.reshape(-1)
-    return 0.5 * (A + A[:, swap])
-
-
 def _symmetrized_psd(A, cone):
     """0.5 (A_k + A_k') over all PSD columns of the CSC matrix A at once.
 
     Returns a CSC matrix whose columns are the PSD columns of A, so the
     entries of each block are one contiguous range.  Each entry is the
-    sum times 0.5 that _symmetrized forms, and sums that are exactly 0
-    are dropped here as there; only the order of the entries differs.
+    sum of the entry and its mirror times 0.5, and sums that are exactly
+    0 are dropped.
     """
     start = cone.f + cone.l
     P = A[:, start:]
@@ -1259,6 +1394,15 @@ class _Cones:
         for block, Zinv, X in zip(self.blocks, Zinv_s, X_s):
             block.add_schur(M, Zinv, X)
         return 0.5 * (M + M.T)
+
+    def schur_apply(self, x_l, z_l, Zinv_s, X_s, v):
+        """M v without M: A(diag(x/z) A'v) + A(Z^-1 A'(v) X) per block,
+        summed as the residuals are."""
+        At_l, At_s = self.apply_At(v)
+        w_l = (x_l / z_l) * At_l if self.l else At_l
+        return self.newton_rhs(
+            np.zeros(self.m), w_l, [Zinv @ S @ X for Zinv, S, X in zip(Zinv_s, At_s, X_s)]
+        )
 
     def newton_rhs(self, b, w_l, W_s):
         """b + A(w), each PSD part W symmetrized first."""
@@ -1438,7 +1582,13 @@ def solve(problem, params=None):
     the Schur complement M_jk = tr(A_j Z^-1 A_k X) (plus the orthant
     diagonal term), factors it with escalating diagonal regularization
     if needed, and takes Mehrotra-corrected steps damped to
-    _STEP_FRACTION of the distance to the cone boundary.
+    _STEP_FRACTION of the distance to the cone boundary.  The predictor's
+    solve with M is refined twice against M.  The corrector's, the
+    direction the step takes, is refined once against M and then twice
+    against the operator M stands for (``_Cones.schur_apply``), whose
+    residual is the primal residual the step leaves: near the optimum M
+    is singular to working precision, and the rounding of its formation
+    would otherwise grow the primal residual from step to step.
 
     M is summed block by block.  A dense block adds A_flat T_flat' with
     T_k = Z^-1 A_k X from one batched product; a sparse block gathers
@@ -1541,16 +1691,22 @@ def solve(problem, params=None):
             status, message = "failed", "Schur complement factorization failed"
             break
 
-        def schur_solve(rhs):
+        def schur_solve(rhs, taken):
             # refine against the unregularized matrix: near the boundary
             # the factor carries a regularization shift
             dy = scipy.linalg.cho_solve(chol, rhs)
+            dy = dy + scipy.linalg.cho_solve(chol, rhs - M @ dy)
+            if not taken:
+                return dy + scipy.linalg.cho_solve(chol, rhs - M @ dy)
+            # the direction the step takes is refined against the
+            # operator M stands for: the primal residual the step leaves
+            # is its residual, not M's
             for _ in range(2):
-                resid = rhs - M @ dy
+                resid = rhs - cones.schur_apply(x_l, z_l, Zinv_s, X_s, dy)
                 dy = dy + scipy.linalg.cho_solve(chol, resid)
             return dy
 
-        def solve_newton(sigma_mu, corr_l, corr_s):
+        def solve_newton(sigma_mu, corr_l, corr_s, taken):
             # rhs = b - sigma*mu*A(Z^-1) + A(Z^-1 Rd X) + A(corr)
             rhs = cones.newton_rhs(
                 b,
@@ -1560,7 +1716,7 @@ def solve(problem, params=None):
                     for Zinv, X, Rd, corr in zip(Zinv_s, X_s, Rd_s, corr_s)
                 ],
             )
-            dy = schur_solve(rhs)
+            dy = schur_solve(rhs, taken)
             dAt_l, dAt_s = cones.apply_At(dy)
             dz_l = rd_l - dAt_l
             dZ_s = [Rd - dAt for Rd, dAt in zip(Rd_s, dAt_s)]
@@ -1577,7 +1733,7 @@ def solve(problem, params=None):
 
         zero_l = np.zeros(cones.l)
         zero_s = [np.zeros_like(X) for X in X_s]
-        aff = solve_newton(0.0, zero_l, zero_s)
+        aff = solve_newton(0.0, zero_l, zero_s, taken=False)
         if not _steps_finite(aff):
             status, message = "failed", "non-finite predictor step"
             break
@@ -1600,7 +1756,7 @@ def solve(problem, params=None):
         corr_s = [
             Zinv @ dZ @ dX for Zinv, dZ, dX in zip(Zinv_s, aff[4], aff[1])
         ]
-        step = solve_newton(sigma * mu, corr_l, corr_s)
+        step = solve_newton(sigma * mu, corr_l, corr_s, taken=True)
         if not _steps_finite(step):
             step = aff  # fall back to the plain predictor
         ap = min(1.0, _STEP_FRACTION * _step_length(x_l, LX_s, step[0], step[1]))
@@ -1720,24 +1876,30 @@ def _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=False):
 def solve_conic(problem, params=None):
     """Reduce, solve, and lift back to the coordinates of ``problem``.
 
-    Of the five reductions of the module docstring, the orbit reduction
+    Of the six reductions of the module docstring, the orbit reduction
     is applied by the caller, ``solve_gpm``, before this.  Here the
     others run once each, in the order listed: the pattern split,
-    presolve of the free columns, the zero-diagonal facial reduction
-    and, right before the interior-point ``solve``, the block rotation.
-    So the facial reduction never sees a free column, and where it does
-    not fire the solver gets the problem it would get without it.  A
-    facial reduction that fires hands its problem, whose pins are free
-    columns, to the pattern split and presolve again; a rotation that
+    presolve of the free columns, the zero-diagonal facial reduction,
+    the forced-entry reduction and, right before the interior-point
+    ``solve``, the block rotation, which mixes the diagonals the
+    forced-entry reduction reads.  So neither facial reduction sees a
+    free column, and where they do not fire the solver gets the problem
+    it would get without them.  A zero-diagonal reduction that fires
+    hands its problem, whose pins are free columns, to the pattern split
+    and presolve again; a forced-entry reduction or a rotation that
     fires hands its problem to the pattern split again, which splits the
-    blocks it changed.  ``lift`` maps the result back through each
-    reduction, the last first.
+    blocks it changed.  A forced-entry reduction that finds a row of A
+    left empty with b_k != 0 ends the solve with no iteration, as
+    'infeasible', or as 'unbounded' where a cone entry no row touches
+    has c_j < 0.  ``lift`` maps the result back through each reduction,
+    the last first.
 
     Returns a ConicSolution in the coordinates of ``problem``: y holds
     all original dual (moment) variables, x all original primal entries,
     z = c - A'y, and pobj/dobj are the objectives c'x and b'y of
     ``problem`` (history rows and ``blocks`` stay those of the solved
-    problem).
+    problem); y is NaN on the moments the forced-entry reduction left
+    undetermined, and ``recession`` frees them.
     """
     params = params or SolverParams()
     steps, current = [], problem
@@ -1769,6 +1931,16 @@ def solve_conic(problem, params=None):
         unbounded = eliminate()
     if unbounded is not None:
         return unbounded
+    forced = reduce(_drop_forced_entries)
+    if forced is not None and forced.status != "ok":
+        message = (
+            f"entries forced to 0 leave a row of A empty with b_k = {forced.residual:.3g}"
+            if forced.status == "infeasible" else
+            f"a cone entry no row touches has c_j = {forced.residual:.3g} < 0"
+        )
+        return _lift_steps(steps, _without_iterations(current, forced.status, message))
+    if forced is not None:
+        reduce(split_by_pattern)
     if reduce(rotate_blocks) is not None:
         reduce(split_by_pattern)
     return _lift_steps(steps, solve(current, params))

@@ -5,6 +5,7 @@ The oracles compute expected values through elementary arithmetic only
 they are meant to check.
 """
 
+import importlib
 import math
 import os
 from operator import add, le, sub
@@ -30,6 +31,25 @@ def models_dir():
 
 def model_path(name):
     return os.path.abspath(os.path.join(MODELS_DIR, name))
+
+
+def refuse_extraction(monkeypatch, refused=lambda t, order: t < order):
+    """Make extraction fail on every truncation M_t for which
+    ``refused(t, order)`` holds, by default every t below the relaxation
+    order, so that a point certifies only from M_r itself; returns the
+    list of the degrees t extraction was asked for."""
+    # the package rebinds the name `certify` to the function
+    certify_module = importlib.import_module("gpmkit.certify")
+    extract, degrees = certify_module._extract, []
+
+    def refusing_extract(msdp, measure, basis, M, rho, seed):
+        degrees.append(int(basis.sum(axis=1).max()))
+        if refused(degrees[-1], msdp.order):
+            return certify_module.ExtractionResult(success=False, message="refused")
+        return extract(msdp, measure, basis, M, rho, seed)
+
+    monkeypatch.setattr(certify_module, "_extract", refusing_extract)
+    return degrees
 
 
 def camel_problem():

@@ -41,6 +41,7 @@ from conftest import (
     planted_instance,
     planted_moment_vector,
     quadratic3_problem,
+    refuse_extraction,
 )
 
 
@@ -226,12 +227,17 @@ def test_solving_leaves_scipy_optimize_unloaded():
 
 @pytest.mark.parametrize("name,order,seed", [("camel.gpm", 3, 0), ("quadratic3.gpm", 4, 23)])
 def test_centered_face_problem_leaves_no_facial_reduction_candidate(monkeypatch, name, order, seed):
-    # _recenter centers the face problem at the top-level point, where
+    # _recenter centers the face problem at the top-level point, with its
+    # undetermined moments moved along the recession direction, where
     # every orthant slack (the pins' tau, the bound's slack) and every
     # moment-matrix diagonal is positive: c, the row c' of [A; c'], has
-    # one strict sign on every candidate column, so the screen leaves none
+    # one strict sign on every candidate column, so the screen leaves
+    # none.  Extraction is refused below M_r, since quadratic3-4's
+    # top-level point certifies from M_2 at every seed of 0-59 (camel-3
+    # has no determined flat truncation to extract from at that point)
     certify_module = importlib.import_module("gpmkit.certify")
     conic_module = importlib.import_module("gpmkit.conic")
+    refuse_extraction(monkeypatch)
     solve_conic, faces = certify_module.solve_conic, []
 
     def recording_solve_conic(problem, params=None):
@@ -250,6 +256,20 @@ def test_centered_face_problem_leaves_no_facial_reduction_candidate(monkeypatch,
     assert (face.c[cols] > 0).all()
     B = np.vstack([face.A[:, cols].toarray(), face.c[cols]])
     assert not conic_module._certificate_candidates(B).any()
+
+
+def test_no_determined_truncation_gives_no_certificate():
+    # mom(x) is pinned and mom(x^2) bounded, but the mass appears only on
+    # a diagonal of M_1: no data fixes it, so every M_t holds an
+    # undetermined moment, and certify reports no certificate
+    text = "var x;\nmin mom(x);\nmom(x) == 0.5;\nmom(x^2) <= 1;\n"
+    sol = solve_gpm(parse_model(text, "<undetermined>"))
+    assert sol.status == 0 and sol.objective == pytest.approx(0.5, abs=1e-8)
+    flat = sol.certificate.flatness[1]
+    assert flat.ranks_by_degree == {0: None, 1: None}
+    assert not flat.flat and flat.truncation is None
+    assert not sol.certificate.certified and sol.certificate.extractions == {}
+    np.testing.assert_array_equal(np.isnan(sol.moments[1]), [True, False, False])
 
 
 def test_certify_accepts_planted_vector():
@@ -435,9 +455,10 @@ def test_recentering_runs_only_on_a_flat_truncation(
 
 @pytest.mark.parametrize("order", [4, 5])
 def test_camel_certifies_from_a_flat_truncation_at_half_the_data_degree(monkeypatch, order):
-    # ranks 1, 2, 2, 2 up to degree 3, then rising: the smallest flat t
-    # is 2, below half the objective degree d = 6, but t = 3 is flat too,
-    # and M_3 gives both atoms at the top-level point with no face solve
+    # the top-level point leaves the moments of M_3 that hold x2^6 and
+    # above undetermined, so it has no determined flat truncation with
+    # 2t >= d = 6; the face solve fills them with a flat extension, whose
+    # ranks read 1, 2, 2, 2 on to degree r, and M_r gives both atoms
     certify_module = importlib.import_module("gpmkit.certify")
     solve_conic = certify_module.solve_conic
     seen = []
@@ -449,12 +470,15 @@ def test_camel_certifies_from_a_flat_truncation_at_half_the_data_degree(monkeypa
     monkeypatch.setattr(certify_module, "solve_conic", counting_solve_conic)
     with open(model_path("camel.gpm")) as fh:
         sol = certify_module.solve_gpm(parse_model(fh.read(), "camel.gpm"), order=order)
-    assert len(seen) == 1
+    assert len(seen) == 2
     assert sol.status == 1
+    top = certify_module.certify(sol.msdp, sol.conic.y).flatness[1]
+    assert [top.ranks_by_degree[t] for t in range(order + 1)] == [1, 2, 2] + [None] * (order - 2)
+    assert np.isnan(sol.conic.y).any() and not np.isnan(sol.moments[1]).any()
     flat = sol.certificate.flatness[1]
-    assert [flat.ranks_by_degree[t] for t in range(4)] == [1, 2, 2, 2]
-    assert not flat.flat and flat.truncation == 2
-    assert sol.certificate.extractions[1].degree == 3
+    assert [flat.ranks_by_degree[t] for t in range(order + 1)] == [1] + [2] * order
+    assert flat.flat and flat.truncation == 2
+    assert sol.certificate.extractions[1].degree == order
     points, _ = sol.support(1)
     assert len(points) == 2
     for atom in [(0.0898, -0.7127), (-0.0898, 0.7127)]:
@@ -473,87 +497,46 @@ def _has_quadratic3_atoms(points):
     )
 
 
-def test_quadratic3_order_four_solves_stop_once_progress_is_lost(monkeypatch):
-    # both solves reach a best iterate within 1e3*eps and then lose it;
-    # each stops a few iterations later instead of running on until the
-    # Schur complement fails to factor (24 and 52 iterations before).
-    # The iterations past the best one follow BLAS rounding: the face
-    # solve stops at 25 with one OpenBLAS thread and at 28 with two, so
-    # only the gap to the best iterate is pinned, not the count.
-    # solve_gpm certifies the top-level point from its flat truncation
-    # M_2 and makes no face solve, so the face problem comes from
-    # _recenter itself on that top-level point.  _recenter solves it in
-    # coordinates centered at that point; the face solve pinned here is
-    # the one of the problem _face_problem returns, uncentered.  The
-    # centered solve also loses progress, at 23 iterations, but its best
-    # one is 18 with one OpenBLAS thread and 16 with two, a gap past 5;
-    # it is checked only by _recenter certifying both atoms.
-    certify_module = importlib.import_module("gpmkit.certify")
-    solve_conic, face_problem = certify_module.solve_conic, certify_module._face_problem
-    seen, faces = [], []
-
-    def recording_solve_conic(problem, params=None):
-        sol = solve_conic(problem, params)
-        # the message ends "best <residual> at iteration <n>"
-        best_it = int(sol.message.rsplit(" ", 1)[-1])
-        seen.append((sol.status, sol.message.split(":")[0], sol.iterations, best_it))
-        return sol
-
-    def recording_face_problem(*args):
-        faces.append(face_problem(*args))
-        return faces[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(certify_module, "solve_conic", recording_solve_conic)
-        sol = certify_module.solve_gpm(_quadratic3_order_four(), order=4, seed=0)
-    assert sol.status == 1
-    assert _has_quadratic3_atoms(sol.support(1)[0])
-    # the re-centering face problem of the same top-level point
-    monkeypatch.setattr(certify_module, "_face_problem", recording_face_problem)
-    params = SolverParams()
-    y, cert = certify_module._recenter(
-        sol.msdp, to_conic(sol.msdp), sol.conic, sol.conic.y, sol.objective,
-        sol.certificate, params, 0,
-    )
-    (face,) = faces
-    recording_solve_conic(face, SolverParams(eps=max(params.eps, 1e-7)))
-    assert [entry[:2] for entry in seen] == [
-        ("inaccurate", "lost progress"),
-        ("inaccurate", "lost progress"),
-    ]
-    for (_, _, iterations, best_it), before in zip(seen, [24, 52]):
-        assert iterations < before
-        assert 0 < iterations - best_it <= 5
-    # _recenter hands back the centered point only when it is certified
-    assert y is not sol.conic.y and cert.certified
-    assert _has_quadratic3_atoms(cert.extractions[1].points)
-
-
 def test_quadratic3_order_four_re_centers_when_the_truncation_fails(monkeypatch):
     # with extraction refused on every truncation below M_r, the top-level
-    # point is not certified, so solve_gpm re-centers, and the face solve's
-    # point certifies from M_4 itself
+    # point is not certified from its flat M_2 nor from its flat M_3, the
+    # largest truncation it determines, so solve_gpm re-centers, and the
+    # face solve's point certifies from M_4 itself
     certify_module = importlib.import_module("gpmkit.certify")
-    solve_conic, extract = certify_module.solve_conic, certify_module._extract
-    seen, degrees = [], []
+    solve_conic = certify_module.solve_conic
+    seen = []
 
     def counting_solve_conic(problem, params=None):
         seen.append(problem)
         return solve_conic(problem, params)
 
-    def extract_only_from_m_r(msdp, measure, basis, M, rho, seed):
-        degrees.append(int(basis.sum(axis=1).max()))
-        if degrees[-1] < msdp.order:
-            return certify_module.ExtractionResult(success=False, message="refused")
-        return extract(msdp, measure, basis, M, rho, seed)
-
     monkeypatch.setattr(certify_module, "solve_conic", counting_solve_conic)
-    monkeypatch.setattr(certify_module, "_extract", extract_only_from_m_r)
+    degrees = refuse_extraction(monkeypatch)
     sol = certify_module.solve_gpm(_quadratic3_order_four(), order=4)
     assert len(seen) == 2
-    assert degrees == [2, 4]
+    assert degrees == [2, 3, 4]
     assert sol.status == 1
     assert sol.certificate.extractions[1].degree == 4
+    assert _has_quadratic3_atoms(sol.support(1)[0])
+
+
+def test_certify_moves_on_to_the_next_flat_truncation(monkeypatch):
+    # with extraction refused at M_2 alone, quadratic3-4's top-level
+    # point certifies from its next flat truncation, M_3, the largest it
+    # determines, with no face solve
+    certify_module = importlib.import_module("gpmkit.certify")
+    solve_conic, seen = certify_module.solve_conic, []
+
+    def counting_solve_conic(problem, params=None):
+        seen.append(problem)
+        return solve_conic(problem, params)
+
+    monkeypatch.setattr(certify_module, "solve_conic", counting_solve_conic)
+    degrees = refuse_extraction(monkeypatch, lambda t, order: t == 2)
+    sol = certify_module.solve_gpm(_quadratic3_order_four(), order=4)
+    assert len(seen) == 1 and degrees == [2, 3]
+    assert sol.status == 1 and sol.certificate.extractions[1].degree == 3
+    assert sol.certificate.flatness[1].ranks_by_degree[4] is None
     assert _has_quadratic3_atoms(sol.support(1)[0])
 
 

@@ -91,6 +91,7 @@ def test_solve_json_report(tmp_path, capsys):
     assert set(measure) == {
         "label", "variables", "moments", "points", "weights", "ranks",
         "flat_truncation", "extracted_at", "symmetry", "permutations",
+        "undetermined",
     }
     assert measure["points"][0][0] == pytest.approx(0.5, abs=1e-3)
     assert measure["ranks"] == [1, 1] and measure["flat_truncation"] == 1
@@ -99,14 +100,15 @@ def test_solve_json_report(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "name,order,ranks,extracted_at",
-    [("camel.gpm", 3, [1, 2, 2, 2], 3), ("quadratic3.gpm", 4, [1, 2, 2, 2, 17], 2)],
+    [("camel.gpm", 3, [1, 2, 2, 2], 3), ("quadratic3.gpm", 4, [1, 2, 2, 2, None], 2)],
 )
 def test_solve_reports_the_degree_the_atoms_came_from(
     tmp_path, capsys, name, order, ranks, extracted_at
 ):
     # camel-3's re-centered point is flat at r = 3, so its atoms come
-    # from M_3; quadratic3-4's top-level point fails the rank test only
-    # at degree 4, and its atoms come from the flat truncation M_2
+    # from M_3; quadratic3-4's top-level point leaves M_4 undetermined
+    # (rank None, "-" in the text), and its atoms come from the flat
+    # truncation M_2
     out = tmp_path / "report.json"
     assert main(["solve", model_path(name), "--order", str(order), "--json", str(out)]) == 0
     text = capsys.readouterr().out
@@ -115,9 +117,42 @@ def test_solve_reports_the_degree_the_atoms_came_from(
     assert report["status"] == 1 and len(measure["points"]) == 2
     assert measure["ranks"] == ranks and measure["extracted_at"] == extracted_at
     assert (
-        f"Measure 1: ranks by degree = {' '.join(map(str, ranks))}, "
+        f"Measure 1: ranks by degree = {_ranks_text(ranks)}, "
         f"flat truncation = 2, extracted at = {extracted_at}"
     ) in text.splitlines()
+
+
+def _ranks_text(ranks):
+    return " ".join("-" if r is None else str(r) for r in ranks)
+
+
+def _strict_json(path):
+    """The report, refusing the NaN and Infinity that JSON lacks."""
+
+    def refuse(name):
+        raise ValueError(f"{name} in the JSON report")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+@pytest.mark.parametrize("name,order,undetermined,ranks", [
+    ("camel.gpm", 3, 0, [1, 2, 2, 2]), ("quadratic3.gpm", 2, 15, [1, 2, None]),
+])
+def test_undetermined_moments_are_null_in_the_json_report(
+    tmp_path, capsys, name, order, undetermined, ranks
+):
+    # camel-3's face solve fills the moments its top-level point leaves
+    # undetermined; quadratic3-2's point keeps 15, of degree 3 and 4,
+    # which are null, as is the rank of M_2, which holds them
+    out = tmp_path / "report.json"
+    assert main(["solve", model_path(name), "--order", str(order), "--json", str(out)]) == 0
+    text = capsys.readouterr().out
+    (measure,) = _strict_json(out)["measures"]
+    assert measure["undetermined"] == undetermined and measure["ranks"] == ranks
+    nulls = [degree for _, value, degree in measure["moments"] if value is None]
+    assert len(nulls) == undetermined and all(degree > 2 for degree in nulls)
+    line = f"Measure 1: {undetermined} moments undetermined"
+    assert (line in text.splitlines()) == (undetermined > 0)
 
 
 @pytest.mark.parametrize("name,order", [("camel.gpm", 3), ("maxcut_sub.gpm", 2)])
@@ -145,7 +180,7 @@ def test_solve_json_moments_follow_mvec(tmp_path, capsys, monkeypatch, name, ord
 
 @pytest.mark.parametrize(
     "name,ranks,truncation",
-    [("camel.gpm", [1, 2, 2, 2], 2), ("quadratic3.gpm", [1, 4], None)],
+    [("camel.gpm", [1, 2, 2, 2], 2), ("quadratic3.gpm", [1, None], None)],
 )
 def test_solve_reports_ranks_and_flat_truncation(
     tmp_path, capsys, name, ranks, truncation
@@ -160,7 +195,7 @@ def test_solve_reports_ranks_and_flat_truncation(
     assert measure["flat_truncation"] == truncation
     shown = "none" if truncation is None else truncation
     assert (
-        f"Measure 1: ranks by degree = {' '.join(map(str, ranks))}, "
+        f"Measure 1: ranks by degree = {_ranks_text(ranks)}, "
         f"flat truncation = {shown}"
     ) in text
 

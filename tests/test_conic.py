@@ -35,8 +35,8 @@ from gpmkit.conic import (
     _SparseBlock,
     _psd_factor,
     _psd_step,
+    _drop_forced_entries,
     _reduce_zero_diagonals,
-    _symmetrized,
     reduce_by_orbits,
     rotate_blocks,
     sign_flips,
@@ -47,7 +47,15 @@ from gpmkit.dsl import parse_model
 from gpmkit.formats import export_json, export_sdpa, import_json, import_sdpa
 from gpmkit.relaxation import sign_classes
 
-from conftest import ReferenceForms, camel_problem, model_path
+from conftest import ReferenceForms, camel_problem, model_path, refuse_extraction
+
+
+def _symmetrized(cols, s):
+    """CSR rows of 0.5 (A_k + A_k') over the s*s entries of one block:
+    the per-block reference ``_symmetrized_psd`` is held to."""
+    A = scipy.sparse.csr_matrix(cols)
+    swap = np.arange(s * s).reshape(s, s).T.reshape(-1)
+    return 0.5 * (A + A[:, swap])
 
 
 def sym_entry(n, i, j):
@@ -761,6 +769,79 @@ def test_facial_reduction_then_presolve():
     np.testing.assert_array_equal(sol.z, problem.c - A.T @ sol.y)
 
 
+def top_degree_free_problem():
+    """min of a convex quadratic in two variables at order 2: the
+    moments of degree 3 and 4 appear only in M_2, none in the objective."""
+    ctx = ModelContext()
+    x = ctx.vars("x", 2)
+    return to_conic(assemble(GPMProblem(minimize(mom(x[0] ** 2 + x[1] ** 2 - x[0] * x[1] - x[0]))), 2))
+
+
+def test_forced_entries_go_and_their_moments_are_undetermined(monkeypatch):
+    # x1^4 and x2^4 sit on one diagonal of M_2 each, so they force the
+    # rows x1^2 and x2^2 of M_2 to 0; then x1^2 x2^2 sits on one live
+    # diagonal only and forces the row x1 x2: M_2 keeps 1, x1, x2, and
+    # every moment of degree 3 and 4 is left in no live entry
+    problem = top_degree_free_problem()
+    assert problem.cone == ConeSpec(s=(6,)) and not problem.b[5:].any()
+    red = _drop_forced_entries(problem)
+    assert red.problem.cone == ConeSpec(s=(3,)) and red.problem.m == 5
+    dropped = np.isnan(red.y0)
+    np.testing.assert_array_equal(np.flatnonzero(dropped), np.arange(5, 14))
+    # the rows that forced entries, x1^4, x1^2 x2^2, x2^4, give the
+    # recession direction: the slack rises by >= 1 on each forced diagonal
+    np.testing.assert_array_equal(np.flatnonzero(red.recession), [9, 11, 13])
+    assert problem.b @ red.recession == 0.0
+    rise = -(problem.A.T @ red.recession)
+    kept = red.X @ np.ones(red.X.shape[1]) > 0
+    diagonal = problem.cone.diagonal(0)
+    assert (rise[diagonal[~kept[diagonal]]] >= 1.0).all() and not rise[kept].any()
+
+    sol = solve_conic(problem)
+    assert sol.status == "solved"
+    np.testing.assert_array_equal(np.isnan(sol.y), dropped)
+    assert not sol.x[~kept].any()
+    assert np.abs(problem.A @ sol.x - problem.b).max() < 1e-9
+    np.testing.assert_array_equal(sol.recession, red.recession)
+    # 0 * NaN of the dropped rows does not reach either objective
+    assert problem.objective_value(sol.y) == pytest.approx(-1.0 / 3.0, abs=1e-7)
+    assert np.isfinite(sol.dobj) and np.isfinite(sol.pobj)
+    monkeypatch.setattr(conic_module, "_drop_forced_entries", lambda problem: None)
+    whole = solve_conic(problem)
+    assert not np.isnan(whole.y).any()
+    assert problem.objective_value(sol.y) == pytest.approx(
+        problem.objective_value(whole.y), abs=1e-6
+    )
+
+
+@pytest.mark.parametrize("c11,status,message", [
+    (1.0, "infeasible", "entries forced to 0 leave a row of A empty with b_k = 1"),
+    (-1.0, "unbounded", "a cone entry no row touches has c_j = -1 < 0"),
+])
+def test_a_row_left_empty_with_b_nonzero_ends_the_solve(c11, status, message):
+    # X_00 = 0 forces row and column 0 of X, which leaves 2 X_01 = 1
+    # with no live entry: no x exists.  With c_11 < 0 the entry X_11,
+    # which no row touches, is also a primal improving ray, so no y
+    # exists either, which the solver reports first
+    problem = ConicProblem(
+        A=np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]]), b=np.array([0.0, 1.0]),
+        c=np.array([1.0, 0.0, 0.0, c11]), cone=ConeSpec(s=(2,)),
+    )
+    assert _drop_forced_entries(problem).status == status
+    sol = solve_conic(problem)
+    assert (sol.status, sol.iterations, sol.message) == (status, 0, message)
+
+
+def test_no_forced_entry_on_the_max_cut_models():
+    for name, order in [("maxcut_sub.gpm", 3), ("maxcut_nosub.gpm", 2)]:
+        with open(model_path(name)) as fh:
+            problem = presolve_eliminate_equalities(
+                to_conic(assemble(parse_model(fh.read()), order))
+            )
+        problem = problem.problem if problem.problem is not None else problem
+        assert _drop_forced_entries(problem) is None
+
+
 def zero_sum_problem(rng, plant):
     """A random problem with integer data, PSD blocks symmetric; with
     ``plant``, a positive integer combination of some orthant and
@@ -858,7 +939,7 @@ def _lp_calls_per_solve(monkeypatch, name, order, seed=0):
 @pytest.mark.parametrize(
     "name,order,lp_calls",
     [
-        ("camel.gpm", 3, [0, 0]), ("camel.gpm", 4, [0]), ("rational.gpm", 1, [0]),
+        ("camel.gpm", 3, [0, 0]), ("camel.gpm", 4, [0, 0]), ("rational.gpm", 1, [0]),
         ("rational.gpm", 2, [0]), ("quadratic3.gpm", 1, [0]), ("quadratic3.gpm", 2, [0]),
         ("quadratic3.gpm", 3, [0]), ("quadratic3.gpm", 4, [0]), ("maxcut_sub.gpm", 3, [0]),
         ("maxcut_nosub.gpm", 2, [0]),
@@ -866,15 +947,17 @@ def _lp_calls_per_solve(monkeypatch, name, order, seed=0):
 )
 def test_no_facial_reduction_lp_on_the_paper_models(monkeypatch, name, order, lp_calls):
     # the sign screen rules out a certificate on every top-level problem
-    # and on camel-3's re-centering face problem, whose slacks at the
-    # point it is centered on are all positive
+    # and on camel-3/4's re-centering face problems, whose slacks at the
+    # point they are centered on are all positive
     assert _lp_calls_per_solve(monkeypatch, name, order) == lp_calls
 
 
 def test_no_facial_reduction_lp_when_quadratic3_order_four_re_centers(monkeypatch):
-    # at extraction seed 23 the atoms of quadratic3-4's flat truncation
-    # fail the checks, so solve_gpm re-centers
-    assert _lp_calls_per_solve(monkeypatch, "quadratic3.gpm", 4, seed=23) == [0, 0]
+    # with extraction refused below M_r, quadratic3-4's top-level point
+    # is not certified and solve_gpm re-centers, around a point whose
+    # undetermined moments moved along the recession direction
+    refuse_extraction(monkeypatch)
+    assert _lp_calls_per_solve(monkeypatch, "quadratic3.gpm", 4) == [0, 0]
 
 
 def test_every_producer_hands_on_the_problem_layout(tmp_path):
@@ -1396,29 +1479,56 @@ def test_maxcut_order_two_solves_through_sparse_blocks():
         problem = to_conic(assemble(parse_model(fh.read()), 2))
     assert [type(b) for b in _Cones(problem).blocks] == [_SparseBlock]
     sol = solve_conic(problem)
-    # status and objective of the dense-block solver this path replaced
-    assert sol.status == "inaccurate"
+    # the objective of the dense-block solver this path replaced; with
+    # the refinement against the Schur operator the solve reaches eps
+    assert (sol.status, sol.iterations) == ("solved", 15)
     assert problem.objective_value(sol.y) == pytest.approx(12.41413173295636, rel=1e-9)
-    # the best point, at iteration 14, is within 1e3*eps but not eps; the
-    # residuals then grow, and the solve stops once they are 100x the
-    # best instead of running on until M fails to factor (28 iterations)
+
+
+def test_lost_progress_ends_the_solve_at_the_best_iterate(monkeypatch):
+    # a constructed run: a small LP whose n-th point reads a primal
+    # residual larger by 50^(n-6) times the metric of its sixth point,
+    # growth the step test accepts (it allows 100x) and no rounding can
+    # undo.  The iterates stay those of the plain solve, whose metric
+    # falls below the sixth point's only after it, so the sixth point is
+    # the best, within 1e3*eps; the eighth is over 100x worse, so the
+    # solve stops there and returns the sixth
+    problem = ConicProblem(
+        A=np.array([[1.0, 1.0, 1.0]]), b=np.array([1.0]),
+        c=np.array([1.0, 2.0, 3.0]), cone=ConeSpec(l=3),
+    )
+    sixth = max(solve(problem).history[5][2:])
+    params = SolverParams(eps=sixth / 10.0)
+    residuals, points = conic_module._residuals, []
+
+    def growing_residuals(*args):
+        rd_l, Rd_s, pinf, dinf, mu = residuals(*args)
+        points.append(None)
+        return rd_l, Rd_s, pinf + sixth * 50.0 ** (len(points) - 6), dinf, mu
+
+    monkeypatch.setattr(conic_module, "_residuals", growing_residuals)
+    sol = solve(problem, params)
+    assert (sol.status, sol.iterations, len(points)) == ("inaccurate", 8, 8)
+    assert sol.message.startswith("lost progress: residual")
+    assert sol.message.endswith("at iteration 6")
     metrics = [max(row[2:]) for row in sol.history]
-    best = int(np.argmin(metrics))
-    assert len(sol.history) == sol.iterations <= best + 1 + 3
-    assert metrics[-1] > 100.0 * metrics[best]
-    assert sol.message.startswith("lost progress")
+    assert int(np.argmin(metrics)) == 5
+    assert params.eps < metrics[5] <= 1e3 * params.eps
+    assert metrics[6] <= 100.0 * metrics[5] < metrics[7]
     # the returned point is the best iterate, not the last one
-    assert (sol.pobj, sol.dobj, sol.pinf, sol.dinf, sol.gap) == sol.history[best]
+    assert (sol.pobj, sol.dobj, sol.pinf, sol.dinf, sol.gap) == sol.history[5]
 
 
 def test_every_exit_short_of_solved_gives_a_reason(monkeypatch):
-    # quadratic3-3 runs into the iteration limit with a best iterate
-    # within 1e3*eps; with a lower limit the same run ends in failure
+    # quadratic3-3 reaches 2.7e-8 at iteration 19, between eps and
+    # 1e3*eps, so a limit of 19 iterations ends it inaccurate; with a
+    # lower limit the same run ends in failure
     with open(model_path("quadratic3.gpm")) as fh:
         problem = to_conic(assemble(parse_model(fh.read()), 3))
+    monkeypatch.setattr(conic_module, "_MAX_ITER", 19)
     sol = solve_conic(problem)
-    assert (sol.status, sol.iterations) == ("inaccurate", 100)
-    assert sol.message == "iteration limit (100) reached"
+    assert (sol.status, sol.iterations) == ("inaccurate", 19)
+    assert sol.message == "iteration limit (19) reached"
     monkeypatch.setattr(conic_module, "_MAX_ITER", 5)
     sol = solve_conic(problem)
     assert (sol.status, sol.iterations) == ("failed", 5)
@@ -1522,7 +1632,7 @@ def test_step_search_factors_each_block_once_per_iteration(monkeypatch):
     monkeypatch.setattr(conic_module, "_psd_factor", counting_factor)
     sol = solve(conic)
     # reaches eps, so the lost-progress exit never fires
-    assert (sol.status, sol.iterations, sol.message) == ("solved", 23, "")
+    assert (sol.status, sol.iterations, sol.message) == ("solved", 17, "")
     # X and Z of every block, on every iteration that takes a step
     assert len(shapes) == 2 * len(conic.cone.s) * (sol.iterations - 1)
     assert set(shapes) == {(s, s) for s in conic.cone.s}

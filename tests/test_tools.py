@@ -32,12 +32,14 @@ def conic_digest():
 
 
 def test_solve_digest_is_the_same_on_a_second_run(conic_digest):
-    solve = conic_module.solve
+    solve, drop = conic_module.solve, conic_module._drop_forced_entries
     first = conic_digest.solve_digest("camel", 3, 0)
-    assert conic_module.solve is solve  # the recording wrapper is removed
+    # the recording wrappers are removed
+    assert conic_module.solve is solve and conic_module._drop_forced_entries is drop
+    # the top-level call drops 6 rows and 27 columns, the face solve none
     assert re.fullmatch(
         f"camel-3 seed 0 status 1 top {HEX} ipm x2 {HEX} "
-        f"calls solved/18,solved/12 outcome {HEX}",
+        f"calls solved/12,solved/11 dropped 6x27,0x0 outcome {HEX}",
         first,
     )
     assert conic_digest.solve_digest("camel", 3, 0) == first
@@ -88,5 +90,6 @@ def test_bench_rows_writes_one_row_per_instance(tmp_path):
     (call,) = row["ipm"]
     assert call["status"] == "solved" and call["iterations"] > 0
     assert call["m"] > 0 and call["blocks"]
+    assert call["dropped_rows"] == call["dropped_cols"] == 0
     assert row["solve_s"] > 0 and row["peak_rss_mb"] > 0
     assert row["scipy_optimize_loaded"] is False

@@ -6,7 +6,9 @@ row pays its own imports and first-solve set-up, as one ``gpm solve``
 does.  A row holds the seconds of ``import gpmkit`` and of the
 ``solve_gpm`` call (extraction seed 0), the status and objective, one
 entry per interior-point call (status, iterations, seconds, m and the PSD block
-orders the solver saw, recorded by wrapping ``gpmkit.conic.solve``), the
+orders the solver saw, recorded by wrapping ``gpmkit.conic.solve``, and
+the rows and columns of A the forced-entry reduction dropped before it,
+recorded by ``forced_drops.recording_drops``), the
 child's peak RSS (in MB of 10^6 bytes, the unit of gpmbench's
 ``peak_rss_mb``) and whether ``scipy.optimize`` was loaded by the end of
 the solve.  The file also records the environment: Python, numpy and
@@ -53,6 +55,7 @@ def run_child(instance):
     from gpmkit.dsl import parse_model
 
     import_s = time.perf_counter() - start
+    from forced_drops import recording_drops
     # gpmkit/__init__.py rebinds the name `certify` to the function
     certify_module = importlib.import_module("gpmkit.certify")
     conic_module = importlib.import_module("gpmkit.conic")
@@ -61,12 +64,16 @@ def run_child(instance):
     def recording_solve(problem, params=None):
         begin = time.perf_counter()
         sol = solve(problem, params)
+        # the reduction runs once in each solve_conic call, before its IPM
+        dropped_rows, dropped_cols = drops[-1]
         calls.append({
             "status": sol.status,
             "iterations": sol.iterations,
             "seconds": time.perf_counter() - begin,
             "m": problem.m,
             "blocks": list(problem.cone.s),
+            "dropped_rows": dropped_rows,
+            "dropped_cols": dropped_cols,
         })
         return sol
 
@@ -75,7 +82,8 @@ def run_child(instance):
     with open(path, encoding="utf-8") as handle:
         problem = parse_model(handle.read(), path)
     begin = time.perf_counter()
-    sol = certify_module.solve_gpm(problem, order=int(order), seed=0)
+    with recording_drops() as drops:
+        sol = certify_module.solve_gpm(problem, order=int(order), seed=0)
     solve_s = time.perf_counter() - begin
     return {
         "instance": instance,

@@ -22,8 +22,11 @@ and prints one line per run: the SHA-256 of the first (top-level)
 interior-point call on its own, the number of calls and the SHA-256 of
 all of them (status, iterations, message, history, x, y, z, in call
 order, recorded by wrapping gpmkit.conic.solve), the status and
-iteration count of each call (`calls solved/18,solved/12`, in call
-order), and the SHA-256 of the outcome (status, objective, and for every
+iteration count of each call (`calls solved/12,solved/11`, in call
+order), the rows and columns of A the forced-entry reduction dropped in
+each solve_conic call that reached it (`dropped 6x27,0x0`, rows x
+columns, 0x0 where it did not fire, its status where it ended the
+call), and the SHA-256 of the outcome (status, objective, and for every
 measure its moment values in raw grlex order and its atoms).  Diffing
 that output shows a solver, certificate or moment-evaluation refactor
 leaves every iterate and result bit-identical, and where a solver change
@@ -52,6 +55,10 @@ from gpmkit.dsl import build, parse_source
 from gpmkit.relaxation import assemble
 from gpmkit.cli import cmd_export
 from gpmkit.conic import presolve_eliminate_equalities, to_conic
+
+# the helper next to this script, also when it is loaded by path
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from forced_drops import recording_drops  # noqa: E402
 
 # gpmkit/__init__.py rebinds the name `certify` to the function
 certify_module = importlib.import_module("gpmkit.certify")
@@ -182,7 +189,8 @@ def solve_digest(model, order, seed):
 
     conic_module.solve = recording_solve
     try:
-        sol = certify_module.solve_gpm(_load(model).problem, order=order, seed=seed)
+        with recording_drops() as drops:
+            sol = certify_module.solve_gpm(_load(model).problem, order=order, seed=seed)
     finally:
         conic_module.solve = solve
     outcome = hashlib.sha256(repr((sol.status, sol.objective)).encode())
@@ -197,7 +205,9 @@ def solve_digest(model, order, seed):
     return (
         f"{model}-{order} seed {seed} status {sol.status} top {top} "
         f"ipm x{len(call_hashes)} {calls.hexdigest()} "
-        f"calls {','.join(call_counts) or '-'} outcome {outcome.hexdigest()}"
+        f"calls {','.join(call_counts) or '-'} "
+        f"dropped {','.join(d if isinstance(d, str) else '%dx%d' % d for d in drops) or '-'} "
+        f"outcome {outcome.hexdigest()}"
     )
 
 
