@@ -63,10 +63,13 @@ convert A, once each, to the row order of their files.  ``ConeSpec``
 owns the column map between PSD block entries and columns.
 
 The solver keeps each PSD block of A, symmetrized, either as CSR rows
-over its s*s entries or as a dense (m, s, s) tensor.  It picks one per
-block from an nnz-based estimate of what forming that block's share of
-the Schur complement costs each way: moment matrices whose rows touch
-few entries go sparse, small or dense blocks stay dense.
+over its s*s entries or as dense data.  It picks one per block from an
+nnz-based estimate of what forming that block's share of the Schur
+complement costs each way: moment matrices whose rows touch few
+entries go sparse, small or dense blocks stay dense.  The dense blocks
+of one order, such as the localizing matrices of one relaxation order,
+are one stack: one tensor, and one numpy call per stack for each
+product of the iteration.
 """
 
 from __future__ import annotations
@@ -1191,44 +1194,64 @@ _SPARSE_MARGIN = 1.5
 # slope of solve's time per iteration over 1 to 64 blocks of order 2
 # (0.25-0.27 ms per block) over its slope over the dense estimate of one
 # block of order 30 to 120 (1.0e-10 s per estimated flop); three runs
-# gave 2.4e6 to 2.8e6.
+# gave 2.4e6 to 2.8e6.  The measurement predates the stacks of
+# equal-order blocks (``_DenseStack``), which share much of that cost.
 _BLOCK_COST = 2.5e6
 # refuse problems whose solver data would exceed this many floats
 _MAX_ENTRIES = 2.5e8
 
 
-class _DenseBlock:
-    """A PSD block's rows as a dense (m, s, s) tensor.
+class _DenseStack:
+    """Every dense PSD block of one order s, as one (g, s*s, m) tensor.
 
-    Built from the symmetrized rows as a column-major (m, s*s) array;
-    ``A2`` is the same data viewed as an (m, s*s) matrix, for the
-    products with X and y.
+    ``A[b, i*s + j, k]`` is entry (i, j) of row k of the stack's block b,
+    and ``index[b]`` is that block's number in the cone, so equal-order
+    blocks share a stack wherever they sit in the cone.  ``flat`` views
+    the data as one (g*s*s, m) matrix, for the products with X and y.
+    ``csc`` holds the same rows as a CSC (m, g*s*s) matrix where adding
+    the Schur share is estimated cheaper through them
+    (``_accumulates_sparse``), and None otherwise; where it is there,
+    the products with X and y go through it and its transpose ``csc_t``
+    (a CSR view of the same arrays), and ``block_csc`` holds each
+    block's columns of it.
     """
 
-    def __init__(self, dense, s):
-        m = dense.shape[0]
+    def __init__(self, index, s, A, csc):
+        self.index = index
+        self.g = len(index)
         self.s = s
-        # column-major (m, s*s) data: the layout fixes the summation order
-        # of the BLAS calls below, and so every iterate of a dense-block
-        # solve
-        self.A = dense.reshape(m, s, s)
-        self.A2 = self.A.reshape(m, s * s)
-        self.sq_norms = (self.A ** 2).sum(axis=(1, 2))
+        self.A = A
+        self.flat = A.reshape(self.g * s * s, A.shape[-1])
+        self.csc = csc
+        self.csc_t = None if csc is None else csc.T
+        self.block_csc = None if csc is None else [
+            csc[:, b * s * s : (b + 1) * s * s] for b in range(self.g)
+        ]
+        self.sq_norms = np.einsum("bem,bem->bm", A, A)
 
     def apply(self, X):
-        return self.A2 @ X.reshape(-1)
+        x = X.reshape(-1)
+        return x @ self.flat if self.csc is None else self.csc @ x
 
     def adjoint(self, y):
-        return (y @ self.A2).reshape(self.s, self.s)
+        Aty = self.flat @ y if self.csc is None else self.csc_t @ y
+        return Aty.reshape(self.g, self.s, self.s)
 
     def add_schur(self, M, Zinv, X):
-        m = self.A.shape[0]
-        T = Zinv @ self.A @ X  # (m, s, s) batched
-        M += self.A.reshape(m, -1) @ T.reshape(m, -1).T
+        # block by block: T_k = Z^-1 A_k X for every row k, laid out as
+        # (entries, m) like the data (Z^-1 times the block's (s, s*m)
+        # rows, then X' times each of the s (s, m) slices of that
+        # product), and A_flat T_flat' through the block's CSC columns or
+        # its dense data
+        s, m = self.s, M.shape[0]
+        for b, (A, Zi, Xb) in enumerate(zip(self.A, Zinv, X)):
+            Y = Zi @ A.reshape(s, s * m)
+            T = np.matmul(Xb.T, Y.reshape(s, s, m)).reshape(s * s, m)
+            M += (A.T if self.csc is None else self.block_csc[b]) @ T
 
 
 class _SparseBlock:
-    """A PSD block's rows as CSR over its s*s entries.
+    """A PSD block's rows as CSR over its s*s entries: a stack of one.
 
     Row k touches the rows and columns R_k of its s x s matrix A_k (the
     same set, A_k being symmetric), so Z^-1 A_k X = Z^-1[:, R_k]
@@ -1236,10 +1259,12 @@ class _SparseBlock:
     Schur formula of Fujisawa, Kojima and Nakata (1997) used by SDPA.
     """
 
-    def __init__(self, sym, s):
+    def __init__(self, sym, s, index):
+        self.index = index
+        self.g = 1
         self.s = s
         self.A = sym
-        self.sq_norms = np.asarray(sym.multiply(sym).sum(axis=1)).ravel()
+        self.sq_norms = np.asarray(sym.multiply(sym).sum(axis=1)).reshape(1, -1)
         # one pass over the CSR: the matrix rows each CSR row touches, as
         # an (m, s) mask, give every R_k at once, and an entry's place in
         # D_k is the rank of its matrix row and column among them
@@ -1264,9 +1289,10 @@ class _SparseBlock:
         return self.A @ X.reshape(-1)
 
     def adjoint(self, y):
-        return (self.A.T @ y).reshape(self.s, self.s)
+        return (self.A.T @ y).reshape(1, self.s, self.s)
 
     def add_schur(self, M, Zinv, X):
+        (Zinv,), (X,) = Zinv, X
         for k, R, D in self.rows:
             G = (Zinv[:, R] @ D) @ X[R]
             M[:, k] += self.A @ G.reshape(-1)
@@ -1299,6 +1325,15 @@ def _storage(m, s, nnz, r):
     return False, m * s * s
 
 
+def _accumulates_sparse(m, s, g, nnz):
+    """Whether a dense stack adds A_flat T_flat' to M through its sparse rows.
+
+    Compares that product's 2 nnz m flops, at the sparse product's cost
+    per flop, with the dense product's 2 m^2 s^2 g.
+    """
+    return _ACCUMULATE_FLOP_COST * 2.0 * nnz * m < 2.0 * m * m * s * s * g
+
+
 def _symmetrized_psd(A, cone):
     """0.5 (A_k + A_k') over all PSD columns of the CSC matrix A at once.
 
@@ -1317,18 +1352,27 @@ def _symmetrized_psd(A, cone):
 
 
 class _Cones:
-    """Per-cone views of the problem data for the solver.
+    """Per-cone views of the problem data for the solver, in stacks.
 
     The orthant columns are a dense (m, l) array.  All PSD columns of A
-    are symmetrized in one pass (``_symmetrized_psd``).  Each block is
-    then kept either as a dense (m, s, s) tensor filled from those
-    entries (``_DenseBlock``) or as CSR rows over its s*s entries
-    (``_SparseBlock``, the block's slice of those columns as CSR, so
-    each row holds its entries in column order and sums them in an
-    order that depends on that block alone), whichever ``_storage``
-    estimates forms the block's share of the Schur complement faster.
-    Problems whose M, orthant columns and block data would exceed
-    _MAX_ENTRIES floats are refused before any block is allocated.
+    are symmetrized in one pass (``_symmetrized_psd``), and ``_storage``
+    estimates for each block whether its share of the Schur complement
+    forms faster from CSR rows or from dense data.  A block it keeps
+    sparse is a ``_SparseBlock``, a stack of one: the block's slice of
+    those columns as CSR, so each row holds its entries in column order
+    and sums them in an order that depends on that block alone.  The
+    dense blocks of one order form one ``_DenseStack``, filled straight
+    from those entries; it keeps its columns of them too where
+    ``_accumulates_sparse`` estimates the Schur accumulation cheaper
+    through them.  The stacks come in the cone order of their first
+    blocks.
+
+    Every per-cone quantity of the solver (X, Z, Z^-1, C, the dual
+    residual and the Newton terms) is one (g, s, s) array per stack, in
+    ``stacks`` order; ``vector`` maps such a list back to the cone's
+    column order.  Problems whose M, orthant columns and block data
+    would exceed _MAX_ENTRIES floats are refused before any block is
+    allocated.
     """
 
     def __init__(self, problem):
@@ -1338,10 +1382,11 @@ class _Cones:
         A = problem.A
         self.m = m = problem.m
         self.l = cone.l
+        self.nblocks = len(cone.s)
         sym = _symmetrized_psd(A, cone)
-        parts = []
+        groups = {}  # ("sparse", block) or ("dense", order): its blocks' entries
         entries = m * m + m * cone.l  # M and the orthant columns
-        for off, s in zip(cone.psd_starts, cone.s):
+        for j, (off, s) in enumerate(zip(cone.psd_starts, cone.s)):
             # the block's entries: column col of the block, row k of A
             ptr = sym.indptr[off - cone.l : off - cone.l + s * s + 1]
             col = np.repeat(np.arange(s * s), np.diff(ptr))
@@ -1351,23 +1396,37 @@ class _Cones:
             r = touched.sum(axis=0).astype(float)
             sparse, floats = _storage(m, s, col.size, r[r > 0])
             entries += floats
-            cblk = problem.c[off : off + s * s].reshape(s, s)
-            values = sym.data[ptr[0] : ptr[-1]]
-            parts.append((off, s, sparse, col, k, values, 0.5 * (cblk + cblk.T)))
+            key = ("sparse", j) if sparse else ("dense", s)
+            groups.setdefault(key, []).append((j, col, k, sym.data[ptr[0] : ptr[-1]]))
+        through_csc = set()  # orders of the dense stacks that keep CSC rows too
+        for (kind, order), members in groups.items():
+            nnz = sum(col.size for _, col, _, _ in members)
+            if kind == "dense" and _accumulates_sparse(m, order, len(members), nnz):
+                through_csc.add(order)
+                entries += nnz
         if entries > _MAX_ENTRIES:
             raise ConicError("problem too large for the interior-point solver")
         self.A_l = A[:, : cone.l].toarray()
         self.c_l = problem.c[: cone.l]
-        self.blocks = []
-        for off, s, sparse, col, k, values, _ in parts:
-            if sparse:
-                cols = sym[:, off - cone.l : off - cone.l + s * s]
-                self.blocks.append(_SparseBlock(cols.tocsr(), s))
+        self.stacks, self.c_s = [], []
+        for (kind, _), members in groups.items():
+            index = tuple(j for j, *_ in members)
+            s = cone.s[index[0]]
+            starts = [cone.psd_starts[j] for j in index]
+            if kind == "sparse":
+                lo = starts[0] - cone.l
+                self.stacks.append(_SparseBlock(sym[:, lo : lo + s * s].tocsr(), s, index))
             else:
-                dense = np.zeros((s * s, m))
-                dense[col, k] = values
-                self.blocks.append(_DenseBlock(dense.T, s))
-        self.c_s = [C for *_, C in parts]
+                data = np.zeros((len(index), s * s, m))
+                for D, (_, col, k, values) in zip(data, members):
+                    D[col, k] = values
+                csc = None
+                if s in through_csc:
+                    cols = np.concatenate([np.arange(s * s) + off - cone.l for off in starts])
+                    csc = sym[:, cols]
+                self.stacks.append(_DenseStack(index, s, data, csc))
+            C = np.stack([problem.c[off : off + s * s].reshape(s, s) for off in starts])
+            self.c_s.append(0.5 * (C + C.swapaxes(-1, -2)))
         self.nu = cone.barrier_degree
         self.c_norm = math.sqrt(
             float(self.c_l @ self.c_l) + sum(float((c * c).sum()) for c in self.c_s)
@@ -1376,14 +1435,14 @@ class _Cones:
     def apply_A(self, x_l, X_s):
         """A(x): contract the primal point against every row."""
         out = self.A_l @ x_l if self.l else np.zeros(self.m)
-        for block, X in zip(self.blocks, X_s):
-            out = out + block.apply(X)
+        for stack, X in zip(self.stacks, X_s):
+            out = out + stack.apply(X)
         return out
 
     def apply_At(self, y):
         """A'(y) per cone."""
         out_l = self.A_l.T @ y if self.l else np.zeros(0)
-        return out_l, [block.adjoint(y) for block in self.blocks]
+        return out_l, [stack.adjoint(y) for stack in self.stacks]
 
     def schur_complement(self, x_l, z_l, Zinv_s, X_s):
         """M_jk = A_j' diag(x/z) A_k + sum over blocks of tr(A_j Z^-1 A_k X)."""
@@ -1391,12 +1450,12 @@ class _Cones:
         if self.l:
             d = x_l / z_l
             M += (self.A_l * d) @ self.A_l.T
-        for block, Zinv, X in zip(self.blocks, Zinv_s, X_s):
-            block.add_schur(M, Zinv, X)
+        for stack, Zinv, X in zip(self.stacks, Zinv_s, X_s):
+            stack.add_schur(M, Zinv, X)
         return 0.5 * (M + M.T)
 
     def schur_apply(self, x_l, z_l, Zinv_s, X_s, v):
-        """M v without M: A(diag(x/z) A'v) + A(Z^-1 A'(v) X) per block,
+        """M v without M: A(diag(x/z) A'v) + A(Z^-1 A'(v) X) per stack,
         summed as the residuals are."""
         At_l, At_s = self.apply_At(v)
         w_l = (x_l / z_l) * At_l if self.l else At_l
@@ -1409,8 +1468,8 @@ class _Cones:
         rhs = b.copy()
         if self.l:
             rhs += self.A_l @ w_l
-        for block, W in zip(self.blocks, W_s):
-            rhs += block.apply(0.5 * (W + W.T))
+        for stack, W in zip(self.stacks, W_s):
+            rhs += stack.apply(0.5 * (W + W.swapaxes(-1, -2)))
         return rhs
 
     def inner(self, u_l, U_s, v_l, V_s):
@@ -1418,6 +1477,15 @@ class _Cones:
         for U, V in zip(U_s, V_s):
             total += float((U * V).sum())
         return total
+
+    def vector(self, u_l, U_s):
+        """The cone vector of a point given per stack: u_l, then every
+        block's s*s entries in cone order."""
+        parts = [None] * self.nblocks
+        for stack, U in zip(self.stacks, U_s):
+            for j, B in zip(stack.index, U):
+                parts[j] = B.reshape(-1)
+        return np.concatenate([u_l] + parts)
 
 
 @functools.cache
@@ -1498,10 +1566,12 @@ def _psd_step(L, dX):
 
 
 def _step_length(x_l, L_s, dx_l, dX_s):
-    """Largest step along (dx_l, dX_s) from the point whose PSD factors are L_s."""
+    """Largest step along (dx_l, dX_s) from the point whose PSD factors are
+    L_s, one list of block factors per stack."""
     alpha = _alpha_orthant(x_l, dx_l)
-    for L, dX in zip(L_s, dX_s):
-        alpha = min(alpha, _psd_step(L, dX))
+    for L_stack, dX_stack in zip(L_s, dX_s):
+        for L, dX in zip(L_stack, dX_stack):
+            alpha = min(alpha, _psd_step(L, dX))
     return alpha
 
 
@@ -1519,19 +1589,20 @@ def _initial_point(cones, b):
         x_l *= xi
         z_l *= eta
     X_s, Z_s = [], []
-    for block, Cblk in zip(cones.blocks, cones.c_s):
-        s = Cblk.shape[0]
-        fnorms = np.sqrt(block.sq_norms)
-        anorm = 1.0 + fnorms
-        xi = max(10.0, math.sqrt(s), s * float(np.max((1.0 + np.abs(b)) / anorm)))
-        eta = max(
-            10.0,
-            math.sqrt(s),
-            (1.0 + max(float(np.max(fnorms, initial=0.0)), float(np.linalg.norm(Cblk))))
+    for stack, C in zip(cones.stacks, cones.c_s):
+        # per block of the stack, from its rows' norms and its C
+        s = stack.s
+        fnorms = np.sqrt(stack.sq_norms)
+        floor = max(10.0, math.sqrt(s))
+        xi = np.maximum(floor, s * np.max((1.0 + np.abs(b)) / (1.0 + fnorms), axis=1))
+        eta = np.maximum(
+            floor,
+            (1.0 + np.maximum(np.max(fnorms, axis=1, initial=0.0),
+                              np.sqrt((C * C).sum(axis=(1, 2)))))
             / math.sqrt(s),
         )
-        X_s.append(xi * np.eye(s))
-        Z_s.append(eta * np.eye(s))
+        X_s.append(xi[:, None, None] * np.eye(s))
+        Z_s.append(eta[:, None, None] * np.eye(s))
     return x_l, X_s, z_l, Z_s
 
 
@@ -1590,19 +1661,23 @@ def solve(problem, params=None):
     is singular to working precision, and the rounding of its formation
     would otherwise grow the primal residual from step to step.
 
-    M is summed block by block.  A dense block adds A_flat T_flat' with
-    T_k = Z^-1 A_k X from one batched product; a sparse block gathers
-    G_k = Z^-1[:, R_k] A_k[R_k, R_k] X[R_k, :] for each nonempty row k,
-    R_k the rows A_k touches, and adds A G_k to column k of M.  The
-    residuals and the Newton right-hand side use the same per-block
-    data, so a block is never densified when it is stored sparse.
+    The iterates and every other per-cone quantity are one (g, s, s)
+    array per stack of ``_Cones``: all dense blocks of one order, or one
+    sparse block.  M is summed stack by stack.  A dense stack forms
+    T_k = Z^-1 A_k X and adds A_flat T_flat' block by block, through the
+    block's sparse columns where that is estimated cheaper; a sparse
+    block gathers G_k = Z^-1[:, R_k] A_k[R_k, R_k] X[R_k, :] for
+    each nonempty row k, R_k the rows A_k touches, and adds A G_k to
+    column k of M.  The residuals and the Newton right-hand side use the
+    same per-stack data, so a block is never densified when it is
+    stored sparse.  x and z come back in the cone's block order.
 
     Each iteration computes one Cholesky factor per PSD block of X and
-    of Z (``_psd_factor``), once.  The step lengths of the predictor and
-    of the corrector, primal and dual, all come from those factors:
-    alpha = -1 / min eig(L^-1 dX L^-T).  Each accepted step is logged at
-    DEBUG level with its primal and dual lengths, sigma and the number
-    of 0.2 back-off cuts it took.
+    of Z (``_psd_factor``), once, block by block also inside a stack.
+    The step lengths of the predictor and of the corrector, primal and
+    dual, all come from those factors: alpha = -1 / min eig(L^-1 dX
+    L^-T).  Each accepted step is logged at DEBUG level with its primal
+    and dual lengths, sigma and the number of 0.2 back-off cuts it took.
 
     The solve stops with 'solved' once max(pinf, dinf, gap) <= eps.  It
     also stops as soon as the best iterate so far is within
@@ -1630,8 +1705,9 @@ def solve(problem, params=None):
     if m == 0:
         # fully pinned duals: just check the slacks are in the cone
         zmin = float(np.min(cones.c_l)) if cones.l else 0.0
-        for Cblk in cones.c_s:
-            zmin = min(zmin, _min_eig(Cblk))
+        for C in cones.c_s:
+            for Cblk in C:
+                zmin = min(zmin, _min_eig(Cblk))
         if zmin >= -params.eps:
             return _without_iterations(problem, "solved", z=problem.c.copy())
         # no moment vector exists, which the other paths report as a
@@ -1728,7 +1804,7 @@ def solve(problem, params=None):
             dX_s = []
             for Zinv, X, dZ, corr in zip(Zinv_s, X_s, dZ_s, corr_s):
                 raw = sigma_mu * Zinv - X - Zinv @ dZ @ X - corr
-                dX_s.append(0.5 * (raw + raw.T))
+                dX_s.append(0.5 * (raw + raw.swapaxes(-1, -2)))
             return dx_l, dX_s, dy, dz_l, dZ_s
 
         zero_l = np.zeros(cones.l)
@@ -1738,8 +1814,8 @@ def solve(problem, params=None):
             status, message = "failed", "non-finite predictor step"
             break
         # one factor per PSD block of X and of Z serves all four step searches
-        LX_s = [_psd_factor(X) for X in X_s]
-        LZ_s = [_psd_factor(Z) for Z in Z_s]
+        LX_s = [[_psd_factor(X) for X in stack] for stack in X_s]
+        LZ_s = [[_psd_factor(Z) for Z in stack] for stack in Z_s]
         ap = _step_length(x_l, LX_s, aff[0], aff[1])
         ad = _step_length(z_l, LZ_s, aff[3], aff[4])
         ap_d = min(1.0, _STEP_FRACTION * ap)
@@ -1808,10 +1884,8 @@ def solve(problem, params=None):
         elif status != "failed":
             status, message = "failed", f"no convergence: {message}"
 
-    x = np.concatenate([x_l] + [X.reshape(-1) for X in X_s])
-    z = np.concatenate([z_l] + [Z.reshape(-1) for Z in Z_s])
     return ConicSolution(
-        status=status, x=x, y=y, z=z, pobj=pobj, dobj=dobj,
+        status=status, x=cones.vector(x_l, X_s), y=y, z=cones.vector(z_l, Z_s), pobj=pobj, dobj=dobj,
         pinf=pinf, dinf=dinf, gap=gap, iterations=it,
         history=history, message=message, blocks=problem.cone.s,
     )
@@ -1853,7 +1927,8 @@ def _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=False):
         At_l, At_s = cones.apply_At(yhat)
         worst = float(np.max(At_l, initial=0.0))
         for AtS in At_s:
-            worst = max(worst, _min_eig(-AtS) * -1.0 if AtS.size else 0.0)
+            for B in AtS:
+                worst = max(worst, _min_eig(-B) * -1.0 if B.size else 0.0)
         feas = max(worst, 0.0)
         if feas <= tol * (1.0 + float(np.linalg.norm(yhat))):
             return "infeasible", "dual improving ray found"

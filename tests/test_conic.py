@@ -1,6 +1,7 @@
 """Conic solver against closed-form oracles and feasibility invariants."""
 
 import importlib
+import itertools
 import logging
 import math
 
@@ -31,7 +32,7 @@ from gpmkit.certify import _face_problem
 from gpmkit.conic import (
     ConicError,
     _Cones,
-    _DenseBlock,
+    _DenseStack,
     _SparseBlock,
     _psd_factor,
     _psd_step,
@@ -1318,10 +1319,48 @@ def random_spd(rng, s):
     return Q @ Q.T + s * np.eye(s)
 
 
-def test_sparse_and_dense_blocks_match_the_trace_formulas():
+# (block orders, block sparse?, stack sums through its sparse columns?),
+# the two choices by order: every block dense and summed densely or
+# through its sparse columns, every block sparse, and orders (3, 2, 3, 4)
+# with an order-3 stack over blocks 0 and 2 summed through its sparse
+# columns, an order-2 stack summed densely and a sparse order-4 block
+LAYOUTS = {
+    "dense": ((5, 7), lambda s: False, lambda s: False),
+    "csc": ((5, 7), lambda s: False, lambda s: True),
+    "sparse": ((5, 7), lambda s: True, lambda s: False),
+    "mixed": ((3, 2, 3, 4), lambda s: s == 4, lambda s: s == 3),
+}
+
+
+def cones_with_layout(monkeypatch, problem, sparse, accumulate):
+    """_Cones of ``problem`` with the storage and the accumulation of
+    each block chosen by its order."""
+    storage = conic_module._storage
+    monkeypatch.setattr(
+        conic_module, "_storage",
+        lambda m, s, nnz, r: (sparse(s), storage(m, s, nnz, r)[1]),
+    )
+    monkeypatch.setattr(
+        conic_module, "_accumulates_sparse", lambda m, s, g, nnz: accumulate(s)
+    )
+    cones = _Cones(problem)
+    for stack in cones.stacks:
+        assert isinstance(stack, _SparseBlock) == sparse(stack.s)
+        if not sparse(stack.s):
+            assert (stack.csc is not None) == accumulate(stack.s)
+    return cones
+
+
+def stacked(cones, blocks):
+    """Per-block arrays in cone order as one (g, ...) array per stack."""
+    return [np.stack([blocks[j] for j in stack.index]) for stack in cones.stacks]
+
+
+def test_sparse_and_dense_blocks_match_the_trace_formulas(monkeypatch):
     rng = np.random.default_rng(7)
-    for _ in range(5):
-        problem, A = random_sparse_blocks_problem(rng)
+    for layout, _ in itertools.product(LAYOUTS, range(5)):
+        sizes, sparse, accumulate = LAYOUTS[layout]
+        problem, A = random_sparse_blocks_problem(rng, sizes=sizes)
         cone, m = problem.cone, problem.m
         A_l = A[:, : cone.l]
         B_s, off = [], cone.l
@@ -1333,7 +1372,7 @@ def test_sparse_and_dense_blocks_match_the_trace_formulas():
         X_s = [random_spd(rng, s) for s in cone.s]
         Zinv_s = [np.linalg.inv(random_spd(rng, s)) for s in cone.s]
         W_s = [rng.normal(size=(s, s)) for s in cone.s]
-        w_l, y = rng.normal(size=cone.l), rng.normal(size=m)
+        w_l, y, v = rng.normal(size=cone.l), rng.normal(size=m), rng.normal(size=m)
 
         # the formulas entry by entry, from the dense matrices
         M_ref = (A_l * (x_l / z_l)) @ A_l.T
@@ -1347,36 +1386,116 @@ def test_sparse_and_dense_blocks_match_the_trace_formulas():
                     M_ref[j, k] += np.trace(B[j] @ Zinv @ B[k] @ X)
         At_ref = [np.einsum("k,kpq->pq", y, B) for B in B_s]
 
-        cones = _Cones(problem)
-        A_csc = scipy.sparse.csc_matrix(problem.A)
-        offs = np.cumsum((cone.l,) + tuple(s * s for s in cone.s))
-        syms = [
-            _symmetrized(A_csc[:, lo : lo + s * s], s)
-            for lo, s in zip(offs, cone.s)
+        cones = cones_with_layout(monkeypatch, problem, sparse, accumulate)
+        if layout == "mixed":
+            assert [stack.index for stack in cones.stacks] == [(0, 2), (1,), (3,)]
+        Xs, Zinvs = stacked(cones, X_s), stacked(cones, Zinv_s)
+
+        def close(got, want):
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-12 * scale, layout
+
+        close(cones.schur_complement(x_l, z_l, Zinvs, Xs), M_ref)
+        close(cones.schur_apply(x_l, z_l, Zinvs, Xs, v), M_ref @ v)
+        close(cones.apply_A(x_l, Xs), AX_ref)
+        close(cones.newton_rhs(problem.b, w_l, stacked(cones, W_s)), rhs_ref)
+        At_l, At_s = cones.apply_At(y)
+        close(At_l, A_l.T @ y)
+        for got, want in zip(At_s, stacked(cones, At_ref)):
+            close(got, want)
+        for stack, B in zip(cones.stacks, stacked(cones, B_s)):
+            close(stack.sq_norms, (B ** 2).sum(axis=(2, 3)))
+        # a point given per stack comes back in the cone's column order
+        assert np.array_equal(
+            cones.vector(x_l, Xs), np.concatenate([x_l] + [X.reshape(-1) for X in X_s])
+        )
+
+
+def test_a_stack_of_non_adjacent_blocks_solves_in_cone_order(monkeypatch):
+    # orders (3, 2, 3, 4) in the mixed layout, with planted strictly
+    # feasible points: the solution's x and z meet the rows and the dual
+    # constraints of the problem as given, block by block
+    rng = np.random.default_rng(4)
+    problem, A = random_sparse_blocks_problem(rng, m=8, sizes=LAYOUTS["mixed"][0])
+    cone = problem.cone
+    A[:, : cone.l] = rng.normal(size=(problem.m, cone.l))
+
+    def interior():
+        blocks = [random_spd(rng, s).reshape(-1) for s in cone.s]
+        return np.concatenate([rng.uniform(0.5, 1.5, cone.l)] + blocks)
+
+    x0, z0 = interior(), interior()
+    problem = ConicProblem(
+        A=scipy.sparse.csr_matrix(A), b=A @ x0,
+        c=A.T @ rng.normal(size=problem.m) + z0, cone=cone,
+    )
+    _, sparse, accumulate = LAYOUTS["mixed"]
+    cones_with_layout(monkeypatch, problem, sparse, accumulate)
+    sol = solve(problem)
+    assert sol.status == "solved"
+    assert np.abs(A @ sol.x - problem.b).max() <= 1e-6 * (1.0 + np.abs(problem.b).max())
+    resid = problem.c - A.T @ sol.y - sol.z
+    for off, s in zip(cone.psd_starts, cone.s):
+        R = resid[off : off + s * s].reshape(s, s)
+        assert np.abs(R + R.T).max() <= 1e-6 * (1.0 + np.abs(problem.c).max())
+        X = sol.x[off : off + s * s].reshape(s, s)
+        assert np.array_equal(X, X.T) and np.linalg.eigvalsh(X).min() > 0
+
+
+def test_stacks_hold_one_dense_copy_of_quadratic3_order_four(monkeypatch):
+    # the IPM input of quadratic3-4: blocks of order 20, 10, then seven
+    # of 20, all dense.  The dense data is one (g, s*s, m) tensor per
+    # stack and nothing else of that size: 8 m sum(s^2) bytes, plus the
+    # sparse columns of the order-20 stack, which accumulates through them
+    with open(model_path("quadratic3.gpm")) as fh:
+        conic = to_conic(assemble(parse_model(fh.read()), 4))
+    inputs = []
+
+    class Recorded(Exception):
+        pass
+
+    def recording_solve(problem, params=None):
+        inputs.append(problem)
+        raise Recorded
+
+    monkeypatch.setattr(conic_module, "solve", recording_solve)
+    with pytest.raises(Recorded):
+        solve_conic(conic)
+    (problem,) = inputs
+    assert problem.cone.s == (20, 10) + (20,) * 7
+    cones = _Cones(problem)
+    m = problem.m
+    assert [(stack.s, stack.index) for stack in cones.stacks] == [
+        (20, (0,) + tuple(range(2, 9))), (10, (1,)),
+    ]
+    assert all(isinstance(stack, _DenseStack) for stack in cones.stacks)
+    assert [stack.csc is not None for stack in cones.stacks] == [True, False]
+    assert sum(stack.A.nbytes for stack in cones.stacks) == 8 * m * sum(
+        s * s for s in problem.cone.s
+    )
+    for stack in cones.stacks:
+        # the tensor and the (g, m) row norms are the only arrays a stack
+        # owns; ``flat`` is a view
+        owned = [
+            name for name, value in vars(stack).items()
+            if isinstance(value, np.ndarray) and value.base is None
         ]
-        dense = [sym.toarray(order="F") for sym in syms]
-        for kind, data in ((_DenseBlock, dense), (_SparseBlock, syms)):
-            cones.blocks = [kind(d, s) for d, s in zip(data, cone.s)]
-
-            def close(got, want):
-                scale = np.abs(want).max()
-                assert np.abs(got - want).max() <= 1e-12 * scale, kind
-
-            close(cones.schur_complement(x_l, z_l, Zinv_s, X_s), M_ref)
-            close(cones.apply_A(x_l, X_s), AX_ref)
-            close(cones.newton_rhs(problem.b, w_l, W_s), rhs_ref)
-            At_l, At_s = cones.apply_At(y)
-            close(At_l, A_l.T @ y)
-            for got, want in zip(At_s, At_ref):
-                close(got, want)
-            for block, B in zip(cones.blocks, B_s):
-                close(block.sq_norms, (B ** 2).sum(axis=(1, 2)))
+        assert sorted(owned) == ["A", "sq_norms"]
+        assert stack.flat.base is stack.A
+        assert stack.sq_norms.shape == (stack.g, m)
+    stack = cones.stacks[0]
+    block_nnz = [
+        _symmetrized(problem.A[:, off : off + 400], 20).nnz
+        for off in (problem.cone.psd_starts[j] for j in stack.index)
+    ]
+    assert stack.csc.shape == (m, 8 * 400) and stack.csc.nnz == sum(block_nnz)
+    assert [part.nnz for part in stack.block_csc] == block_nnz
 
 
 def test_dense_blocks_equal_the_per_block_symmetrization(monkeypatch):
-    # _Cones symmetrizes all PSD columns in one pass; every dense block
-    # must hold the bytes, in the column-major layout, of symmetrizing
-    # its own columns, and _storage must see the nnz and r_k of that
+    # _Cones symmetrizes all PSD columns in one pass; every dense stack
+    # (here one per block, the orders being distinct) must hold the
+    # bytes, in its (g, s*s, m) layout, of symmetrizing its own columns, and _storage must see the nnz and r_k of that
     # block's CSR.  The 1x1 block takes scipy's sorted-sum path, and the
     # pair planted in row 0 cancels, so that entry is dropped
     rng = np.random.default_rng(11)
@@ -1397,11 +1516,12 @@ def test_dense_blocks_equal_the_per_block_symmetrization(monkeypatch):
         seen.clear()
         cones = _Cones(problem)
         cone = problem.cone
-        for block, off, s, (nnz, r) in zip(cones.blocks, cone.psd_starts, cone.s, seen):
+        assert [stack.index for stack in cones.stacks] == [(0,), (1,), (2,)]
+        for stack, off, s, (nnz, r) in zip(cones.stacks, cone.psd_starts, cone.s, seen):
             sym = _symmetrized(problem.A[:, off : off + s * s], s)
-            want = sym.toarray(order="F").reshape(problem.m, s, s)
-            assert isinstance(block, _DenseBlock)
-            assert block.A.strides == want.strides and block.A.tobytes() == want.tobytes()
+            want = np.ascontiguousarray(sym.toarray().T).reshape(1, s * s, problem.m)
+            assert isinstance(stack, _DenseStack)
+            assert stack.A.strides == want.strides and stack.A.tobytes() == want.tobytes()
             row = np.repeat(np.arange(problem.m), np.diff(sym.indptr))
             pairs = np.unique(row * s + sym.indices // s)
             assert nnz == sym.nnz
@@ -1427,8 +1547,8 @@ def test_sparse_blocks_equal_the_per_block_symmetrization(monkeypatch):
         )
         cones = _Cones(problem)
         cone = problem.cone
-        assert len(cones.blocks) == len(cone.s)
-        for block, off, s in zip(cones.blocks, cone.psd_starts, cone.s):
+        assert [stack.index for stack in cones.stacks] == [(0,), (1,), (2,)]
+        for block, off, s in zip(cones.stacks, cone.psd_starts, cone.s):
             want = _symmetrized(problem.A[:, off : off + s * s], s)
             assert isinstance(block, _SparseBlock)
             got = block.A
@@ -1466,7 +1586,7 @@ def test_sparse_block_rows_equal_the_row_by_row_gather(source):
             sym = _symmetrized(A[:, off : off + s * s], s)
             # an empty row, which gets no entry
             sym = scipy.sparse.vstack([sym, scipy.sparse.csr_matrix((1, s * s))], format="csr")
-            got, want = _SparseBlock(sym, s).rows, _sparse_rows_by_loop(sym, s)
+            got, want = _SparseBlock(sym, s, (0,)).rows, _sparse_rows_by_loop(sym, s)
             assert len(got) == len(want)
             for (k, R, D), (k0, R0, D0) in zip(got, want):
                 assert k == k0 and R.dtype == R0.dtype and D.shape == D0.shape
@@ -1477,7 +1597,7 @@ def test_sparse_block_rows_equal_the_row_by_row_gather(source):
 def test_maxcut_order_two_solves_through_sparse_blocks():
     with open(model_path("maxcut_sub.gpm")) as fh:
         problem = to_conic(assemble(parse_model(fh.read()), 2))
-    assert [type(b) for b in _Cones(problem).blocks] == [_SparseBlock]
+    assert [type(b) for b in _Cones(problem).stacks] == [_SparseBlock]
     sol = solve_conic(problem)
     # the objective of the dense-block solver this path replaced; with
     # the refinement against the Schur operator the solve reaches eps
@@ -1554,7 +1674,7 @@ def test_size_guard_counts_what_sparse_blocks_allocate():
         A=A, b=np.ones(m), c=np.eye(s).reshape(-1), cone=ConeSpec(s=(s,))
     )
     cones = _Cones(problem)
-    assert [type(b) for b in cones.blocks] == [_SparseBlock]
+    assert [type(b) for b in cones.stacks] == [_SparseBlock]
 
 
 def reference_psd_step(X, dX):

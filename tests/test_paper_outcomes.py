@@ -5,17 +5,18 @@ the objective, where given the status of the top-level interior-point
 solve, and, when certified, that every extracted atom is one of the
 paper's minimizers.  The number of atoms is not checked: on a face
 with several minimizers a valid certificate may expose only some of
-them.  quadratic3 at order 4 fails the rank test only at the top
-degree (ranks 1, 2, 2, 2, 17), so it certifies from the flat truncation
-M_2 of the top-level point, without a re-centering solve; it gives
-both paper atoms on every extraction seed of 0-159 (never the single
-merged atom (2,0,0)).  At seeds 23, 39, 62 and 125 the atoms from M_2
-break support constraints by 1.1e-4 to 1.5e-4, above the feasibility
-tolerance, and the re-centered point certifies them from M_4.  camel
-at orders 4 and 5 (ranks 1, 2, 2, 2, 7 and 1, 2, 2, 2, 3, 8) is flat at
-t = 2 and at t = 3; only t = 3 reaches half the objective degree 6, and
-M_3 certifies both atoms at the top-level point.  At order 3 (ranks
-1, 2, 2, 3) no flat t reaches it, and the re-centered point certifies.
+them.
+
+The forced-entry reduction leaves some moments of the top-level point
+undetermined, and certification ranks only the determined truncations.
+quadratic3 at order 4 has ranks 1, 2, 2, 2 up to degree 3 and an
+undetermined M_4; it certifies both paper atoms from the flat
+truncation M_2 of the top-level point, without a re-centering solve,
+on every extraction seed of 0-59.  camel at orders 3, 4 and 5 leaves
+x2^6 and the moments above it free, so its one determined flat
+truncation, t = 2, is below half the objective degree 6; each order
+certifies through the re-centering face solve, whose point fills the
+free moments with a flat extension of rank 2.
 """
 
 import itertools

@@ -91,5 +91,10 @@ def test_bench_rows_writes_one_row_per_instance(tmp_path):
     assert call["status"] == "solved" and call["iterations"] > 0
     assert call["m"] > 0 and call["blocks"]
     assert call["dropped_rows"] == call["dropped_cols"] == 0
+    # the stacks cover every block once, each of one order
+    assert sorted(o for o, g, _ in call["stacks"] for _ in range(g)) == sorted(call["blocks"])
+    assert {kind for *_, kind in call["stacks"]} <= {"csc", "dense", "sparse"}
+    parts = [call[key] for key in ("schur_s", "factor_s", "step_s", "rest_s")]
+    assert min(parts) >= 0 and sum(parts) == pytest.approx(call["seconds"])
     assert row["solve_s"] > 0 and row["peak_rss_mb"] > 0
     assert row["scipy_optimize_loaded"] is False

@@ -5,15 +5,28 @@ Each instance (a model and an order, like ``camel-3``) is solved once by
 row pays its own imports and first-solve set-up, as one ``gpm solve``
 does.  A row holds the seconds of ``import gpmkit`` and of the
 ``solve_gpm`` call (extraction seed 0), the status and objective, one
-entry per interior-point call (status, iterations, seconds, m and the PSD block
-orders the solver saw, recorded by wrapping ``gpmkit.conic.solve``, and
-the rows and columns of A the forced-entry reduction dropped before it,
-recorded by ``forced_drops.recording_drops``), the
-child's peak RSS (in MB of 10^6 bytes, the unit of gpmbench's
-``peak_rss_mb``) and whether ``scipy.optimize`` was loaded by the end of
-the solve.  The file also records the environment: Python, numpy and
-scipy versions, BLAS, CPUs and the thread variables.  Run from the root
-of a checkout:
+entry per interior-point call, the child's peak RSS (in MB of 10^6
+bytes, the unit of gpmbench's ``peak_rss_mb``) and whether
+``scipy.optimize`` was loaded by the end of the solve.  An
+interior-point entry, recorded by wrapping ``gpmkit.conic.solve``,
+holds:
+
+- its status, iterations and seconds, and m and the PSD block orders
+  the solver saw;
+- the stacks the solver formed from those blocks, each as [order,
+  blocks, kind]: kind "csc" for a dense stack that adds its Schur share
+  through its sparse columns, "dense" for one that does not, "sparse"
+  for a sparse block (null where the solver has no ``_Cones.stacks``);
+- the seconds spent forming the Schur complement
+  (``_Cones.schur_complement``), factoring it
+  (``_factor_with_regularization``), in the step search (``_psd_factor``
+  and ``_step_length``) and in the rest of the call;
+- the rows and columns of A the forced-entry reduction dropped before
+  it, recorded by ``forced_drops.recording_drops``.
+
+The file also records the environment: Python, numpy and scipy
+versions, BLAS, CPUs and the thread variables.  Run from the root of a
+checkout:
 
     python tools/bench_rows.py --label mine
     python tools/bench_rows.py --label quick --instances rational-1 camel-3
@@ -60,18 +73,53 @@ def run_child(instance):
     certify_module = importlib.import_module("gpmkit.certify")
     conic_module = importlib.import_module("gpmkit.conic")
     calls, solve = [], conic_module.solve
+    split, cones = {}, []
+
+    def timed(name, func):
+        def wrapper(*args):
+            begin = time.perf_counter()
+            try:
+                return func(*args)
+            finally:
+                split[name] += time.perf_counter() - begin
+        return wrapper
+
+    cones_class = conic_module._Cones
+    cones_init = cones_class.__init__
+
+    def recording_init(self, problem):
+        cones_init(self, problem)
+        cones.append(self)
+
+    cones_class.__init__ = recording_init
+    cones_class.schur_complement = timed("schur_s", cones_class.schur_complement)
+    for name, func in (
+        ("factor_s", "_factor_with_regularization"),
+        ("step_s", "_psd_factor"),
+        ("step_s", "_step_length"),
+    ):
+        setattr(conic_module, func, timed(name, getattr(conic_module, func)))
 
     def recording_solve(problem, params=None):
+        split.update(schur_s=0.0, factor_s=0.0, step_s=0.0)
+        cones.clear()
         begin = time.perf_counter()
         sol = solve(problem, params)
+        seconds = time.perf_counter() - begin
         # the reduction runs once in each solve_conic call, before its IPM
         dropped_rows, dropped_cols = drops[-1]
+        stacks = getattr(cones[0], "stacks", None) if cones else None
         calls.append({
             "status": sol.status,
             "iterations": sol.iterations,
-            "seconds": time.perf_counter() - begin,
+            "seconds": seconds,
             "m": problem.m,
             "blocks": list(problem.cone.s),
+            "stacks": None if stacks is None else [
+                [stack.s, stack.g, stack_kind(stack)] for stack in stacks
+            ],
+            **split,
+            "rest_s": seconds - sum(split.values()),
             "dropped_rows": dropped_rows,
             "dropped_cols": dropped_cols,
         })
@@ -97,6 +145,14 @@ def run_child(instance):
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
         "scipy_optimize_loaded": "scipy.optimize" in sys.modules,
     }
+
+
+def stack_kind(stack):
+    """"sparse" for a sparse block; for a dense stack, whether it adds its
+    Schur share through its sparse columns ("csc") or not ("dense")."""
+    if not hasattr(stack, "csc"):
+        return "sparse"
+    return "dense" if stack.csc is None else "csc"
 
 
 def environment():
