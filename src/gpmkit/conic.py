@@ -85,7 +85,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
-from scipy.linalg.lapack import dpotrf, dsyevr, dsyevr_lwork, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr, dsyevr_lwork, dtrtrs
 
 
 _log = logging.getLogger(__name__)
@@ -1770,16 +1770,16 @@ def solve(problem, params=None):
         def schur_solve(rhs, taken):
             # refine against the unregularized matrix: near the boundary
             # the factor carries a regularization shift
-            dy = scipy.linalg.cho_solve(chol, rhs)
-            dy = dy + scipy.linalg.cho_solve(chol, rhs - M @ dy)
+            dy = dpotrs(chol, rhs, lower=1)[0]
+            dy = dy + dpotrs(chol, rhs - M @ dy, lower=1)[0]
             if not taken:
-                return dy + scipy.linalg.cho_solve(chol, rhs - M @ dy)
+                return dy + dpotrs(chol, rhs - M @ dy, lower=1)[0]
             # the direction the step takes is refined against the
             # operator M stands for: the primal residual the step leaves
             # is its residual, not M's
             for _ in range(2):
                 resid = rhs - cones.schur_apply(x_l, z_l, Zinv_s, X_s, dy)
-                dy = dy + scipy.linalg.cho_solve(chol, resid)
+                dy = dy + dpotrs(chol, resid, lower=1)[0]
             return dy
 
         def solve_newton(sigma_mu, corr_l, corr_s, taken):
@@ -1898,15 +1898,16 @@ def _steps_finite(step):
 
 
 def _factor_with_regularization(M):
+    """Lower Cholesky factor of M + reg I for the first reg of an
+    escalating ladder that gives one (LAPACK's potrf, as cho_factor calls
+    it), or None after four tries; solve with it through potrs."""
     reg = 0.0
     scale = max(float(np.trace(M)) / max(M.shape[0], 1), 1.0)
     for attempt in range(4):
-        try:
-            return scipy.linalg.cho_factor(
-                M + reg * np.eye(M.shape[0]), lower=True
-            )
-        except scipy.linalg.LinAlgError:
-            reg = max(_REG_FLOOR * scale, reg * 100.0, 1e-14 * scale)
+        L, info = dpotrf(M + reg * np.eye(M.shape[0]), lower=1, clean=0)
+        if info == 0:
+            return L
+        reg = max(_REG_FLOOR * scale, reg * 100.0, 1e-14 * scale)
     return None
 
 
