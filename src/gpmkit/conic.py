@@ -74,18 +74,16 @@ product of the iteration.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 import scipy.sparse.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs, dsyevr, dsyevr_lwork, dtrtrs
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 
 _log = logging.getLogger(__name__)
@@ -1187,15 +1185,15 @@ _SMALL_FLOP_COST = 1.0
 _ACCUMULATE_FLOP_COST = 20.0
 _SPARSE_MARGIN = 1.5
 # Fixed cost of one PSD block per iteration, in the unit of
-# ``_dense_schur_cost``: the Python and LAPACK calls every block makes
-# whatever its order (inverse, Cholesky factors, step eigenvalues,
-# residual and Newton products).  Measured on random strictly feasible
-# problems with m = 21, 1 BLAS thread on a 2-core x86-64 VM, as the
-# slope of solve's time per iteration over 1 to 64 blocks of order 2
-# (0.25-0.27 ms per block) over its slope over the dense estimate of one
-# block of order 30 to 120 (1.0e-10 s per estimated flop); three runs
-# gave 2.4e6 to 2.8e6.  The measurement predates the stacks of
-# equal-order blocks (``_DenseStack``), which share much of that cost.
+# ``_dense_schur_cost``.  Measured on random strictly feasible problems
+# with m = 21, 1 BLAS thread on a 2-core x86-64 VM, as the slope of
+# solve's time per iteration over 1 to 64 blocks of order 2 over its
+# slope over the dense estimate of one block of order 30 to 120.  Before
+# the stacks that gave 2.4e6 to 2.8e6 (0.25-0.27 ms per block, 1.0e-10 s
+# per flop).  With every per-block call made once per stack, three runs
+# give 1.6e5 to 2.0e5 (0.009-0.013 ms per block, 5.8e-11 to 6.5e-11 s
+# per flop); blocks of one order share a stack there, while the blocks
+# a rotation splits off mostly form stacks of their own.
 _BLOCK_COST = 2.5e6
 # refuse problems whose solver data would exceed this many floats
 _MAX_ENTRIES = 2.5e8
@@ -1368,11 +1366,12 @@ class _Cones:
     blocks.
 
     Every per-cone quantity of the solver (X, Z, Z^-1, C, the dual
-    residual and the Newton terms) is one (g, s, s) array per stack, in
-    ``stacks`` order; ``vector`` maps such a list back to the cone's
-    column order.  Problems whose M, orthant columns and block data
-    would exceed _MAX_ENTRIES floats are refused before any block is
-    allocated.
+    residual, the Newton terms and the inverse Cholesky factors) is one
+    (g, s, s) array per stack, in ``stacks`` order, factored, inverted
+    and step-searched in one call per stack; ``vector`` maps such a list
+    back to the cone's column order.  Problems whose M, orthant columns
+    and block data would exceed _MAX_ENTRIES floats are refused before
+    any block is allocated.
     """
 
     def __init__(self, problem):
@@ -1488,37 +1487,6 @@ class _Cones:
         return np.concatenate([u_l] + parts)
 
 
-@functools.cache
-def _syevr_work(n):
-    """syevr's (lwork, liwork) for order n, as scipy.linalg.eigh queries them.
-
-    syevr's default minimal workspace changes the last bit of some
-    eigenvalues, and with them the iterates of the max-cut solves.
-    """
-    lwork, liwork, _ = dsyevr_lwork(n, lower=1)
-    return int(lwork), int(liwork)
-
-
-def _min_eig(M):
-    """Smallest eigenvalue of the symmetric M (its lower triangle), 0 if empty.
-
-    The LAPACK call scipy.linalg.eigvalsh(M, subset_by_index=[0, 0])
-    makes, without its Python wrappers; non-finite input raises
-    ValueError as it does there.
-    """
-    n = M.shape[0]
-    if n == 0:
-        return 0.0
-    lwork, liwork = _syevr_work(n)
-    w, _, _, _, info = dsyevr(
-        np.asarray_chkfinite(M), compute_v=0, range="I", lower=1, il=1, iu=1,
-        lwork=lwork, liwork=liwork,
-    )
-    if info:
-        raise scipy.linalg.LinAlgError("syevr failed")
-    return float(w[0])
-
-
 def _alpha_orthant(x, dx):
     if x.size == 0:
         return np.inf
@@ -1528,50 +1496,52 @@ def _alpha_orthant(x, dx):
     return float(np.min(-x[mask] / dx[mask]))
 
 
-def _psd_factor(X):
-    """Lower Cholesky factor of the PSD block X, or None if it is not PD.
+def _inverse_factors(S):
+    """L^-1 for the lower Cholesky factor L of every block of the stack S,
+    and whether the factorization fell back to block by block.
 
-    A factorization that fails is retried twice with a growing diagonal
-    jitter, so the factor may be that of X + jitter I.  Non-finite X
-    raises ValueError, as scipy.linalg.cholesky does.
+    One batched factorization and one batched inverse.  Only a stack
+    whose batched factorization raises is factored block by block, each
+    failing block retried twice with a growing diagonal jitter, so its
+    factor may be that of S_b + jitter I; a block that fails all three
+    tries leaves the stack no factor (None), which allows no step.
+    Non-finite S raises ValueError.
     """
-    jitter = 0.0
-    for _ in range(3):
-        L, info = dpotrf(
-            np.asarray_chkfinite(X + jitter * np.eye(X.shape[0])), lower=1, clean=1
-        )
-        if info == 0:
-            return L
-        jitter = max(jitter * 100, 1e-14 * max(np.trace(X), 1.0))
-    return None
+    S = np.asarray_chkfinite(S)
+    try:
+        return np.linalg.inv(np.linalg.cholesky(S)), False
+    except np.linalg.LinAlgError:
+        pass
+    L = np.empty_like(S)
+    for B, out in zip(S, L):
+        jitter = 0.0
+        for _ in range(3):
+            try:
+                out[...] = np.linalg.cholesky(B + jitter * np.eye(B.shape[0]))
+                break
+            except np.linalg.LinAlgError:
+                jitter = max(jitter * 100, 1e-14 * max(np.trace(B), 1.0))
+        else:
+            return None, True
+    return np.linalg.inv(L), True
 
 
-def _psd_step(L, dX):
-    """Largest alpha with L L' + alpha dX still PSD, L from _psd_factor.
+def _step_length(x_l, R_s, dx_l, dX_s):
+    """Largest step along (dx_l, dX_s) from the point whose PSD part has
+    the inverse factors R_s (``_inverse_factors``), one per stack.
 
-    That is -1 / min eig(L^-1 dX L^-T), inf if the direction never
-    leaves the cone and 0 if the block has no factor.
+    A stack allows -1 / min eig(L^-1 dX L^-T) over its blocks, from one
+    batched product and one batched eigvalsh: inf if the direction never
+    leaves the cone, 0 if the stack has no factor.
     """
-    if L is None:
-        return 0.0
-    if L.shape[0] == 0:
-        return np.inf
-    # potrf leaves a positive diagonal, so these solves cannot fail
-    W, _ = dtrtrs(L, dX, lower=1)
-    W, _ = dtrtrs(L, W.T, lower=1)
-    lam = _min_eig(0.5 * (W + W.T))
-    if lam >= 0:
-        return np.inf
-    return -1.0 / lam
-
-
-def _step_length(x_l, L_s, dx_l, dX_s):
-    """Largest step along (dx_l, dX_s) from the point whose PSD factors are
-    L_s, one list of block factors per stack."""
     alpha = _alpha_orthant(x_l, dx_l)
-    for L_stack, dX_stack in zip(L_s, dX_s):
-        for L, dX in zip(L_stack, dX_stack):
-            alpha = min(alpha, _psd_step(L, dX))
+    for R, dX in zip(R_s, dX_s):
+        if R is None:
+            return 0.0
+        W = R @ dX @ R.swapaxes(-1, -2)
+        lam = float(np.linalg.eigvalsh(0.5 * (W + W.swapaxes(-1, -2))).min(initial=0.0))
+        if lam < 0:
+            alpha = min(alpha, -1.0 / lam)
     return alpha
 
 
@@ -1672,11 +1642,12 @@ def solve(problem, params=None):
     same per-stack data, so a block is never densified when it is
     stored sparse.  x and z come back in the cone's block order.
 
-    Each iteration computes one Cholesky factor per PSD block of X and
-    of Z (``_psd_factor``), once, block by block also inside a stack.
-    The step lengths of the predictor and of the corrector, primal and
-    dual, all come from those factors: alpha = -1 / min eig(L^-1 dX
-    L^-T).  Each accepted step is logged at DEBUG level with its primal
+    Each iteration factors X and Z once, in one batched Cholesky
+    factorization and one batched inverse per stack
+    (``_inverse_factors``).  Z^-1 is L_Z^-T L_Z^-1, and the step lengths
+    of the predictor and of the corrector, primal and dual, are alpha =
+    -1 / min eig(L^-1 dX L^-T), one batched product and eigvalsh per
+    stack.  Each accepted step is logged at DEBUG level with its primal
     and dual lengths, sigma and the number of 0.2 back-off cuts it took.
 
     The solve stops with 'solved' once max(pinf, dinf, gap) <= eps.  It
@@ -1704,10 +1675,8 @@ def solve(problem, params=None):
         return _without_iterations(problem, "solved")
     if m == 0:
         # fully pinned duals: just check the slacks are in the cone
-        zmin = float(np.min(cones.c_l)) if cones.l else 0.0
-        for C in cones.c_s:
-            for Cblk in C:
-                zmin = min(zmin, _min_eig(Cblk))
+        zmin = min([np.min(cones.c_l, initial=0.0)]
+                   + [np.linalg.eigvalsh(C).min(initial=0.0) for C in cones.c_s])
         if zmin >= -params.eps:
             return _without_iterations(problem, "solved", z=problem.c.copy())
         # no moment vector exists, which the other paths report as a
@@ -1755,9 +1724,16 @@ def solve(problem, params=None):
                        f"best {best[0]:.1e} at iteration {best[-1]}")
             break
 
-        # HKM scaling data
+        # one inverse factor per stack of X and of Z serves all four step
+        # searches and the HKM scaling Z^-1, which a stack whose batched
+        # factorization fell back takes from inv(Z) instead
+        RX_s = [_inverse_factors(X)[0] for X in X_s]
+        RZ_s, Zinv_s = [], []
         try:
-            Zinv_s = [np.linalg.inv(Z) for Z in Z_s]
+            for Z in Z_s:
+                R, fell_back = _inverse_factors(Z)
+                RZ_s.append(R)
+                Zinv_s.append(np.linalg.inv(Z) if fell_back else R.swapaxes(-1, -2) @ R)
         except np.linalg.LinAlgError:
             status, message = "failed", "singular dual slack"
             break
@@ -1813,11 +1789,8 @@ def solve(problem, params=None):
         if not _steps_finite(aff):
             status, message = "failed", "non-finite predictor step"
             break
-        # one factor per PSD block of X and of Z serves all four step searches
-        LX_s = [[_psd_factor(X) for X in stack] for stack in X_s]
-        LZ_s = [[_psd_factor(Z) for Z in stack] for stack in Z_s]
-        ap = _step_length(x_l, LX_s, aff[0], aff[1])
-        ad = _step_length(z_l, LZ_s, aff[3], aff[4])
+        ap = _step_length(x_l, RX_s, aff[0], aff[1])
+        ad = _step_length(z_l, RZ_s, aff[3], aff[4])
         ap_d = min(1.0, _STEP_FRACTION * ap)
         ad_d = min(1.0, _STEP_FRACTION * ad)
         mu_aff = cones.inner(
@@ -1835,8 +1808,8 @@ def solve(problem, params=None):
         step = solve_newton(sigma * mu, corr_l, corr_s, taken=True)
         if not _steps_finite(step):
             step = aff  # fall back to the plain predictor
-        ap = min(1.0, _STEP_FRACTION * _step_length(x_l, LX_s, step[0], step[1]))
-        ad = min(1.0, _STEP_FRACTION * _step_length(z_l, LZ_s, step[3], step[4]))
+        ap = min(1.0, _STEP_FRACTION * _step_length(x_l, RX_s, step[0], step[1]))
+        ad = min(1.0, _STEP_FRACTION * _step_length(z_l, RZ_s, step[3], step[4]))
         if ap < 1e-8 and ad < 1e-8:
             status, message = "stalled", "step lengths below 1e-8"
             break
@@ -1898,9 +1871,8 @@ def _steps_finite(step):
 
 
 def _factor_with_regularization(M):
-    """Lower Cholesky factor of M + reg I for the first reg of an
-    escalating ladder that gives one (LAPACK's potrf, as cho_factor calls
-    it), or None after four tries; solve with it through potrs."""
+    """potrf's lower factor of M + reg I, reg escalating over four tries,
+    or None; solves with it go through potrs."""
     reg = 0.0
     scale = max(float(np.trace(M)) / max(M.shape[0], 1), 1.0)
     for attempt in range(4):
@@ -1926,11 +1898,8 @@ def _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=False):
     if dual_ray:
         yhat = y / dobj
         At_l, At_s = cones.apply_At(yhat)
-        worst = float(np.max(At_l, initial=0.0))
-        for AtS in At_s:
-            for B in AtS:
-                worst = max(worst, _min_eig(-B) * -1.0 if B.size else 0.0)
-        feas = max(worst, 0.0)
+        feas = max([np.max(At_l, initial=0.0)]
+                   + [np.linalg.eigvalsh(AtS).max(initial=0.0) for AtS in At_s])
         if feas <= tol * (1.0 + float(np.linalg.norm(yhat))):
             return "infeasible", "dual improving ray found"
     primal_ray = pobj < -1.0 / tol

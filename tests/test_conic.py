@@ -34,10 +34,10 @@ from gpmkit.conic import (
     _Cones,
     _DenseStack,
     _SparseBlock,
-    _psd_factor,
-    _psd_step,
     _drop_forced_entries,
+    _inverse_factors,
     _reduce_zero_diagonals,
+    _step_length,
     reduce_by_orbits,
     rotate_blocks,
     sign_flips,
@@ -1706,18 +1706,52 @@ def random_symmetric(rng, s):
     return 0.5 * (D + D.T)
 
 
+def stack_step(X, dX):
+    """The solver's step length for one stack of blocks X along dX, both
+    (g, s, s): the stack's inverse factors, then its step search."""
+    none = np.zeros(0)
+    return _step_length(none, [_inverse_factors(X)[0]], none, [dX])
+
+
+def stack_reference(blocks):
+    """The step of a stack of (X, dX) blocks by the per-block formula: that
+    of its most binding block."""
+    return min(reference_psd_step(X, dX) for X, dX in blocks)
+
+
+def as_stack(blocks):
+    return tuple(np.stack(parts) for parts in zip(*blocks))
+
+
+# the stack's step comes from a batched inverse, product and eigvalsh,
+# the reference from triangular solves and one syevr call per block
+STEP_RTOL = 1e-10
+
+
 @pytest.mark.parametrize("s", [1, 10, 35, 130])
 def test_factored_step_equals_the_scipy_formula(s):
     rng = np.random.default_rng(s)
+    blocks = []
     for _ in range(3):
         B = rng.normal(size=(s, s))
         X = B @ B.T + 1e-3 * np.eye(s)
         dX = random_symmetric(rng, s)
-        assert _psd_step(_psd_factor(X), dX) == reference_psd_step(X, dX)
+        blocks.append((X, dX))
+        assert stack_step(X[None], dX[None]) == pytest.approx(
+            reference_psd_step(X, dX), rel=STEP_RTOL
+        )
+    # the three blocks as one stack, factored in one call
+    assert _inverse_factors(as_stack(blocks)[0])[1] is False
+    assert stack_step(*as_stack(blocks)) == pytest.approx(stack_reference(blocks), rel=STEP_RTOL)
 
 
 def test_factored_step_on_singular_indefinite_and_empty_blocks():
     rng = np.random.default_rng(5)
+
+    def good():
+        B = rng.normal(size=(6, 6))
+        return B @ B.T + 1e-3 * np.eye(6), random_symmetric(rng, 6)
+
     # singular PSD: a zero row makes the bare factorization fail, the jitter
     # ladder's second try succeeds
     B = rng.normal(size=(6, 3))
@@ -1726,36 +1760,67 @@ def test_factored_step_on_singular_indefinite_and_empty_blocks():
     with pytest.raises(scipy.linalg.LinAlgError):
         scipy.linalg.cholesky(X, lower=True)
     dX = random_symmetric(rng, 6)
-    step = _psd_step(_psd_factor(X), dX)
-    assert np.isfinite(step) and step == reference_psd_step(X, dX)
-    # indefinite: all three tries fail and the block allows no step
+    step = stack_step(X[None], dX[None])
+    assert np.isfinite(step) and step == pytest.approx(reference_psd_step(X, dX), rel=STEP_RTOL)
+    # in a stack of three, the whole stack falls back to block by block
+    # and the singular block's jittered factor serves its step
+    blocks = [good(), (X, 1e-3 * dX), good()]
+    R, fell_back = _inverse_factors(as_stack(blocks)[0])
+    assert fell_back and R.shape == (3, 6, 6)
+    step = stack_step(*as_stack(blocks))
+    assert np.isfinite(step) and step == pytest.approx(stack_reference(blocks), rel=STEP_RTOL)
+    # indefinite: all three tries fail and the block allows no step, nor
+    # does a stack that holds it
     X = np.diag([1.0, -1.0, 2.0])
-    assert _psd_factor(X) is None
-    assert _psd_step(_psd_factor(X), np.eye(3)) == reference_psd_step(X, np.eye(3)) == 0.0
-    # empty block: never binding
+    assert _inverse_factors(X[None]) == (None, True)
+    assert stack_step(X[None], np.eye(3)[None]) == reference_psd_step(X, np.eye(3)) == 0.0
+    blocks = [(np.eye(3), np.eye(3)), (X, np.eye(3)), (2.0 * np.eye(3), -np.eye(3))]
+    assert stack_step(*as_stack(blocks)) == stack_reference(blocks) == 0.0
+    # empty blocks: never binding, alone or three in a stack
     E = np.zeros((0, 0))
-    assert _psd_step(_psd_factor(E), E) == reference_psd_step(E, E) == np.inf
+    assert stack_step(E[None], E[None]) == reference_psd_step(E, E) == np.inf
+    assert stack_step(*as_stack([(E, E)] * 3)) == stack_reference([(E, E)] * 3) == np.inf
     with pytest.raises(ValueError):
-        _psd_factor(np.full((2, 2), np.nan))
+        _inverse_factors(np.full((1, 2, 2), np.nan))
+    with pytest.raises(ValueError):
+        _inverse_factors(np.stack([np.eye(2), np.full((2, 2), np.nan), np.eye(2)]))
 
 
 def test_step_search_factors_each_block_once_per_iteration(monkeypatch):
     ctx, problem = camel_problem()
     conic = to_conic(assemble(problem, 3))
-    shapes = []
-    factor = conic_module._psd_factor
+    stacks, choleskys = [], []
+    factor, cholesky = conic_module._inverse_factors, np.linalg.cholesky
 
-    def counting_factor(X):
-        shapes.append(X.shape)
-        return factor(X)
+    def counting_factor(S):
+        stacks.append(S.shape)
+        return factor(S)
 
-    monkeypatch.setattr(conic_module, "_psd_factor", counting_factor)
+    def counting_cholesky(S):
+        choleskys.append(S.shape)
+        return cholesky(S)
+
+    monkeypatch.setattr(conic_module, "_inverse_factors", counting_factor)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
     sol = solve(conic)
     # reaches eps, so the lost-progress exit never fires
     assert (sol.status, sol.iterations, sol.message) == ("solved", 17, "")
-    # X and Z of every block, on every iteration that takes a step
-    assert len(shapes) == 2 * len(conic.cone.s) * (sol.iterations - 1)
-    assert set(shapes) == {(s, s) for s in conic.cone.s}
+    # X and Z of every stack, on every iteration that takes a step, each
+    # in one batched factorization
+    shapes = {(stack.g, stack.s, stack.s) for stack in _Cones(conic).stacks}
+    assert len(stacks) == 2 * len(shapes) * (sol.iterations - 1)
+    assert set(stacks) == shapes
+    assert choleskys == stacks
+    # quadratic3 at order 2 reaches the solver as eight blocks of order 4
+    # and one of order 1: two stacks, the eight blocks factored in one call
+    stacks.clear()
+    choleskys.clear()
+    with open(model_path("quadratic3.gpm")) as fh:
+        sol = solve_conic(to_conic(assemble(parse_model(fh.read()), 2)))
+    assert sol.status == "solved"
+    assert len(stacks) == 2 * 2 * (sol.iterations - 1)
+    assert set(stacks) == {(8, 4, 4), (1, 1, 1)}
+    assert choleskys == stacks
 
 
 def test_accepted_steps_are_logged_at_debug(caplog):

@@ -19,8 +19,9 @@ holds:
   for a sparse block (null where the solver has no ``_Cones.stacks``);
 - the seconds spent forming the Schur complement
   (``_Cones.schur_complement``), factoring it
-  (``_factor_with_regularization``), in the step search (``_psd_factor``
-  and ``_step_length``) and in the rest of the call;
+  (``_factor_with_regularization``), in the step search
+  (``_inverse_factors``, the factors of X and Z, and ``_step_length``)
+  and in the rest of the call;
 - the rows and columns of A the forced-entry reduction dropped before
   it, recorded by ``forced_drops.recording_drops``.
 
@@ -95,7 +96,7 @@ def run_child(instance):
     cones_class.schur_complement = timed("schur_s", cones_class.schur_complement)
     for name, func in (
         ("factor_s", "_factor_with_regularization"),
-        ("step_s", "_psd_factor"),
+        ("step_s", "_inverse_factors"),
         ("step_s", "_step_length"),
     ):
         setattr(conic_module, func, timed(name, getattr(conic_module, func)))
