@@ -221,9 +221,9 @@ class ConicSolution:
     satisfies the constraints (the dual objective diverges); 'unbounded'
     means c'x is unbounded below.  message is empty on 'solved' and
     otherwise says why the solve stopped: the iteration limit, vanishing
-    step lengths, lost progress, a failed factorization or a rejected
-    step, or the ray found.  history rows are (pobj, dobj, pinf, dinf,
-    gap) per iteration, the last one for the point the solve stopped at.
+    step lengths, a failed factorization or a non-finite step, or the
+    ray found.  history rows are (pobj, dobj, pinf, dinf, gap) per
+    iteration, the last one for the point the solve stopped at.
     blocks holds the PSD block orders of the problem the outcome was
     decided on, which ``solve_conic`` leaves as the interior-point solve
     saw them.  After a reduction's ``lift``, z is c - A'y on every
@@ -1172,16 +1172,15 @@ def _drop_forced_entries(problem):
 
 # Cost model for choosing a PSD block's storage, in units of one flop of
 # a large dense BLAS call.  Each nonempty row of a sparse block pays a
-# fixed overhead for its gathers and calls, its two small matmuls, and a
-# sparse product with the cache-hot G_k that runs at a far lower flop
-# rate.  The constants were fitted to timings of both Schur formations
-# on the blocks of the paper's models (m = 27..465, s = 4..130) and on
-# random sparse blocks (m = 50..1000, s = 20..100), 1 BLAS thread on a
-# 2-core x86-64 VM.  The fit underestimated the sparse/dense time ratio
+# fixed overhead for its gathers and calls, its two small matmuls at one
+# unit per flop, and a sparse product with the cache-hot G_k that runs at
+# a far lower flop rate.  The constants were fitted to timings of both
+# Schur formations on the blocks of the paper's models (m = 27..465,
+# s = 4..130) and on random sparse blocks (m = 50..1000, s = 20..100),
+# 1 BLAS thread on a 2-core x86-64 VM.  The fit underestimated the sparse/dense time ratio
 # by up to 1.5x, so a block goes sparse only where the estimate saves
 # more than that; near break-even the dense path is kept.
 _SPARSE_ROW_COST = 4.5e5
-_SMALL_FLOP_COST = 1.0
 _ACCUMULATE_FLOP_COST = 20.0
 _SPARSE_MARGIN = 1.5
 # Fixed cost of one PSD block per iteration, in the unit of
@@ -1315,7 +1314,7 @@ def _storage(m, s, nnz, r):
     dense = _dense_schur_cost(m, s)
     sparse = (
         r.size * _SPARSE_ROW_COST
-        + _SMALL_FLOP_COST * float((2.0 * s * r * r + 2.0 * s * s * r).sum())
+        + float((2.0 * s * r * r + 2.0 * s * s * r).sum())
         + _ACCUMULATE_FLOP_COST * 2.0 * nnz * r.size
     )
     if _SPARSE_MARGIN * sparse < dense or m * s * s > _MAX_ENTRIES:
@@ -1581,10 +1580,10 @@ def _initial_point(cones, b):
 _MAX_ITER = 100
 _STEP_FRACTION = 0.98
 _REG_FLOOR = 1e-12
-# a best iterate within _ACCEPT_FACTOR * eps is returned as 'inaccurate';
-# once there is one, a point _LOST_FACTOR times worse ends the solve
+# a solve that stops short of eps returns its best iterate, not its last,
+# which near the rounding limit may have drifted off again; it is
+# 'inaccurate' if within _ACCEPT_FACTOR * eps and 'failed' otherwise
 _ACCEPT_FACTOR = 1e3
-_LOST_FACTOR = 100.0
 
 
 def _residuals(cones, b, x_l, X_s, y, z_l, Z_s):
@@ -1647,19 +1646,17 @@ def solve(problem, params=None):
     (``_inverse_factors``).  Z^-1 is L_Z^-T L_Z^-1, and the step lengths
     of the predictor and of the corrector, primal and dual, are alpha =
     -1 / min eig(L^-1 dX L^-T), one batched product and eigvalsh per
-    stack.  Each accepted step is logged at DEBUG level with its primal
-    and dual lengths, sigma and the number of 0.2 back-off cuts it took.
+    stack.  The corrector step is taken as computed, damped to those
+    lengths, and logged at DEBUG level with its primal and dual lengths
+    and sigma.
 
-    The solve stops with 'solved' once max(pinf, dinf, gap) <= eps.  It
-    also stops as soon as the best iterate so far is within
-    _ACCEPT_FACTOR * eps and the current point's max(pinf, dinf, gap)
-    is over _LOST_FACTOR times the best one ("lost progress"): past that
-    point the iterations only drift away from a result that is already
-    acceptable.  That exit, like the iteration limit, vanishing step
-    lengths and the failure exits, returns the best iterate, as
-    'inaccurate' if it is within _ACCEPT_FACTOR * eps and as 'failed'
-    otherwise, unless a validated ray certifies infeasibility or
-    unboundedness.
+    The solve stops with 'solved' once max(pinf, dinf, gap) <= eps.  The
+    iteration limit, vanishing step lengths and the failure exits (a
+    singular dual slack, a Schur complement that no regularization
+    factors, a non-finite predictor or corrector step) return the best
+    iterate, as 'inaccurate' if it is within _ACCEPT_FACTOR * eps and
+    as 'failed' otherwise, unless a validated ray certifies
+    infeasibility or unboundedness.
     """
     params = params or SolverParams()
     cones = _Cones(problem)
@@ -1688,7 +1685,6 @@ def solve(problem, params=None):
 
     x_l, X_s, z_l, Z_s = _initial_point(cones, b)
     y = np.zeros(m)
-    point_residuals = _residuals(cones, b, x_l, X_s, y, z_l, Z_s)
     history = []
     best = None
     status = "failed"
@@ -1696,7 +1692,7 @@ def solve(problem, params=None):
     it = 0
 
     for it in range(1, _MAX_ITER + 1):
-        rd_l, Rd_s, pinf, dinf, mu = point_residuals
+        rd_l, Rd_s, pinf, dinf, mu = _residuals(cones, b, x_l, X_s, y, z_l, Z_s)
         pobj = cones.inner(cones.c_l, cones.c_s, x_l, X_s)
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
@@ -1705,7 +1701,7 @@ def solve(problem, params=None):
         if best is None or metric < best[0]:
             best = (metric, x_l.copy(), [X.copy() for X in X_s],
                     y.copy(), z_l.copy(), [Z.copy() for Z in Z_s],
-                    pobj, dobj, pinf, dinf, gap, it)
+                    pobj, dobj, pinf, dinf, gap)
         _log.debug("it %3d  pobj %+.8e  dobj %+.8e  pinf %.2e  dinf %.2e  gap %.2e",
                    it, pobj, dobj, pinf, dinf, gap)
         if metric <= params.eps:
@@ -1715,13 +1711,6 @@ def solve(problem, params=None):
         diverged = _divergence_status(cones, x_l, X_s, y, pobj, dobj)
         if diverged:
             status, message = diverged
-            break
-        if best[0] <= _ACCEPT_FACTOR * params.eps and metric > _LOST_FACTOR * best[0]:
-            # the best iterate is already acceptable and this one is far
-            # worse: the iterations left would only be thrown away
-            status = "stalled"
-            message = (f"lost progress: residual {metric:.1e} at iteration {it}, "
-                       f"best {best[0]:.1e} at iteration {best[-1]}")
             break
 
         # one inverse factor per stack of X and of Z serves all four step
@@ -1807,38 +1796,19 @@ def solve(problem, params=None):
         ]
         step = solve_newton(sigma * mu, corr_l, corr_s, taken=True)
         if not _steps_finite(step):
-            step = aff  # fall back to the plain predictor
+            status, message = "failed", "non-finite corrector step"
+            break
         ap = min(1.0, _STEP_FRACTION * _step_length(x_l, RX_s, step[0], step[1]))
         ad = min(1.0, _STEP_FRACTION * _step_length(z_l, RZ_s, step[3], step[4]))
         if ap < 1e-8 and ad < 1e-8:
             status, message = "stalled", "step lengths below 1e-8"
             break
-        # reject steps whose residuals blow up: near a boundary optimum the
-        # regularized Schur system can produce garbage directions
-        accepted = False
-        for cuts in range(4):
-            x_n = x_l + ap * step[0]
-            X_n = [X + ap * dX for X, dX in zip(X_s, step[1])]
-            y_n = y + ad * step[2]
-            z_n = z_l + ad * step[3]
-            Z_n = [Z + ad * dZ for Z, dZ in zip(Z_s, step[4])]
-            point_residuals = _residuals(cones, b, x_n, X_n, y_n, z_n, Z_n)
-            *_, pinf_n, dinf_n, mu_n = point_residuals
-            if (
-                pinf_n <= 100.0 * pinf + 1e-12
-                and dinf_n <= 100.0 * dinf + 1e-12
-                and mu_n <= 100.0 * mu
-            ):
-                accepted = True
-                break
-            ap *= 0.2
-            ad *= 0.2
-        if not accepted:
-            status, message = "stalled", "step rejected"
-            break
-        _log.debug("it %3d  step primal %.3e  dual %.3e  sigma %.3e  cuts %d",
-                   it, ap, ad, sigma, cuts)
-        x_l, X_s, y, z_l, Z_s = x_n, X_n, y_n, z_n, Z_n
+        _log.debug("it %3d  step primal %.3e  dual %.3e  sigma %.3e", it, ap, ad, sigma)
+        x_l = x_l + ap * step[0]
+        X_s = [X + ap * dX for X, dX in zip(X_s, step[1])]
+        y = y + ad * step[2]
+        z_l = z_l + ad * step[3]
+        Z_s = [Z + ad * dZ for Z, dZ in zip(Z_s, step[4])]
     else:
         status, message = "maxiter", f"iteration limit ({_MAX_ITER}) reached"
 
@@ -1848,7 +1818,7 @@ def solve(problem, params=None):
         diverged = _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=True)
         metric = best[0]
         if diverged is None:
-            _, x_l, X_s, y, z_l, Z_s, pobj, dobj, pinf, dinf, gap, it_best = best
+            _, x_l, X_s, y, z_l, Z_s, pobj, dobj, pinf, dinf, gap = best
             diverged = _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=True)
         if diverged:
             status, message = diverged
@@ -1879,7 +1849,7 @@ def _factor_with_regularization(M):
         L, info = dpotrf(M + reg * np.eye(M.shape[0]), lower=1, clean=0)
         if info == 0:
             return L
-        reg = max(_REG_FLOOR * scale, reg * 100.0, 1e-14 * scale)
+        reg = max(_REG_FLOOR * scale, reg * 100.0)
     return None
 
 

@@ -6,6 +6,7 @@ they are meant to check.
 """
 
 import importlib
+import importlib.util
 import math
 import os
 from operator import add, le, sub
@@ -22,6 +23,7 @@ from gpmkit.relaxation import (
 )
 
 MODELS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "models")
+TOOLS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools")
 
 
 @pytest.fixture
@@ -31,6 +33,14 @@ def models_dir():
 
 def model_path(name):
     return os.path.abspath(os.path.join(MODELS_DIR, name))
+
+
+def load_tool(name):
+    """The module of the script tools/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS_DIR, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def refuse_extraction(monkeypatch, refused=lambda t, order: t < order):

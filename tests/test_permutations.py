@@ -244,9 +244,7 @@ def test_orbit_reduction_matches_the_unreduced_problem(seed):
     assert red is not None and red.problem.m == 4 and red.kept == (0,)
     whole = solve_conic(problem)
     lifted = lift(problem, red, solve_conic(red.problem))
-    # the unreduced solve of seed 5 stops 'inaccurate' (lost progress,
-    # within 1e3 * eps); its objective still agrees
-    assert lifted.status == "solved" and whole.status in ("solved", "inaccurate")
+    assert lifted.status == "solved" and whole.status == "solved"
     for obj in ("pobj", "dobj"):
         a, b = getattr(whole, obj), getattr(lifted, obj)
         assert abs(a - b) <= 1e-7 * (1.0 + abs(a)), (obj, a, b)

@@ -1,8 +1,8 @@
 """tools/conic_digest.py, whose digests back every bit-identity claim,
-and tools/bench_rows.py, which writes the committed BENCH rows."""
+tools/bench_rows.py, which writes the committed BENCH rows, and
+tools/ulp_draws.py, which counts outcomes under 1-ulp moves."""
 
 import hashlib
-import importlib.util
 import json
 import os
 import re
@@ -16,19 +16,14 @@ import gpmkit.conic as conic_module
 from gpmkit.cli import cmd_export
 from gpmkit.relaxation import assemble
 
-from conftest import model_path
+from conftest import TOOLS_DIR, load_tool, model_path
 
-TOOLS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tools")
-TOOL = os.path.join(TOOLS, "conic_digest.py")
 HEX = "[0-9a-f]{64}"
 
 
 @pytest.fixture(scope="module")
 def conic_digest():
-    spec = importlib.util.spec_from_file_location("conic_digest", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("conic_digest")
 
 
 def test_solve_digest_is_the_same_on_a_second_run(conic_digest):
@@ -76,7 +71,7 @@ def test_digest_has_a_case_with_rows_of_several_coefficients(conic_digest):
 
 def test_bench_rows_writes_one_row_per_instance(tmp_path):
     proc = subprocess.run(
-        [sys.executable, os.path.join(TOOLS, "bench_rows.py"), "--label", "check",
+        [sys.executable, os.path.join(TOOLS_DIR, "bench_rows.py"), "--label", "check",
          "--instances", "rational-1", "--out-dir", str(tmp_path)],
         capture_output=True, text=True, timeout=120,
     )
@@ -98,3 +93,30 @@ def test_bench_rows_writes_one_row_per_instance(tmp_path):
     assert min(parts) >= 0 and sum(parts) == pytest.approx(call["seconds"])
     assert row["solve_s"] > 0 and row["peak_rss_mb"] > 0
     assert row["scipy_optimize_loaded"] is False
+
+
+def test_ulp_draws_moves_a_quarter_of_the_entries_each_way(capsys):
+    ulp_draws = load_tool("ulp_draws")
+    solve = conic_module.solve
+    problem = ulp_draws.top_level_input("rational-1")
+    # the capturing wrapper is removed
+    assert conic_module.solve is solve
+    assert problem.m == 2
+    A = problem.A
+    moved = ulp_draws.perturbed(problem, 3).A
+    assert (moved.indptr == A.indptr).all() and (moved.indices == A.indices).all()
+    rng = np.random.default_rng(3)
+    change = rng.random(A.nnz) < 0.5
+    up = rng.random(A.nnz) < 0.5
+    # 8 entries: 2 stay, 2 move up and 4 down
+    assert A.nnz == 8 and (change & up).sum() == 2 and (change & ~up).sum() == 4
+    np.testing.assert_array_equal(moved.data[~change], A.data[~change])
+    np.testing.assert_array_equal(moved.data[change & up], np.nextafter(A.data[change & up], np.inf))
+    np.testing.assert_array_equal(moved.data[change & ~up], np.nextafter(A.data[change & ~up], -np.inf))
+    assert ulp_draws.perturbed(problem, 3).A.data.tobytes() == moved.data.tobytes()
+    ulp_draws.main(["--draws", "3", "rational-1"])
+    line = capsys.readouterr().out.strip()
+    assert re.fullmatch(r"rational-1 draws 3 solved 3 iterations mean \d+\.\d max \d+", line)
+    assert ulp_draws.summary("x-1", [("solved", 10), ("inaccurate", 13), ("solved", 12)]) == (
+        "x-1 draws 3 solved 2 inaccurate 1 iterations mean 11.7 max 13"
+    )
