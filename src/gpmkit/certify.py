@@ -500,8 +500,8 @@ def solve_gpm(problem, order=None, params=None, seed=0):
     conic data, keeps one moment per orbit and pins to 0 the moments
     that some flip negates), then, inside the one ``solve_conic`` call,
     the pattern split, which splits the blocks by parity, zero-diagonal
-    facial reduction, presolve and the block rotation, which splits a
-    block into its symmetry-adapted blocks where that pays.
+    facial reduction, presolve and the block rotation, which splits
+    every block whose data splits into its symmetry-adapted blocks.
     ``conic.lift`` maps each solution back, the last reduction first.
     ``symmetry`` and ``permutations`` report the orbit reduction per
     measure.

@@ -42,8 +42,7 @@ order:
 6. the block rotation (``rotate_blocks``, right before the solver): a
    PSD block whose data splits in the eigenbasis of a random
    combination of it is rotated into that basis, where the pattern
-   split of step 2 splits it, when the split saves more than the
-   blocks it adds cost.
+   split of step 2 splits it and drops the directions without data.
 
 The first applies only where a check of the data, exact to the last
 bit, shows the symmetry it uses; the second and the fifth involve no
@@ -821,12 +820,13 @@ def rotate_blocks(problem):
     The numerical block diagonalization of Murota, Kanno, Kojima and
     Kojima (Japan J. Indust. Appl. Math. 27, 2010), which needs no group:
     the eigenvectors V of a random combination of a block's data, and
-    the components ``_block_split`` screens.  A block is rotated only
-    when ``_rotated_block`` finds every entry of V'A_kV and V'CV outside
+    the components ``_block_split`` finds.  A block with more than one
+    component, whatever its order or m, is rotated when
+    ``_rotated_block`` finds every entry of V'A_kV and V'CV outside
     those components at most _ROTATION_TOL times the block's largest
     entry; they are set to exactly 0, and the other blocks keep their
-    columns as they are.  ``split_by_pattern`` on the result then finds the
-    components, drops those without data and orders them.
+    columns as they are.  ``split_by_pattern`` on the result then finds
+    the components, drops those without data and orders them.
 
     The data of a rotated block is that of the original one in the basis
     V, so x lifts as V X_r V' on each rotated block, a linear operator,
@@ -873,18 +873,16 @@ def rotate_blocks(problem):
 
 
 def _block_split(blk, C, r):
-    """Screen one block for a split that pays: (V, label) or None.
+    """Screen one block for a split: (V, label) or None.
 
     ``blk`` holds the block's (m, s*s) columns of A and C its s x s part
     of c; the rows of r weight two combinations, G = sum_k r_k A_k +
     r_0 C and H alike.  V holds the eigenvectors of G and label the
     component of each in the pattern of V'HV (its entries above
     _ROTATION_TOL times the largest), -1 for a lone direction without
-    data.  None when there is one component, or when the dense Schur
-    estimate of the block less those of its components with data is not
-    more than _BLOCK_COST for each block the split adds.
+    data.  None when there is one component, or none with data.
     """
-    m, s = blk.shape[0], C.shape[0]
+    s = C.shape[0]
     G, H = ((blk.T @ w[1:]).reshape(s, s) + w[0] * C for w in r)
     w, V = np.linalg.eigh(G + G.T)
     W = np.abs(V.T @ (H + H.T) @ V)
@@ -897,12 +895,8 @@ def _block_split(blk, C, r):
     n, label = scipy.sparse.csgraph.connected_components(
         scipy.sparse.csr_matrix(live), directed=False
     )
-    sizes = np.bincount(label)
     data = np.bincount(label, weights=touched, minlength=n) > 0
     if n == 1 or not data.any():
-        return None
-    saving = _dense_schur_cost(m, s) - _dense_schur_cost(m, sizes[data]).sum()
-    if saving <= _BLOCK_COST * (np.count_nonzero(data) - 1):
         return None
     return V, np.where(data[label], label, -1)
 
@@ -924,7 +918,7 @@ def _rotated_block(blk, C, V, label):
     Cr = (V.T @ C @ V).reshape(-1)
     inside = ((label[:, None] == label) & (label[:, None] >= 0)).reshape(-1)
     # the largest magnitude of each rotated entry over the rows and c
-    size = np.maximum(np.abs(T).max(axis=0), np.abs(Cr))
+    size = np.maximum(np.abs(T).max(axis=0, initial=0.0), np.abs(Cr))
     scale = max(float(np.abs(blk.data).max(initial=0.0)), float(np.abs(C).max()))
     if size[~inside].max(initial=0.0) > _ROTATION_TOL * scale:
         return None
@@ -1183,17 +1177,6 @@ def _drop_forced_entries(problem):
 _SPARSE_ROW_COST = 4.5e5
 _ACCUMULATE_FLOP_COST = 20.0
 _SPARSE_MARGIN = 1.5
-# Fixed cost of one PSD block per iteration, in the unit of
-# ``_dense_schur_cost``.  Measured on random strictly feasible problems
-# with m = 21, 1 BLAS thread on a 2-core x86-64 VM, as the slope of
-# solve's time per iteration over 1 to 64 blocks of order 2 over its
-# slope over the dense estimate of one block of order 30 to 120.  Before
-# the stacks that gave 2.4e6 to 2.8e6 (0.25-0.27 ms per block, 1.0e-10 s
-# per flop).  With every per-block call made once per stack, three runs
-# give 1.6e5 to 2.0e5 (0.009-0.013 ms per block, 5.8e-11 to 6.5e-11 s
-# per flop); blocks of one order share a stack there, while the blocks
-# a rotation splits off mostly form stacks of their own.
-_BLOCK_COST = 2.5e6
 # refuse problems whose solver data would exceed this many floats
 _MAX_ENTRIES = 2.5e8
 

@@ -255,17 +255,17 @@ def test_solve_reports_the_orbit_reduction(tmp_path, capsys, name, order, permut
 
 
 def test_solve_reports_the_blocks_the_solver_worked_on(tmp_path, capsys):
-    # the rotation splits the 93-order block of the odd moments into its
-    # symmetry-adapted blocks; the 37-order one is left whole, as its
-    # split would save less than the blocks it adds cost
+    # the rotation splits the 37-order block of the even moments into
+    # 5 + 4 x 8 and the 93-order one of the odd moments into its
+    # symmetry-adapted blocks
     out = tmp_path / "report.json"
     assert main(["solve", model_path("maxcut_sub.gpm"), "--order", "3", "--json", str(out)]) == 0
     text = capsys.readouterr().out
     report = json.loads(out.read_text())
-    assert report["solver"]["blocks"] == [37, 20, 22, 20, 8, 20, 3]
+    assert report["solver"]["blocks"] == [5, 8, 8, 8, 8, 20, 22, 20, 8, 20, 3]
     (measure,) = report["measures"]
     assert measure["symmetry"]["blocks"] == [37, 93]
-    assert "  PSD blocks       = 37x37+20x20+22x22+20x20+8x8+20x20+3x3" in text.splitlines()
+    assert "  PSD blocks       = 5x5+4x(8x8)+20x20+22x22+20x20+8x8+20x20+3x3" in text.splitlines()
 
 
 @pytest.mark.parametrize(

@@ -1637,14 +1637,21 @@ def test_a_solve_short_of_eps_returns_its_best_iterate(monkeypatch):
     assert (sol.pobj, sol.dobj, sol.pinf, sol.dinf, sol.gap) == sol.history[5]
 
 
-def test_maxcut_order_four_solves_under_one_ulp_moves_of_its_input():
+@pytest.mark.parametrize(
+    "instance,m,largest", [("maxcut_sub-4", 22, 36), ("maxcut_nosub-3", 21, 22)],
+    ids=["maxcut_sub-4", "maxcut_nosub-3"],
+)
+def test_maxcut_order_four_solves_under_one_ulp_moves_of_its_input(instance, m, largest):
     # the top-level input of maxcut_sub-4 ends near the rounding limit:
     # with cond M ~ 1e17, the step of iteration 10 raises the primal
     # residual up to a million-fold, to ~1e-9, and the next one reaches
-    # eps.  Every draw of tools/ulp_draws.py must end solved
+    # eps.  maxcut_nosub-3 reaches the solver on maxcut_sub-3's blocks,
+    # the rotation having dropped the directions its duplicate rows put
+    # in the kernel of every moment matrix.  Every draw of
+    # tools/ulp_draws.py must end solved
     ulp_draws = load_tool("ulp_draws")
-    problem = ulp_draws.top_level_input("maxcut_sub-4")
-    assert problem.m == 22 and max(problem.cone.s) == 36
+    problem = ulp_draws.top_level_input(instance)
+    assert problem.m == m and max(problem.cone.s) == largest
     outcomes = ulp_draws.sweep(problem, 20)
     assert [status for status, _ in outcomes] == ["solved"] * 20, outcomes
 
@@ -1938,15 +1945,16 @@ def test_rotation_gate_refuses_a_coupling_above_its_tolerance():
     assert sorted(split_by_pattern(red.problem).problem.cone.s) == [20, 40]
 
 
-@pytest.mark.parametrize("name,order,unsplit,blocks,free", [
-    ("maxcut_nosub", 2, (46, 9), (46, 9), [5, 8, 8, 8, 8, 1, 2, 2, 2, 2]),
-    ("maxcut_sub", 3, (37, 93), (37, 20, 22, 20, 8, 20, 3), [5, 8, 8, 8, 8, 3, 8, 20, 20, 20, 22]),
-])
-def test_rotation_splits_only_where_the_split_pays(monkeypatch, name, order, unsplit, blocks, free):
-    # without the fixed cost per block, the 37- and 46-order blocks would
-    # split into 5 + 4 x 8 (the 46 also dropping 9 directions without
-    # data) and the 9-order one into 1 + 4 x 2; the split saves less than
-    # the blocks it adds cost, so only the 93-order block splits
+@pytest.mark.parametrize("name,order,unsplit,blocks", [
+    ("maxcut_nosub", 2, (46, 9), (5, 8, 8, 8, 8, 2, 2, 2, 2, 1)),
+    ("maxcut_sub", 2, (37, 9), (5, 8, 8, 8, 8, 2, 2, 2, 2, 1)),
+    ("maxcut_sub", 3, (37, 93), (5, 8, 8, 8, 8, 20, 22, 20, 8, 20, 3)),
+], ids=["maxcut_nosub-2", "maxcut_sub-2", "maxcut_sub-3"])
+def test_rotation_splits_every_block_whose_data_splits(monkeypatch, name, order, unsplit, blocks):
+    # the 37- and 46-order blocks split into 5 + 4 x 8, the 46 also
+    # dropping its 9 directions without data, the 9-order one into
+    # 1 + 4 x 2 and the 93-order one into 20 + 22 + 20 + 8 + 20 + 3; so
+    # both encodings of order 2 reach the solver on the same blocks
     seen = []
 
     def recording(p):
@@ -1959,9 +1967,29 @@ def test_rotation_splits_only_where_the_split_pays(monkeypatch, name, order, uns
     (problem,) = seen
     assert problem.cone.s == unsplit
     assert sol.conic.blocks == blocks
-    monkeypatch.setattr(conic_module, "_BLOCK_COST", 0.0)
+    assert sol.conic.status == "solved"
+
+
+def test_rotation_splits_a_problem_without_rows():
+    # with m = 0 the combinations are multiples of c alone; c is
+    # block-diagonal with blocks 1, 2 and 3 times the identity under a
+    # random rotation, so its eigenspaces are the blocks
+    rng = np.random.default_rng(7)
+    sizes = (3, 2, 4)
+    Q = np.linalg.qr(rng.standard_normal((9, 9)))[0]
+    C = Q @ np.diag(np.repeat([1.0, 2.0, 3.0], sizes)) @ Q.T
+    problem = ConicProblem(
+        A=scipy.sparse.csc_matrix((0, 81)), b=np.zeros(0), c=C.reshape(-1), cone=ConeSpec(s=(9,)),
+    )
     red = rotate_blocks(problem)
-    assert sorted(split_by_pattern(red.problem).problem.cone.s) == sorted(free)
+    assert red is not None
+    split = split_by_pattern(red.problem).problem
+    assert sorted(split.cone.s) == sorted(sizes)
+    cone = split.cone
+    for k, s in enumerate(cone.s):
+        block = split.c[cone.block_columns(k, np.arange(s))].reshape(s, s)
+        value = {3: 1.0, 2: 2.0, 4: 3.0}[s]
+        np.testing.assert_allclose(block, value * np.eye(s), rtol=0, atol=1e-12)
 
 
 def test_solve_conic_runs_each_reduction_once(monkeypatch):

@@ -54,6 +54,7 @@ IPM_STATUS = {
     ("rational.gpm", 1): "solved",
     ("quadratic3.gpm", 1): "solved",
     ("maxcut_sub.gpm", 3): "solved",
+    ("maxcut_nosub.gpm", 2): "solved",
 }
 
 

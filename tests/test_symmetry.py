@@ -323,8 +323,11 @@ def test_two_flips_and_a_swap_solve_alike_with_and_without_the_reduction(monkeyp
     assert perms["generators"] == [[["x(1)", "x(2)"]]]
     # the swap pairs the even moments x1^2 with x2^2, x1^4 with x2^4 ...
     assert perms["moments"] == 9 and perms["orbits"] == 5
+    # the rotation splits the class-0 blocks of the moment and the
+    # localizing matrix, rows 1, x1^2, x2^2, each into 2 + 1 along the
+    # swap: x1^2 - x2^2 apart from 1 and x1^2 + x2^2
     (cone,) = blocks
-    assert cone == tuple(report["blocks"])
+    assert cone == (2, 1, 3, 3, 1, 2, 1, 1, 1, 1)
     assert sol.status == 1 and len(sol.support(1)[0]) == 4
     monkeypatch.setattr(certify_module, "sign_classes", lambda msdp: None)
     monkeypatch.setattr(certify_module, "variable_permutations", lambda msdp: None)

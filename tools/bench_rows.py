@@ -53,7 +53,9 @@ INSTANCES = [
     "quadratic3-2",
     "quadratic3-3",
     "quadratic3-4",
+    "maxcut_sub-2",
     "maxcut_sub-3",
+    "maxcut_nosub-2",
     "maxcut_nosub-3",
     "maxcut_sub-4",
 ]
