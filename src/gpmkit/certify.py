@@ -71,7 +71,15 @@ from .conic import (
     solve_conic,
     to_conic,
 )
-from .model import ModelError
+from .model import (
+    GPMProblem,
+    ModelError,
+    MomentConstraint,
+    MomentExpression,
+    Objective,
+    SupportConstraint,
+)
+from .polynomials import Monomial, Polynomial
 from .relaxation import (
     assemble,
     mmat_values,
@@ -466,6 +474,15 @@ class GPMSolution:
     found, and otherwise to its generators (each a list of cycles of
     variable names), the number of its moments no flip pins and the
     number of their orbits (None when no permutation was kept).
+
+    ``normalized`` maps each measure label to None when none of its
+    variables moved, and otherwise to {variable name: [c, h]} for each
+    variable x that support constraints bound on both sides, l <= x <= u,
+    and that was solved as u in [-1, 1] with x = c + h u (``_boxes``).
+    ``msdp``, ``conic``, ``symmetry``, ``permutations`` and the ranks of
+    the certificate are then those of the moved problem; its atoms, the
+    measures' supports and ``moments`` are mapped back to the model's
+    coordinates.
     """
 
     status: int
@@ -477,6 +494,7 @@ class GPMSolution:
     moments: dict = field(default_factory=dict)
     symmetry: dict = field(default_factory=dict)
     permutations: dict = field(default_factory=dict)
+    normalized: dict = field(default_factory=dict)
 
     def support(self, label):
         """Atoms and weights this solve extracted for the measure with
@@ -492,6 +510,18 @@ class GPMSolution:
 
 def solve_gpm(problem, order=None, params=None, seed=0):
     """Assemble, solve and certify the moment relaxation of a problem.
+
+    First every variable that support constraints affine in it alone
+    bound on both sides, l <= x <= u with (l, u) != (-1, 1), is moved
+    onto [-1, 1] by x = c + h u, c = (l + u) / 2 and h = (u - l) / 2
+    (``_boxes``): the objective, the support constraints and the moment
+    constraints are rewritten in u.  Hankel matrices in the monomial
+    basis are well conditioned only near [-1, 1] (Beckermann, Numer.
+    Math. 85, 2000), and an invertible affine change of variables maps
+    each moment and localizing matrix by congruence, so every order's
+    bound is unchanged.  The solve and certification run in u; the atoms
+    go back through x = c + h u and the moments through the binomial
+    map (``_moment_map``).  ``normalized`` reports the moves.
 
     The conic problem goes through the reductions in order: the orbit
     reduction (``sign_classes`` finds the sign flips and
@@ -519,6 +549,14 @@ def solve_gpm(problem, order=None, params=None, seed=0):
     solve skips the orbit reduction.
     """
     params = params or SolverParams()
+    problem, boxes = _boxes(problem)
+    normalized = {
+        m.label: {
+            var.name: [c, h] for var, c, h in zip(m.vars, *(a.tolist() for a in boxes[m]))
+            if (c, h) != (0.0, 1.0)
+        } if m in boxes else None
+        for m in problem.measures
+    }
     msdp = assemble(problem, order)
     conic = to_conic(msdp)
     red, symmetry, permutations = _symmetry_reduction(msdp, conic)
@@ -528,7 +566,7 @@ def solve_gpm(problem, order=None, params=None, seed=0):
     if sol.status in ("infeasible", "unbounded", "failed"):
         return GPMSolution(
             status=-1, objective=None, order=msdp.order, msdp=msdp, conic=sol,
-            symmetry=symmetry, permutations=permutations,
+            symmetry=symmetry, permutations=permutations, normalized=normalized,
         )
     y = sol.y
     objective = conic.objective_value(y)
@@ -541,7 +579,15 @@ def solve_gpm(problem, order=None, params=None, seed=0):
         y, cert = _recenter(msdp, conic, sol, y, objective, cert, params, seed)
     moments = {}
     for measure in msdp.problem.measures:
-        measure.moments = moments[measure.label] = mvec_values(msdp, y, measure)
+        values = mvec_values(msdp, y, measure)
+        if measure in boxes:
+            exps = msdp.index.raw_exponents[measure]
+            values = _moment_map(exps, *boxes[measure]) @ values
+        measure.moments = moments[measure.label] = values
+    for measure, (center, half) in boxes.items():
+        ext = cert.extractions.get(measure.label)
+        if ext is not None and ext.success:
+            ext.points = center + half * ext.points
     status = 1 if cert.certified else 0
     if cert.certified:
         for measure in msdp.problem.measures:
@@ -557,7 +603,99 @@ def solve_gpm(problem, order=None, params=None, seed=0):
         moments=moments,
         symmetry=symmetry,
         permutations=permutations,
+        normalized=normalized,
     )
+
+
+def _boxes(problem):
+    """``problem`` with its bounded variables moved onto [-1, 1].
+
+    A variable x moves when the support constraints affine in x alone
+    give it a largest lower bound l and a smallest upper bound u with
+    l < u and (l, u) != (-1, 1).  It is replaced by c + h x, c = (l + u)
+    / 2 and h = (u - l) / 2, in the objective, the support constraints
+    and the moment constraints; the variable object then stands for u.
+    Returns the problem, itself when nothing moves, and a dict from each
+    measure with a moved variable to (c, h), float arrays over its
+    variables that hold 0 and 1 for the variables that stay.
+    """
+    lower, upper = {}, {}
+    for con in problem.support_constraints:
+        g = con.gform()
+        if g.degree != 1 or len(g.variables()) != 1:
+            continue
+        (var,) = g.variables()
+        a = g.coefficient(Monomial(((var, 1),)))
+        bound = -g.constant_term / a
+        if con.rel == "==" or a > 0:
+            lower[var] = max(lower.get(var, -math.inf), bound)
+        if con.rel == "==" or a < 0:
+            upper[var] = min(upper.get(var, math.inf), bound)
+    subs, boxes = {}, {}
+    for measure in problem.measures:
+        center, half = np.zeros(measure.nvars), np.ones(measure.nvars)
+        for k, var in enumerate(measure.vars):
+            l, u = lower.get(var, -math.inf), upper.get(var, math.inf)
+            if -math.inf < l < u < math.inf and (l, u) != (-1.0, 1.0):
+                center[k], half[k] = (l + u) / 2, (u - l) / 2
+                subs[var] = Polynomial({Monomial(): center[k], Monomial(((var, 1),)): half[k]})
+        if any(var in subs for var in measure.vars):
+            boxes[measure] = center, half
+    if not subs:
+        return problem, boxes
+
+    def moved(poly):
+        if not any(var in subs for var in poly.variables()):
+            return poly
+        out = Polynomial()
+        for mono, coeff in poly.terms.items():
+            term = Polynomial.constant(coeff)
+            for var, power in mono.exps:
+                term = term * subs.get(var, Polynomial.variable(var)) ** power
+            out = out + term
+        return out
+
+    def moved_expr(expr):
+        return MomentExpression(expr.constant, {m: moved(p) for m, p in expr.terms.items()})
+
+    objective = problem.objective
+    return GPMProblem(
+        Objective(objective.direction, moved_expr(objective.expr)),
+        [SupportConstraint(moved(c.lhs), c.rel, moved(c.rhs)) for c in problem.support_constraints]
+        + [
+            MomentConstraint(moved_expr(c.lhs), c.rel, moved_expr(c.rhs), c.is_default_mass)
+            for c in problem.moment_constraints
+        ],
+    ), boxes
+
+
+def _moment_map(exps, center, half):
+    """The matrix T with T y_u = y_x, x = center + half * u.
+
+    ``exps`` are the exponent rows of both moment vectors, a set closed
+    under lowering any exponent, like ``MomentIndex.raw_exponents``.
+    Row a of T expands x^a = prod_i (c_i + h_i u_i)^a_i: the entry of
+    each exponent row b <= a is prod_i C(a_i, b_i) c_i^(a_i - b_i)
+    h_i^b_i.  T is sparse and triangular in grlex order, and it holds no
+    zero entry, so an undetermined (NaN) u-moment makes undetermined
+    exactly the x-moments whose expansion reads it.  It is the identity
+    where no variable moves.
+    """
+    n, top = len(exps), int(exps.max(initial=0))
+    binom = np.array([[math.comb(p, q) for q in range(top + 1)] for p in range(top + 1)], dtype=float)
+    rows, beta, coeff = np.arange(n), exps.copy(), np.ones(n)
+    for i in np.flatnonzero((center != 0.0) | (half != 1.0)).tolist():
+        # each pair (a, b) expands into b_i = a_i, a_i - 1, ..., 0; with
+        # c_i = 0 only b_i = a_i has a nonzero entry
+        count = beta[:, i] + 1 if center[i] != 0.0 else np.ones(len(rows), dtype=np.int64)
+        rows, beta, coeff = (np.repeat(v, count, axis=0) for v in (rows, beta, coeff))
+        a = beta[:, i].copy()
+        b = a - (np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count))
+        beta[:, i] = b
+        coeff = coeff * binom[a, b] * center[i] ** (a - b) * half[i] ** b
+    position = {t: k for k, t in enumerate(map(tuple, exps.tolist()))}
+    cols = [position[t] for t in map(tuple, beta.tolist())]
+    return scipy.sparse.csr_matrix((coeff, (rows, cols)), shape=(n, n))
 
 
 def _symmetry_reduction(msdp, conic):

@@ -103,6 +103,11 @@ class RunReport:
                     f"pinned moments = {symmetry['pinned']}, blocks = "
                     f"{'unsplit' if blocks is None else format_block_sizes(blocks)}"
                 )
+            normalized = entry["normalized"]
+            boxes = "none" if normalized is None else ", ".join(
+                f"{name} on [{c - h:g}, {c + h:g}]" for name, (c, h) in normalized.items()
+            )
+            lines.append(f"Measure {entry['label']}: box normalization = {boxes}")
             perms = entry["permutations"]
             if perms is None:
                 lines.append(f"Measure {entry['label']}: permutation symmetry = none")
@@ -255,6 +260,8 @@ def cmd_solve(path, order=None, params=None, json_path=None, seed=0):
             ext = sol.certificate.extractions.get(measure.label)
             entry["extracted_at"] = ext.degree if ext is not None and ext.success else None
         entry["symmetry"] = sol.symmetry.get(measure.label)
+        # {name: [c, h]} of each variable solved as u in [-1, 1], x = c + h u
+        entry["normalized"] = sol.normalized.get(measure.label)
         entry["permutations"] = sol.permutations.get(measure.label)
         moments = sol.moments.get(measure.label)
         entry["undetermined"] = 0

@@ -214,11 +214,11 @@ class ConicSolution:
 
     status is one of 'solved', 'inaccurate', 'infeasible', 'unbounded',
     'failed'.  'solved' means max(pinf, dinf, gap) <= eps at the returned
-    point.  'inaccurate' means the solve stopped short of eps and returns
-    its best iterate, whose max(pinf, dinf, gap) is within 1e3 * eps;
-    'failed' means not even that was reached.  'infeasible' means no x
-    satisfies the constraints (the dual objective diverges); 'unbounded'
-    means c'x is unbounded below.  message is empty on 'solved' and
+    point.  'inaccurate' means the solve stopped short of eps at a point
+    whose max(pinf, dinf, gap) is within 1e3 * eps; 'failed' means it
+    stopped farther off.  'infeasible' means no x satisfies the
+    constraints (the dual objective diverges); 'unbounded' means c'x is
+    unbounded below.  message is empty on 'solved' and
     otherwise says why the solve stopped: the iteration limit, vanishing
     step lengths, a failed factorization or a non-finite step, or the
     ray found.  history rows are (pobj, dobj, pinf, dinf, gap) per
@@ -1480,32 +1480,16 @@ def _alpha_orthant(x, dx):
 
 def _inverse_factors(S):
     """L^-1 for the lower Cholesky factor L of every block of the stack S,
-    and whether the factorization fell back to block by block.
-
-    One batched factorization and one batched inverse.  Only a stack
-    whose batched factorization raises is factored block by block, each
-    failing block retried twice with a growing diagonal jitter, so its
-    factor may be that of S_b + jitter I; a block that fails all three
-    tries leaves the stack no factor (None), which allows no step.
-    Non-finite S raises ValueError.
+    from one batched factorization and one batched inverse, or None when
+    some block of the stack is not numerically positive definite: such a
+    stack has no factor, which allows no step.  Non-finite S raises
+    ValueError.
     """
     S = np.asarray_chkfinite(S)
     try:
-        return np.linalg.inv(np.linalg.cholesky(S)), False
+        return np.linalg.inv(np.linalg.cholesky(S))
     except np.linalg.LinAlgError:
-        pass
-    L = np.empty_like(S)
-    for B, out in zip(S, L):
-        jitter = 0.0
-        for _ in range(3):
-            try:
-                out[...] = np.linalg.cholesky(B + jitter * np.eye(B.shape[0]))
-                break
-            except np.linalg.LinAlgError:
-                jitter = max(jitter * 100, 1e-14 * max(np.trace(B), 1.0))
-        else:
-            return None, True
-    return np.linalg.inv(L), True
+        return None
 
 
 def _step_length(x_l, R_s, dx_l, dX_s):
@@ -1563,9 +1547,9 @@ def _initial_point(cones, b):
 _MAX_ITER = 100
 _STEP_FRACTION = 0.98
 _REG_FLOOR = 1e-12
-# a solve that stops short of eps returns its best iterate, not its last,
-# which near the rounding limit may have drifted off again; it is
-# 'inaccurate' if within _ACCEPT_FACTOR * eps and 'failed' otherwise
+# a solve that stops short of eps returns the last point it measured:
+# 'inaccurate' if that point is within _ACCEPT_FACTOR * eps, 'failed'
+# otherwise
 _ACCEPT_FACTOR = 1e3
 
 
@@ -1635,10 +1619,11 @@ def solve(problem, params=None):
 
     The solve stops with 'solved' once max(pinf, dinf, gap) <= eps.  The
     iteration limit, vanishing step lengths and the failure exits (a
-    singular dual slack, a Schur complement that no regularization
-    factors, a non-finite predictor or corrector step) return the best
-    iterate, as 'inaccurate' if it is within _ACCEPT_FACTOR * eps and
-    as 'failed' otherwise, unless a validated ray certifies
+    dual slack Z with no Cholesky factor, a Schur complement that no
+    regularization factors, a non-finite predictor or corrector step)
+    return the last point measured, the last row of ``history``, as
+    'inaccurate' if it is within _ACCEPT_FACTOR * eps and as 'failed'
+    otherwise, unless a validated ray at that point certifies
     infeasibility or unboundedness.
     """
     params = params or SolverParams()
@@ -1669,10 +1654,7 @@ def solve(problem, params=None):
     x_l, X_s, z_l, Z_s = _initial_point(cones, b)
     y = np.zeros(m)
     history = []
-    best = None
-    status = "failed"
     message = ""
-    it = 0
 
     for it in range(1, _MAX_ITER + 1):
         rd_l, Rd_s, pinf, dinf, mu = _residuals(cones, b, x_l, X_s, y, z_l, Z_s)
@@ -1681,14 +1663,13 @@ def solve(problem, params=None):
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         history.append((pobj, dobj, pinf, dinf, gap))
         metric = max(pinf, dinf, gap)
-        if best is None or metric < best[0]:
-            best = (metric, x_l.copy(), [X.copy() for X in X_s],
-                    y.copy(), z_l.copy(), [Z.copy() for Z in Z_s],
-                    pobj, dobj, pinf, dinf, gap)
         _log.debug("it %3d  pobj %+.8e  dobj %+.8e  pinf %.2e  dinf %.2e  gap %.2e",
                    it, pobj, dobj, pinf, dinf, gap)
         if metric <= params.eps:
             status = "solved"
+            break
+        if it == _MAX_ITER:
+            status, message = "maxiter", f"iteration limit ({_MAX_ITER}) reached"
             break
 
         diverged = _divergence_status(cones, x_l, X_s, y, pobj, dobj)
@@ -1697,18 +1678,13 @@ def solve(problem, params=None):
             break
 
         # one inverse factor per stack of X and of Z serves all four step
-        # searches and the HKM scaling Z^-1, which a stack whose batched
-        # factorization fell back takes from inv(Z) instead
-        RX_s = [_inverse_factors(X)[0] for X in X_s]
-        RZ_s, Zinv_s = [], []
-        try:
-            for Z in Z_s:
-                R, fell_back = _inverse_factors(Z)
-                RZ_s.append(R)
-                Zinv_s.append(np.linalg.inv(Z) if fell_back else R.swapaxes(-1, -2) @ R)
-        except np.linalg.LinAlgError:
+        # searches and the HKM scaling Z^-1 = L_Z^-T L_Z^-1
+        RX_s = [_inverse_factors(X) for X in X_s]
+        RZ_s = [_inverse_factors(Z) for Z in Z_s]
+        if any(R is None for R in RZ_s):
             status, message = "failed", "singular dual slack"
             break
+        Zinv_s = [R.swapaxes(-1, -2) @ R for R in RZ_s]
         M = cones.schur_complement(x_l, z_l, Zinv_s, X_s)
         chol = _factor_with_regularization(M)
         if chol is None:
@@ -1792,17 +1768,10 @@ def solve(problem, params=None):
         y = y + ad * step[2]
         z_l = z_l + ad * step[3]
         Z_s = [Z + ad * dZ for Z, dZ in zip(Z_s, step[4])]
-    else:
-        status, message = "maxiter", f"iteration limit ({_MAX_ITER}) reached"
 
-    if status in ("maxiter", "stalled", "failed") and best is not None:
-        # the last iterate carries any diverging ray; the best iterate is
-        # the most accurate point.  A validated certificate wins.
+    if status in ("maxiter", "stalled", "failed"):
+        # a validated certificate at the last point wins
         diverged = _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=True)
-        metric = best[0]
-        if diverged is None:
-            _, x_l, X_s, y, z_l, Z_s, pobj, dobj, pinf, dinf, gap = best
-            diverged = _divergence_status(cones, x_l, X_s, y, pobj, dobj, final=True)
         if diverged:
             status, message = diverged
         elif metric <= _ACCEPT_FACTOR * params.eps:

@@ -12,6 +12,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from gpmkit import (
@@ -27,6 +28,7 @@ from gpmkit import (
     mmat_values,
     mom,
     mvec,
+    mvec_values,
     numeric_rank,
     solve_gpm,
 )
@@ -648,3 +650,77 @@ def test_flat_truncation_search_starts_at_v(constraint):
     pair = planted_flatness([[-0.5], [0.7]], [0.4, 0.6], 3, [constraint])
     assert pair.ranks_by_degree == {0: 1, 1: 2, 2: 2, 3: 2}
     assert pair.v == 2 and pair.truncation == 3
+
+
+def test_moment_map_sends_dirac_moments_to_the_moved_dirac():
+    # the u-moments of a Dirac at u go to the x-moments of the Dirac at
+    # c + h u; the second variable stays (c = 0, h = 1), the third has a
+    # zero center, and the map is triangular in grlex order
+    from gpmkit.certify import _moment_map
+    from gpmkit.polynomials import exponent_array
+
+    exps = exponent_array(3, 6)
+    center, half = np.array([1.5, 0.0, 0.0]), np.array([1.5, 1.0, 2.0])
+    T = _moment_map(exps, center, half)
+    entries = T.tocoo()
+    assert np.all(entries.col <= entries.row)
+    rng = np.random.default_rng(7)
+    for u in rng.uniform(-1.0, 1.0, size=(5, 3)):
+        x = center + half * u
+        want = np.prod(x ** exps, axis=1)
+        np.testing.assert_allclose(T @ np.prod(u ** exps, axis=1), want, rtol=1e-12, atol=1e-12)
+    # an undetermined u-moment reaches only the x-moments that expand to
+    # it: u(2) u(3) only those of x(1)^k x(2) x(3)
+    y = np.prod(rng.uniform(-1.0, 1.0, 3) ** exps, axis=1)
+    y[exps.tolist().index([0, 1, 1])] = np.nan
+    undetermined = np.isnan(T @ y)
+    assert undetermined.tolist() == [a[1:] == [1, 1] for a in exps.tolist()]
+    identity = _moment_map(exps, np.zeros(3), np.ones(3))
+    assert (identity != scipy.sparse.identity(len(exps))).nnz == 0
+
+
+def test_quadratic3_moves_two_variables_and_reports_in_model_coordinates():
+    # x(1) in [0, 2] and x(3) in [0, 3] move onto [-1, 1]; x(2) has no
+    # upper bound and stays.  The atoms and the moments of degree <= 4,
+    # those of the flat M_2 the atoms came from, are the model's
+    with open(model_path("quadratic3.gpm")) as fh:
+        problem = parse_model(fh.read(), "quadratic3.gpm")
+    sol = solve_gpm(problem, order=4)
+    assert sol.normalized == {1: {"x(1)": [1.0, 1.0], "x(3)": [1.5, 1.5]}}
+    assert sol.status == 1
+    measure = problem.measures[0]
+    points, weights = sol.support(1)
+    assert np.array_equal(measure.support_points, points)
+    assert _has_quadratic3_atoms(points)
+    exps = sol.msdp.index.raw_exponents[measure]
+    low = exps.sum(axis=1) <= 4
+    atoms = weights @ np.prod(points[:, None, :] ** exps[low], axis=2)
+    np.testing.assert_allclose(sol.moments[1][low], atoms, rtol=1e-6, atol=1e-6)
+    assert measure.moments is sol.moments[1]
+    # nothing moves on rational-1, solved once: no report, and the
+    # moments are those of the relaxation as solved
+    with open(model_path("rational.gpm")) as fh:
+        problem = parse_model(fh.read(), "rational.gpm")
+    sol = solve_gpm(problem, order=1)
+    assert sol.normalized == {1: None}
+    assert np.array_equal(sol.moments[1], mvec_values(sol.msdp, sol.conic.y, 1))
+
+
+def test_only_variables_bounded_on_both_sides_move():
+    # x is already on [-1, 1]; y's tightest bounds are [0, 2]; z has one
+    # affine bound (z^2 <= 1 is not affine); w is pinned (l = u)
+    from gpmkit.certify import _boxes
+
+    problem = parse_model(
+        "var x; var y; var z; var w; min x + y + z + w;"
+        "-1 <= x; x <= 1; 0 <= y; y <= 4; 2*y <= 4; z >= 0; z^2 <= 1; w == 0.5;"
+    )
+    moved, boxes = _boxes(problem)
+    ((measure, (center, half)),) = boxes.items()
+    assert center.tolist() == [0.0, 1.0, 0.0, 0.0] and half.tolist() == [1.0, 1.0, 1.0, 1.0]
+    # y <= 4 reads 1 + y <= 4 in u
+    y = measure.vars[1]
+    assert [c.gform().eval({y: 0.0}) for c in moved.support_constraints[2:5]] == [1.0, 3.0, 2.0]
+    # a problem where nothing moves is handed on as it is
+    one_sided = parse_model("var x; min x^2; x >= 0;")
+    assert _boxes(one_sided) == (one_sided, {})

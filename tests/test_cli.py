@@ -90,8 +90,8 @@ def test_solve_json_report(tmp_path, capsys):
     (measure,) = report["measures"]
     assert set(measure) == {
         "label", "variables", "moments", "points", "weights", "ranks",
-        "flat_truncation", "extracted_at", "symmetry", "permutations",
-        "undetermined",
+        "flat_truncation", "extracted_at", "symmetry", "normalized",
+        "permutations", "undetermined",
     }
     assert measure["points"][0][0] == pytest.approx(0.5, abs=1e-3)
     assert measure["ranks"] == [1, 1] and measure["flat_truncation"] == 1
@@ -221,6 +221,31 @@ def test_solve_reports_the_sign_split(tmp_path, capsys, name, order, symmetry, l
     (measure,) = json.loads(out.read_text())["measures"]
     assert measure["symmetry"] == symmetry
     assert line in text.splitlines()
+
+
+@pytest.mark.parametrize(
+    "name,order,normalized,lines",
+    [
+        (
+            "quadratic3.gpm", 3, [{"x(1)": [1.0, 1.0], "x(3)": [1.5, 1.5]}],
+            ["Measure 1: box normalization = x(1) on [0, 2], x(3) on [0, 3]"],
+        ),
+        (
+            "cantelli_box.gpm", 2, [{"x": [2.5, 0.5]}, {"y": [1.5, 1.5]}],
+            ["Measure 2: box normalization = x on [2, 3]",
+             "Measure 3: box normalization = y on [0, 3]"],
+        ),
+        ("camel.gpm", 3, [None], ["Measure 1: box normalization = none"]),
+    ],
+)
+def test_solve_reports_the_box_normalization(tmp_path, capsys, name, order, normalized, lines):
+    # quadratic3's x(2) has no upper bound and stays; camel has no bounds
+    out = tmp_path / "report.json"
+    assert main(["solve", model_path(name), "--order", str(order), "--json", str(out)]) == 0
+    text = capsys.readouterr().out.splitlines()
+    report = json.loads(out.read_text())
+    assert [m["normalized"] for m in report["measures"]] == normalized
+    assert all(line in text for line in lines)
 
 
 @pytest.mark.parametrize(

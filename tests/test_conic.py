@@ -1605,13 +1605,14 @@ def test_maxcut_order_two_solves_through_sparse_blocks():
     assert problem.objective_value(sol.y) == pytest.approx(12.41413173295636, rel=1e-9)
 
 
-def test_a_solve_short_of_eps_returns_its_best_iterate(monkeypatch):
+def test_a_solve_short_of_eps_returns_its_last_measured_point(monkeypatch):
     # a constructed run: a small LP whose n-th point reads a primal
     # residual larger by 50^(n-6) times the metric of its sixth point,
     # growth no rounding can undo.  The iterates stay those of the plain
     # solve, whose metric falls below the sixth point's only after it, so
     # the sixth point is the best, within 1e3*eps; the iteration limit
-    # ends the solve two points later, and it returns the sixth
+    # ends the solve two points later, and it returns the eighth, the
+    # last one it measured, which is beyond 1e3*eps
     problem = ConicProblem(
         A=np.array([[1.0, 1.0, 1.0]]), b=np.array([1.0]),
         c=np.array([1.0, 2.0, 3.0]), cone=ConeSpec(l=3),
@@ -1628,18 +1629,20 @@ def test_a_solve_short_of_eps_returns_its_best_iterate(monkeypatch):
     monkeypatch.setattr(conic_module, "_residuals", growing_residuals)
     monkeypatch.setattr(conic_module, "_MAX_ITER", 8)
     sol = solve(problem, params)
-    assert (sol.status, sol.iterations, len(points)) == ("inaccurate", 8, 8)
-    assert sol.message == "iteration limit (8) reached"
+    assert (sol.status, sol.iterations, len(points)) == ("failed", 8, 8)
+    assert sol.message == "no convergence: iteration limit (8) reached"
     metrics = [max(row[2:]) for row in sol.history]
-    assert int(np.argmin(metrics)) == 5
+    assert len(metrics) == 8 and int(np.argmin(metrics)) == 5
     assert params.eps < metrics[5] <= 1e3 * params.eps < metrics[7]
-    # the returned point is the best iterate, not the last one
-    assert (sol.pobj, sol.dobj, sol.pinf, sol.dinf, sol.gap) == sol.history[5]
+    # the returned point is the last one measured, not the best
+    assert (sol.pobj, sol.dobj, sol.pinf, sol.dinf, sol.gap) == sol.history[-1]
 
 
 @pytest.mark.parametrize(
-    "instance,m,largest", [("maxcut_sub-4", 22, 36), ("maxcut_nosub-3", 21, 22)],
-    ids=["maxcut_sub-4", "maxcut_nosub-3"],
+    "instance,m,largest",
+    [("maxcut_sub-4", 22, 36), ("maxcut_nosub-3", 21, 22),
+     ("quadratic3-3", 55, 10), ("quadratic3-4", 119, 20)],
+    ids=["maxcut_sub-4", "maxcut_nosub-3", "quadratic3-3", "quadratic3-4"],
 )
 def test_maxcut_order_four_solves_under_one_ulp_moves_of_its_input(instance, m, largest):
     # the top-level input of maxcut_sub-4 ends near the rounding limit:
@@ -1647,8 +1650,9 @@ def test_maxcut_order_four_solves_under_one_ulp_moves_of_its_input(instance, m, 
     # residual up to a million-fold, to ~1e-9, and the next one reaches
     # eps.  maxcut_nosub-3 reaches the solver on maxcut_sub-3's blocks,
     # the rotation having dropped the directions its duplicate rows put
-    # in the kernel of every moment matrix.  Every draw of
-    # tools/ulp_draws.py must end solved
+    # in the kernel of every moment matrix.  quadratic3 at orders 3 and 4
+    # reaches the solver with x(1) and x(3) moved from [0, 2] and [0, 3]
+    # onto [-1, 1].  Every draw of tools/ulp_draws.py must end solved
     ulp_draws = load_tool("ulp_draws")
     problem = ulp_draws.top_level_input(instance)
     assert problem.m == m and max(problem.cone.s) == largest
@@ -1697,20 +1701,15 @@ def test_size_guard_counts_what_sparse_blocks_allocate():
 def reference_psd_step(X, dX):
     """Step to the PSD boundary through the scipy.linalg wrappers.
 
-    Factors X (with the solver's jitter ladder), whitens dX with two
-    triangular solves and takes -1 / min eig: the formula the solver
-    evaluates from its stored factors.
+    Factors X, whitens dX with two triangular solves and takes -1 / min
+    eig: the formula the solver evaluates from its stored factors.  An X
+    without a Cholesky factor allows no step.
     """
     if X.shape[0] == 0:
         return np.inf
-    jitter = 0.0
-    for _ in range(3):
-        try:
-            L = scipy.linalg.cholesky(X + jitter * np.eye(X.shape[0]), lower=True)
-            break
-        except scipy.linalg.LinAlgError:
-            jitter = max(jitter * 100, 1e-14 * max(np.trace(X), 1.0))
-    else:
+    try:
+        L = scipy.linalg.cholesky(X, lower=True)
+    except scipy.linalg.LinAlgError:
         return 0.0
     W = scipy.linalg.solve_triangular(L, dX, lower=True)
     W = scipy.linalg.solve_triangular(L, W.T, lower=True)
@@ -1727,7 +1726,7 @@ def stack_step(X, dX):
     """The solver's step length for one stack of blocks X along dX, both
     (g, s, s): the stack's inverse factors, then its step search."""
     none = np.zeros(0)
-    return _step_length(none, [_inverse_factors(X)[0]], none, [dX])
+    return _step_length(none, [_inverse_factors(X)], none, [dX])
 
 
 def stack_reference(blocks):
@@ -1758,7 +1757,7 @@ def test_factored_step_equals_the_scipy_formula(s):
             reference_psd_step(X, dX), rel=STEP_RTOL
         )
     # the three blocks as one stack, factored in one call
-    assert _inverse_factors(as_stack(blocks)[0])[1] is False
+    assert _inverse_factors(as_stack(blocks)[0]).shape == (3, s, s)
     assert stack_step(*as_stack(blocks)) == pytest.approx(stack_reference(blocks), rel=STEP_RTOL)
 
 
@@ -1769,27 +1768,22 @@ def test_factored_step_on_singular_indefinite_and_empty_blocks():
         B = rng.normal(size=(6, 6))
         return B @ B.T + 1e-3 * np.eye(6), random_symmetric(rng, 6)
 
-    # singular PSD: a zero row makes the bare factorization fail, the jitter
-    # ladder's second try succeeds
+    # singular PSD: a zero row makes the factorization fail, so the block
+    # has no factor and allows no step, nor does a stack that holds it
     B = rng.normal(size=(6, 3))
     B[2] = 0.0
     X = B @ B.T
     with pytest.raises(scipy.linalg.LinAlgError):
         scipy.linalg.cholesky(X, lower=True)
     dX = random_symmetric(rng, 6)
-    step = stack_step(X[None], dX[None])
-    assert np.isfinite(step) and step == pytest.approx(reference_psd_step(X, dX), rel=STEP_RTOL)
-    # in a stack of three, the whole stack falls back to block by block
-    # and the singular block's jittered factor serves its step
+    assert _inverse_factors(X[None]) is None
+    assert stack_step(X[None], dX[None]) == reference_psd_step(X, dX) == 0.0
     blocks = [good(), (X, 1e-3 * dX), good()]
-    R, fell_back = _inverse_factors(as_stack(blocks)[0])
-    assert fell_back and R.shape == (3, 6, 6)
-    step = stack_step(*as_stack(blocks))
-    assert np.isfinite(step) and step == pytest.approx(stack_reference(blocks), rel=STEP_RTOL)
-    # indefinite: all three tries fail and the block allows no step, nor
-    # does a stack that holds it
+    assert _inverse_factors(as_stack(blocks)[0]) is None
+    assert stack_step(*as_stack(blocks)) == stack_reference(blocks) == 0.0
+    # indefinite: likewise no factor and no step, alone or in a stack
     X = np.diag([1.0, -1.0, 2.0])
-    assert _inverse_factors(X[None]) == (None, True)
+    assert _inverse_factors(X[None]) is None
     assert stack_step(X[None], np.eye(3)[None]) == reference_psd_step(X, np.eye(3)) == 0.0
     blocks = [(np.eye(3), np.eye(3)), (X, np.eye(3)), (2.0 * np.eye(3), -np.eye(3))]
     assert stack_step(*as_stack(blocks)) == stack_reference(blocks) == 0.0

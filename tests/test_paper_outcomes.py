@@ -46,6 +46,7 @@ CASES = [
     # new cases go last: the case ids number the atom lists by position
     ("camel.gpm", 4, 1, -1.0316, CAMEL_ATOMS),
     ("camel.gpm", 5, 1, -1.0316, CAMEL_ATOMS),
+    ("quadratic3.gpm", 5, 1, -4.0, QUADRATIC3_ATOMS),
 ]
 
 # status of the top-level interior-point solve, for the cases that pin it
@@ -53,6 +54,9 @@ IPM_STATUS = {
     ("camel.gpm", 3): "solved",
     ("rational.gpm", 1): "solved",
     ("quadratic3.gpm", 1): "solved",
+    ("quadratic3.gpm", 2): "solved",
+    ("quadratic3.gpm", 3): "solved",
+    ("quadratic3.gpm", 4): "solved",
     ("maxcut_sub.gpm", 3): "solved",
     ("maxcut_nosub.gpm", 2): "solved",
 }

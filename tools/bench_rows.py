@@ -53,6 +53,7 @@ INSTANCES = [
     "quadratic3-2",
     "quadratic3-3",
     "quadratic3-4",
+    "quadratic3-5",
     "maxcut_sub-2",
     "maxcut_sub-3",
     "maxcut_nosub-2",
