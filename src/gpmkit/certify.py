@@ -158,11 +158,11 @@ def _flatness(msdp, block, M):
     ranked.
     """
     v = _inequality_halfdegree(msdp, block.measure)
-    degrees = block.basis.sum(axis=1)
+    # the basis is in grlex order, so M_d is the leading square of M
+    ends = np.searchsorted(block.basis.sum(axis=1), np.arange(msdp.order + 1), side="right")
     ranks = {}
-    for d in range(msdp.order + 1):
-        keep = np.flatnonzero(degrees <= d)
-        M_d = M[np.ix_(keep, keep)]
+    for d, k in enumerate(ends.tolist()):
+        M_d = M[:k, :k]
         ranks[d] = numeric_rank(M_d) if np.isfinite(M_d).all() else None
     rank = ranks[msdp.order]
     rank_shifted = ranks[max(msdp.order - v, 0)]
@@ -203,21 +203,18 @@ def _column_echelon(V):
     matrix R (with R[pivots] = I) and the pivot row indices.
     """
     U = np.array(V, dtype=float)
-    q, rho = U.shape
     pivots = []
-    for c in range(rho):
+    for c in range(U.shape[1]):
         col = np.abs(U[:, c])
         col[pivots] = 0.0
         if col.max() == 0.0:
             return None, None
-        threshold = 1e-4 * col.max()
-        candidates = np.nonzero(col > threshold)[0]
-        r = int(candidates[0])
+        r = int(np.flatnonzero(col > 1e-4 * col.max())[0])
         pivots.append(r)
         U[:, c] /= U[r, c]
-        for c2 in range(rho):
-            if c2 != c:
-                U[:, c2] -= U[r, c2] * U[:, c]
+        # every other column c2 loses U[r, c2] times column c
+        rest = np.arange(U.shape[1]) != c
+        U[:, rest] -= np.outer(U[:, c], U[r, rest])
     return U, pivots
 
 
@@ -254,7 +251,9 @@ def _extract(msdp, measure, basis, M, rho, seed):
 
     Three random combinations of the multiplication operators are tried;
     of those whose atoms fit the moments (``_atom_weights``), the one
-    with the smallest residual wins.
+    with the smallest residual wins.  The fit's matrix Phi holds each
+    atom's basis monomials, each the product of the atom's coordinate
+    powers in the measure's variable order.
     """
     if rho == 0:
         return ExtractionResult(success=False, message="moment matrix is zero")
@@ -283,33 +282,21 @@ def _extract(msdp, measure, basis, M, rho, seed):
         )
     nf.resize(len(shifts), len(basis))
     # each row summed from 0.0 over its normal form's terms, in order
-    operators = list((nf @ R).reshape(nvars, rho, rho))
+    operators = (nf @ R).reshape(nvars, rho, rho)
 
-    # basis rows as (position, power) factors in variable-uid order, so
-    # that Phi multiplies Python float powers as Monomial.eval does
-    by_uid = index.exponents[measure].by_uid
-    factors = [[(k, row[k]) for k in by_uid if row[k]] for row in basis.tolist()]
     best = None
     rng = np.random.default_rng(seed)
     for _ in range(3):
-        lam = rng.standard_normal(len(operators))
+        lam = rng.standard_normal(nvars)
         lam /= np.linalg.norm(lam)
-        combined = sum(l * N for l, N in zip(lam, operators))
-        T, Q = scipy.linalg.schur(np.asarray(combined), output="real")
+        T, Q = scipy.linalg.schur(np.tensordot(lam, operators, axes=1), output="real")
         sub = np.abs(np.diag(T, -1)).max() if rho > 1 else 0.0
         if sub > _RANK_TOL * max(1.0, np.abs(T).max()):
             continue  # complex eigenvalues: try another combination
-        points = np.zeros((rho, len(operators)))
-        for k, N in enumerate(operators):
-            points[:, k] = np.einsum("ij,jk,ki->i", Q.T, N, Q)
+        # atom i, coordinate n: the diagonal entry i of Q' N_n Q
+        points = np.einsum("ji,njk,ki->in", Q, operators, Q)
         # weights by least squares on the basis moments
-        Phi = np.zeros((len(basis), rho))
-        for j, point in enumerate(points.tolist()):
-            for i, row in enumerate(factors):
-                value = 1.0
-                for k, power in row:
-                    value *= point[k] ** power
-                Phi[i, j] = value
+        Phi = np.prod(points[None, :, :] ** basis[:, None, :], axis=2)
         target = M[:, 0]
         weights, residual = _atom_weights(Phi, target)
         scale = 1.0 + float(np.linalg.norm(target))

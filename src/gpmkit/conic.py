@@ -777,17 +777,26 @@ def split_by_pattern(problem):
     nfl = cone.f + cone.l
     cols = [np.flatnonzero(live[:nfl])]
     sizes = []
-    for k, s in enumerate(cone.s):
-        L = live[cone.block_columns(k, np.arange(s))].reshape(s, s)
-        _, label = scipy.sparse.csgraph.connected_components(
-            scipy.sparse.csr_matrix(L | L.T), directed=False
-        )
-        rows = np.argsort(label, kind="stable")
-        parts = sorted(np.split(rows, np.flatnonzero(np.diff(label[rows])) + 1), key=lambda R: R[0])
-        for R in parts:
-            if R.size > 1 or L[R[0], R[0]]:
-                cols.append(cone.block_columns(k, R))
-                sizes.append(R.size)
+    # one graph over the rows of every block: row i of block k is node
+    # first[k] + i, with an edge for each live entry
+    first = np.cumsum((0, *cone.s))
+    k, i, j = cone.entries(nfl + np.flatnonzero(live[nfl:]))
+    u, v = first[k] + i, first[k] + j
+    n = int(first[-1])
+    _, label = scipy.sparse.csgraph.connected_components(
+        scipy.sparse.csr_matrix((np.ones(u.size, dtype=bool), (u, v)), shape=(n, n)), directed=False
+    )
+    # nodes by their component's smallest node, then by node
+    key = np.unique(label, return_index=True)[1][label]
+    nodes = np.argsort(key, kind="stable")
+    diagonal = np.zeros(n, dtype=bool)
+    diagonal[u[u == v]] = True
+    block = np.repeat(np.arange(len(cone.s)), cone.s)
+    for R in np.split(nodes, np.flatnonzero(np.diff(key[nodes])) + 1):
+        if R.size > 1 or diagonal[R].any():
+            k = block[R[0]]
+            cols.append(cone.block_columns(k, R - first[k]))
+            sizes.append(R.size)
     cols = np.concatenate(cols)
     if np.array_equal(cols, np.arange(problem.n)):
         return None

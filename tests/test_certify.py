@@ -180,6 +180,61 @@ def test_least_squares_weights_are_the_nnls_weights(monkeypatch):
         assert residual == pytest.approx(oracle_residual, abs=1e-12)
 
 
+def test_extraction_kernels_match_their_loop_references(monkeypatch):
+    # the echelon form's rank-one update forms the products and
+    # differences of the column-by-column elimination, so its bits are
+    # the same; Phi's power products multiply in variable order, not in
+    # Monomial.eval's, so they agree to rounding
+    def echelon_by_columns(V):
+        U = np.array(V, dtype=float)
+        pivots = []
+        for c in range(U.shape[1]):
+            col = np.abs(U[:, c])
+            col[pivots] = 0.0
+            r = int(np.flatnonzero(col > 1e-4 * col.max())[0])
+            pivots.append(r)
+            U[:, c] /= U[r, c]
+            for c2 in range(U.shape[1]):
+                if c2 != c:
+                    U[:, c2] -= U[r, c2] * U[:, c]
+        return U, pivots
+
+    certify_module = importlib.import_module("gpmkit.certify")
+    echelon, atom_weights, factored, fits = (
+        certify_module._column_echelon, certify_module._atom_weights, [], []
+    )
+
+    def recording_echelon(V):
+        factored.append((V, *echelon(V)))
+        return factored[-1][1:]
+
+    def recording_weights(Phi, target):
+        fits.append((Phi, *atom_weights(Phi, target)))
+        return fits[-1][1:]
+
+    monkeypatch.setattr(certify_module, "_column_echelon", recording_echelon)
+    monkeypatch.setattr(certify_module, "_atom_weights", recording_weights)
+    rng = np.random.default_rng(17)
+    for case in range(12):
+        msdp, measure, _, _, y = planted_instance(rng, 1 + case % 3, 1 + (case // 3) % 3)
+        ext = extract_points(msdp, y, measure)
+        assert ext.success
+        exps = msdp.index.exponents[measure]
+        basis = moment_block(msdp, measure).basis[: len(fits[-1][0])]
+        reference = np.array([
+            [exps.monomial(tuple(t)).eval(dict(zip(measure.vars, point))) for point in ext.points]
+            for t in basis.tolist()
+        ])
+        (Phi,) = [Phi for Phi, _, residual in fits if residual == ext.residual][:1]
+        np.testing.assert_allclose(Phi, reference, rtol=1e-14, atol=0.0)
+        fits.clear()
+    V = rng.standard_normal((15, 6))
+    factored.append((V, *echelon(V)))
+    for V, R, pivots in factored:
+        R_ref, pivots_ref = echelon_by_columns(V)
+        assert pivots == pivots_ref and R.tobytes() == R_ref.tobytes()
+
+
 def test_clipped_weights_never_overstate_the_fit():
     # where the least-squares weights go negative, clipping leaves them
     # nonnegative and the residual at least the nonnegative minimum

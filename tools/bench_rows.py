@@ -59,6 +59,7 @@ INSTANCES = [
     "maxcut_nosub-2",
     "maxcut_nosub-3",
     "maxcut_sub-4",
+    "maxcut_sub-5",
 ]
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
